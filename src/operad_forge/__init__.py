@@ -4,7 +4,9 @@ actions, and an explicit delooping of operad-map loops into bimodule maps.
 Layers, bottom up:
 
 - :mod:`operad_forge.trees` — planar rooted trees, grafting, enumeration,
-  non-planar isomorphism, canonical forms.
+  non-planar isomorphism, canonical forms, and the mutable working form
+  ``Node`` on which ``bv``, ``wb`` and ``mapping`` do their tree surgery
+  (it needs only the permutation helpers of ``operads``).
 - :mod:`operad_forge.operads` — finite-data operads (one-operation,
   symmetric-groups, endomorphism, free truncated), interval configurations,
   law validators.
@@ -80,7 +82,6 @@ from .operads import (
     FreeTruncOperad,
     Operad,
     OperadMapEta,
-    TruncatedOperad,
     ValidationReport,
     act_cubes,
     compose_cubes,

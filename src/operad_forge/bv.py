@@ -16,12 +16,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from functools import partial
 from random import Random
 from typing import Any, Optional
 
-from .operads import Operad, Perm, perm_compose, perm_inverse
-from .trees import PlanarTree, Tree, corolla, identity_tree
+from .operads import AssocOperad, Operad, Perm, perm_compose
+from .trees import (
+    Node,
+    PlanarTree,
+    Tree,
+    canonicalize,
+    contract,
+    corolla,
+    cut,
+    fold,
+    from_nodes,
+    leaf_slots,
+    preorder,
+    rewrite_fixpoint,
+    set_word,
+    to_nodes,
+)
 
 
 @dataclass(frozen=True)
@@ -97,136 +112,61 @@ def _validate_raw(p: BVPoint) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Internal nested working form: leaves are ints (input labels), vertices _N
+# Rewriting (on the shared working form of ``trees``)
 # ---------------------------------------------------------------------------
 
 
-class _N:
-    __slots__ = ("label", "t", "kids")
-
-    def __init__(self, label, t, kids):
-        self.label = label
-        self.t = t  # Fraction, or None for the root
-        self.kids = kids  # list of _N | int
+def _nodes(p: BVPoint) -> Node:
+    return to_nodes(p.tree.shape, p.labels, (None,) + p.params, p.tree.labels)
 
 
-def _to_nested(p: BVPoint) -> _N:
-    shape, word = p.tree.shape, p.tree.labels
-    counters = {"v": 0, "leaf": 0}
-
-    def build(sub: PlanarTree, t) -> _N:
-        v = counters["v"]
-        counters["v"] += 1
-        kids: list[Any] = []
-        for c in sub.children:
-            if c is None:
-                kids.append(word[counters["leaf"]])
-                counters["leaf"] += 1
-            else:
-                child_v = counters["v"]
-                kids.append(build(c, p.params[child_v - 1]))
-        return _N(p.labels[v], t, kids)
-
-    return build(shape, None)
+def _point(operad: Operad, root: Node, canonical: bool) -> BVPoint:
+    shape, labels, ts, word = from_nodes(root)
+    return BVPoint(operad, operad.name, Tree(shape, word), labels, ts[1:], canonical)
 
 
-def _from_nested(operad: Operad, root: _N, canonical: bool) -> BVPoint:
-    labels: list = []
-    params: list[Fraction] = []
-    word: list[int] = []
-
-    def _walk(n: _N) -> PlanarTree:
-        labels.append(n.label)
-        if n.t is not None:
-            params.append(n.t)
-        kids: list[Optional[PlanarTree]] = []
-        for c in n.kids:
-            if isinstance(c, _N):
-                kids.append(_walk(c))
-            else:
-                word.append(c)
-                kids.append(None)
-        return PlanarTree(tuple(kids))
-
-    shape = _walk(root)
-    tree = Tree(shape, tuple(word))
-    return BVPoint(operad, operad.name, tree, tuple(labels), tuple(params), canonical)
-
-
-# ---------------------------------------------------------------------------
-# Rewriting
-# ---------------------------------------------------------------------------
-
-
-def _find_redexes(root: _N) -> list[tuple[str, _N, Optional[_N], int]]:
-    """All applicable rewrites: ("unit", v, parent, slot) deletes a
-    unit-labeled vertex; ("zero", v, parent, slot) contracts a length-0 inner
-    edge.  Slot is the 1-based position of v in parent.kids."""
-    out: list[tuple[str, _N, Optional[_N], int]] = []
-
-    def walk(n: _N, parent: Optional[_N], slot: int):
+def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node], int]]:
+    """All applicable rewrites, every unit redex before every zero one:
+    ("unit", v, parent, slot) deletes a unit-labeled vertex; ("zero", v,
+    parent, slot) contracts a length-0 inner edge.  Slot is the 1-based
+    position of v in parent.kids."""
+    units: list[tuple[str, Node, Optional[Node], int]] = []
+    zeros: list[tuple[str, Node, Optional[Node], int]] = []
+    for n, parent, slot in preorder(root):
+        # The whole point being the unit corolla is irreducible.
+        if operad.is_unit(n.label) and (
+            parent is not None or isinstance(n.kids[0], Node)
+        ):
+            units.append(("unit", n, parent, slot))
         if n.t is not None and n.t == 0:
-            out.append(("zero", n, parent, slot))
-        for s, c in enumerate(n.kids, start=1):
-            if isinstance(c, _N):
-                walk(c, n, s)
-
-    walk(root, None, 0)
-    return out
+            zeros.append(("zero", n, parent, slot))
+    return units + zeros
 
 
-def _unit_redexes(operad: Operad, root: _N) -> list[tuple[str, _N, Optional[_N], int]]:
-    out: list[tuple[str, _N, Optional[_N], int]] = []
-
-    def walk(n: _N, parent: Optional[_N], slot: int):
-        if operad.is_unit(n.label):
-            # The whole point being the unit corolla is irreducible.
-            if not (parent is None and not isinstance(n.kids[0], _N)):
-                out.append(("unit", n, parent, slot))
-        for s, c in enumerate(n.kids, start=1):
-            if isinstance(c, _N):
-                walk(c, n, s)
-
-    walk(root, None, 0)
-    return out
-
-
-def _delete_unit_vertex(root: _N, node: _N, parent: Optional[_N], slot: int) -> _N:
+def _delete_unit_vertex(root: Node, node: Node, parent: Optional[Node], slot: int) -> Node:
     """Relation (i).  Deleting a unit bivalent vertex between two inner edges
     merges their lengths to the MAXIMUM; next to a leaf or the root edge the
     vertex is simply deleted.  (Kept in one place so the merge convention can
     be swapped out.)"""
     child = node.kids[0]
     if parent is None:
-        assert isinstance(child, _N)
+        assert isinstance(child, Node)
         child.t = None
         return child
-    if isinstance(child, _N):
+    if isinstance(child, Node):
         child.t = max(node.t, child.t)
     parent.kids[slot - 1] = child
     return root
 
 
-def _contract_zero_edge(operad: Operad, root: _N, node: _N, parent: _N, slot: int) -> _N:
-    """Relation (iii): splice a length-0 vertex into its parent via the
-    operad composition at the planar slot."""
-    parent.label = operad.compose(parent.label, slot, node.label)
-    parent.kids = parent.kids[: slot - 1] + node.kids + parent.kids[slot:]
+def _rewrite(operad: Operad, root: Node, redex) -> Node:
+    kind, node, parent, slot = redex
+    if kind == "unit":
+        return _delete_unit_vertex(root, node, parent, slot)
+    # Relation (iii): splice a length-0 vertex into its parent via the
+    # operad composition at the planar slot.
+    contract(parent, slot, operad.compose)
     return root
-
-
-def _rewrite_fixpoint(operad: Operad, root: _N, rng: Optional[Random]) -> _N:
-    while True:
-        redexes = _unit_redexes(operad, root) + _find_redexes(root)
-        if not redexes:
-            return root
-        kind, node, parent, slot = (
-            rng.choice(redexes) if rng is not None else redexes[0]
-        )
-        if kind == "unit":
-            root = _delete_unit_vertex(root, node, parent, slot)
-        else:
-            root = _contract_zero_edge(operad, root, node, parent, slot)
 
 
 # ---------------------------------------------------------------------------
@@ -238,59 +178,14 @@ def _label_key(operad: Operad, label) -> str:
     return json.dumps(operad.encode(label), sort_keys=True)
 
 
-def _tie_break_perms(encs: list, m: int):
-    """Slot permutations that sort the child encodings, varying only inside
-    blocks of equal encodings (the only candidates for the minimal
-    presentation once children are compared before the vertex label)."""
-    order = sorted(range(1, m + 1), key=lambda s: encs[s - 1])
-    blocks = []
-    i = 0
-    while i < m:
-        j = i
-        while j + 1 < m and encs[order[j + 1] - 1] == encs[order[i] - 1]:
-            j += 1
-        blocks.append(order[i : j + 1])
-        i = j + 1
-    for choice in product(*(permutations(b) for b in blocks)):
-        yield tuple(s for blk in choice for s in blk)
-
-
-def _canonicalize(operad: Operad, n: _N):
-    """Reorder children bottom-up to the lexicographically minimal
-    presentation, pushing the compensating symmetric action into the vertex
-    label.  Returns the encoding of the canonicalized subtree."""
-    encs: list = []
-    for c in n.kids:
-        if isinstance(c, _N):
-            encs.append(_canonicalize(operad, c))
-        else:
-            encs.append(("L", c))
-    m = len(n.kids)
-    # Minimal presentation orders the child encodings first; the label only
-    # breaks ties between equal children.  Leaf numbering keeps encodings
-    # almost always distinct, so the search is linear in practice instead of
-    # factorial.
-    best = None
-    for pi in _tie_break_perms(encs, m):
-        label2 = operad.act(n.label, perm_inverse(pi))
-        key = (tuple(encs[p - 1] for p in pi), _label_key(operad, label2))
-        if best is None or key < best[0]:
-            best = (key, pi, label2)
-    _, pi, label2 = best
-    n.label = label2
-    n.kids = [n.kids[p - 1] for p in pi]
-    t_key = "" if n.t is None else str(n.t)
-    return ("N", t_key, best[0][0], best[0][1])
-
-
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
     """Canonical form of raw point data; idempotent and (tested) independent
     of the rewrite order, which ``rng`` randomizes."""
     _validate_raw(raw)
-    nested = _to_nested(raw)
-    nested = _rewrite_fixpoint(raw.operad, nested, rng)
-    _canonicalize(raw.operad, nested)
-    return _from_nested(raw.operad, nested, True)
+    operad = raw.operad
+    root = rewrite_fixpoint(operad, _nodes(raw), _redexes, _rewrite, rng)
+    canonicalize(root, operad.act, partial(_label_key, operad))
+    return _point(operad, root, True)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +206,7 @@ def bv_unit(operad: Operad) -> BVPoint:
 def mu(x: BVPoint) -> Any:
     """Collapse all edge lengths to 0: the counit onto the operad."""
     operad = x.operad
-    nested = _to_nested(x)
-
-    def val(n: _N):
-        v = n.label
-        for slot in range(len(n.kids), 0, -1):
-            c = n.kids[slot - 1]
-            if isinstance(c, _N):
-                v = operad.compose(v, slot, val(c))
-        return v
-
-    return operad.act(val(nested), x.tree.labels)
+    return operad.act(fold(_nodes(x), operad.compose), x.tree.labels)
 
 
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
@@ -341,45 +226,15 @@ def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:
         raise IndexError(f"input {i} out of range 1..{x.arity}")
     if x.operad_name != y.operad_name:
         raise ValueError("operad mismatch")
-    operad = x.operad
     pos = x.tree.labels.index(i)  # 0-based planar position of input i
-    nx, ny = _to_nested(x), _to_nested(y)
-    # Renumber leaf words: substitution inside the symmetric-groups operad.
-    from .operads import AssocOperad
-
-    new_word_by_pos = AssocOperad().compose(x.tree.labels, i, y.tree.labels)
-
+    nx, ny = _nodes(x), _nodes(y)
     # Graft ny at planar leaf position pos of nx.
-    counter = {"leaf": 0}
-
-    def graft_at(n: _N) -> bool:
-        for s, c in enumerate(n.kids):
-            if isinstance(c, _N):
-                if graft_at(c):
-                    return True
-            else:
-                if counter["leaf"] == pos:
-                    ny.t = Fraction(1)
-                    n.kids[s] = ny
-                    counter["leaf"] += 1
-                    return True
-                counter["leaf"] += 1
-        return False
-
-    graft_at(nx)
-
-    # Rewrite the leaf word in planar order.
-    word_iter = iter(new_word_by_pos)
-
-    def relabel(n: _N) -> None:
-        for s, c in enumerate(n.kids):
-            if isinstance(c, _N):
-                relabel(c)
-            else:
-                n.kids[s] = next(word_iter)
-
-    relabel(nx)
-    return bv_normalize(_from_nested(operad, nx, False))
+    ny.t = Fraction(1)
+    node, slot = leaf_slots(nx)[pos]
+    node.kids[slot - 1] = ny
+    # Renumber leaf words: substitution inside the symmetric-groups operad.
+    set_word(nx, AssocOperad().compose(x.tree.labels, i, y.tree.labels))
+    return bv_normalize(_point(x.operad, nx, False))
 
 
 # ---------------------------------------------------------------------------
@@ -414,52 +269,21 @@ def bv_decompose(x: BVPoint) -> BVDecomposition:
     re-applying the leaf word on reassembly."""
     if not x.canonical:
         x = bv_normalize(x)
-    operad = x.operad
-    nested = _to_nested(x)
+    top = _split(x.operad, _nodes(x))
+    return BVDecomposition(top.component, top.children, x.tree.labels)
 
-    # Work planar: forget the word (components carry identity words).
-    def strip(n: _N) -> None:
-        ctr = {"leaf": 1}
 
-        def go(m: _N) -> None:
-            for s, c in enumerate(m.kids):
-                if isinstance(c, _N):
-                    go(c)
-                else:
-                    m.kids[s] = ctr["leaf"]
-                    ctr["leaf"] += 1
-
-        go(n)
-
-    def cut(n: _N) -> BVDecomposition:
-        """n is a component root (its t is None or < 1 relative to parent)."""
-        children: list[tuple[int, BVDecomposition]] = []
-        pos = {"leaf": 0}
-
-        def prune(m: _N) -> None:
-            for s, c in enumerate(m.kids):
-                if isinstance(c, _N):
-                    if c.t == 1:
-                        sub = c
-                        m.kids[s] = -1  # placeholder leaf at this position
-                        pos["leaf"] += 1
-                        sub.t = None
-                        children.append((pos["leaf"], cut(sub)))
-                    else:
-                        prune(c)
-                else:
-                    pos["leaf"] += 1
-
-        prune(n)
-        comp_root = n
-        strip(comp_root)
-        comp = _from_nested(operad, comp_root, False)
-        comp = bv_normalize(comp)
-        return BVDecomposition(comp, tuple(children), ())
-
-    word = x.tree.labels
-    top = cut(nested)
-    return BVDecomposition(top.component, top.children, word)
+def _split(operad: Operad, n: Node) -> BVDecomposition:
+    """Cut the component rooted at ``n`` below its length-1 edges and split
+    the pieces above them in turn; components carry identity words."""
+    comp, dangling = cut(n, lambda c: c.t < 1)
+    comp.t = None
+    children = tuple(
+        (pos, _split(operad, c))
+        for pos, c in enumerate(dangling, start=1)
+        if isinstance(c, Node)
+    )
+    return BVDecomposition(bv_normalize(_point(operad, comp, False)), children, ())
 
 
 def bv_reassemble(d: BVDecomposition) -> BVPoint:
@@ -474,13 +298,8 @@ def bv_reassemble(d: BVDecomposition) -> BVPoint:
 
     planar = build(d)
     if d.word:
-        planar = bv_act(planar, _word_to_sigma(planar.arity, d.word))
+        planar = bv_act(planar, d.word)
     return planar
-
-
-def _word_to_sigma(n: int, word: Perm) -> Perm:
-    """The permutation sending the identity word to ``word``."""
-    return word
 
 
 def bv_prime_components(x: BVPoint) -> list[BVPoint]:
@@ -490,10 +309,6 @@ def bv_prime_components(x: BVPoint) -> list[BVPoint]:
 # ---------------------------------------------------------------------------
 # Filtration and cells
 # ---------------------------------------------------------------------------
-
-
-def bv_geometric_inputs(x: BVPoint) -> int:
-    return x.geometric_inputs
 
 
 def bv_filtration(x: BVPoint, k: int, l: Optional[int] = None) -> bool:

@@ -281,61 +281,32 @@ def stab(
 # ---------------------------------------------------------------------------
 
 
-def _nested(idx: UpsilonIndex) -> list:
-    """Mutable nested form ``[aux_tree, [child-or-None, ...]]``."""
-
-    def go(sub: PlanarTree, v: int) -> tuple[list, int]:
-        kids: list = []
-        nxt = v + 1
-        for c in sub.children:
-            if c is None:
-                kids.append(None)
-            else:
-                node, nxt = go(c, nxt)
-                kids.append(node)
-        return [idx.aux[v], kids], nxt
-
-    node, _ = go(idx.main, 0)
-    return node
-
-
-def _from_nested(node: list) -> UpsilonIndex:
-    aux: list[PlanarTree] = []
-
-    def go(n: list) -> PlanarTree:
-        aux.append(n[0])
-        return PlanarTree(
-            tuple(None if c is None else go(c) for c in n[1])
-        )
-
-    main = go(node)
-    return UpsilonIndex(main, tuple(aux))
-
-
-def _preorder_nodes(node: list) -> list[list]:
-    out = [node]
-    for c in node[1]:
-        if c is not None:
-            out.extend(_preorder_nodes(c))
-    return out
-
-
 def contract_main_edge(
     idx: UpsilonIndex, parent: int, slot: int
 ) -> UpsilonIndex:
     """Contract the main-tree inner edge from ``parent``'s ``slot`` to its
     child vertex; the child's auxiliary tree is grafted into the parent's at
     the leaf matching the slot, and the child's slots replace the slot."""
-    if (parent, slot) not in idx.main.child_vertex:
+    main = idx.main
+    child = main.child_vertex.get((parent, slot))
+    if child is None:
         raise ValueError(f"no inner edge at vertex {parent}, slot {slot}")
-    root = _nested(idx)
-    nodes = _preorder_nodes(root)
-    pnode = nodes[parent]
-    child = pnode[1][slot - 1]
-    assert child is not None
-    pnode[0] = graft(pnode[0], slot, child[0])
-    pnode[1][slot - 1 : slot] = child[1]
-    return _from_nested(root)
+    # The child's slots take its place in the parent, so the preorder of the
+    # contracted tree is the old one without the child: the auxiliary trees
+    # splice, and only the path from the root to the parent is rebuilt.
+    kids = main.subtrees[parent].children
+    sub = PlanarTree(kids[: slot - 1] + main.subtrees[child].children + kids[slot:])
+    v = parent
+    while v:
+        up, s = main.vertex_parents[v]
+        kids = main.subtrees[up].children
+        sub = PlanarTree(kids[: s - 1] + (sub,) + kids[s:])
+        v = up
+    aux = idx.aux
+    merged = graft(aux[parent], slot, aux[child])
+    return UpsilonIndex(
+        sub, aux[:parent] + (merged,) + aux[parent + 1 : child] + aux[child + 1 :]
+    )
 
 
 @dataclass(frozen=True)
@@ -351,9 +322,6 @@ class ContractionGraph:
     witnesses: dict[tuple[int, int], tuple[UpsilonIndex, int, int]]
     components: tuple[tuple[int, ...], ...]
     initials: tuple[int, ...]
-
-    def successors(self, i: int) -> list[int]:
-        return [b for a, b in self.edges if a == i]
 
 
 def _finish_graph(

@@ -11,12 +11,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Optional
 
 from .bv import bv_compose, bv_is_prime, bv_normalize, bv_filtration, bv_prime_components, mu
 from .cells import (
-    UpsilonIndex,
     build_graph,
     classify,
     enumerate_upsilon,
@@ -33,12 +31,10 @@ from .mapping import (
     constant_loop,
     eta_mu_tilde,
     table_eta,
-    validate_bimodule_map,
-    validate_loop,
     window_loop,
     xi,
 )
-from .operads import CubeConfig, Operad, identity_eta, operad_by_name
+from .operads import Operad, identity_eta, operad_by_name
 from .serialize import (
     bv_from_json,
     bv_to_json,

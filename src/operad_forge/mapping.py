@@ -42,16 +42,22 @@ from .operads import (
     gaps,
     sort_to_increasing,
 )
-from .trees import Tree, corolla
+from .trees import (
+    Node,
+    Tree,
+    corolla,
+    cut,
+    from_nodes,
+    leaf_slots,
+    preorder,
+    set_word,
+    to_nodes,
+)
 from .wb import (
     ONE,
     ZERO,
     WBPoint,
-    _W,
-    _assign_word,
-    _from_nested_wb,
     _is_unit_bv,
-    _to_nested_wb,
     mu_tilde,
     raw_wb,
     wb_act,
@@ -300,35 +306,6 @@ def is_trivial_subpoint(p: WBPoint) -> bool:
     return p.n_main_vertices == 1 and _is_unit_bv(p.operad, p.labels[0])
 
 
-def _copy_w(n: _W) -> _W:
-    return _W(
-        n.label, n.t, [_copy_w(c) if isinstance(c, _W) else c for c in n.kids]
-    )
-
-
-def _cut_component(operad: Operad, node: _W, inband) -> tuple[WBPoint, list]:
-    """Copy the maximal in-band subtree at ``node``; out-of-band children
-    become leaves and are returned, in planar order, as the dangling items
-    entering the next band."""
-    dangling: list[Any] = []
-    count = {"leaf": 0}
-
-    def copy(m: _W) -> _W:
-        kids: list[Any] = []
-        for c in m.kids:
-            if isinstance(c, _W) and inband(c.t):
-                kids.append(copy(c))
-            else:
-                count["leaf"] += 1
-                dangling.append(c)
-                kids.append(0)
-        return _W(m.label, m.t, kids)
-
-    root = copy(node)
-    _assign_word(root, tuple(range(1, count["leaf"] + 1)))
-    return _from_nested_wb(operad, root, False), dangling
-
-
 def subdivide(
     y: WBPoint, c: CubeConfig
 ) -> tuple[list[list[WBPoint]], list[list[WBPoint]]]:
@@ -354,20 +331,23 @@ def subdivide(
         bands.append(("cube", c.intervals[j]))
         bands.append(("gap", gap_ints[j + 1]))
 
-    frontier: list[Any] = [_copy_w(_to_nested_wb(y))]
+    frontier: list[Any] = [to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)]
     gap_lists: list[list[WBPoint]] = []
     cube_lists: list[list[WBPoint]] = []
     for kind, (lo, hi) in bands:
         if kind == "gap":
-            inband = lambda t: lo <= t <= hi  # noqa: E731
+            inband = lambda n: lo <= n.t <= hi  # noqa: E731
         else:
-            inband = lambda t: lo < t < hi  # noqa: E731
+            inband = lambda n: lo < n.t < hi  # noqa: E731
         subpoints: list[WBPoint] = []
         new_frontier: list[Any] = []
         for item in frontier:
-            if isinstance(item, _W) and inband(item.t):
-                comp, dangling = _cut_component(operad, item, inband)
-                subpoints.append(comp)
+            if isinstance(item, Node) and inband(item):
+                # The maximal in-band subtree; out-of-band kids become its
+                # leaves and, in planar order, the items entering the next
+                # band.
+                comp, dangling = cut(item, inband)
+                subpoints.append(raw_wb(operad, *from_nodes(comp)))
                 new_frontier.extend(dangling)
             else:
                 # A leaf half-edge or an edge to a vertex above the band.
@@ -375,7 +355,7 @@ def subdivide(
                 new_frontier.append(item)
         (gap_lists if kind == "gap" else cube_lists).append(subpoints)
         frontier = new_frontier
-    if any(isinstance(item, _W) for item in frontier):
+    if any(isinstance(item, Node) for item in frontier):
         raise AssertionError("subdivision did not exhaust the main vertices")
     return gap_lists, cube_lists
 
@@ -405,38 +385,23 @@ def reassemble_bands(
             if is_trivial_subpoint(sp):
                 new_items.append(next(it))
                 continue
-            nested = _copy_w(_to_nested_wb(sp))
-
-            def fill(m: _W) -> None:
-                for s, ch in enumerate(m.kids):
-                    if isinstance(ch, _W):
-                        fill(ch)
-                    else:
-                        m.kids[s] = next(it)
-
-            fill(nested)
-            new_items.append(nested)
+            root = to_nodes(sp.tree.shape, sp.labels, sp.heights, sp.tree.labels)
+            for node, slot in leaf_slots(root):
+                node.kids[slot - 1] = next(it)
+            new_items.append(root)
         leftovers = list(it)
         if leftovers:
             raise AssertionError("band arities do not match the items above")
         items = new_items
     if len(items) != 1:
         raise AssertionError("bottom band must produce a single rooted point")
-    if not isinstance(items[0], _W):
+    if not isinstance(items[0], Node):
         # Every band was trivial: the stack is the degenerate unit point.
         return wb_trivial(operad)
     root = items[0]
-    arity = sum(1 for _ in _iter_leaf_slots(root))
-    _assign_word(root, word if word is not None else tuple(range(1, arity + 1)))
-    return wb_normalize(_from_nested_wb(operad, root, False))
-
-
-def _iter_leaf_slots(n: _W):
-    for c in n.kids:
-        if isinstance(c, _W):
-            yield from _iter_leaf_slots(c)
-        else:
-            yield c
+    arity = len(leaf_slots(root))
+    set_word(root, word if word is not None else range(1, arity + 1))
+    return wb_normalize(raw_wb(operad, *from_nodes(root)))
 
 
 def rescale(z: WBPoint, cube: Interval) -> WBPoint:
@@ -542,43 +507,20 @@ def loop_alpha(c: CubeConfig, gs: Sequence[LoopElement]) -> LoopElement:
 # ---------------------------------------------------------------------------
 
 
-def _xi_value(g: LoopElement, n: _W, chooser) -> Any:
-    """Evaluate the delooping on the planar nested form: a single vertex is
+def _xi_value(g: LoopElement, n: Node, chooser) -> Any:
+    """Evaluate the delooping on the planar working form: a single vertex is
     fed to the loop kernel directly; otherwise the tree is split along an
     inner main edge and the two halves are composed in the target."""
-    if all(not isinstance(c, _W) for c in n.kids):
+    if all(not isinstance(c, Node) for c in n.kids):
         return g(n.label, n.t)
 
-    edges: list[tuple[_W, int]] = []
-
-    def collect(m: _W) -> None:
-        for s, c in enumerate(m.kids, start=1):
-            if isinstance(c, _W):
-                edges.append((m, s))
-                collect(c)
-
-    collect(n)
+    edges = [(parent, slot) for _, parent, slot in preorder(n)[1:]]
     parent, slot = chooser(edges) if chooser is not None else edges[0]
     sub = parent.kids[slot - 1]
-
-    # Planar leaf position of the cut edge within the lower half.
-    state = {"count": 0, "pos": 0}
-
-    def walk(m: _W) -> None:
-        for s, c in enumerate(m.kids, start=1):
-            if m is parent and s == slot:
-                state["count"] += 1
-                state["pos"] = state["count"]
-            elif isinstance(c, _W):
-                walk(c)
-            else:
-                state["count"] += 1
-
-    walk(n)
-    i = state["pos"]
-
     parent.kids[slot - 1] = 0
     try:
+        # Planar leaf position of the cut edge within the lower half.
+        i = leaf_slots(n).index((parent, slot)) + 1
         lower = _xi_value(g, n, chooser)
     finally:
         parent.kids[slot - 1] = sub
@@ -588,7 +530,7 @@ def _xi_value(g: LoopElement, n: _W, chooser) -> Any:
 
 def xi(
     g: LoopElement,
-    split_choice: Optional[Callable[[list[tuple[_W, int]]], tuple[_W, int]]] = None,
+    split_choice: Optional[Callable[[list[tuple[Node, int]]], tuple[Node, int]]] = None,
 ) -> BimodMapElement:
     """Deloop: turn a loop into a bimodule map.  The value on a point is
     computed on its planar presentation by recursive edge splitting (the
@@ -597,8 +539,8 @@ def xi(
     target = g.eta.target
 
     def kernel(y: WBPoint):
-        nested = _copy_w(_to_nested_wb(y))
-        val = _xi_value(g, nested, split_choice)
+        root = to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)
+        val = _xi_value(g, root, split_choice)
         return target.act(val, y.tree.labels)
 
     return BimodMapElement(g.eta, kernel, name=f"xi({g.name})")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -352,47 +352,6 @@ class FreeTruncOperad(Operad):
         return self._canon(dec(data))
 
 
-class TruncatedOperad(Operad):
-    """Restriction of an operad to arities <= k; compositions leaving the
-    bound raise."""
-
-    def __init__(self, base: Operad, k: int):
-        self.base = base
-        self.k = k
-        self.name = f"trunc:{k}:{base.name}"
-        self.max_supported_arity = (
-            k if base.max_supported_arity is None else min(k, base.max_supported_arity)
-        )
-
-    def _check(self, n: int) -> None:
-        if n > self.k:
-            raise ValueError(f"arity {n} exceeds truncation bound {self.k}")
-
-    def unit(self):
-        return self.base.unit()
-
-    def arity(self, x):
-        return self.base.arity(x)
-
-    def compose(self, x, i, y):
-        self._check(self.base.arity(x) + self.base.arity(y) - 1)
-        return self.base.compose(x, i, y)
-
-    def act(self, x, sigma):
-        return self.base.act(x, sigma)
-
-    def elements(self, n):
-        if n > self.k:
-            return []
-        return self.base.elements(n)
-
-    def encode(self, x):
-        return self.base.encode(x)
-
-    def decode(self, data):
-        return self.base.decode(data)
-
-
 def operad_by_name(name: str) -> Operad:
     """Resolve the CLI operad grammar: ``assoc`` | ``com`` | ``end:<size>``
     | ``free:g1=a1,g2=a2:<maxarity>``."""
@@ -429,12 +388,6 @@ class OperadMapEta:
 
     def __call__(self, x):
         return self.fn(x)
-
-
-def assoc_to_com_eta() -> OperadMapEta:
-    src = AssocOperad()
-    tgt = ComOperad()
-    return OperadMapEta(src, tgt, lambda w: len(w), name="assoc->com")
 
 
 def identity_eta(operad: Operad) -> OperadMapEta:
@@ -477,7 +430,7 @@ class ValidationReport:
         }
 
 
-def block_perm(operad_unused, sigma: Perm, i: int, m: int) -> Perm:
+def block_perm(sigma: Perm, i: int, m: int) -> Perm:
     """The permutation ``sigma composed at slot i with the identity on m
     letters``, computed inside the symmetric-groups operad."""
     return AssocOperad().compose(sigma, i, identity_perm(m))
@@ -577,7 +530,7 @@ def validate_operad(
                             lhs = O.compose(O.act(x, sigma), i, y)
                             rhs = O.act(
                                 O.compose(x, inv[i - 1], y),
-                                block_perm(O, sigma, i, m),
+                                block_perm(sigma, i, m),
                             )
                             if lhs != rhs:
                                 report.add(

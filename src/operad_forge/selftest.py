@@ -65,7 +65,6 @@ from .operads import (
     ComOperad,
     CubeConfig,
     EndOperad,
-    Operad,
     act_cubes,
     compose_cubes,
     identity_eta,

@@ -219,25 +219,30 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def dot_tree(t: Tree, name: str = "tree") -> str:
-    """Vertices as circles, leaves as numbered stubs."""
+def _dot_walk(name: str, t: Tree, prefix: str, vertex, edge) -> str:
+    """The DOT text of a tree drawn bottom-up: ``vertex(v)`` gives the
+    attributes of preorder vertex ``v``, ``edge(v)`` the attribute suffix of
+    the inner edge below non-root vertex ``v``; leaves are numbered stubs
+    showing the leaf word."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     counter = {"leaf": 0, "v": 0}
 
     def go(sub: PlanarTree) -> str:
-        me = f"v{counter['v']}"
+        v = counter["v"]
+        me = f"{prefix}{v}"
         counter["v"] += 1
-        lines.append(f'  {me} [shape=circle, label=""];')
+        lines.append(f"  {me} [{vertex(v)}];")
         for c in sub.children:
             if c is None:
                 counter["leaf"] += 1
                 lid = f"l{counter['leaf']}"
-                lab = t.labels[counter["leaf"] - 1]
-                lines.append(f'  {lid} [shape=plaintext, label="{lab}"];')
+                word = t.labels[counter["leaf"] - 1]
+                lines.append(f'  {lid} [shape=plaintext, label="{word}"];')
                 lines.append(f"  {lid} -> {me};")
             else:
+                cv = counter["v"]
                 child = go(c)
-                lines.append(f"  {child} -> {me};")
+                lines.append(f"  {child} -> {me}{edge(cv)};")
         return me
 
     go(t.shape)
@@ -245,68 +250,37 @@ def dot_tree(t: Tree, name: str = "tree") -> str:
     return "\n".join(lines) + "\n"
 
 
+def dot_tree(t: Tree, name: str = "tree") -> str:
+    """Vertices as circles, leaves as numbered stubs."""
+    return _dot_walk(name, t, "v", lambda v: 'shape=circle, label=""', lambda v: "")
+
+
 def dot_bv(p: BVPoint, name: str = "bv") -> str:
     """Vertex circles labeled by operad elements; inner edges annotated with
     their length parameter."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    counter = {"leaf": 0, "v": 0}
 
-    def go(sub: PlanarTree) -> str:
-        v = counter["v"]
-        me = f"v{v}"
-        counter["v"] += 1
+    def vertex(v: int) -> str:
         lab = _dot_escape(str(p.operad.encode(p.labels[v])))
-        lines.append(f'  {me} [shape=circle, label="{lab}"];')
-        for c in sub.children:
-            if c is None:
-                counter["leaf"] += 1
-                lid = f"l{counter['leaf']}"
-                word = p.tree.labels[counter["leaf"] - 1]
-                lines.append(f'  {lid} [shape=plaintext, label="{word}"];')
-                lines.append(f"  {lid} -> {me};")
-            else:
-                cv = counter["v"]
-                child = go(c)
-                t = frac_str(p.params[cv - 1])
-                lines.append(f'  {child} -> {me} [label="{t}"];')
-        return me
+        return f'shape=circle, label="{lab}"'
 
-    go(p.tree.shape)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_walk(
+        name, p.tree, "v", vertex, lambda v: f' [label="{frac_str(p.params[v - 1])}"]'
+    )
 
 
 def dot_wb(p: WBPoint, name: str = "wb") -> str:
     """Main vertices as boxes labeled with their height and inlined
     resolution label; leaves as numbered stubs."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    counter = {"leaf": 0, "v": 0}
 
-    def go(sub: PlanarTree) -> str:
-        v = counter["v"]
-        me = f"m{v}"
-        counter["v"] += 1
+    def vertex(v: int) -> str:
         bv = p.labels[v]
         lab = _dot_escape(
             f"t={frac_str(p.heights[v])}\n{bv.tree.shape!r} "
             f"{[bv.operad.encode(x) for x in bv.labels]}"
         )
-        lines.append(f'  {me} [shape=box, label="{lab}"];')
-        for c in sub.children:
-            if c is None:
-                counter["leaf"] += 1
-                lid = f"l{counter['leaf']}"
-                word = p.tree.labels[counter["leaf"] - 1]
-                lines.append(f'  {lid} [shape=plaintext, label="{word}"];')
-                lines.append(f"  {lid} -> {me};")
-            else:
-                child = go(c)
-                lines.append(f"  {child} -> {me};")
-        return me
+        return f'shape=box, label="{lab}"'
 
-    go(p.tree.shape)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_walk(name, p.tree, "m", vertex, lambda v: "")
 
 
 def dot_graph(g: ContractionGraph, name: str = "contractions") -> str:

@@ -12,14 +12,22 @@ planar left-to-right order, the abstract input carried by each leaf.
 
 ``TreeIso`` records a non-planar isomorphism as a vertex bijection plus a
 per-vertex permutation of input slots.
+
+``Node`` is the one mutable working form for tree surgery.  ``bv`` and
+``wb`` rewrite their points on it (unit deletion, edge contraction,
+canonical reordering through the symmetric action) and ``mapping`` cuts
+bands and splits edges on it, all through the shared helpers at the end of
+this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional
+
+from .operads import perm_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +98,6 @@ class PlanarTree:
         return {
             (p, s): v for v, (p, s) in enumerate(self.vertex_parents) if p >= 0
         }
-
-    @cached_property
-    def leaf_spans(self) -> tuple[tuple[int, int], ...]:
-        """Per preorder vertex, the half-open range of absolute leaf positions
-        (1-based) covered by its subtree."""
-        out: list[tuple[int, int]] = []
-
-        def walk(sub: PlanarTree, start: int) -> int:
-            slot_idx = len(out)
-            out.append((0, 0))  # placeholder
-            pos = start
-            for c in sub.children:
-                if c is None:
-                    pos += 1
-                else:
-                    pos = walk(c, pos)
-            out[slot_idx] = (start, pos)
-            return pos
-
-        walk(self, 1)
-        return tuple(out)
 
     def arity_of(self, v: int) -> int:
         return self.subtrees[v].arity
@@ -269,10 +256,6 @@ class Tree:
         return self.shape.n_leaves
 
 
-def identity_tree(shape: PlanarTree) -> Tree:
-    return Tree(shape, tuple(range(1, shape.n_leaves + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Isomorphisms
 # ---------------------------------------------------------------------------
@@ -289,12 +272,6 @@ class TreeIso:
 
     vertex_map: tuple[int, ...]
     input_perms: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(m == v for v, m in enumerate(self.vertex_map)) and all(
-            p == tuple(range(1, len(p) + 1)) for p in self.input_perms
-        )
 
 
 def identity_iso(t: PlanarTree) -> TreeIso:
@@ -326,10 +303,6 @@ def inverse_iso(f: TreeIso) -> TreeIso:
             inv[img - 1] = s
         ip_inv[f.vertex_map[v]] = tuple(inv)
     return TreeIso(tuple(vm_inv), tuple(ip_inv))
-
-
-def _preorder_index_map(t: PlanarTree) -> dict[int, PlanarTree]:
-    return dict(enumerate(t.subtrees))
 
 
 def _match(
@@ -560,3 +533,204 @@ def planar_presentations(
             yield shape, pos
     else:
         yield from go(t, tuple(range(1, t.n_leaves + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Mutable working form
+# ---------------------------------------------------------------------------
+#
+# Both resolutions (``bv``, ``wb``) and the band and delooping code of
+# ``mapping`` rewrite decorated trees in place: unit deletion, edge
+# contraction by composition, and canonical reordering through the
+# symmetric action.  They share the ``Node`` form and the helpers below;
+# each caller supplies only its own rules (redexes, composition, action,
+# label key).
+
+
+class Node:
+    """A vertex of the mutable working form: a label, the decoration ``t``
+    of the vertex (an edge length in ``bv``, ``None`` at the root; a height
+    in ``wb``), and the ordered ``kids``, each another ``Node`` or a leaf's
+    input label (an int)."""
+
+    __slots__ = ("label", "t", "kids")
+
+    def __init__(self, label, t, kids):
+        self.label = label
+        self.t = t
+        self.kids = kids
+
+
+def to_nodes(shape: PlanarTree, labels, ts, word) -> Node:
+    """The working form of ``shape`` with ``labels[v]`` and ``ts[v]`` at
+    preorder vertex ``v`` and ``word`` read along the leaves."""
+    v = leaf = -1
+
+    def build(sub: PlanarTree) -> Node:
+        nonlocal v, leaf
+        v += 1
+        kids: list = []
+        n = Node(labels[v], ts[v], kids)
+        for c in sub.children:
+            if c is None:
+                leaf += 1
+                kids.append(word[leaf])
+            else:
+                kids.append(build(c))
+        return n
+
+    return build(shape)
+
+
+def from_nodes(root: Node) -> tuple[PlanarTree, tuple, tuple, tuple[int, ...]]:
+    """Inverse of ``to_nodes``: ``(shape, labels, ts, word)``."""
+    labels: list = []
+    ts: list = []
+    word: list[int] = []
+
+    def walk(n: Node) -> PlanarTree:
+        labels.append(n.label)
+        ts.append(n.t)
+        kids: list[Optional[PlanarTree]] = []
+        for c in n.kids:
+            if isinstance(c, Node):
+                kids.append(walk(c))
+            else:
+                word.append(c)
+                kids.append(None)
+        return PlanarTree(tuple(kids))
+
+    shape = walk(root)
+    return shape, tuple(labels), tuple(ts), tuple(word)
+
+
+def preorder(root: Node) -> list[tuple[Node, Optional[Node], int]]:
+    """Every vertex as ``(node, parent, slot)`` in preorder; ``slot`` is the
+    1-based position of ``node`` in ``parent.kids`` (the root gives
+    ``(root, None, 0)``)."""
+    out: list[tuple[Node, Optional[Node], int]] = []
+
+    def walk(n: Node, parent: Optional[Node], slot: int) -> None:
+        out.append((n, parent, slot))
+        for s, c in enumerate(n.kids, start=1):
+            if isinstance(c, Node):
+                walk(c, n, s)
+
+    walk(root, None, 0)
+    return out
+
+
+def leaf_slots(root: Node) -> list[tuple[Node, int]]:
+    """The leaves in planar order, each as ``(node, slot)`` with
+    ``node.kids[slot - 1]`` the leaf."""
+    out: list[tuple[Node, int]] = []
+
+    def walk(n: Node) -> None:
+        for s, c in enumerate(n.kids, start=1):
+            if isinstance(c, Node):
+                walk(c)
+            else:
+                out.append((n, s))
+
+    walk(root)
+    return out
+
+
+def set_word(root: Node, word) -> None:
+    """Write ``word`` onto the leaves in planar order."""
+    for (n, s), w in zip(leaf_slots(root), word):
+        n.kids[s - 1] = w
+
+
+def contract(parent: Node, slot: int, compose) -> None:
+    """Contract the edge to the child vertex at ``parent``'s ``slot``: the
+    labels are composed there and the child's kids replace the slot."""
+    child = parent.kids[slot - 1]
+    parent.label = compose(parent.label, slot, child.label)
+    parent.kids[slot - 1 : slot] = child.kids
+
+
+def fold(n: Node, compose):
+    """The label of the subtree at ``n`` with every edge contracted,
+    composing at the last slot first so earlier slot numbers stay valid."""
+    v = n.label
+    for slot in range(len(n.kids), 0, -1):
+        c = n.kids[slot - 1]
+        if isinstance(c, Node):
+            v = compose(v, slot, fold(c, compose))
+    return v
+
+
+def cut(node: Node, keep) -> tuple[Node, list]:
+    """Copy the maximal subtree at ``node`` whose vertex children pass
+    ``keep``.  Every other kid (a leaf, or a vertex failing ``keep``) becomes
+    a leaf of the copy; the copy's leaves are numbered 1..n in planar order
+    and the kids they replace are returned in that order."""
+    dangling: list = []
+
+    def copy(m: Node) -> Node:
+        kids: list = []
+        for c in m.kids:
+            if isinstance(c, Node) and keep(c):
+                kids.append(copy(c))
+            else:
+                dangling.append(c)
+                kids.append(len(dangling))
+        return Node(m.label, m.t, kids)
+
+    return copy(node), dangling
+
+
+def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:
+    """Rewrite until no redex is left: ``redexes(ctx, root)`` lists them and
+    ``apply(ctx, root, redex)`` rewrites one and returns the new root.  The
+    first redex is taken, or a random one when ``rng`` is given."""
+    while True:
+        found = redexes(ctx, root)
+        if not found:
+            return root
+        redex = rng.choice(found) if rng is not None else found[0]
+        root = apply(ctx, root, redex)
+
+
+def _tie_break_perms(encs: list, m: int):
+    """Slot permutations that sort the child encodings, varying only inside
+    blocks of equal encodings (the only candidates for the minimal
+    presentation once children are compared before the vertex label)."""
+    order = sorted(range(1, m + 1), key=lambda s: encs[s - 1])
+    blocks = []
+    i = 0
+    while i < m:
+        j = i
+        while j + 1 < m and encs[order[j + 1] - 1] == encs[order[i] - 1]:
+            j += 1
+        blocks.append(order[i : j + 1])
+        i = j + 1
+    for choice in product(*(permutations(b) for b in blocks)):
+        yield tuple(s for blk in choice for s in blk)
+
+
+def canonicalize(n: Node, act, key):
+    """Reorder kids bottom-up to the lexicographically minimal presentation,
+    pushing the compensating symmetric action into the labels:
+    ``act(label, sigma)`` acts and ``key(label)`` orders labels.  Returns the
+    encoding ``("N", t_key, child_encodings, label_key)`` of the subtree."""
+    encs: list = []
+    for c in n.kids:
+        if isinstance(c, Node):
+            encs.append(canonicalize(c, act, key))
+        else:
+            encs.append(("L", c))
+    # Minimal presentation orders the child encodings first; the label only
+    # breaks ties between equal children.  Leaf numbering keeps encodings
+    # almost always distinct, so the search is linear in practice instead of
+    # factorial.
+    best = None
+    for pi in _tie_break_perms(encs, len(encs)):
+        label2 = act(n.label, perm_inverse(pi))
+        cand = (tuple(encs[p - 1] for p in pi), key(label2))
+        if best is None or cand < best[0]:
+            best = (cand, pi, label2)
+    (child_encs, label_key), pi, n.label = best
+    n.kids = [n.kids[p - 1] for p in pi]
+    return ("N", "" if n.t is None else str(n.t), child_encs, label_key)

@@ -15,13 +15,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
 from random import Random
 from typing import Any, Optional
 
-from .bv import BVPoint, bv_act, bv_compose, bv_normalize, iota, mu, raw_bv
-from .operads import AssocOperad, Operad, Perm, perm_compose, perm_inverse
-from .trees import PlanarTree, Tree, corolla
+from .bv import BVPoint, bv_act, bv_compose, bv_normalize, iota, mu
+from .operads import AssocOperad, Operad, Perm, perm_compose
+from .trees import (
+    Node,
+    PlanarTree,
+    Tree,
+    canonicalize,
+    contract,
+    corolla,
+    cut,
+    fold,
+    from_nodes,
+    leaf_slots,
+    preorder,
+    rewrite_fixpoint,
+    set_word,
+    to_nodes,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,60 +115,17 @@ def _validate_raw(p: WBPoint) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Nested working form
+# Working form (shared with ``bv``, see ``trees``)
 # ---------------------------------------------------------------------------
 
 
-class _W:
-    __slots__ = ("label", "t", "kids")
-
-    def __init__(self, label: BVPoint, t: Fraction, kids):
-        self.label = label
-        self.t = t
-        self.kids = kids  # list of _W | int (leaf input label)
+def _nodes(p: WBPoint) -> Node:
+    return to_nodes(p.tree.shape, p.labels, p.heights, p.tree.labels)
 
 
-def _to_nested_wb(p: WBPoint) -> _W:
-    word = p.tree.labels
-    counters = {"v": 0, "leaf": 0}
-
-    def build(sub: PlanarTree) -> _W:
-        v = counters["v"]
-        counters["v"] += 1
-        kids: list[Any] = []
-        for c in sub.children:
-            if c is None:
-                kids.append(word[counters["leaf"]])
-                counters["leaf"] += 1
-            else:
-                kids.append(build(c))
-        return _W(p.labels[v], p.heights[v], kids)
-
-    return build(p.tree.shape)
-
-
-def _from_nested_wb(operad: Operad, root: _W, canonical: bool) -> WBPoint:
-    labels: list[BVPoint] = []
-    heights: list[Fraction] = []
-    word: list[int] = []
-
-    def walk(n: _W) -> PlanarTree:
-        labels.append(n.label)
-        heights.append(n.t)
-        kids: list[Optional[PlanarTree]] = []
-        for c in n.kids:
-            if isinstance(c, _W):
-                kids.append(walk(c))
-            else:
-                word.append(c)
-                kids.append(None)
-        return PlanarTree(tuple(kids))
-
-    shape = walk(root)
-    return WBPoint(
-        operad, operad.name, Tree(shape, tuple(word)), tuple(heights),
-        tuple(labels), canonical,
-    )
+def _point(operad: Operad, root: Node, canonical: bool) -> WBPoint:
+    shape, labels, heights, word = from_nodes(root)
+    return WBPoint(operad, operad.name, Tree(shape, word), heights, labels, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -166,54 +137,39 @@ def _is_unit_bv(operad: Operad, x: BVPoint) -> bool:
     return x.is_corolla and operad.is_unit(x.labels[0])
 
 
-def _wb_redexes(operad: Operad, root: _W):
-    """(kind, node, parent, slot) with kind in unit / merge / collapse."""
+def _redexes(operad: Operad, root: Node):
+    """(kind, node, parent, slot) with kind in unit / merge / collapse, in
+    that order at each vertex, vertices in preorder."""
     out = []
-
-    def walk(n: _W, parent: Optional[_W], slot: int):
+    for n, parent, slot in preorder(root):
         if _is_unit_bv(operad, n.label):
-            if not (parent is None and not isinstance(n.kids[0], _W)):
+            if parent is not None or isinstance(n.kids[0], Node):
                 out.append(("unit", n, parent, slot))
         if parent is not None and n.t == parent.t:
             out.append(("merge", n, parent, slot))
         if n.t in (ZERO, ONE) and n.label.n_vertices > 1:
             out.append(("collapse", n, parent, slot))
-        for s, c in enumerate(n.kids, start=1):
-            if isinstance(c, _W):
-                walk(c, n, s)
-
-    walk(root, None, 0)
     return out
 
 
-def _apply_wb_redex(operad: Operad, root: _W, redex) -> _W:
+def _rewrite(operad: Operad, root: Node, redex) -> Node:
     kind, node, parent, slot = redex
     if kind == "unit":
         # Relation (i): delete the unit vertex; its height is forgotten.
         child = node.kids[0]
         if parent is None:
-            assert isinstance(child, _W)
+            assert isinstance(child, Node)
             return child
         parent.kids[slot - 1] = child
         return root
     if kind == "merge":
         # Relation (iii): contract the main edge using the resolution's
         # operadic composition on the labels.
-        parent.label = bv_compose(parent.label, slot, node.label)
-        parent.kids = parent.kids[: slot - 1] + node.kids + parent.kids[slot:]
+        contract(parent, slot, bv_compose)
         return root
     # Relation (iv): at heights 0/1 only the operad image of the label matters.
     node.label = iota(operad, mu(node.label))
     return root
-
-
-def _wb_fixpoint(operad: Operad, root: _W, rng: Optional[Random]) -> _W:
-    while True:
-        redexes = _wb_redexes(operad, root)
-        if not redexes:
-            return root
-        redex = rng.choice(redexes) if rng is not None else redexes[0]
-        root = _apply_wb_redex(operad, root, redex)
 
 
 def _bv_key(x: BVPoint) -> str:
@@ -227,69 +183,25 @@ def _bv_key(x: BVPoint) -> str:
     )
 
 
-def _tie_break_perms(encs: list, m: int):
-    """Slot permutations sorting the child encodings, varying only inside
-    blocks of equal encodings."""
-    order = sorted(range(1, m + 1), key=lambda s: encs[s - 1])
-    blocks = []
-    i = 0
-    while i < m:
-        j = i
-        while j + 1 < m and encs[order[j + 1] - 1] == encs[order[i] - 1]:
-            j += 1
-        blocks.append(order[i : j + 1])
-        i = j + 1
-    for choice in product(*(permutations(b) for b in blocks)):
-        yield tuple(s for blk in choice for s in blk)
-
-
-def _wb_canonicalize(root: _W):
-    """Relation (ii): choose the minimal planar presentation bottom-up,
-    compensating child reorderings through the labels' symmetric action."""
-    encs = []
-    for c in root.kids:
-        if isinstance(c, _W):
-            encs.append(_wb_canonicalize(c))
-        else:
-            encs.append(("L", c))
-    m = len(root.kids)
-    # Children are compared before the label: the leaf numbering keeps the
-    # encodings almost always distinct, so only ties cost extra label acts.
-    best = None
-    for pi in _tie_break_perms(encs, m):
-        label2 = bv_act(root.label, perm_inverse(pi))
-        key = (tuple(encs[p - 1] for p in pi), _bv_key(label2))
-        if best is None or key < best[0]:
-            best = (key, pi, label2)
-    _, pi, label2 = best
-    root.label = label2
-    root.kids = [root.kids[p - 1] for p in pi]
-    return ("N", str(root.t), best[0][0], best[0][1])
-
-
-def _normalize_labels(n: _W) -> None:
-    """Rewriting reads the labels (unit detection, merges), so they must be
-    canonical resolution points first."""
-    if not n.label.canonical:
-        n.label = bv_normalize(n.label)
-    for c in n.kids:
-        if isinstance(c, _W):
-            _normalize_labels(c)
-
-
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
     """Canonical form; idempotent and rewrite-order independent (tested)."""
     _validate_raw(raw)
     operad = raw.operad
-    nested = _to_nested_wb(raw)
-    _normalize_labels(nested)
-    nested = _wb_fixpoint(operad, nested, rng)
+    root = _nodes(raw)
+    # Rewriting reads the labels (unit detection, merges), so they must be
+    # canonical resolution points first.
+    for n, _, _ in preorder(root):
+        if not n.label.canonical:
+            n.label = bv_normalize(n.label)
+    root = rewrite_fixpoint(operad, root, _redexes, _rewrite, rng)
     # The fully degenerate point: a single unit-labeled vertex.  Fix its
     # height at 0 as the canonical representative.
-    if _is_unit_bv(operad, nested.label) and not isinstance(nested.kids[0], _W):
-        nested.t = ZERO
-    _wb_canonicalize(nested)
-    out = _from_nested_wb(operad, nested, True)
+    if _is_unit_bv(operad, root.label) and not isinstance(root.kids[0], Node):
+        root.t = ZERO
+    # Relation (ii): choose the minimal planar presentation bottom-up,
+    # compensating child reorderings through the labels' symmetric action.
+    canonicalize(root, bv_act, _bv_key)
+    out = _point(operad, root, True)
     _validate_raw(out)  # height monotonicity must be preserved
     return out
 
@@ -313,30 +225,11 @@ def wb_right(x: WBPoint, i: int, a) -> WBPoint:
     operad = x.operad
     m = operad.arity(a)
     pos = x.tree.labels.index(i)
-    nested = _to_nested_wb(x)
-    new_word = AssocOperad().compose(
-        x.tree.labels, i, tuple(range(1, m + 1))
-    )
-    counter = {"leaf": 0}
-    cap = _W(iota(operad, a), ONE, [0] * m)
-
-    def graft_at(n: _W) -> bool:
-        for s, c in enumerate(n.kids):
-            if isinstance(c, _W):
-                if graft_at(c):
-                    return True
-            else:
-                if counter["leaf"] == pos:
-                    n.kids[s] = cap
-                    counter["leaf"] += 1
-                    return True
-                counter["leaf"] += 1
-        return False
-
-    if not graft_at(nested):
-        raise AssertionError("input leaf not found")
-    _assign_word(nested, new_word)
-    return wb_normalize(_from_nested_wb(operad, nested, False))
+    root = _nodes(x)
+    node, slot = leaf_slots(root)[pos]
+    node.kids[slot - 1] = Node(iota(operad, a), ONE, [0] * m)
+    set_word(root, AssocOperad().compose(x.tree.labels, i, tuple(range(1, m + 1))))
+    return wb_normalize(_point(operad, root, False))
 
 
 def wb_left(a, xs: list[WBPoint]) -> WBPoint:
@@ -347,28 +240,14 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
     m = operad.arity(a)
     if len(xs) != m:
         raise ValueError(f"need {m} arguments, got {len(xs)}")
-    kids = [_to_nested_wb(x) for x in xs]
-    root = _W(iota(operad, a), ZERO, kids)
+    root = Node(iota(operad, a), ZERO, [_nodes(x) for x in xs])
     word: list[int] = []
     offset = 0
     for x in xs:
         word.extend(w + offset for w in x.tree.labels)
         offset += x.arity
-    _assign_word(root, tuple(word))
-    return wb_normalize(_from_nested_wb(operad, root, False))
-
-
-def _assign_word(root: _W, word: tuple[int, ...]) -> None:
-    it = iter(word)
-
-    def relabel(n: _W) -> None:
-        for s, c in enumerate(n.kids):
-            if isinstance(c, _W):
-                relabel(c)
-            else:
-                n.kids[s] = next(it)
-
-    relabel(root)
+    set_word(root, word)
+    return wb_normalize(_point(operad, root, False))
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
@@ -384,18 +263,7 @@ def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
 def mu_tilde(x: WBPoint) -> Any:
     """Send all heights to 0: compose all labels along the main tree and take
     the operad image."""
-    operad = x.operad
-    nested = _to_nested_wb(x)
-
-    def val(n: _W) -> BVPoint:
-        v = n.label
-        for slot in range(len(n.kids), 0, -1):
-            c = n.kids[slot - 1]
-            if isinstance(c, _W):
-                v = bv_compose(v, slot, val(c))
-        return v
-
-    return operad.act(mu(val(nested)), x.tree.labels)
+    return x.operad.act(mu(fold(_nodes(x), bv_compose)), x.tree.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -430,53 +298,26 @@ def wb_decompose(x: WBPoint) -> WBDecomposition:
     if not x.canonical:
         x = wb_normalize(x)
     operad = x.operad
-    nested = _to_nested_wb(x)
     components: list = []
 
-    def removed(n: _W) -> bool:
-        return n.t in (ZERO, ONE)
-
     def encode(n) -> tuple:
-        if not isinstance(n, _W):
+        if not isinstance(n, Node):
             return ("leaf",)
-        if removed(n):
+        if n.t in (ZERO, ONE):
             return ("frame", n.label, n.t, tuple(encode(c) for c in n.kids))
-        idx = len(components)
-        components.append(None)  # reserve position
-        components[idx] = _extract_component(operad, n)
-        return ("comp", idx)
+        # The maximal interior subtree at n; the height-1 caps above it
+        # become leaves, recorded as attachments by leaf position.
+        comp, dangling = cut(n, lambda c: c.t not in (ZERO, ONE))
+        attachments = tuple(
+            (pos, ("frame", c.label, c.t, tuple(("leaf",) for _ in c.kids)))
+            for pos, c in enumerate(dangling, start=1)
+            if isinstance(c, Node)
+        )
+        components.append((_point(operad, comp, False), attachments))
+        return ("comp", len(components) - 1)
 
-    frame = encode(nested)
+    frame = encode(_nodes(x))
     return WBDecomposition(operad, frame, tuple(components), x.tree.labels)
-
-
-def _extract_component(operad: Operad, n: _W):
-    """Copy the maximal interior subtree at ``n``; height-1 caps above it
-    become leaves, recorded as attachments by leaf position."""
-    attachments: list[tuple[int, tuple]] = []
-    pos = {"leaf": 0}
-
-    def copy(m: _W) -> _W:
-        kids: list[Any] = []
-        for c in m.kids:
-            if isinstance(c, _W):
-                if c.t in (ZERO, ONE):
-                    pos["leaf"] += 1
-                    attachments.append(
-                        (pos["leaf"], ("frame", c.label, c.t, tuple(("leaf",) for _ in c.kids)))
-                    )
-                    kids.append(0)
-                else:
-                    kids.append(copy(c))
-            else:
-                pos["leaf"] += 1
-                kids.append(0)
-        return _W(m.label, m.t, kids)
-
-    root = copy(n)
-    _assign_word(root, tuple(range(1, pos["leaf"] + 1)))
-    raw = _from_nested_wb(operad, root, False)
-    return (raw, tuple(attachments))
 
 
 def wb_reassemble(d: WBDecomposition) -> WBPoint:
@@ -488,30 +329,20 @@ def wb_reassemble(d: WBDecomposition) -> WBPoint:
             return 0
         if entry[0] == "frame":
             _, label, t, kids = entry
-            return _W(label, t, [build(k) for k in kids])
-        _, idx = entry
-        raw, attachments = d.components[idx]
-        nested = _to_nested_wb(raw)
+            return Node(label, t, [build(k) for k in kids])
+        raw, attachments = d.components[entry[1]]
+        root = _nodes(raw)
         caps = dict(attachments)
-        counter = {"leaf": 0}
-
-        def splice(m: _W) -> None:
-            for s, c in enumerate(m.kids):
-                if isinstance(c, _W):
-                    splice(c)
-                else:
-                    counter["leaf"] += 1
-                    if counter["leaf"] in caps:
-                        m.kids[s] = build(caps[counter["leaf"]])
-
-        splice(nested)
-        return nested
+        for pos, (node, slot) in enumerate(leaf_slots(root), start=1):
+            if pos in caps:
+                node.kids[slot - 1] = build(caps[pos])
+        return root
 
     root = build(d.frame)
-    if not isinstance(root, _W):
+    if not isinstance(root, Node):
         raise ValueError("degenerate frame cannot be reassembled")
-    _assign_word(root, d.word)
-    return wb_normalize(_from_nested_wb(operad, root, False))
+    set_word(root, d.word)
+    return wb_normalize(_point(operad, root, False))
 
 
 def wb_prime_components(x: WBPoint) -> list[WBPoint]:
@@ -522,10 +353,6 @@ def wb_prime_components(x: WBPoint) -> list[WBPoint]:
 # ---------------------------------------------------------------------------
 # Filtration and cells
 # ---------------------------------------------------------------------------
-
-
-def wb_geometric_inputs(x: WBPoint) -> int:
-    return x.geometric_inputs
 
 
 def wb_filtration(x: WBPoint, k: int, l: Optional[int] = None) -> bool:

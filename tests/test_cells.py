@@ -322,3 +322,36 @@ def test_homotopy_rejects_bad_inputs():
         homotopy_H(
             UpsilonIndex(corolla(1), (corolla(1),)), (F(1, 2),), ((),), F(1, 2)
         )
+
+
+def test_contract_main_edge_hand_example():
+    L = None
+    # Main tree (((..).)(.)) in preorder: root 0 with slots (vertex 1, leaf,
+    # vertex 3); vertex 1 with slots (vertex 2, leaf); vertex 2 with two
+    # leaves; vertex 3 with one leaf.  No auxiliary tree has a symmetry.
+    main = PlanarTree((PlanarTree((PlanarTree((L, L)), L)), L, PlanarTree((L,))))
+    aux = (
+        PlanarTree((L, PlanarTree((L, L)))),  # (.(..)) at vertex 0
+        PlanarTree((L, PlanarTree((L,)))),  # (.(.)) at vertex 1
+        PlanarTree((PlanarTree((L,)), L)),  # ((.).) at vertex 2
+        corolla(1),  # (.) at vertex 3
+    )
+    idx = UpsilonIndex(main, aux)
+    # Contract the edge at slot 1 of vertex 1 (its last slot is 2): vertex 2
+    # leaves the preorder, its two slots take slot 1 of vertex 1, and its
+    # auxiliary tree is grafted at leaf 1 of (.(.)), giving (((.).)(.)).
+    want = UpsilonIndex(
+        PlanarTree((PlanarTree((L, L, L)), L, PlanarTree((L,)))),
+        (
+            aux[0],
+            PlanarTree((PlanarTree((PlanarTree((L,)), L)), PlanarTree((L,)))),
+            aux[3],
+        ),
+    )
+    got = contract_main_edge(idx, 1, 1)
+    assert got == want
+    assert repr(got.main) == "((...).(.))"
+    assert repr(got.aux[1]) == "(((.).)(.))"
+    with pytest.raises(ValueError):
+        contract_main_edge(idx, 1, 2)  # slot 2 of vertex 1 is a leaf
+

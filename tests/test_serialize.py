@@ -2,8 +2,10 @@
 category exports with known counts, and DOT rendering."""
 
 import json
+from fractions import Fraction as F
 from random import Random
 
+from operad_forge.bv import bv_normalize, iota, raw_bv
 from operad_forge.cells import build_graph, enumerate_upsilon, reedy_of
 from operad_forge.operads import AssocOperad, EndOperad, operad_by_name
 from operad_forge.sampling import random_bv, random_cubes, random_wb
@@ -24,6 +26,8 @@ from operad_forge.serialize import (
     wb_from_json,
     wb_to_json,
 )
+from operad_forge.trees import PlanarTree, Tree
+from operad_forge.wb import raw_wb, wb_normalize
 
 
 def _roundtrip(d):
@@ -76,3 +80,121 @@ def test_graph_and_category_exports():
     s = dot_graph(g)
     assert s.count("->") == 41
     assert s.count("doublecircle") == len(g.initials)
+
+
+# Exact DOT text of fixed points, recorded before the emitters shared one
+# walker: a planar tree, a raw and a normalized resolution point (word not
+# the identity, edge lengths 1/3 and 2/3), and a raw and a normalized
+# bimodule point with two main vertices.
+_DOT_PINNED = (
+    (
+        'digraph t {\n'
+        '  rankdir=BT;\n'
+        '  v0 [shape=circle, label=""];\n'
+        '  v1 [shape=circle, label=""];\n'
+        '  l1 [shape=plaintext, label="3"];\n'
+        '  l1 -> v1;\n'
+        '  l2 [shape=plaintext, label="1"];\n'
+        '  l2 -> v1;\n'
+        '  v1 -> v0;\n'
+        '  l3 [shape=plaintext, label="4"];\n'
+        '  l3 -> v0;\n'
+        '  v2 [shape=circle, label=""];\n'
+        '  l4 [shape=plaintext, label="2"];\n'
+        '  l4 -> v2;\n'
+        '  v2 -> v0;\n'
+        '}\n'
+    ),
+    (
+        'digraph bv {\n'
+        '  rankdir=BT;\n'
+        '  v0 [shape=circle, label="[2, 3, 1]"];\n'
+        '  v1 [shape=circle, label="[2, 1]"];\n'
+        '  l1 [shape=plaintext, label="3"];\n'
+        '  l1 -> v1;\n'
+        '  l2 [shape=plaintext, label="1"];\n'
+        '  l2 -> v1;\n'
+        '  v1 -> v0 [label="1/3"];\n'
+        '  l3 [shape=plaintext, label="4"];\n'
+        '  l3 -> v0;\n'
+        '  v2 [shape=circle, label="[1]"];\n'
+        '  l4 [shape=plaintext, label="2"];\n'
+        '  l4 -> v2;\n'
+        '  v2 -> v0 [label="2/3"];\n'
+        '}\n'
+    ),
+    (
+        'digraph bv {\n'
+        '  rankdir=BT;\n'
+        '  v0 [shape=circle, label="[2, 1, 3]"];\n'
+        '  l1 [shape=plaintext, label="2"];\n'
+        '  l1 -> v0;\n'
+        '  l2 [shape=plaintext, label="4"];\n'
+        '  l2 -> v0;\n'
+        '  v1 [shape=circle, label="[1, 2]"];\n'
+        '  l3 [shape=plaintext, label="1"];\n'
+        '  l3 -> v1;\n'
+        '  l4 [shape=plaintext, label="3"];\n'
+        '  l4 -> v1;\n'
+        '  v1 -> v0 [label="1/3"];\n'
+        '}\n'
+    ),
+    (
+        'digraph wb {\n'
+        '  rankdir=BT;\n'
+        '  m0 [shape=box, label="t=1/4\n'
+        '(.(..)) [[1, 2], [2, 1]]"];\n'
+        '  m1 [shape=box, label="t=1/2\n'
+        '(..) [[1, 2]]"];\n'
+        '  l1 [shape=plaintext, label="2"];\n'
+        '  l1 -> m1;\n'
+        '  l2 [shape=plaintext, label="4"];\n'
+        '  l2 -> m1;\n'
+        '  m1 -> m0;\n'
+        '  l3 [shape=plaintext, label="1"];\n'
+        '  l3 -> m0;\n'
+        '  l4 [shape=plaintext, label="3"];\n'
+        '  l4 -> m0;\n'
+        '}\n'
+    ),
+    (
+        'digraph w {\n'
+        '  rankdir=BT;\n'
+        '  m0 [shape=box, label="t=1/4\n'
+        '(.(..)) [[1, 2], [1, 2]]"];\n'
+        '  l1 [shape=plaintext, label="1"];\n'
+        '  l1 -> m0;\n'
+        '  l2 [shape=plaintext, label="3"];\n'
+        '  l2 -> m0;\n'
+        '  m1 [shape=box, label="t=1/2\n'
+        '(..) [[1, 2]]"];\n'
+        '  l3 [shape=plaintext, label="2"];\n'
+        '  l3 -> m1;\n'
+        '  l4 [shape=plaintext, label="4"];\n'
+        '  l4 -> m1;\n'
+        '  m1 -> m0;\n'
+        '}\n'
+    ),
+)
+
+
+def test_dot_output_is_pinned():
+    A = AssocOperad()
+    L = None
+    shape = PlanarTree((PlanarTree((L, L)), L, PlanarTree((L,))))
+    x = raw_bv(A, shape, ((2, 3, 1), (2, 1), (1,)), (F(1, 3), F(2, 3)), (3, 1, 4, 2))
+    aux = bv_normalize(
+        raw_bv(A, PlanarTree((PlanarTree((L, L)), L)), ((2, 1), (2, 1)), (F(1, 2),))
+    )
+    y = raw_wb(
+        A, PlanarTree((PlanarTree((L, L)), L, L)), (aux, iota(A, (1, 2))),
+        (F(1, 4), F(1, 2)), (2, 4, 1, 3),
+    )
+    got = (
+        dot_tree(Tree(shape, (3, 1, 4, 2)), "t"),
+        dot_bv(x),
+        dot_bv(bv_normalize(x)),
+        dot_wb(y),
+        dot_wb(wb_normalize(y), name="w"),
+    )
+    assert got == _DOT_PINNED

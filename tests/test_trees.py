@@ -10,14 +10,19 @@ from operad_forge.trees import (
     canonical_form,
     compose_iso,
     corolla,
+    cut,
     enumerate_trees,
+    from_nodes,
     graft,
     identity_iso,
     inverse_iso,
     isomorphisms,
+    leaf_slots,
     nonplanar_iso,
     planar_presentations,
     planar_trees,
+    preorder,
+    to_nodes,
 )
 from operad_forge.trees import automorphisms
 
@@ -193,3 +198,30 @@ def test_vertex_accessors_consistent():
     for (p, s), v in t.child_vertex.items():
         assert parents[v] == (p, s)
     assert t.geometric_inputs == t.n_leaves + t.n_univalent
+
+
+def test_working_form_kernel():
+    for n in range(5):
+        for v in range(1, 5):
+            for t in planar_trees(n, v):
+                labels = tuple(f"x{i}" for i in range(v))
+                ts = (None,) + tuple(range(1, v))
+                word = tuple(range(n, 0, -1))
+                root = to_nodes(t, labels, ts, word)
+                assert from_nodes(root) == (t, labels, ts, word)
+                slots = leaf_slots(root)
+                assert len(slots) == t.n_leaves
+                assert tuple(node.kids[s - 1] for node, s in slots) == word
+                walk = preorder(root)
+                index = {id(node): i for i, (node, _, _) in enumerate(walk)}
+                parents = tuple(
+                    (-1, -1) if p is None else (index[id(p)], s)
+                    for _, p, s in walk
+                )
+                assert parents == t.vertex_parents
+                assert tuple(node.label for node, _, _ in walk) == labels
+                copy, dangling = cut(root, lambda c: True)
+                assert copy is not root
+                assert from_nodes(copy) == (t, labels, ts, tuple(range(1, n + 1)))
+                assert tuple(dangling) == word
+
