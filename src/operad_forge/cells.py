@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .operads import Perm, all_perms, identity_perm, perm_compose
 from .trees import (
     PlanarTree,
-    Tree,
     TreeIso,
-    canonical_form,
     graft,
     isomorphisms,
     planar_trees,
@@ -116,9 +115,9 @@ def enumerate_upsilon(
                     if any(not opt for opt in options):
                         continue
                     for combo in product(*options):
-                        idx = UpsilonIndex(main, tuple(combo))
-                        if idx.geometric_inputs == k:
-                            out.append(idx)
+                        # geometric_inputs, checked before the index is built
+                        if m + sum(a.n_univalent for a in combo) == k:
+                            out.append(UpsilonIndex(main, combo))
     return out
 
 
@@ -129,46 +128,34 @@ def enumerate_upsilon(
 # Two indices are in the same class when there is an isomorphism f of the
 # main trees together with, for every main vertex v, an isomorphism g_v of
 # the auxiliary trees at v and f(v) whose induced leaf permutation equals
-# the slot permutation that f induces at v.  The class key below is a
-# bottom-up canonical form: at each main vertex we minimize, over all slot
-# permutations, the pair (canonical labeled auxiliary tree, reordered child
-# keys), where the auxiliary leaves are labeled by the slot permutation so
-# that a label-respecting auxiliary isomorphism is exactly the matching
-# condition above.
-
-_LEAF_KEY = (0,)
-
-
-def _tree_key(t: Tree):
-    return (repr(t.shape), t.labels)
+# the slot permutation that f induces at v.  So two main vertices match
+# exactly when their auxiliary trees are isomorphic as unordered trees whose
+# leaf s carries slot s's entry (a main leaf, or the class of the child
+# vertex at s).  The class key is the bottom-up canonical encoding of that
+# labeled auxiliary tree (Aho, Hopcroft & Ullman): a leaf encodes as
+# ``(0, entry)``, a vertex as ``(1, sorted child encodings)``, and an entry
+# is ``(0,)`` for a main leaf or ``(1, child key)`` for a child vertex.
 
 
-def _vertex_key(idx: UpsilonIndex, v: int):
-    sub = idx.main.subtrees[v]
-    m = sub.arity
-    # Child entry per slot: a leaf marker or the child's key.
+def _labeled_aux_key(aux: PlanarTree, entries: Iterator[tuple]) -> tuple:
+    """Encode ``aux`` with its leaves, in planar order, labeled by
+    ``entries``."""
+    return (1, tuple(sorted(
+        (0, next(entries)) if c is None else _labeled_aux_key(c, entries)
+        for c in aux.children
+    )))
+
+
+def _vertex_key(idx: UpsilonIndex, v: int) -> tuple:
     entries = []
     w = v + 1
-    for c in sub.children:
+    for c in idx.main.subtrees[v].children:
         if c is None:
-            entries.append(_LEAF_KEY)
+            entries.append((0,))
         else:
             entries.append((1, _vertex_key(idx, w)))
             w += c.n_vertices
-    best = None
-    for pi in all_perms(m):
-        # pi sends slot s to position pi[s-1]; the auxiliary leaf s gets
-        # label pi(s) so that leaf order tracks the slot reordering.
-        aux_labeled = canonical_form(Tree(idx.aux[v], pi))
-        reordered = [None] * m
-        for s in range(1, m + 1):
-            reordered[pi[s - 1] - 1] = entries[s - 1]
-        cand = (_tree_key(aux_labeled), tuple(reordered))
-        if best is None or cand < best:
-            best = cand
-    if best is None:  # m == 0: single empty permutation
-        best = (_tree_key(canonical_form(Tree(idx.aux[v], ()))), ())
-    return best
+    return _labeled_aux_key(idx.aux[v], iter(entries))
 
 
 def class_key(idx: UpsilonIndex):
@@ -425,22 +412,44 @@ class ReedyData:
     def objects(self) -> tuple[ReedyObject, ...]:
         return self.vertex_objects + self.pair_objects
 
+    @cached_property
+    def _degrees(self) -> dict[ReedyObject, int]:
+        return {
+            **dict.fromkeys(self.pair_objects, 0),
+            **dict.fromkeys(self.vertex_objects, 1),
+        }
+
+    @cached_property
+    def _latching(self) -> dict[ReedyObject, list[tuple[str, ReedyObject]]]:
+        """Per vertex object, the faces into it in pair order, ``d0`` before
+        ``d1``."""
+        out: dict[ReedyObject, list[tuple[str, ReedyObject]]] = {}
+        for pair in self.pair_objects:
+            out.setdefault(self.d0(pair), []).append(("d0", pair))
+            out.setdefault(self.d1(pair), []).append(("d1", pair))
+        return out
+
+    def _degree(self, obj) -> Optional[int]:
+        try:
+            return self._degrees.get(obj)
+        except TypeError:  # unhashable, so not an object
+            return None
+
     def degree(self, obj: ReedyObject) -> int:
-        if obj in self.vertex_objects:
-            return 1
-        if obj in self.pair_objects:
-            return 0
-        raise ValueError(f"unknown object {obj!r}")
+        d = self._degree(obj)
+        if d is None:
+            raise ValueError(f"unknown object {obj!r}")
+        return d
 
     def d0(self, obj: ReedyObject) -> ReedyObject:
         """The face sending an edge object to its source vertex."""
-        if obj not in self.pair_objects:
+        if self._degree(obj) != 0:
             raise ValueError(f"{obj!r} is not an edge object")
         return ("vertex", obj[1])
 
     def d1(self, obj: ReedyObject) -> ReedyObject:
         """The face sending an edge object to its target vertex."""
-        if obj not in self.pair_objects:
+        if self._degree(obj) != 0:
             raise ValueError(f"{obj!r} is not an edge object")
         return ("vertex", obj[2])
 
@@ -460,13 +469,7 @@ def latching_index(
     pairs; empty for degree-0 objects."""
     if r.degree(obj) == 0:
         return []
-    out: list[tuple[str, ReedyObject]] = []
-    for pair in r.pair_objects:
-        if r.d0(pair) == obj:
-            out.append(("d0", pair))
-        if r.d1(pair) == obj:
-            out.append(("d1", pair))
-    return out
+    return list(r._latching.get(obj, ()))
 
 
 # ---------------------------------------------------------------------------

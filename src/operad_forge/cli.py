@@ -2,7 +2,8 @@
 acceptance self-test.
 
 Exit codes: 0 success, 1 validation failure (a JSON witness object is
-printed on standard output), 2 command-grammar or input-parse errors.
+printed on standard output), 2 command-grammar or input-parse errors,
+including input nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -535,6 +536,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliValidationError as exc:
         sys.stdout.write(dumps(exc.witness) + "\n")
         return 1
+    except RecursionError:
+        print("operad-forge: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,15 @@ from operad_forge.cells import (
     stab,
     subgraph_i,
 )
-from operad_forge.trees import PlanarTree, corolla, isomorphisms, planar_trees
+from operad_forge.operads import all_perms
+from operad_forge.trees import (
+    PlanarTree,
+    Tree,
+    canonical_form,
+    corolla,
+    isomorphisms,
+    planar_trees,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +135,62 @@ def test_displayed_trio_classification():
     assert class_key(e1) != class_key(e3)
 
 
+def _bruteforce_vertex_key(idx: UpsilonIndex, v: int):
+    sub = idx.main.subtrees[v]
+    m = sub.arity
+    entries = []
+    w = v + 1
+    for c in sub.children:
+        if c is None:
+            entries.append((0,))
+        else:
+            entries.append((1, _bruteforce_vertex_key(idx, w)))
+            w += c.n_vertices
+    best = None
+    for pi in all_perms(m):
+        # auxiliary leaf s carries label pi(s), so leaf order tracks the
+        # slot reordering
+        aux = canonical_form(Tree(idx.aux[v], pi))
+        reordered = [None] * m
+        for s in range(1, m + 1):
+            reordered[pi[s - 1] - 1] = entries[s - 1]
+        cand = ((repr(aux.shape), aux.labels), tuple(reordered))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _bruteforce_key(idx: UpsilonIndex):
+    """Independent class key: at each main vertex, the minimum over all m!
+    slot permutations of (canonical labeled auxiliary tree, reordered child
+    keys)."""
+    return _bruteforce_vertex_key(idx, 0)
+
+
+def _partition(indices, key):
+    """Indices grouped by ``key``, groups in first-seen order."""
+    groups: dict = {}
+    for idx in indices:
+        groups.setdefault(key(idx), []).append(idx)
+    return [tuple(g) for g in groups.values()]
+
+
+@pytest.mark.parametrize(
+    "k,l,nontrivial",
+    [
+        (k, l, nontrivial)
+        for k, l in [(3, 3), (4, 3), (4, 4), (5, 3)]
+        for nontrivial in (False, True)
+    ]
+    # two-vertex main trees whose root or child vertex has arity 7
+    + [(7, 2, True)],
+)
+def test_classify_matches_slot_permutation_search(k, l, nontrivial):
+    census = enumerate_upsilon(k, l, nontrivial)
+    got = [c.members for c in classify(census)]
+    assert got == _partition(census, _bruteforce_key)
+
+
 def _oracle_graph(k, l):
     """Brute-force closure: contract every main edge of every census member
     and record the reachable class pairs."""
@@ -169,6 +233,13 @@ def test_build_graph_regression_counts():
     assert len(g.classes) == 887
     assert len(g.edges) == 1111
     assert len(g.components) == 133
+
+
+def test_build_graph_regression_counts_6_4():
+    g = build_graph(6, 4)
+    assert len(g.classes) == 1389
+    assert len(g.edges) == 1746
+    assert len(g.components) == 207
 
 
 def test_subgraph_levels(g43):
@@ -237,6 +308,30 @@ def test_reedy_category_structure(g43):
     assert all(
         len(latching_index(rs, ("vertex", j))) == 1 for j in (1, 2, 3)
     )
+
+
+def test_latching_index_is_the_ordered_pair_scan():
+    r = reedy_of(build_graph(4, 4))
+    for obj in r.objects:
+        want = []
+        if obj in r.vertex_objects:
+            for pair in r.pair_objects:
+                if ("vertex", pair[1]) == obj:
+                    want.append(("d0", pair))
+                if ("vertex", pair[2]) == obj:
+                    want.append(("d1", pair))
+        assert latching_index(r, obj) == want
+    n = len(r.vertex_objects)
+    for unknown in (("vertex", n), ("pair", 0, 0), ["vertex", 0], "vertex"):
+        with pytest.raises(ValueError):
+            r.degree(unknown)
+        with pytest.raises(ValueError):
+            latching_index(r, unknown)
+    for not_edge in (("vertex", 0), ("pair", 0, 0), ["pair", 0, 1]):
+        with pytest.raises(ValueError):
+            r.d0(not_edge)
+        with pytest.raises(ValueError):
+            r.d1(not_edge)
 
 
 PATH2 = UpsilonIndex(

@@ -3,8 +3,11 @@ loading, enumeration budgets, and DOT output."""
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +180,30 @@ def test_exit_code_2_on_bad_input(capsys, monkeypatch):
     # argparse grammar errors also exit 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_on_deeply_nested_input():
+    # a chain of 500 unary vertices: too deep for the JSON decoder
+    depth = 500
+    tree = '{"leaf": 1}'
+    for _ in range(depth):
+        tree = '{"node": {"children": [%s]}}' % tree
+    payload = '{"tree": %s, "labels": %s, "edgeParams": %s}' % (
+        tree,
+        json.dumps([[1]] * depth),
+        json.dumps({str(v): "1/2" for v in range(1, depth)}),
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    p = subprocess.run(
+        [sys.executable, "-m", "operad_forge.cli", "--operad", "assoc",
+         "normalize-bv"],
+        input=payload, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert "Traceback" not in p.stderr
+    assert p.stderr.strip() == "operad-forge: input nested too deeply"
 
 
 def test_exit_code_1_with_witness_on_invalid_point(capsys, monkeypatch):
