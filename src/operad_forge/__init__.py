@@ -48,6 +48,7 @@ from .cells import (
     UpsilonIndex,
     automorphism_families,
     build_graph,
+    census_size,
     class_key,
     classify,
     contract_main_edge,

@@ -26,6 +26,7 @@ from .trees import (
     TreeIso,
     graft,
     isomorphisms,
+    planar_tree_counts,
     planar_trees,
 )
 
@@ -119,6 +120,59 @@ def enumerate_upsilon(
                         if m + sum(a.n_univalent for a in combo) == k:
                             out.append(UpsilonIndex(main, combo))
     return out
+
+
+def census_size(k: int, l: int, require_nontrivial_main: bool = False) -> int:
+    """``len(enumerate_upsilon(k, l, require_nontrivial_main))``, counted
+    without building an index.
+
+    Generating-function counting over main trees (Flajolet & Sedgewick,
+    *Analytic Combinatorics*, 2009): a main leaf weighs ``x`` and a main
+    vertex of arity ``a`` weighs ``P_a = sum count * x^u * y^c`` over its
+    auxiliary trees with ``c`` vertices and ``u`` univalent vertices, so the
+    census is the coefficient of ``x^k y^l`` in ``T = sum_a P_a (x + T)^a``.
+    Every slot weighs at least ``x``, so arities above ``k`` drop out.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("both grading parameters must be >= 1")
+    aux = [
+        [
+            (u, c, n)
+            for c in range(1, l + 1)
+            for u, n in planar_tree_counts(a, c).items()
+            if a + u <= k
+        ]
+        for a in range(k + 1)
+    ]
+    # tree[g][c]: weighted main trees of x-degree g and y-degree c;
+    # power[a][g][c]: the same coefficient of (x + T)^a.  T at y-degree c
+    # needs powers below c only, since every P_a has y-degree >= 1.
+    tree = [[0] * (l + 1) for _ in range(k + 1)]
+    power = [[[0] * (l + 1) for _ in range(k + 1)] for _ in range(k + 1)]
+    for a in range(k + 1):
+        power[a][a][0] = 1  # x^a
+    for c in range(1, l + 1):
+        for a, options in enumerate(aux):
+            pa = power[a]
+            for u, c1, n in options:
+                if c1 <= c:
+                    for g in range(a + u, k + 1):
+                        tree[g][c] += n * pa[g - u][c - c1]
+        for a in range(1, k + 1):
+            prev, pa = power[a - 1], power[a]
+            for g in range(a, k + 1):
+                # the first slot is a main leaf, or a main tree of
+                # x-degree g1 and y-degree c1
+                s = prev[g - 1][c]
+                for g1 in range(1, g - a + 2):
+                    row, rest = tree[g1], prev[g - g1]
+                    for c1 in range(1, c + 1):
+                        s += row[c1] * rest[c - c1]
+                pa[g][c] = s
+    total = tree[k][l]
+    if require_nontrivial_main:  # drop the corollas: a leaves, one vertex
+        total -= sum(planar_tree_counts(a, l).get(k - a, 0) for a in range(k + 1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +394,20 @@ def _finish_graph(
     )
 
 
-def build_graph(k: int, l: int) -> ContractionGraph:
-    """The contraction graph over all classes with ``k`` geometric inputs,
-    ``l`` auxiliary vertices, and a non-corolla main tree."""
-    census = enumerate_upsilon(k, l, require_nontrivial_main=True)
-    classes = classify(census)
+def graph_classes(k: int, l: int) -> list[TreeClass]:
+    """The vertices of ``build_graph(k, l)``: the classes with ``k``
+    geometric inputs, ``l`` auxiliary vertices, and a non-corolla main
+    tree."""
+    return classify(enumerate_upsilon(k, l, require_nontrivial_main=True))
+
+
+def build_graph(
+    k: int, l: int, classes: Optional[list[TreeClass]] = None
+) -> ContractionGraph:
+    """The contraction graph over ``graph_classes(k, l)``; a caller that
+    already holds those classes passes them in."""
+    if classes is None:
+        classes = graph_classes(k, l)
     key_to_idx = {c.key: i for i, c in enumerate(classes)}
     edges: list[tuple[int, int]] = []
     witnesses: dict[tuple[int, int], tuple[UpsilonIndex, int, int]] = {}

@@ -3,7 +3,8 @@ acceptance self-test.
 
 Exit codes: 0 success, 1 validation failure (a JSON witness object is
 printed on standard output), 2 command-grammar or input-parse errors,
-including input nested too deeply to process.
+including input nested too deeply to process and grading parameters
+below 1.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from typing import Any, Optional
 
 from .bv import bv_compose, bv_is_prime, bv_normalize, bv_filtration, bv_prime_components, mu
 from .cells import (
+    TreeClass,
     build_graph,
+    census_size,
     classify,
     enumerate_upsilon,
+    graph_classes,
     h_membership,
     homotopy_H,
     latching_index,
@@ -92,6 +96,13 @@ def _budget(args) -> int:
         except ValueError as exc:
             raise CliInputError(f"OPERAD_FORGE_BUDGET not an integer: {env!r}") from exc
     return DEFAULT_BUDGET
+
+
+def _check_grading(args) -> None:
+    if args.k < 1 or args.l < 1:
+        raise CliInputError(
+            f"--k and --l must be >= 1, got --k {args.k} --l {args.l}"
+        )
 
 
 def _read_json(stream) -> Any:
@@ -288,12 +299,14 @@ def _cmd_filtration(args) -> int:
 
 def _cmd_cells(args) -> int:
     budget = _budget(args)
-    census = enumerate_upsilon(args.k, args.l, args.nontrivial)
-    if len(census) > budget:
+    _check_grading(args)
+    size = census_size(args.k, args.l, args.nontrivial)
+    if size > budget:
         raise CliValidationError(
-            f"census size {len(census)} exceeds budget {budget}",
+            f"census size {size} exceeds budget {budget}",
             k=args.k, l=args.l,
         )
+    census = enumerate_upsilon(args.k, args.l, args.nontrivial)
     classes = classify(census)
     _emit(args, {
         "k": args.k,
@@ -349,14 +362,22 @@ def _cmd_deloop(args) -> int:
     return 0
 
 
-def _cmd_graph(args) -> int:
+def _graph_classes(args) -> list[TreeClass]:
+    """The classes of the contraction graph, refused over the budget before
+    any edge is built."""
     budget = _budget(args)
-    g = build_graph(args.k, args.l)
-    if len(g.classes) > budget:
+    _check_grading(args)
+    classes = graph_classes(args.k, args.l)
+    if len(classes) > budget:
         raise CliValidationError(
-            f"class count {len(g.classes)} exceeds budget {budget}",
+            f"class count {len(classes)} exceeds budget {budget}",
             k=args.k, l=args.l,
         )
+    return classes
+
+
+def _cmd_graph(args) -> int:
+    g = build_graph(args.k, args.l, _graph_classes(args))
     if args.level is not None:
         try:
             g = subgraph_i(g, args.level)
@@ -370,14 +391,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_reedy(args) -> int:
-    budget = _budget(args)
-    g = build_graph(args.k, args.l)
-    if len(g.classes) > budget:
-        raise CliValidationError(
-            f"class count {len(g.classes)} exceeds budget {budget}",
-            k=args.k, l=args.l,
-        )
-    r = reedy_of(g)
+    r = reedy_of(build_graph(args.k, args.l, _graph_classes(args)))
     out = reedy_to_json(r)
     out["latching"] = [
         {

@@ -35,6 +35,7 @@ from .bv import (
 from .cells import (
     UpsilonIndex,
     build_graph,
+    census_size,
     classify,
     enumerate_upsilon,
     h_membership,
@@ -572,8 +573,11 @@ def criterion_filtration(rng: Random, scale: float = 1.0) -> CriterionResult:
             checked += 1
             if len(enumerate_trees(k, l)) != _census_tree_oracle(k, l):
                 bad.append(f"tree census mismatch at ({k},{l})")
-            if len(enumerate_upsilon(k, l)) != _census_upsilon_oracle(k, l):
+            census = len(enumerate_upsilon(k, l))
+            if census != _census_upsilon_oracle(k, l):
                 bad.append(f"cell census mismatch at ({k},{l})")
+            if census_size(k, l) != census:
+                bad.append(f"cell census count mismatch at ({k},{l})")
     return CriterionResult(
         4, "filtration coherence", not bad, checked, "; ".join(bad[:2])
     )

@@ -231,6 +231,49 @@ def planar_trees(n_leaves: int, n_vertices: int) -> list[PlanarTree]:
     return list(_trees_lv(n_leaves, n_vertices))
 
 
+def _add_product(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """``out += a * b`` for polynomials stored as ``{exponent: coefficient}``."""
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+
+
+@lru_cache(maxsize=None)
+def _forests_lv_count(p: int, n: int) -> dict[int, int]:
+    """The counting twin of ``_forests_lv``: univalent count -> number of
+    child tuples."""
+    if p == 0 and n == 0:
+        return {0: 1}
+    if p < 0 or n < 0:
+        return {}
+    out: dict[int, int] = {}
+    if p >= 1:
+        _add_product(out, {0: 1}, _forests_lv_count(p - 1, n))
+    for n1 in range(1, n + 1):
+        for p1 in range(0, p + 1):
+            _add_product(out, _trees_lv_count(p1, n1), _forests_lv_count(p - p1, n - n1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _trees_lv_count(p: int, n: int) -> dict[int, int]:
+    """The counting twin of ``_trees_lv``: univalent count -> number of
+    trees."""
+    if n <= 0 or p < 0:
+        return {}
+    if p == 0 and n == 1:
+        return {1: 1}  # the lone univalent vertex; its child tuple is empty
+    return _forests_lv_count(p, n - 1)
+
+
+def planar_tree_counts(n_leaves: int, n_vertices: int) -> dict[int, int]:
+    """How many ``planar_trees(n_leaves, n_vertices)`` have each number of
+    univalent vertices, without building any tree."""
+    if n_vertices <= 0 or n_leaves < 0:
+        return {}
+    return dict(_trees_lv_count(n_leaves, n_vertices))
+
+
 # ---------------------------------------------------------------------------
 # Labeled trees
 # ---------------------------------------------------------------------------

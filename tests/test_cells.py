@@ -14,6 +14,7 @@ from operad_forge.cells import (
     UpsilonIndex,
     automorphism_families,
     build_graph,
+    census_size,
     class_key,
     classify,
     contract_main_edge,
@@ -55,7 +56,8 @@ def _oracle_census(k, l, nontrivial):
                 for v in range(p):
                     a = main.arity_of(v)
                     cand = []
-                    for nv in range(1, l + 1):
+                    # every other main vertex needs an auxiliary vertex too
+                    for nv in range(1, l - (p - 1) + 1):
                         cand.extend(planar_trees(a, nv))
                     per_opts.append(cand)
                 for combo in product(*per_opts):
@@ -68,13 +70,39 @@ def _oracle_census(k, l, nontrivial):
     return out
 
 
-@pytest.mark.parametrize("k,l", [(2, 1), (3, 2), (4, 3), (2, 3)])
+@pytest.mark.parametrize(
+    "k,l", [(2, 1), (3, 2), (4, 3), (2, 3), (5, 3), (3, 4)]
+)
 @pytest.mark.parametrize("nontrivial", [False, True])
 def test_enumerate_upsilon_against_oracle(k, l, nontrivial):
     got = enumerate_upsilon(k, l, nontrivial)
     want = _oracle_census(k, l, nontrivial)
     assert sorted(map(repr, got)) == sorted(map(repr, want))
     assert len(set(map(repr, got))) == len(got)
+
+
+@pytest.mark.parametrize(
+    "k,l",
+    # every grading this file enumerates, and four larger ones
+    [(2, 1), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 4)]
+    + [(5, 4), (5, 5), (6, 3), (7, 2)],
+)
+@pytest.mark.parametrize("nontrivial", [False, True])
+def test_census_size_counts_the_enumeration(k, l, nontrivial):
+    assert census_size(k, l, nontrivial) == len(
+        enumerate_upsilon(k, l, nontrivial)
+    )
+
+
+def test_census_size_pinned_values():
+    assert census_size(5, 5) == 86704
+    assert census_size(5, 5, True) == 81285
+    # both checked once by enumeration, which takes seconds
+    assert census_size(6, 5) == 251568
+    assert census_size(6, 5, True) == 235845
+    for k, l in [(0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="grading parameters"):
+            census_size(k, l)
 
 
 def test_nontrivial_census_is_a_subset():

@@ -13,6 +13,7 @@ import pytest
 
 from operad_forge.bv import bv_normalize, iota, raw_bv
 from operad_forge.cells import UpsilonIndex
+from operad_forge import cli
 from operad_forge.cli import main
 from operad_forge.mapping import assoc_reversal_eta, window_loop, xi
 from operad_forge.operads import AssocOperad, identity_eta
@@ -130,6 +131,50 @@ def test_budget_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("OPERAD_FORGE_BUDGET", "bogus")
     code, _, err = run(capsys, monkeypatch, ["graph", "--k", "4", "--l", "3"])
     assert code == 2 and "OPERAD_FORGE_BUDGET" in err
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the budget check should have refused first")
+
+
+def test_cells_budget_is_checked_before_enumerating(capsys, monkeypatch):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "enumerate_upsilon", _refuse_to_run)
+    monkeypatch.setattr(cli, "classify", _refuse_to_run)
+    code, out, _ = run(capsys, monkeypatch, ["cells", "--k", "8", "--l", "8"])
+    assert code == 1
+    assert out == (
+        '{"error":"census size 1998586240 exceeds budget 200000",'
+        '"k":8,"l":8}\n'
+    )
+
+
+@pytest.mark.parametrize("command", ["graph", "reedy"])
+def test_graph_budget_is_checked_before_contracting(
+    capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli, "build_graph", _refuse_to_run)
+    code, out, _ = run(
+        capsys, monkeypatch, ["--budget", "10", command, "--k", "4", "--l", "3"]
+    )
+    assert code == 1
+    assert out == '{"error":"class count 63 exceeds budget 10","k":4,"l":3}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cells", "--k", "0", "--l", "3"],
+        ["graph", "--k", "3", "--l", "0"],
+        ["reedy", "--k", "-1", "--l", "2"],
+    ],
+)
+def test_exit_code_2_on_non_positive_grading(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("operad-forge: --k and --l must be >= 1")
 
 
 def test_homotopy_h_hand_value(capsys, monkeypatch):

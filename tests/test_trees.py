@@ -2,6 +2,7 @@
 arithmetic, automorphisms against a recursive product-formula oracle, and
 canonical forms against pairwise isomorphism search."""
 
+from collections import Counter
 from random import Random
 
 from operad_forge.trees import (
@@ -20,6 +21,7 @@ from operad_forge.trees import (
     leaf_slots,
     nonplanar_iso,
     planar_presentations,
+    planar_tree_counts,
     planar_trees,
     preorder,
     to_nodes,
@@ -59,6 +61,13 @@ def test_planar_trees_against_growth_oracle():
             got_f = [t for t in got if all(s.arity <= 4 for s in t.subtrees)]
             assert sorted(map(repr, got_f)) == sorted(map(repr, want))
             assert len(set(map(repr, got))) == len(got)
+
+
+def test_planar_tree_counts_tally_planar_trees():
+    for nl in range(0, 6):
+        for nv in range(-1, 6):
+            want = Counter(t.n_univalent for t in planar_trees(nl, nv))
+            assert planar_tree_counts(nl, nv) == dict(want)
 
 
 def test_enumerate_trees_is_generate_and_filter():
