@@ -17,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
-from typing import Iterator, Optional, Union
+from itertools import product
+from typing import Optional, Union
 
-from .operads import Perm, all_perms, identity_perm, perm_compose
+from .operads import Perm, all_perms, compositions, identity_perm, perm_compose
 from .trees import (
     PlanarTree,
     TreeIso,
     graft,
     isomorphisms,
+    labeled_encoding,
     planar_tree_counts,
     planar_trees,
 )
@@ -78,23 +79,6 @@ class UpsilonIndex:
         return self.aux_vertex_count - self.main.n_vertices
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write ``total`` as an ordered sum of ``parts`` positive
-    integers."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
-
-
 def enumerate_upsilon(
     k: int, l: int, require_nontrivial_main: bool = False
 ) -> list[UpsilonIndex]:
@@ -109,7 +93,7 @@ def enumerate_upsilon(
         for m in range(0, k + 1):  # main leaves
             for main in planar_trees(m, p):
                 arities = [main.arity_of(v) for v in range(p)]
-                for counts in _compositions(l, p):
+                for counts in compositions(l, p):
                     options = [
                         planar_trees(arities[v], counts[v]) for v in range(p)
                     ]
@@ -185,19 +169,9 @@ def census_size(k: int, l: int, require_nontrivial_main: bool = False) -> int:
 # the slot permutation that f induces at v.  So two main vertices match
 # exactly when their auxiliary trees are isomorphic as unordered trees whose
 # leaf s carries slot s's entry (a main leaf, or the class of the child
-# vertex at s).  The class key is the bottom-up canonical encoding of that
-# labeled auxiliary tree (Aho, Hopcroft & Ullman): a leaf encodes as
-# ``(0, entry)``, a vertex as ``(1, sorted child encodings)``, and an entry
-# is ``(0,)`` for a main leaf or ``(1, child key)`` for a child vertex.
-
-
-def _labeled_aux_key(aux: PlanarTree, entries: Iterator[tuple]) -> tuple:
-    """Encode ``aux`` with its leaves, in planar order, labeled by
-    ``entries``."""
-    return (1, tuple(sorted(
-        (0, next(entries)) if c is None else _labeled_aux_key(c, entries)
-        for c in aux.children
-    )))
+# vertex at s).  The class key is ``trees.labeled_encoding`` of that labeled
+# auxiliary tree, where an entry is ``(0,)`` for a main leaf or
+# ``(1, child key)`` for a child vertex.
 
 
 def _vertex_key(idx: UpsilonIndex, v: int) -> tuple:
@@ -209,7 +183,7 @@ def _vertex_key(idx: UpsilonIndex, v: int) -> tuple:
         else:
             entries.append((1, _vertex_key(idx, w)))
             w += c.n_vertices
-    return _labeled_aux_key(idx.aux[v], iter(entries))
+    return labeled_encoding(idx.aux[v], iter(entries))
 
 
 def class_key(idx: UpsilonIndex):
@@ -411,18 +385,19 @@ def build_graph(
     key_to_idx = {c.key: i for i, c in enumerate(classes)}
     edges: list[tuple[int, int]] = []
     witnesses: dict[tuple[int, int], tuple[UpsilonIndex, int, int]] = {}
-    seen: set[tuple[int, int]] = set()
+    # A family of isomorphisms carries inner edges to inner edges and their
+    # contractions to isomorphic indices, so every member of a class reaches
+    # the same target classes: the representative's edges are all of them.
     for ci, cls in enumerate(classes):
-        for member in cls.members:
-            for (parent, slot) in member.main.child_vertex:
-                target = contract_main_edge(member, parent, slot)
-                if target.main.n_vertices == 1:
-                    continue  # corolla main trees are outside the graph
-                tj = key_to_idx[class_key(target)]
-                if (ci, tj) not in seen:
-                    seen.add((ci, tj))
-                    edges.append((ci, tj))
-                    witnesses[(ci, tj)] = (member, parent, slot)
+        rep = cls.representative
+        for (parent, slot) in rep.main.child_vertex:
+            target = contract_main_edge(rep, parent, slot)
+            if target.main.n_vertices == 1:
+                continue  # corolla main trees are outside the graph
+            tj = key_to_idx[class_key(target)]
+            if (ci, tj) not in witnesses:
+                edges.append((ci, tj))
+                witnesses[(ci, tj)] = (rep, parent, slot)
     return _finish_graph(k, l, classes, edges, witnesses)
 
 

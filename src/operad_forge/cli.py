@@ -43,6 +43,7 @@ from .operads import Operad, identity_eta, operad_by_name
 from .serialize import (
     bv_from_json,
     bv_to_json,
+    class_to_json,
     cubes_from_json,
     dot_bv,
     dot_graph,
@@ -55,7 +56,6 @@ from .serialize import (
     reedy_to_json,
     tree_from_json,
     upsilon_from_json,
-    upsilon_to_json,
     wb_from_json,
     wb_to_json,
 )
@@ -98,11 +98,9 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _check_grading(args) -> None:
-    if args.k < 1 or args.l < 1:
-        raise CliInputError(
-            f"--k and --l must be >= 1, got --k {args.k} --l {args.l}"
-        )
+def _check_grading(k: int, l: int) -> None:
+    if k < 1 or l < 1:
+        raise CliInputError(f"--k and --l must be >= 1, got --k {k} --l {l}")
 
 
 def _read_json(stream) -> Any:
@@ -120,8 +118,25 @@ def _operad(args) -> Operad:
         raise CliInputError(str(exc)) from exc
 
 
-def _emit(args, payload: Any) -> None:
-    sys.stdout.write(dumps(payload) + "\n")
+def _write(text: str) -> None:
+    """Write ``text`` to standard output in full.  A signal that interrupts
+    a blocked pipe write makes the binary layer take only part of the bytes,
+    and the text layer drops the rest, so the bytes go to the binary layer
+    in a loop until all are taken."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:  # an in-memory text stream
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buffer.write(data):]
+    buffer.flush()
+
+
+def _emit(payload: Any) -> None:
+    _write(dumps(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +196,9 @@ def _cmd_normalize_bv(args) -> int:
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid resolution point: {exc}")
     if args.format == "dot":
-        sys.stdout.write(dot_bv(p))
+        _write(dot_bv(p))
     else:
-        _emit(args, bv_to_json(p))
+        _emit(bv_to_json(p))
     return 0
 
 
@@ -194,9 +209,9 @@ def _cmd_normalize_wb(args) -> int:
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid bimodule point: {exc}")
     if args.format == "dot":
-        sys.stdout.write(dot_wb(p))
+        _write(dot_wb(p))
     else:
-        _emit(args, wb_to_json(p))
+        _emit(wb_to_json(p))
     return 0
 
 
@@ -209,7 +224,7 @@ def _cmd_compose_bv(args) -> int:
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliInputError(f"payload must be {{'x': point, 'y': point}}: {exc}")
     try:
-        _emit(args, bv_to_json(bv_compose(bv_normalize(x), args.slot, bv_normalize(y))))
+        _emit(bv_to_json(bv_compose(bv_normalize(x), args.slot, bv_normalize(y))))
     except (ValueError, IndexError) as exc:
         raise CliValidationError(str(exc), slot=args.slot)
     return 0
@@ -224,7 +239,7 @@ def _cmd_bimod_left(args) -> int:
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliInputError(f"payload must be {{'a': element, 'args': [point,...]}}: {exc}")
     try:
-        _emit(args, wb_to_json(wb_left(a, xs)))
+        _emit(wb_to_json(wb_left(a, xs)))
     except (ValueError, IndexError) as exc:
         raise CliValidationError(str(exc))
     return 0
@@ -239,7 +254,7 @@ def _cmd_bimod_right(args) -> int:
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliInputError(f"payload must be {{'x': point, 'a': element}}: {exc}")
     try:
-        _emit(args, wb_to_json(wb_right(x, args.slot, a)))
+        _emit(wb_to_json(wb_right(x, args.slot, a)))
     except (ValueError, IndexError) as exc:
         raise CliValidationError(str(exc), slot=args.slot)
     return 0
@@ -251,7 +266,7 @@ def _cmd_mu(args) -> int:
         x = bv_normalize(bv_from_json(_read_json(sys.stdin), op))
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid resolution point: {exc}")
-    _emit(args, {"value": op.encode(mu(x))})
+    _emit({"value": op.encode(mu(x))})
     return 0
 
 
@@ -261,7 +276,7 @@ def _cmd_mu_tilde(args) -> int:
         x = wb_normalize(wb_from_json(_read_json(sys.stdin), op))
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid bimodule point: {exc}")
-    _emit(args, {"value": op.encode(mu_tilde(x))})
+    _emit({"value": op.encode(mu_tilde(x))})
     return 0
 
 
@@ -279,7 +294,7 @@ def _cmd_prime(args) -> int:
             prime = wb_is_prime(x)
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid point: {exc}")
-    _emit(args, {"prime": prime, "components": comps})
+    _emit({"prime": prime, "components": comps})
     return 0
 
 
@@ -293,13 +308,13 @@ def _cmd_filtration(args) -> int:
             member = wb_filtration(wb_normalize(wb_from_json(data, op)), args.k, args.l)
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid point: {exc}")
-    _emit(args, {"k": args.k, "l": args.l, "member": member})
+    _emit({"k": args.k, "l": args.l, "member": member})
     return 0
 
 
 def _cmd_cells(args) -> int:
     budget = _budget(args)
-    _check_grading(args)
+    _check_grading(args.k, args.l)
     size = census_size(args.k, args.l, args.nontrivial)
     if size > budget:
         raise CliValidationError(
@@ -308,18 +323,11 @@ def _cmd_cells(args) -> int:
         )
     census = enumerate_upsilon(args.k, args.l, args.nontrivial)
     classes = classify(census)
-    _emit(args, {
+    _emit({
         "k": args.k,
         "l": args.l,
         "census": len(census),
-        "classes": [
-            {
-                "representative": upsilon_to_json(c.representative),
-                "size": c.size,
-                "level": c.level,
-            }
-            for c in classes
-        ],
+        "classes": [class_to_json(c) for c in classes],
     })
     return 0
 
@@ -346,7 +354,7 @@ def _cmd_act(args) -> int:
         value = alpha(c, fs)(y)
     except (ValueError, IndexError) as exc:
         raise CliValidationError(str(exc))
-    _emit(args, {"value": op.encode(value)})
+    _emit({"value": op.encode(value)})
     return 0
 
 
@@ -358,40 +366,40 @@ def _cmd_deloop(args) -> int:
         value = f(y)
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid bimodule point: {exc}")
-    _emit(args, {"value": op.encode(value)})
+    _emit({"value": op.encode(value)})
     return 0
 
 
-def _graph_classes(args) -> list[TreeClass]:
+def _graph_classes(args, k: int, l: int) -> list[TreeClass]:
     """The classes of the contraction graph, refused over the budget before
     any edge is built."""
     budget = _budget(args)
-    _check_grading(args)
-    classes = graph_classes(args.k, args.l)
+    _check_grading(k, l)
+    classes = graph_classes(k, l)
     if len(classes) > budget:
         raise CliValidationError(
             f"class count {len(classes)} exceeds budget {budget}",
-            k=args.k, l=args.l,
+            k=k, l=l,
         )
     return classes
 
 
 def _cmd_graph(args) -> int:
-    g = build_graph(args.k, args.l, _graph_classes(args))
+    g = build_graph(args.k, args.l, _graph_classes(args, args.k, args.l))
     if args.level is not None:
         try:
             g = subgraph_i(g, args.level)
         except ValueError as exc:
             raise CliValidationError(str(exc), level=args.level)
     if args.format == "dot":
-        sys.stdout.write(dot_graph(g))
+        _write(dot_graph(g))
     else:
-        _emit(args, graph_to_json(g))
+        _emit(graph_to_json(g))
     return 0
 
 
 def _cmd_reedy(args) -> int:
-    r = reedy_of(build_graph(args.k, args.l, _graph_classes(args)))
+    r = reedy_of(build_graph(args.k, args.l, _graph_classes(args, args.k, args.l)))
     out = reedy_to_json(r)
     out["latching"] = [
         {
@@ -400,7 +408,7 @@ def _cmd_reedy(args) -> int:
         }
         for o in r.objects
     ]
-    _emit(args, out)
+    _emit(out)
     return 0
 
 
@@ -422,7 +430,7 @@ def _cmd_homotopy_h(args) -> int:
         new_h, new_aux = homotopy_H(idx, heights, aux, u)
     except (ValueError, IndexError) as exc:
         raise CliValidationError(str(exc), u=frac_str(u))
-    _emit(args, {
+    _emit({
         "heights": [frac_str(t) for t in new_h],
         "auxParams": [[frac_str(p) for p in row] for row in new_aux],
         "membership": {
@@ -437,14 +445,14 @@ def _cmd_export_dot(args) -> int:
     data = _read_json(sys.stdin)
     try:
         if args.kind == "tree":
-            sys.stdout.write(dot_tree(tree_from_json(data)))
+            _write(dot_tree(tree_from_json(data)))
         elif args.kind == "bv":
-            sys.stdout.write(dot_bv(bv_normalize(bv_from_json(data, op))))
+            _write(dot_bv(bv_normalize(bv_from_json(data, op))))
         elif args.kind == "wb":
-            sys.stdout.write(dot_wb(wb_normalize(wb_from_json(data, op))))
+            _write(dot_wb(wb_normalize(wb_from_json(data, op))))
         else:  # graph: rebuild from the (k,l) recorded in the payload
-            g = build_graph(int(data["k"]), int(data["l"]))
-            sys.stdout.write(dot_graph(g))
+            k, l = int(data["k"]), int(data["l"])
+            _write(dot_graph(build_graph(k, l, _graph_classes(args, k, l))))
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid payload for kind {args.kind!r}: {exc}")
     return 0
@@ -459,7 +467,7 @@ def _cmd_selftest(args) -> int:
         scale = args.scale
     results = run_acceptance(
         seed=args.seed, scale=scale,
-        report=lambda r: print(r.line, flush=True),
+        report=lambda r: _write(r.line + "\n"),
     )
     return 0 if all(r.ok for r in results) else 1
 
@@ -548,7 +556,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"operad-forge: {exc}", file=sys.stderr)
         return 2
     except CliValidationError as exc:
-        sys.stdout.write(dumps(exc.witness) + "\n")
+        _emit(exc.witness)
         return 1
     except RecursionError:
         print("operad-forge: input nested too deeply", file=sys.stderr)

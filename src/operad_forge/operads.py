@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 # ---------------------------------------------------------------------------
-# Permutation helpers
+# Permutation and integer-composition helpers
 # ---------------------------------------------------------------------------
 
 Perm = tuple[int, ...]
@@ -41,6 +41,18 @@ def perm_inverse(s: Perm) -> Perm:
 
 def all_perms(n: int) -> Iterable[Perm]:
     return itertools.permutations(range(1, n + 1))
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ways to write ``total`` as an ordered sum of ``parts`` positive
+    integers, in lexicographic order."""
+    if parts < 1:
+        if parts == 0 and total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +329,11 @@ class FreeTruncOperad(Operad):
         for g, a in self.generators.items():
             if a > n:
                 continue
-            for split in self._compositions(n, a):
+            for split in compositions(n, a):
                 for kids in itertools.product(
                     *[list(self._all_shapes(p)) for p in split]
                 ):
                     yield (g,) + tuple(kids)
-
-    @staticmethod
-    def _compositions(n: int, parts: int):
-        if parts == 1:
-            yield (n,)
-            return
-        for first in range(1, n - parts + 2):
-            for rest in FreeTruncOperad._compositions(n - first, parts - 1):
-                yield (first,) + rest
 
     def encode(self, x):
         def enc(t):

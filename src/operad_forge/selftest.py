@@ -80,7 +80,7 @@ from .sampling import (
     random_perm,
     random_wb,
 )
-from .trees import PlanarTree, corolla, enumerate_trees, planar_trees
+from .trees import PlanarTree, corolla, enumerate_trees, planar_tree_counts, planar_trees
 from .wb import (
     WBPoint,
     mu_tilde,
@@ -492,12 +492,9 @@ def _wb_stage(q: WBPoint) -> tuple[int, int]:
 
 
 def _census_tree_oracle(k: int, l: int) -> int:
-    out = 0
-    for m in range(0, k + 1):
-        for t in planar_trees(m, l):
-            if t.geometric_inputs == k:
-                out += 1
-    return out
+    """``len(enumerate_trees(k, l))`` by the counting recursion, which
+    builds no tree."""
+    return sum(planar_tree_counts(m, l).get(k - m, 0) for m in range(k + 1))
 
 
 def _census_upsilon_oracle(k: int, l: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .bv import BVPoint, raw_bv
-from .cells import ContractionGraph, ReedyData, UpsilonIndex
+from .cells import ContractionGraph, ReedyData, TreeClass, UpsilonIndex
 from .operads import CubeConfig, Operad, operad_by_name
 from .trees import PlanarTree, Tree
 from .wb import WBPoint, raw_wb
@@ -169,18 +169,19 @@ def upsilon_from_json(data: dict) -> UpsilonIndex:
     )
 
 
+def class_to_json(c: TreeClass) -> dict:
+    return {
+        "representative": upsilon_to_json(c.representative),
+        "size": c.size,
+        "level": c.level,
+    }
+
+
 def graph_to_json(g: ContractionGraph) -> dict:
     return {
         "k": g.k,
         "l": g.l,
-        "classes": [
-            {
-                "representative": upsilon_to_json(c.representative),
-                "size": c.size,
-                "level": c.level,
-            }
-            for c in g.classes
-        ],
+        "classes": [class_to_json(c) for c in g.classes],
         "edges": [[a, b] for a, b in g.edges],
         "components": [list(c) for c in g.components],
         "initials": list(g.initials),

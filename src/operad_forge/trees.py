@@ -154,45 +154,6 @@ def graft(base: PlanarTree, i: int, scion: PlanarTree) -> PlanarTree:
 
 
 @lru_cache(maxsize=None)
-def _forests_gi(g: int, n: int) -> tuple[tuple[Optional[PlanarTree], ...], ...]:
-    """Ordered child tuples with total geometric inputs g and total vertices n."""
-    if g == 0 and n == 0:
-        return ((),)
-    if g <= 0 or n < 0:
-        return ()
-    out: list[tuple[Optional[PlanarTree], ...]] = []
-    for rest in _forests_gi(g - 1, n):
-        out.append((None,) + rest)
-    for n1 in range(1, n + 1):
-        for g1 in range(1, g + 1):
-            for t in _trees_gi(g1, n1):
-                for rest in _forests_gi(g - g1, n - n1):
-                    out.append((t,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _trees_gi(g: int, n: int) -> tuple[PlanarTree, ...]:
-    if n <= 0 or g <= 0:
-        return ()
-    out: list[PlanarTree] = []
-    if g == 1 and n == 1:
-        out.append(PlanarTree(()))
-    for ch in _forests_gi(g, n - 1):
-        if ch:
-            out.append(PlanarTree(ch))
-    return tuple(out)
-
-
-def enumerate_trees(k: int, l: int) -> list[PlanarTree]:
-    """All planar trees with ``k`` geometric inputs (leaves + univalent
-    vertices) and ``l`` vertices, in a fixed deterministic order."""
-    if l <= 0 or k <= 0:
-        return []
-    return list(_trees_gi(k, l))
-
-
-@lru_cache(maxsize=None)
 def _forests_lv(p: int, n: int) -> tuple[tuple[Optional[PlanarTree], ...], ...]:
     """Ordered child tuples with total leaf count p and total vertices n."""
     if p == 0 and n == 0:
@@ -229,6 +190,17 @@ def planar_trees(n_leaves: int, n_vertices: int) -> list[PlanarTree]:
     if n_vertices <= 0 or n_leaves < 0:
         return []
     return list(_trees_lv(n_leaves, n_vertices))
+
+
+def enumerate_trees(k: int, l: int) -> list[PlanarTree]:
+    """All planar trees with ``k`` geometric inputs (leaves + univalent
+    vertices) and ``l`` vertices, in a fixed deterministic order."""
+    if l <= 0 or k <= 0:
+        return []
+    return [
+        t for m in range(k + 1) for t in planar_trees(m, l)
+        if t.geometric_inputs == k
+    ]
 
 
 def _add_product(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
@@ -485,17 +457,15 @@ def _iter_isos_labeled(a: Tree, b: Tree) -> Iterator[TreeIso]:
 # ---------------------------------------------------------------------------
 
 
-def _enc_labeled(sub: Optional[PlanarTree], labels: tuple[int, ...], leaf0: int):
-    """Canonical encoding (children sorted) of a subtree whose leftmost leaf
-    sits at absolute planar position ``leaf0`` (0-based here)."""
-    if sub is None:
-        return (0, labels[leaf0])
-    encs = []
-    pos = leaf0
-    for c in sub.children:
-        encs.append(_enc_labeled(c, labels, pos))
-        pos += 1 if c is None else c.n_leaves
-    return (1, tuple(sorted(encs)))
+def labeled_encoding(sub: PlanarTree, labels: Iterator) -> tuple:
+    """The bottom-up canonical encoding (Aho, Hopcroft & Ullman) of ``sub``
+    with its leaves, in planar order, labeled by ``labels``: a leaf encodes
+    as ``(0, label)`` and a vertex as ``(1, sorted child encodings)``.  Two
+    labeled trees are isomorphic exactly when their encodings are equal."""
+    return (1, tuple(sorted(
+        (0, next(labels)) if c is None else labeled_encoding(c, labels)
+        for c in sub.children
+    )))
 
 
 def _dec_labeled(enc) -> tuple[Optional[PlanarTree], list[int]]:
@@ -514,68 +484,9 @@ def canonical_form(a: Tree) -> Tree:
     """The canonical representative of the non-planar isomorphism class of a
     labeled tree: the lexicographically minimal planar presentation obtained
     by sorting children bottom-up (labels travel with their leaves)."""
-    enc = _enc_labeled(a.shape, a.labels, 0)
-    shape, labels = _dec_labeled(enc)
+    shape, labels = _dec_labeled(labeled_encoding(a.shape, iter(a.labels)))
     assert shape is not None
     return Tree(shape, tuple(labels))
-
-
-# ---------------------------------------------------------------------------
-# Planar presentations (all child reorderings, with tracked leaf permutation)
-# ---------------------------------------------------------------------------
-
-
-def planar_presentations(
-    t: PlanarTree,
-) -> Iterator[tuple[PlanarTree, tuple[int, ...]]]:
-    """Yield every planar presentation of ``t`` reachable by reordering the
-    children of its vertices, together with the induced leaf permutation.
-
-    The permutation ``perm`` satisfies: the leaf at planar position ``p`` of
-    the presented tree is the leaf at original position ``perm[p-1]``.
-    """
-
-    def go(
-        sub: PlanarTree, positions: tuple[int, ...]
-    ) -> Iterator[tuple[PlanarTree, tuple[int, ...]]]:
-        # positions: original 1-based planar positions of sub's leaves.
-        # Split positions among children.
-        slices: list[tuple[Optional[PlanarTree], tuple[int, ...]]] = []
-        i = 0
-        for c in sub.children:
-            w = 1 if c is None else c.n_leaves
-            slices.append((c, positions[i : i + w]))
-            i += w
-        # Presentations of each child.
-        child_opts: list[list[tuple[Optional[PlanarTree], tuple[int, ...]]]] = []
-        for c, pos in slices:
-            if c is None:
-                child_opts.append([(None, pos)])
-            else:
-                child_opts.append([(p, q) for p, q in go(c, pos)])
-
-        def pick(idx: int, acc: list) -> Iterator[list]:
-            if idx == len(child_opts):
-                yield list(acc)
-                return
-            for opt in child_opts[idx]:
-                acc.append(opt)
-                yield from pick(idx + 1, acc)
-                acc.pop()
-
-        m = len(sub.children)
-        for chosen in pick(0, []):
-            for order in permutations(range(m)):
-                kids = tuple(chosen[j][0] for j in order)
-                pos = tuple(x for j in order for x in chosen[j][1])
-                yield PlanarTree(kids), pos
-
-    if t.n_leaves == 0:
-        # no leaves: presentations still vary structurally
-        for shape, pos in go(t, ()):
-            yield shape, pos
-    else:
-        yield from go(t, tuple(range(1, t.n_leaves + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from operad_forge.cells import (
     classify,
     contract_main_edge,
     enumerate_upsilon,
+    graph_classes,
     h_membership,
     homotopy_H,
     latching_index,
@@ -219,30 +220,33 @@ def test_classify_matches_slot_permutation_search(k, l, nontrivial):
     assert got == _partition(census, _bruteforce_key)
 
 
-def _oracle_graph(k, l):
-    """Brute-force closure: contract every main edge of every census member
-    and record the reachable class pairs."""
-    census = enumerate_upsilon(k, l, True)
-    cls = classify(census)
-    key2i = {c.key: i for i, c in enumerate(cls)}
-    edges = set()
-    for ci, c in enumerate(cls):
+def _oracle_graph(classes):
+    """Brute-force closure: contract every main edge of every member of
+    every class, in class and member order; the edge list and the witness
+    of each edge, as first found."""
+    key2i = {c.key: i for i, c in enumerate(classes)}
+    edges, witnesses = [], {}
+    for ci, c in enumerate(classes):
         for m in c.members:
             for (p, s) in m.main.child_vertex:
                 t = contract_main_edge(m, p, s)
                 if t.main.n_vertices == 1:
                     continue
-                edges.add((ci, key2i[class_key(t)]))
-    return cls, edges
+                tj = key2i[class_key(t)]
+                if (ci, tj) not in witnesses:
+                    edges.append((ci, tj))
+                    witnesses[(ci, tj)] = (m, p, s)
+    return edges, witnesses
 
 
 def test_build_graph_small_cases(g43):
     g32 = build_graph(3, 2)
     assert len(g32.edges) == 0 and len(g32.classes) > 0
 
-    ocls, oedges = _oracle_graph(4, 3)
+    ocls = classify(enumerate_upsilon(4, 3, True))
+    oedges, _ = _oracle_graph(ocls)
     assert len(g43.classes) == len(ocls)
-    assert set(g43.edges) == oedges
+    assert set(g43.edges) == set(oedges)
     assert (len(g43.classes), len(g43.edges)) == (63, 41)
     for a, b in g43.edges:
         assert (
@@ -254,6 +258,15 @@ def test_build_graph_small_cases(g43):
         assert len(inits) == 1
         rep = g43.classes[inits[0]].representative
         assert all(a.n_vertices == 1 for a in rep.aux)
+
+
+@pytest.mark.parametrize("k,l", [(4, 3), (5, 4), (6, 4)])
+def test_build_graph_matches_all_members_pass(k, l):
+    classes = graph_classes(k, l)
+    g = build_graph(k, l, classes)
+    edges, witnesses = _oracle_graph(classes)
+    assert list(g.edges) == edges
+    assert list(g.witnesses.items()) == list(witnesses.items())
 
 
 def test_build_graph_regression_counts():

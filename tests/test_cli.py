@@ -12,12 +12,18 @@ from pathlib import Path
 import pytest
 
 from operad_forge.bv import bv_normalize, iota, raw_bv
-from operad_forge.cells import UpsilonIndex
+from operad_forge.cells import UpsilonIndex, build_graph
 from operad_forge import cli
 from operad_forge.cli import main
 from operad_forge.mapping import assoc_reversal_eta, window_loop, xi
 from operad_forge.operads import AssocOperad, identity_eta
-from operad_forge.serialize import bv_to_json, dumps, upsilon_to_json, wb_to_json
+from operad_forge.serialize import (
+    bv_to_json,
+    dumps,
+    graph_to_json,
+    upsilon_to_json,
+    wb_to_json,
+)
 from operad_forge.trees import PlanarTree, corolla
 from operad_forge.wb import raw_wb, wb_normalize
 
@@ -161,6 +167,21 @@ def test_graph_budget_is_checked_before_contracting(
     assert out == '{"error":"class count 63 exceeds budget 10","k":4,"l":3}\n'
 
 
+def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "build_graph", _refuse_to_run)
+    argv = ["export-dot", "--kind", "graph"]
+    code, out, _ = run(capsys, monkeypatch, ["--budget", "10", *argv], '{"k":4,"l":3}')
+    assert code == 1
+    assert out == '{"error":"class count 63 exceeds budget 10","k":4,"l":3}\n'
+    code, out, err = run(capsys, monkeypatch, argv, '{"k":0,"l":3}')
+    assert code == 2 and out == ""
+    assert err.startswith("operad-forge: --k and --l must be >= 1")
+    code, out, _ = run(capsys, monkeypatch, argv, '{"k":"x","l":3}')
+    assert code == 1
+    assert json.loads(out)["error"].startswith("invalid payload for kind 'graph'")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -175,6 +196,29 @@ def test_exit_code_2_on_non_positive_grading(capsys, monkeypatch, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("operad-forge: --k and --l must be >= 1")
+
+
+class _ShortWrites(io.RawIOBase):
+    """A binary stream that takes at most 4,096 bytes per write, as a pipe
+    write interrupted by a signal may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        n = min(len(b), 4096)
+        self.data += bytes(b[:n])
+        return n
+
+
+def test_stdout_is_written_in_full_through_short_writes(monkeypatch):
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+    assert main(["graph", "--k", "4", "--l", "3"]) == 0
+    assert raw.data.decode() == dumps(graph_to_json(build_graph(4, 3))) + "\n"
 
 
 def test_homotopy_h_hand_value(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 hand-rolled composition oracles, plus interval-configuration algebra."""
 
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from operad_forge.operads import (
     FreeTruncOperad,
     act_cubes,
     compose_cubes,
+    compositions,
     gaps,
     identity_eta,
     identity_perm,
@@ -118,6 +120,18 @@ def test_perm_helpers():
         assert perm_compose(perm_compose(s, t), u) == perm_compose(
             s, perm_compose(t, u)
         )
+
+
+def test_compositions_against_product_filter():
+    # product yields tuples in lexicographic order, so the filter fixes the
+    # order as well as the set.
+    for total in range(0, 7):
+        for parts in range(0, total + 2):
+            want = [
+                c for c in product(range(1, total + 1), repeat=parts)
+                if sum(c) == total
+            ]
+            assert list(compositions(total, parts)) == want
 
 
 def test_operad_by_name_grammar():

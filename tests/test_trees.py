@@ -3,7 +3,9 @@ arithmetic, automorphisms against a recursive product-formula oracle, and
 canonical forms against pairwise isomorphism search."""
 
 from collections import Counter
+from itertools import permutations
 from random import Random
+from typing import Iterator, Optional
 
 from operad_forge.trees import (
     PlanarTree,
@@ -20,7 +22,6 @@ from operad_forge.trees import (
     isomorphisms,
     leaf_slots,
     nonplanar_iso,
-    planar_presentations,
     planar_tree_counts,
     planar_trees,
     preorder,
@@ -80,6 +81,15 @@ def test_enumerate_trees_is_generate_and_filter():
                 if t.geometric_inputs == k
             )
             assert sorted(map(repr, enumerate_trees(k, l))) == want
+
+
+def test_enumerate_trees_counts_match_planar_tree_counts():
+    # planar_tree_counts is a counting recursion of its own, with no tree
+    # built, so it checks enumerate_trees independently.
+    for k in range(1, 7):
+        for l in range(1, 6):
+            want = sum(planar_tree_counts(m, l).get(k - m, 0) for m in range(k + 1))
+            assert len(enumerate_trees(k, l)) == want
 
 
 def test_enumerate_trees_degenerate_arities():
@@ -176,6 +186,59 @@ def test_canonical_form_fixed_point():
         t = Tree(s, tuple(range(1, 4)))
         c = canonical_form(t)
         assert canonical_form(c) == c
+
+
+def planar_presentations(
+    t: PlanarTree,
+) -> Iterator[tuple[PlanarTree, tuple[int, ...]]]:
+    """Yield every planar presentation of ``t`` reachable by reordering the
+    children of its vertices, together with the induced leaf permutation.
+
+    The permutation ``perm`` satisfies: the leaf at planar position ``p`` of
+    the presented tree is the leaf at original position ``perm[p-1]``.
+    """
+
+    def go(
+        sub: PlanarTree, positions: tuple[int, ...]
+    ) -> Iterator[tuple[PlanarTree, tuple[int, ...]]]:
+        # positions: original 1-based planar positions of sub's leaves.
+        # Split positions among children.
+        slices: list[tuple[Optional[PlanarTree], tuple[int, ...]]] = []
+        i = 0
+        for c in sub.children:
+            w = 1 if c is None else c.n_leaves
+            slices.append((c, positions[i : i + w]))
+            i += w
+        # Presentations of each child.
+        child_opts: list[list[tuple[Optional[PlanarTree], tuple[int, ...]]]] = []
+        for c, pos in slices:
+            if c is None:
+                child_opts.append([(None, pos)])
+            else:
+                child_opts.append([(p, q) for p, q in go(c, pos)])
+
+        def pick(idx: int, acc: list) -> Iterator[list]:
+            if idx == len(child_opts):
+                yield list(acc)
+                return
+            for opt in child_opts[idx]:
+                acc.append(opt)
+                yield from pick(idx + 1, acc)
+                acc.pop()
+
+        m = len(sub.children)
+        for chosen in pick(0, []):
+            for order in permutations(range(m)):
+                kids = tuple(chosen[j][0] for j in order)
+                pos = tuple(x for j in order for x in chosen[j][1])
+                yield PlanarTree(kids), pos
+
+    if t.n_leaves == 0:
+        # no leaves: presentations still vary structurally
+        for shape, pos in go(t, ()):
+            yield shape, pos
+    else:
+        yield from go(t, tuple(range(1, t.n_leaves + 1)))
 
 
 def test_planar_presentations_cover_orbit():
