@@ -199,8 +199,13 @@ def iota(operad: Operad, a) -> BVPoint:
     return bv_normalize(raw_bv(operad, corolla(n), (a,), ()))
 
 
+_UNIT_TREE = Tree(corolla(1), (1,))
+
+
 def bv_unit(operad: Operad) -> BVPoint:
-    return iota(operad, operad.unit())
+    """``iota`` of the operad unit, built directly as the canonical point
+    that normalization gives."""
+    return BVPoint(operad, operad.name, _UNIT_TREE, (operad.unit(),), (), True)
 
 
 def mu(x: BVPoint) -> Any:

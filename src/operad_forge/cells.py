@@ -517,15 +517,6 @@ def latching_index(
 Heights = tuple[Fraction, ...]
 AuxParams = tuple[tuple[Fraction, ...], ...]
 
-_VARIANTS = {
-    "H": "H",
-    "H-": "H-",
-    "Hminus": "H-",
-    "H(T;T')": "HT",
-    "HT": "HT",
-}
-
-
 def _check_point(
     idx: UpsilonIndex, heights: Heights, aux_params: AuxParams
 ) -> None:
@@ -566,19 +557,18 @@ def h_membership(
     auxiliary edge parameter is 0 or some main height lies in {0, 1}.
     ``H(T;T')``: additionally (to ``H``) some auxiliary edge parameter is 1.
     """
-    if variant not in _VARIANTS:
+    if variant not in ("H", "H-", "H(T;T')"):
         raise ValueError(f"unknown variant {variant!r}")
-    kind = _VARIANTS[variant]
     _check_point(idx, heights, aux_params)
     for child, (par, _slot) in enumerate(idx.main.vertex_parents):
         if par >= 0 and heights[child] < heights[par]:
             return False
-    if kind == "H-":
+    if variant == "H-":
         return (
             any(s == ZERO for ps in aux_params for s in ps)
             or any(t in (ZERO, ONE) for t in heights)
         )
-    if kind == "HT":
+    if variant == "H(T;T')":
         return any(s == ONE for ps in aux_params for s in ps)
     return True
 

@@ -461,12 +461,8 @@ def _cmd_export_dot(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_acceptance
 
-    budget = _budget(args)
-    scale = min(1.0, budget / DEFAULT_BUDGET) if budget < DEFAULT_BUDGET else 1.0
-    if args.scale is not None:
-        scale = args.scale
     results = run_acceptance(
-        seed=args.seed, scale=scale,
+        seed=args.seed, scale=args.scale,
         report=lambda r: _write(r.line + "\n"),
     )
     return 0 if all(r.ok for r in results) else 1
@@ -538,8 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("tree", "bv", "wb", "graph"),
                    default="tree")
     p = add("selftest", _cmd_selftest, "run the full acceptance suite")
-    p.add_argument("--scale", type=float, default=None,
-                   help="shrink randomized sample counts (default: full)")
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="shrink randomized sample counts (default: 1.0, full)")
     return top
 
 

@@ -1,7 +1,8 @@
 """Computable loop elements and bimodule-map elements between the two
 resolutions, the interval-configuration action ``alpha`` on bimodule maps,
 the concatenation action ``loop_alpha`` on loops, and the delooping map
-``xi`` translating loops into bimodule maps.
+``xi`` translating loops into bimodule maps.  ``alpha`` cuts a point into
+bands with ``wb.subdivide`` and rescales the cube bands with ``rescale``.
 
 A loop element is a kernel ``(BVPoint, t) -> target element`` satisfying,
 on checked inputs: symmetry, the unit law, multiplicativity over operadic
@@ -37,29 +38,18 @@ from .operads import (
     Interval,
     Operad,
     OperadMapEta,
-    Perm,
     ValidationReport,
-    gaps,
     sort_to_increasing,
 )
-from .trees import (
-    Node,
-    Tree,
-    corolla,
-    cut,
-    from_nodes,
-    leaf_slots,
-    preorder,
-    set_word,
-    to_nodes,
-)
+from .trees import Node, Tree, leaf_slots, preorder, to_nodes
 from .wb import (
     ONE,
     ZERO,
     WBPoint,
     _is_unit_bv,
+    is_trivial_subpoint,
     mu_tilde,
-    raw_wb,
+    subdivide,
     wb_act,
     wb_filtration,
     wb_gamma0,
@@ -136,19 +126,15 @@ def _same_eta(a: OperadMapEta, b: OperadMapEta) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def constant_loop(eta: OperadMapEta, truncation: Optional[int] = None) -> LoopElement:
+def constant_loop(eta: OperadMapEta) -> LoopElement:
     """The constant loop at the basepoint: every time slice collapses a
     point to its operad image."""
-    return LoopElement(
-        eta, lambda x, t: eta(mu(x)), name="constant", truncation=truncation
-    )
+    return LoopElement(eta, lambda x, t: eta(mu(x)), name="constant")
 
 
-def eta_mu_tilde(eta: OperadMapEta, truncation: Optional[int] = None) -> BimodMapElement:
+def eta_mu_tilde(eta: OperadMapEta) -> BimodMapElement:
     """The basepoint bimodule map: collapse all heights and compose."""
-    return BimodMapElement(
-        eta, lambda y: eta(mu_tilde(y)), name="eta-mu-tilde", truncation=truncation
-    )
+    return BimodMapElement(eta, lambda y: eta(mu_tilde(y)), name="eta-mu-tilde")
 
 
 def window_loop(
@@ -290,118 +276,8 @@ def mutant_bimod(eta: OperadMapEta, endo: OperadMapEta) -> BimodMapElement:
 
 
 # ---------------------------------------------------------------------------
-# Subdivision of a point along an interval configuration
+# Rescaling a cube band
 # ---------------------------------------------------------------------------
-
-
-def wb_trivial(operad: Operad) -> WBPoint:
-    """The degenerate unit point, used as the trivial sub-point contributed
-    by an edge crossing a band."""
-    return wb_normalize(
-        raw_wb(operad, corolla(1), (bv_unit(operad),), (ZERO,))
-    )
-
-
-def is_trivial_subpoint(p: WBPoint) -> bool:
-    return p.n_main_vertices == 1 and _is_unit_bv(p.operad, p.labels[0])
-
-
-def subdivide(
-    y: WBPoint, c: CubeConfig
-) -> tuple[list[list[WBPoint]], list[list[WBPoint]]]:
-    """Split the main tree of ``y`` into the sub-points lying in the n+1
-    closed gap bands and the n open cube bands of the sorted configuration
-    ``c``.  Each band list is ordered by the planar structure; edges crossing
-    a band contribute trivial sub-points.  A height exactly on a cube
-    endpoint belongs to the adjacent closed gap band.
-
-    Returns ``(gap_lists, cube_lists)`` of raw planar sub-points (identity
-    leaf words); together they partition the main vertices of ``y``.
-    """
-    if not y.canonical:
-        y = wb_normalize(y)
-    if not c.is_sorted:
-        raise ValueError("configuration must be sorted increasing")
-    operad = y.operad
-    trivial = wb_trivial(operad)
-    gap_ints = gaps(c)
-
-    bands: list[tuple[str, Interval]] = [("gap", gap_ints[0])]
-    for j in range(c.n):
-        bands.append(("cube", c.intervals[j]))
-        bands.append(("gap", gap_ints[j + 1]))
-
-    frontier: list[Any] = [to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)]
-    gap_lists: list[list[WBPoint]] = []
-    cube_lists: list[list[WBPoint]] = []
-    for kind, (lo, hi) in bands:
-        if kind == "gap":
-            inband = lambda n: lo <= n.t <= hi  # noqa: E731
-        else:
-            inband = lambda n: lo < n.t < hi  # noqa: E731
-        subpoints: list[WBPoint] = []
-        new_frontier: list[Any] = []
-        for item in frontier:
-            if isinstance(item, Node) and inband(item):
-                # The maximal in-band subtree; out-of-band kids become its
-                # leaves and, in planar order, the items entering the next
-                # band.
-                comp, dangling = cut(item, inband)
-                subpoints.append(raw_wb(operad, *from_nodes(comp)))
-                new_frontier.extend(dangling)
-            else:
-                # A leaf half-edge or an edge to a vertex above the band.
-                subpoints.append(trivial)
-                new_frontier.append(item)
-        (gap_lists if kind == "gap" else cube_lists).append(subpoints)
-        frontier = new_frontier
-    if any(isinstance(item, Node) for item in frontier):
-        raise AssertionError("subdivision did not exhaust the main vertices")
-    return gap_lists, cube_lists
-
-
-def reassemble_bands(
-    operad: Operad,
-    gap_lists: Sequence[Sequence[WBPoint]],
-    cube_lists: Sequence[Sequence[WBPoint]],
-    word: Optional[Perm] = None,
-) -> WBPoint:
-    """Stack the band sub-point lists back into a single point: each
-    sub-point's dangling edges are filled, in planar order, by the
-    sub-points of the band above.  Inverse of ``subdivide`` up to
-    normalization."""
-    if len(gap_lists) != len(cube_lists) + 1:
-        raise ValueError("need one more gap list than cube lists")
-    bands: list[Sequence[WBPoint]] = [gap_lists[0]]
-    for j in range(len(cube_lists)):
-        bands.append(cube_lists[j])
-        bands.append(gap_lists[j + 1])
-
-    items: list[Any] = [0] * sum(p.arity for p in bands[-1])
-    for band in reversed(bands):
-        it = iter(items)
-        new_items: list[Any] = []
-        for sp in band:
-            if is_trivial_subpoint(sp):
-                new_items.append(next(it))
-                continue
-            root = to_nodes(sp.tree.shape, sp.labels, sp.heights, sp.tree.labels)
-            for node, slot in leaf_slots(root):
-                node.kids[slot - 1] = next(it)
-            new_items.append(root)
-        leftovers = list(it)
-        if leftovers:
-            raise AssertionError("band arities do not match the items above")
-        items = new_items
-    if len(items) != 1:
-        raise AssertionError("bottom band must produce a single rooted point")
-    if not isinstance(items[0], Node):
-        # Every band was trivial: the stack is the degenerate unit point.
-        return wb_trivial(operad)
-    root = items[0]
-    arity = len(leaf_slots(root))
-    set_word(root, word if word is not None else range(1, arity + 1))
-    return wb_normalize(raw_wb(operad, *from_nodes(root)))
 
 
 def rescale(z: WBPoint, cube: Interval) -> WBPoint:

@@ -517,7 +517,6 @@ def validate_operad(
                         x, perm_compose(sigma, tau)
                     ):
                         report.add("act-compose", x=x, sigma=sigma, tau=tau)
-                break  # one tau sweep per sigma is enough at this budget
     for n, xs in pool.items():
         for m, ys in pool.items():
             if n == 0 or n + m > max_arity + 1:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
-from typing import Optional
-
 from .bv import BVPoint, raw_bv
 from .operads import (
     AssocOperad,
@@ -23,15 +21,11 @@ from .trees import PlanarTree, planar_trees
 from .wb import WBPoint, raw_wb
 
 
-def random_fraction(
-    rng: Random, lo=Fraction(0), hi=Fraction(1), den: int = 8,
-    endpoints: bool = True,
-) -> Fraction:
-    lo, hi = Fraction(lo), Fraction(hi)
-    lo_k = 0 if endpoints else 1
-    hi_k = den if endpoints else den - 1
-    k = rng.randint(lo_k, hi_k)
-    return lo + (hi - lo) * Fraction(k, den)
+def random_fraction(rng: Random, lo=Fraction(0), endpoints: bool = True) -> Fraction:
+    """A point of the grid of eighths on ``[lo, 1]``, endpoints optional."""
+    lo = Fraction(lo)
+    k = rng.randint(0, 8) if endpoints else rng.randint(1, 7)
+    return lo + (1 - lo) * Fraction(k, 8)
 
 
 def random_perm(rng: Random, n: int) -> tuple[int, ...]:
@@ -55,11 +49,10 @@ def random_element(rng: Random, operad: Operad, n: int):
 
 
 def random_shape(
-    rng: Random, max_vertices: int = 4, max_arity: int = 3,
-    min_vertices: int = 1, min_arity: int = 0,
+    rng: Random, max_vertices: int = 4, max_arity: int = 3, min_arity: int = 0,
 ) -> PlanarTree:
     """A random planar tree grown top-down with a global vertex budget."""
-    budget = {"v": rng.randint(min_vertices, max_vertices) - 1}
+    budget = {"v": rng.randint(1, max_vertices) - 1}
 
     def grow() -> PlanarTree:
         ar = rng.randint(min_arity, max_arity)
@@ -80,29 +73,14 @@ def random_bv(
     operad: Operad,
     max_vertices: int = 4,
     max_arity: int = 3,
-    allow_boundary_params: bool = True,
-    allow_units: bool = True,
-    word: Optional[tuple[int, ...]] = None,
     min_arity: int = 0,
 ) -> BVPoint:
     """A random raw point of the operad resolution."""
     shape = random_shape(rng, max_vertices, max_arity, min_arity=min_arity)
-    labels = []
-    for sub in shape.subtrees:
-        lab = random_element(rng, operad, sub.arity)
-        if not allow_units and sub.arity == 1:
-            for _ in range(8):
-                if not operad.is_unit(lab):
-                    break
-                lab = random_element(rng, operad, 1)
-        labels.append(lab)
-    params = tuple(
-        random_fraction(rng, endpoints=allow_boundary_params)
-        for _ in range(shape.n_vertices - 1)
-    )
-    if word is None and rng.random() < 0.5:
-        word = random_perm(rng, shape.n_leaves)
-    return raw_bv(operad, shape, tuple(labels), params, word)
+    labels = tuple(random_element(rng, operad, sub.arity) for sub in shape.subtrees)
+    params = tuple(random_fraction(rng) for _ in range(shape.n_vertices - 1))
+    word = random_perm(rng, shape.n_leaves) if rng.random() < 0.5 else None
+    return raw_bv(operad, shape, labels, params, word)
 
 
 def random_bv_of_arity(
@@ -110,7 +88,6 @@ def random_bv_of_arity(
     operad: Operad,
     arity: int,
     max_vertices: int = 3,
-    allow_boundary_params: bool = True,
     min_arity: int = 0,
 ) -> BVPoint:
     """A random raw resolution point with a prescribed number of inputs,
@@ -127,10 +104,7 @@ def random_bv_of_arity(
     labels = tuple(
         random_element(rng, operad, sub.arity) for sub in shape.subtrees
     )
-    params = tuple(
-        random_fraction(rng, endpoints=allow_boundary_params)
-        for _ in range(shape.n_vertices - 1)
-    )
+    params = tuple(random_fraction(rng) for _ in range(shape.n_vertices - 1))
     return raw_bv(operad, shape, labels, params)
 
 
@@ -139,9 +113,6 @@ def random_wb(
     operad: Operad,
     max_main_vertices: int = 3,
     max_main_arity: int = 3,
-    max_aux_vertices: int = 2,
-    allow_boundary_heights: bool = True,
-    word: Optional[tuple[int, ...]] = None,
     min_arity: int = 0,
 ) -> WBPoint:
     """A random raw point of the bimodule resolution: a random main shape,
@@ -152,25 +123,21 @@ def random_wb(
     parents = shape.vertex_parents
     for v, sub in enumerate(shape.subtrees):
         lo = heights[parents[v][0]] if parents[v][0] >= 0 else Fraction(0)
-        heights[v] = random_fraction(
-            rng, lo=lo, endpoints=allow_boundary_heights
-        )
+        heights[v] = random_fraction(rng, lo=lo)
         labels.append(
-            random_bv_of_arity(
-                rng, operad, sub.arity, max_aux_vertices, min_arity=min_arity
-            )
+            random_bv_of_arity(rng, operad, sub.arity, 2, min_arity=min_arity)
         )
-    if word is None and rng.random() < 0.5:
-        word = random_perm(rng, shape.n_leaves)
+    word = random_perm(rng, shape.n_leaves) if rng.random() < 0.5 else None
     return raw_wb(operad, shape, tuple(labels), tuple(heights), word)
 
 
-def random_cubes(rng: Random, n: int, den: int = 24) -> CubeConfig:
-    """A random sorted configuration of n disjoint rational subintervals."""
+def random_cubes(rng: Random, n: int) -> CubeConfig:
+    """A random sorted configuration of n disjoint subintervals with ends on
+    the grid of 24ths."""
     while True:
-        cuts = sorted(rng.sample(range(den + 1), 2 * n))
+        cuts = sorted(rng.sample(range(25), 2 * n))
         intervals = tuple(
-            (Fraction(cuts[2 * j], den), Fraction(cuts[2 * j + 1], den))
+            (Fraction(cuts[2 * j], 24), Fraction(cuts[2 * j + 1], 24))
             for j in range(n)
         )
         if all(a < b for a, b in intervals):

@@ -1,7 +1,7 @@
 """The acceptance suite as a library: nine numbered criteria, each a pure
 function of a seeded generator, returning a pass/fail result with a detail
 string.  The test suite runs them at full scale and asserts; the CLI
-``selftest`` command runs them (optionally scaled down by a budget) and
+``selftest`` command runs them (optionally scaled down by ``--scale``) and
 reports one line per criterion.
 
 Every expected value here comes from an independent oracle (a second
@@ -57,7 +57,6 @@ from .mapping import (
     table_eta,
     validate_bimodule_map,
     validate_loop,
-    wb_trivial,
     window_loop,
     xi,
 )
@@ -94,6 +93,7 @@ from .wb import (
     wb_normalize,
     wb_reassemble,
     wb_right,
+    wb_trivial,
     y_cell_membership,
 )
 

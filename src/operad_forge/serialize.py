@@ -10,6 +10,7 @@ byte output is stable; every ``*_from_json`` inverts the matching
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -30,10 +31,22 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_frac(s: str) -> Fraction:
+    """The inverse of ``frac_str``: an integer or ``p/q`` with ``q`` not 0.
+    Other spellings that ``Fraction`` would take (decimals, exponents,
+    spaces) are refused, so no string can stall or crash the parse."""
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {s!r}")
-    return Fraction(s)
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise ValueError(f"rational must be an integer or p/q, got {s[:40]!r}")
+    num, den = m.groups()
+    if den is not None and int(den) == 0:
+        raise ValueError(f"rational has denominator 0: {s[:40]!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 # ---------------------------------------------------------------------------

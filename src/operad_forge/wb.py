@@ -8,6 +8,10 @@ action is pushed into child reorderings (canonical presentation); (iii)
 adjacent main vertices with equal heights are merged by composing their
 labels; (iv) a label at height 0 or 1 is collapsed to the corolla on its
 operad image.
+
+Points are cut by height in one way, ``subdivide``: along the gap and cube
+bands of an interval configuration, with ``reassemble_bands`` as its
+inverse.  Prime decomposition is that cut along the unit cube.
 """
 
 from __future__ import annotations
@@ -16,10 +20,19 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from .bv import BVPoint, bv_act, bv_compose, bv_normalize, iota, mu
-from .operads import AssocOperad, Operad, Perm, perm_compose
+from .bv import BVPoint, bv_act, bv_compose, bv_normalize, bv_unit, iota, mu
+from .operads import (
+    AssocOperad,
+    CubeConfig,
+    Interval,
+    Operad,
+    Perm,
+    gaps,
+    perm_compose,
+    unit_cube,
+)
 from .trees import (
     Node,
     PlanarTree,
@@ -267,8 +280,119 @@ def mu_tilde(x: WBPoint) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Prime decomposition
+# Height cuts: band subdivision and prime decomposition
 # ---------------------------------------------------------------------------
+
+_UNIT_CUBE = unit_cube()
+
+
+def wb_trivial(operad: Operad) -> WBPoint:
+    """The degenerate unit point, built directly as the canonical point
+    that normalization gives: the unit corolla at height 0, whose main tree
+    is that of its label.  It is the trivial sub-point contributed by an
+    edge crossing a band."""
+    unit = bv_unit(operad)
+    return WBPoint(operad, operad.name, unit.tree, (ZERO,), (unit,), True)
+
+
+def is_trivial_subpoint(p: WBPoint) -> bool:
+    return p.n_main_vertices == 1 and _is_unit_bv(p.operad, p.labels[0])
+
+
+def subdivide(
+    y: WBPoint, c: CubeConfig
+) -> tuple[list[list[WBPoint]], list[list[WBPoint]]]:
+    """Split the main tree of ``y`` into the sub-points lying in the n+1
+    closed gap bands and the n open cube bands of the sorted configuration
+    ``c``.  Each band list is ordered by the planar structure; edges crossing
+    a band contribute trivial sub-points.  A height exactly on a cube
+    endpoint belongs to the adjacent closed gap band.
+
+    Returns ``(gap_lists, cube_lists)`` of raw planar sub-points (identity
+    leaf words); together they partition the main vertices of ``y``.
+    """
+    if not y.canonical:
+        y = wb_normalize(y)
+    gap_ints = gaps(c)  # refuses an unsorted configuration
+    operad = y.operad
+    trivial = wb_trivial(operad)
+
+    bands: list[tuple[str, Interval]] = [("gap", gap_ints[0])]
+    for j in range(c.n):
+        bands.append(("cube", c.intervals[j]))
+        bands.append(("gap", gap_ints[j + 1]))
+
+    frontier: list[Any] = [_nodes(y)]
+    gap_lists: list[list[WBPoint]] = []
+    cube_lists: list[list[WBPoint]] = []
+    for kind, (lo, hi) in bands:
+        if kind == "gap":
+            inband = lambda n: lo <= n.t <= hi  # noqa: E731
+        else:
+            inband = lambda n: lo < n.t < hi  # noqa: E731
+        subpoints: list[WBPoint] = []
+        new_frontier: list[Any] = []
+        for item in frontier:
+            if isinstance(item, Node) and inband(item):
+                # The maximal in-band subtree; out-of-band kids become its
+                # leaves and, in planar order, the items entering the next
+                # band.  Cut from a canonical point, it is a valid point.
+                comp, dangling = cut(item, inband)
+                subpoints.append(_point(operad, comp, False))
+                new_frontier.extend(dangling)
+            else:
+                # A leaf half-edge or an edge to a vertex above the band.
+                subpoints.append(trivial)
+                new_frontier.append(item)
+        (gap_lists if kind == "gap" else cube_lists).append(subpoints)
+        frontier = new_frontier
+    if any(isinstance(item, Node) for item in frontier):
+        raise AssertionError("subdivision did not exhaust the main vertices")
+    return gap_lists, cube_lists
+
+
+def reassemble_bands(
+    operad: Operad,
+    gap_lists: Sequence[Sequence[WBPoint]],
+    cube_lists: Sequence[Sequence[WBPoint]],
+    word: Optional[Perm] = None,
+) -> WBPoint:
+    """Stack the band sub-point lists back into a single point: each
+    sub-point's dangling edges are filled, in planar order, by the
+    sub-points of the band above.  Inverse of ``subdivide`` up to
+    normalization."""
+    if len(gap_lists) != len(cube_lists) + 1:
+        raise ValueError("need one more gap list than cube lists")
+    bands: list[Sequence[WBPoint]] = [gap_lists[0]]
+    for j in range(len(cube_lists)):
+        bands.append(cube_lists[j])
+        bands.append(gap_lists[j + 1])
+
+    items: list[Any] = [0] * sum(p.arity for p in bands[-1])
+    for band in reversed(bands):
+        it = iter(items)
+        new_items: list[Any] = []
+        for sp in band:
+            if is_trivial_subpoint(sp):
+                new_items.append(next(it))
+                continue
+            root = _nodes(sp)
+            for node, slot in leaf_slots(root):
+                node.kids[slot - 1] = next(it)
+            new_items.append(root)
+        leftovers = list(it)
+        if leftovers:
+            raise AssertionError("band arities do not match the items above")
+        items = new_items
+    if len(items) != 1:
+        raise AssertionError("bottom band must produce a single rooted point")
+    if not isinstance(items[0], Node):
+        # Every band was trivial: the stack is the degenerate unit point.
+        return wb_trivial(operad)
+    root = items[0]
+    arity = len(leaf_slots(root))
+    set_word(root, word if word is not None else range(1, arity + 1))
+    return wb_normalize(_point(operad, root, False))
 
 
 def wb_is_prime(x: WBPoint) -> bool:
@@ -278,76 +402,39 @@ def wb_is_prime(x: WBPoint) -> bool:
 
 @dataclass(frozen=True)
 class WBDecomposition:
-    """Removal pattern of the boundary-height vertices.
+    """A point cut along the unit cube: ``gaps`` and ``cubes`` are the band
+    lists of ``subdivide``, and ``word`` is the leaf word of the point.
 
-    ``frame`` is a nested entry: ``("leaf",)``, ``("comp", idx)``, or
-    ``("frame", label, height, kids)`` for a removed vertex (height 0 or 1).
-    ``components[idx]`` is ``(raw_point, attachments)`` where the raw point is
-    the interior component in its original planar presentation (identity
-    word) and attachments list ``(leaf_position, cap_entry)`` pairs for the
-    removed height-1 vertices that sat above it.
+    In normal form heights are monotone and adjacent equal heights are
+    merged, so a point is an optional root at height 0, interior subtrees,
+    and caps at height 1 with only leaves above them: the bands ``[0,0]``,
+    ``]0,1[`` and ``[1,1]``.  The non-trivial sub-points of ``cubes[0]``
+    are the prime components.
     """
 
     operad: Operad = field(compare=False, repr=False)
-    frame: tuple = ()
-    components: tuple = ()
+    gaps: Sequence = ()
+    cubes: Sequence = ()
     word: Perm = ()
 
 
 def wb_decompose(x: WBPoint) -> WBDecomposition:
     if not x.canonical:
         x = wb_normalize(x)
-    operad = x.operad
-    components: list = []
-
-    def encode(n) -> tuple:
-        if not isinstance(n, Node):
-            return ("leaf",)
-        if n.t in (ZERO, ONE):
-            return ("frame", n.label, n.t, tuple(encode(c) for c in n.kids))
-        # The maximal interior subtree at n; the height-1 caps above it
-        # become leaves, recorded as attachments by leaf position.
-        comp, dangling = cut(n, lambda c: c.t not in (ZERO, ONE))
-        attachments = tuple(
-            (pos, ("frame", c.label, c.t, tuple(("leaf",) for _ in c.kids)))
-            for pos, c in enumerate(dangling, start=1)
-            if isinstance(c, Node)
-        )
-        components.append((_point(operad, comp, False), attachments))
-        return ("comp", len(components) - 1)
-
-    frame = encode(_nodes(x))
-    return WBDecomposition(operad, frame, tuple(components), x.tree.labels)
+    gap_lists, cube_lists = subdivide(x, _UNIT_CUBE)
+    return WBDecomposition(x.operad, gap_lists, cube_lists, x.tree.labels)
 
 
 def wb_reassemble(d: WBDecomposition) -> WBPoint:
-    """Rebuild the point from the frame and components, then normalize."""
-    operad = d.operad
-
-    def build(entry) -> Any:
-        if entry[0] == "leaf":
-            return 0
-        if entry[0] == "frame":
-            _, label, t, kids = entry
-            return Node(label, t, [build(k) for k in kids])
-        raw, attachments = d.components[entry[1]]
-        root = _nodes(raw)
-        caps = dict(attachments)
-        for pos, (node, slot) in enumerate(leaf_slots(root), start=1):
-            if pos in caps:
-                node.kids[slot - 1] = build(caps[pos])
-        return root
-
-    root = build(d.frame)
-    if not isinstance(root, Node):
-        raise ValueError("degenerate frame cannot be reassembled")
-    set_word(root, d.word)
-    return wb_normalize(_point(operad, root, False))
+    """Stack the bands back up under the leaf word, then normalize."""
+    return reassemble_bands(d.operad, d.gaps, d.cubes, d.word)
 
 
 def wb_prime_components(x: WBPoint) -> list[WBPoint]:
-    d = wb_decompose(x)
-    return [wb_normalize(raw) for raw, _ in d.components]
+    return [
+        wb_normalize(p) for p in wb_decompose(x).cubes[0]
+        if not is_trivial_subpoint(p)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +444,14 @@ def wb_prime_components(x: WBPoint) -> list[WBPoint]:
 
 def wb_filtration(x: WBPoint, k: int, l: Optional[int] = None) -> bool:
     """Membership in the k-th filtration stage (substage ``l`` counts the
-    total auxiliary-tree vertices), tested on prime components."""
+    total auxiliary-tree vertices), tested on prime components.  They are
+    read off the unit-cube cut unnormalized: normalizing a component only
+    re-presents it, which changes neither count."""
     if not x.canonical:
         x = wb_normalize(x)
-    for comp in wb_prime_components(x):
+    for comp in wb_decompose(x).cubes[0]:
+        if is_trivial_subpoint(comp):
+            continue  # an edge crossing the band
         g = comp.geometric_inputs
         if l is None:
             if g > k:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -271,6 +272,37 @@ def test_exit_code_2_on_bad_input(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _bv_with_edge_param(text):
+    shape = PlanarTree((PlanarTree((None, None)),))
+    data = bv_to_json(raw_bv(A, shape, ((1,), (2, 1)), (F(1, 3),)))
+    data["edgeParams"]["1"] = text
+    return data
+
+
+_PATH2 = UpsilonIndex(PlanarTree((PlanarTree((None,)),)), (corolla(1), corolla(1)))
+_POINT = wb_to_json(raw_wb(A, corolla(2), (iota(A, (2, 1)),), (F(1, 2),)))
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["normalize-bv"], _bv_with_edge_param("1/0")),
+        (["act"], {"cubes": [["0", "1/0"]], "point": _POINT}),
+        (["homotopy-h", "--u", "1/0"],
+         {"index": upsilon_to_json(_PATH2), "heights": ["0", "1/2"],
+          "auxParams": [[], []]}),
+        (["normalize-bv"], _bv_with_edge_param("1e10000000")),
+    ],
+    ids=["edge-param-1/0", "act-cube-1/0", "homotopy-u-1/0", "exponent"],
+)
+def test_bad_rationals_exit_cleanly_and_fast(capsys, monkeypatch, argv, payload):
+    start = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch, argv, dumps(payload))
+    assert time.perf_counter() - start < 1.0
+    assert code in (1, 2)
+    assert "Traceback" not in out + err
+
+
 def test_exit_code_2_on_deeply_nested_input():
     # a chain of 500 unary vertices: too deep for the JSON decoder
     depth = 500
@@ -324,6 +356,19 @@ def test_compose_bv_command(capsys, monkeypatch):
         capsys, monkeypatch, ["compose-bv", "--slot", "9"], dumps(payload)
     )
     assert code == 1 and json.loads(out)["slot"] == 9
+
+
+def test_selftest_scale_comes_from_the_flag_only(capsys, monkeypatch):
+    scales = []
+
+    def fake_run_acceptance(seed, scale, report):
+        scales.append(scale)
+        return []
+
+    monkeypatch.setattr("operad_forge.selftest.run_acceptance", fake_run_acceptance)
+    assert main(["--budget", "10", "selftest"]) == 0
+    assert main(["--budget", "10", "selftest", "--scale", "0.5"]) == 0
+    assert scales == [1.0, 0.5]
 
 
 def test_selftest_scaled_down(capsys, monkeypatch):

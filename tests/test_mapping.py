@@ -16,18 +16,14 @@ from operad_forge.mapping import (
     constant_loop,
     end_conjugation_eta,
     eta_mu_tilde,
-    is_trivial_subpoint,
     loop_alpha,
     multi_compose,
     mutant_bimod,
     mutant_multiplicative_loop,
     mutant_unit_loop,
-    reassemble_bands,
     rescale,
-    subdivide,
     validate_bimodule_map,
     validate_loop,
-    wb_trivial,
     window_loop,
     xi,
     xi_k,
@@ -44,7 +40,15 @@ from operad_forge.operads import (
 )
 from operad_forge.sampling import random_bv, random_cubes, random_perm, random_wb
 from operad_forge.trees import PlanarTree, corolla
-from operad_forge.wb import mu_tilde, raw_wb, wb_normalize
+from operad_forge.wb import (
+    is_trivial_subpoint,
+    mu_tilde,
+    raw_wb,
+    reassemble_bands,
+    subdivide,
+    wb_normalize,
+    wb_trivial,
+)
 
 A = AssocOperad()
 E = EndOperad(2)

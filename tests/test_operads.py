@@ -44,6 +44,22 @@ def test_stock_operads_satisfy_laws(op):
     assert report.ok, report.to_json()
 
 
+class _LeftActionAssoc(AssocOperad):
+    """``assoc`` acting on the left, ``x.sigma = AssocOperad.act(x, sigma^-1)``:
+    the unit, associativity and identity-action laws hold, but
+    ``(x.sigma).tau`` is ``x.(tau sigma)``, not ``x.(sigma tau)``."""
+
+    name = "assoc-left"
+
+    def act(self, x, sigma):
+        return super().act(x, perm_inverse(sigma))
+
+
+def test_validate_operad_catches_a_left_action():
+    report = validate_operad(_LeftActionAssoc(), max_arity=3)
+    assert any(v.law == "act-compose" for v in report.violations)
+
+
 def _assoc_compose_oracle(s, i, t):
     """Block substitution on permutation words, written independently:
     relabel s's values around position of i, then splice t shifted."""

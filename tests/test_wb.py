@@ -6,11 +6,19 @@ from random import Random
 
 import pytest
 
-from operad_forge.bv import bv_unit, iota
-from operad_forge.operads import AssocOperad, ComOperad, EndOperad, identity_perm
+from operad_forge.bv import bv_normalize, bv_unit, iota, raw_bv
+from operad_forge.operads import (
+    AssocOperad,
+    ComOperad,
+    EndOperad,
+    identity_perm,
+    operad_by_name,
+)
 from operad_forge.sampling import random_perm, random_wb
-from operad_forge.trees import PlanarTree, corolla
+from operad_forge.trees import Node, PlanarTree, corolla, cut, from_nodes, to_nodes
 from operad_forge.wb import (
+    ONE,
+    ZERO,
     mu_tilde,
     raw_wb,
     wb_act,
@@ -23,6 +31,7 @@ from operad_forge.wb import (
     wb_prime_components,
     wb_reassemble,
     wb_right,
+    wb_trivial,
     y_cell_membership,
 )
 
@@ -138,6 +147,80 @@ def test_prime_decomposition_roundtrip():
         if not wb_is_prime(x):
             found += 1
             assert wb_reassemble(wb_decompose(x)) == x
+
+
+def _frame_decompose(x):
+    """Prime decomposition by a frame walker, the oracle for the band cut:
+    ``(frame, components)``.
+
+    ``frame`` is a nested entry: ``("leaf",)``, ``("comp", idx)``, or
+    ``("frame", label, height, kids)`` for a removed vertex (height 0 or 1).
+    ``components[idx]`` is ``(raw_point, attachments)`` where the raw point is
+    the interior component in its original planar presentation (identity
+    word) and attachments list ``(leaf_position, cap_entry)`` pairs for the
+    removed height-1 vertices that sat above it.
+    """
+    components = []
+
+    def encode(n):
+        if not isinstance(n, Node):
+            return ("leaf",)
+        if n.t in (ZERO, ONE):
+            return ("frame", n.label, n.t, tuple(encode(c) for c in n.kids))
+        # The maximal interior subtree at n; the height-1 caps above it
+        # become leaves, recorded as attachments by leaf position.
+        comp, dangling = cut(n, lambda c: c.t not in (ZERO, ONE))
+        attachments = tuple(
+            (pos, ("frame", c.label, c.t, tuple(("leaf",) for _ in c.kids)))
+            for pos, c in enumerate(dangling, start=1)
+            if isinstance(c, Node)
+        )
+        components.append((raw_wb(x.operad, *from_nodes(comp)), attachments))
+        return ("comp", len(components) - 1)
+
+    frame = encode(to_nodes(x.tree.shape, x.labels, x.heights, x.tree.labels))
+    return frame, components
+
+
+OPERADS = [A, ComOperad(), EndOperad(2), operad_by_name("free:a=2,b=3:4")]
+
+
+def _normal_points(op, n, seed):
+    """``n`` random normalized points with up to 5 main vertices; draws the
+    truncated free operad refuses (an arity past its bound) are skipped."""
+    rng = Random(seed)
+    min_arity = 0 if op.elements(0) else 1
+    out = []
+    while len(out) < n:
+        try:
+            p = random_wb(rng, op, max_main_vertices=5, min_arity=min_arity)
+            out.append(wb_normalize(p))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_band_cut_matches_the_frame_walker(op):
+    points = _normal_points(op, 300, 61)
+    assert max(y.n_main_vertices for y in points) == 5
+    for y in points:
+        _, components = _frame_decompose(y)
+        want = [wb_normalize(raw) for raw, _ in components]
+        assert [repr(c) for c in wb_prime_components(y)] == [repr(c) for c in want]
+        assert wb_reassemble(wb_decompose(y)) == y
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_unit_points_are_the_normalized_units(op):
+    unit = bv_normalize(raw_bv(op, corolla(1), (op.unit(),), ()))
+    assert bv_unit(op) == unit and repr(bv_unit(op)) == repr(unit)
+    assert bv_unit(op).canonical
+    t = wb_trivial(op)
+    want = wb_normalize(raw_wb(op, corolla(1), (unit,), (F(0),)))
+    assert t == want and repr(t) == repr(want)
+    assert t.canonical
+    assert wb_normalize(t) == t
 
 
 def test_boundary_heights_make_points_composite():
