@@ -16,15 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from random import Random
 from typing import Any, Optional
 
-from .operads import AssocOperad, Operad, Perm, perm_compose
+from .operads import AssocOperad, Operad, Perm, identity_perm, perm_compose
 from .trees import (
     Node,
     PlanarTree,
     Tree,
+    _trusted_tree,
     canonicalize,
     contract,
     corolla,
@@ -41,11 +42,16 @@ from .trees import (
 
 @dataclass(frozen=True)
 class BVPoint:
-    """A canonical (unless flagged raw) point of the resolution.
+    """A point of the resolution.
 
     ``labels[v]`` is the operad element at preorder vertex ``v`` of
     ``tree.shape``; ``params[v-1]`` is the length of the inner edge above
     non-root vertex ``v``.
+
+    ``canonical=True`` means the point is a normal form, and the engine
+    trusts it: ``bv_act`` by the identity returns it as it is.  Only
+    ``bv_normalize`` and the direct builders of normal forms (``bv_unit``,
+    ``iota``) set it.
     """
 
     operad: Operad = field(compare=False, repr=False)
@@ -71,6 +77,19 @@ class BVPoint:
     @property
     def is_corolla(self) -> bool:
         return self.n_vertices == 1
+
+    @cached_property
+    def order_key(self) -> str:
+        """The string that orders labels in the canonical presentation of a
+        bimodule point, computed once per point."""
+        return json.dumps(
+            [
+                repr(self.tree.shape),
+                [self.operad.encode(a) for a in self.labels],
+                list(self.tree.labels),
+                [str(t) for t in self.params],
+            ]
+        )
 
     def __repr__(self) -> str:
         return (
@@ -122,7 +141,9 @@ def _nodes(p: BVPoint) -> Node:
 
 def _point(operad: Operad, root: Node, canonical: bool) -> BVPoint:
     shape, labels, ts, word = from_nodes(root)
-    return BVPoint(operad, operad.name, Tree(shape, word), labels, ts[1:], canonical)
+    return BVPoint(
+        operad, operad.name, _trusted_tree(shape, word), labels, ts[1:], canonical
+    )
 
 
 def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node], int]]:
@@ -194,9 +215,16 @@ def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
 
 
 def iota(operad: Operad, a) -> BVPoint:
-    """The corolla labeled by a single operad element."""
+    """The corolla labeled by a single operad element, built directly as
+    the canonical point that normalization gives: its one candidate acts on
+    ``a`` by the identity, which canonicalizes ``a`` where the operad
+    needs it."""
     n = operad.arity(a)
-    return bv_normalize(raw_bv(operad, corolla(n), (a,), ()))
+    ident = identity_perm(n)
+    return BVPoint(
+        operad, operad.name, _trusted_tree(corolla(n), ident),
+        (operad.act(a, ident),), (), True,
+    )
 
 
 _UNIT_TREE = Tree(corolla(1), (1,))
@@ -215,7 +243,10 @@ def mu(x: BVPoint) -> Any:
 
 
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
-    """The symmetric action: relabel the leaves, then re-canonicalize."""
+    """The symmetric action: relabel the leaves, then re-canonicalize.  A
+    normal form is a fixed point of the identity."""
+    if x.canonical and sigma == identity_perm(x.arity):
+        return x
     new_word = perm_compose(x.tree.labels, sigma)
     p = BVPoint(
         x.operad, x.operad_name, Tree(x.tree.shape, new_word), x.labels,

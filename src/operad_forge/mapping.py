@@ -41,7 +41,7 @@ from .operads import (
     ValidationReport,
     sort_to_increasing,
 )
-from .trees import Node, Tree, leaf_slots, preorder, to_nodes
+from .trees import Node, leaf_slots, preorder, to_nodes
 from .wb import (
     ONE,
     ZERO,
@@ -329,18 +329,9 @@ def alpha(c: CubeConfig, fs: Sequence[BimodMapElement]) -> BimodMapElement:
     target = eta.target
 
     def kernel(y: WBPoint):
-        # The planar presentation: same shape, heights and labels, identity
-        # leaf word.  Subdivision never reads the word, so the canonical
-        # status carries over.
-        y_planar = WBPoint(
-            y.operad,
-            y.operad_name,
-            Tree(y.tree.shape, tuple(range(1, y.arity + 1))),
-            y.heights,
-            y.labels,
-            y.canonical,
-        )
-        gap_lists, cube_lists = subdivide(y_planar, cs)
+        # The bands are cut from the planar presentation: ``cut`` renumbers
+        # the leaves, so the word only moves the value back at the end.
+        gap_lists, cube_lists = subdivide(y, cs)
         val = eta(mu_tilde(gap_lists[0][0]))
         for j in range(cs.n):
             cube = cs.intervals[j]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from typing import Iterator, Optional
 
 from .operads import perm_inverse
@@ -260,15 +260,26 @@ class Tree:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.shape.n_leaves
-        if sorted(self.labels) != list(range(1, n + 1)):
-            raise ValueError(
-                f"labels {self.labels} are not a permutation of 1..{n}"
-            )
+        check_word(self.labels, self.shape.n_leaves)
 
     @property
     def n(self) -> int:
         return self.shape.n_leaves
+
+
+def check_word(word, n: int) -> None:
+    """Refuse a leaf word that is not a permutation of ``1..n``."""
+    if sorted(word) != list(range(1, n + 1)):
+        raise ValueError(f"labels {word} are not a permutation of 1..{n}")
+
+
+def _trusted_tree(shape: PlanarTree, word: tuple[int, ...]) -> Tree:
+    """A ``Tree`` whose word the engine built itself, so it is not checked
+    again: the word of a cut, a graft or a normal form."""
+    tree = object.__new__(Tree)
+    object.__setattr__(tree, "shape", shape)
+    object.__setattr__(tree, "labels", word)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -647,21 +658,20 @@ def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:
         root = apply(ctx, root, redex)
 
 
-def _tie_break_perms(encs: list, m: int):
-    """Slot permutations that sort the child encodings, varying only inside
-    blocks of equal encodings (the only candidates for the minimal
-    presentation once children are compared before the vertex label)."""
-    order = sorted(range(1, m + 1), key=lambda s: encs[s - 1])
-    blocks = []
-    i = 0
-    while i < m:
-        j = i
-        while j + 1 < m and encs[order[j + 1] - 1] == encs[order[i] - 1]:
-            j += 1
-        blocks.append(order[i : j + 1])
-        i = j + 1
-    for choice in product(*(permutations(b) for b in blocks)):
-        yield tuple(s for blk in choice for s in blk)
+def _fixes_block(act, first: tuple, seen: dict, start: int, size: int) -> bool:
+    """Whether the label of candidate ``first`` is fixed by each adjacent
+    transposition of the positions ``start+1 .. start+size``, and so by the
+    symmetric group they generate.  Each transposed label is the label of
+    the candidate with those two slots swapped; it is kept in ``seen``."""
+    label = seen[first]
+    for j in range(start, start + size - 1):
+        swap = list(range(1, len(first) + 1))
+        swap[j], swap[j + 1] = swap[j + 1], swap[j]
+        swapped = act(label, tuple(swap))
+        seen[first[:j] + (first[j + 1], first[j]) + first[j + 2 :]] = swapped
+        if swapped != label:
+            return False
+    return True
 
 
 def canonicalize(n: Node, act, key):
@@ -676,15 +686,31 @@ def canonicalize(n: Node, act, key):
         else:
             encs.append(("L", c))
     # Minimal presentation orders the child encodings first; the label only
-    # breaks ties between equal children.  Leaf numbering keeps encodings
-    # almost always distinct, so the search is linear in practice instead of
-    # factorial.
+    # breaks ties, so the candidates vary only inside blocks of equal
+    # children.  Leaf numbering keeps encodings almost always distinct, so
+    # the search is linear in practice instead of factorial.
+    first = tuple(sorted(range(1, len(encs) + 1), key=lambda s: encs[s - 1]))
+    blocks = [list(b) for _, b in groupby(first, key=lambda s: encs[s - 1])]
+    seen = {first: act(n.label, perm_inverse(first))}
+    # A block whose positions the first candidate's label cannot tell apart
+    # gives an equal label in every order, and the first candidate wins the
+    # tie: the block keeps its sorted order.
+    choices: list = []
+    start = 0
+    for blk in blocks:
+        if len(blk) > 1 and not _fixes_block(act, first, seen, start, len(blk)):
+            choices.append(permutations(blk))
+        else:
+            choices.append((tuple(blk),))
+        start += len(blk)
     best = None
-    for pi in _tie_break_perms(encs, len(encs)):
-        label2 = act(n.label, perm_inverse(pi))
-        cand = (tuple(encs[p - 1] for p in pi), key(label2))
-        if best is None or cand < best[0]:
-            best = (cand, pi, label2)
-    (child_encs, label_key), pi, n.label = best
+    for choice in product(*choices):
+        pi = tuple(s for blk in choice for s in blk)
+        label2 = seen[pi] if pi in seen else act(n.label, perm_inverse(pi))
+        label_key = key(label2)
+        if best is None or label_key < best[0]:
+            best = (label_key, pi, label2)
+    label_key, pi, n.label = best
     n.kids = [n.kids[p - 1] for p in pi]
+    child_encs = tuple(encs[p - 1] for p in first)
     return ("N", "" if n.t is None else str(n.t), child_encs, label_key)

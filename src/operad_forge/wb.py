@@ -16,9 +16,9 @@ inverse.  Prime decomposition is that cut along the unit cube.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from random import Random
 from typing import Any, Optional, Sequence
 
@@ -30,6 +30,7 @@ from .operads import (
     Operad,
     Perm,
     gaps,
+    identity_perm,
     perm_compose,
     unit_cube,
 )
@@ -37,7 +38,9 @@ from .trees import (
     Node,
     PlanarTree,
     Tree,
+    _trusted_tree,
     canonicalize,
+    check_word,
     contract,
     corolla,
     cut,
@@ -58,7 +61,12 @@ ONE = Fraction(1)
 class WBPoint:
     """A point of the bimodule resolution.  ``heights[v]`` and ``labels[v]``
     decorate preorder main-tree vertex ``v``; ``tree.labels`` is the leaf
-    word of the main tree."""
+    word of the main tree.
+
+    ``canonical=True`` means the point is a normal form, and the engine
+    trusts it: ``wb_act`` by the identity returns it as it is.  Only
+    ``wb_normalize`` and the direct builder ``wb_trivial`` set it.
+    """
 
     operad: Operad = field(compare=False, repr=False)
     operad_name: str = field(default="")
@@ -138,7 +146,9 @@ def _nodes(p: WBPoint) -> Node:
 
 def _point(operad: Operad, root: Node, canonical: bool) -> WBPoint:
     shape, labels, heights, word = from_nodes(root)
-    return WBPoint(operad, operad.name, Tree(shape, word), heights, labels, canonical)
+    return WBPoint(
+        operad, operad.name, _trusted_tree(shape, word), heights, labels, canonical
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +195,6 @@ def _rewrite(operad: Operad, root: Node, redex) -> Node:
     return root
 
 
-def _bv_key(x: BVPoint) -> str:
-    return json.dumps(
-        [
-            repr(x.tree.shape),
-            [x.operad.encode(a) for a in x.labels],
-            list(x.tree.labels),
-            [str(t) for t in x.params],
-        ]
-    )
-
-
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
     """Canonical form; idempotent and rewrite-order independent (tested)."""
     _validate_raw(raw)
@@ -213,10 +212,8 @@ def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
         root.t = ZERO
     # Relation (ii): choose the minimal planar presentation bottom-up,
     # compensating child reorderings through the labels' symmetric action.
-    canonicalize(root, bv_act, _bv_key)
-    out = _point(operad, root, True)
-    _validate_raw(out)  # height monotonicity must be preserved
-    return out
+    canonicalize(root, bv_act, attrgetter("order_key"))
+    return _point(operad, root, True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,10 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
-    """Symmetric action on the main-tree leaf word."""
+    """Symmetric action on the main-tree leaf word.  A normal form is a
+    fixed point of the identity."""
+    if x.canonical and sigma == identity_perm(x.arity):
+        return x
     new_word = perm_compose(x.tree.labels, sigma)
     p = WBPoint(
         x.operad, x.operad_name, Tree(x.tree.shape, new_word), x.heights,
@@ -391,7 +391,11 @@ def reassemble_bands(
         return wb_trivial(operad)
     root = items[0]
     arity = len(leaf_slots(root))
-    set_word(root, word if word is not None else range(1, arity + 1))
+    if word is None:
+        word = identity_perm(arity)
+    else:
+        check_word(word, arity)
+    set_word(root, word)
     return wb_normalize(_point(operad, root, False))
 
 

@@ -1,6 +1,7 @@
 """The benchmark's recorded outputs still hold: a slice of each in-process
 workload's catalog and one pass over the ``cells`` requests, checked
-against ``bench/data`` exactly as ``bench/run.py`` checks them, and every
+against ``bench/data`` exactly as ``bench/run.py`` checks them, the
+``laws`` slice stays within a pinned count of normalizations, and every
 name the benchmark's tracer rebinds still exists.  The ``bench`` modules
 are imported, never changed."""
 
@@ -28,6 +29,35 @@ def test_in_process_outputs_match_the_digests(name):
     assert tally.attempted == 1000
     assert tally.wrong == []
     assert tally.failed == 0
+
+
+# ``bv_normalize`` calls over that ``laws`` slice: 4,310 while every
+# identity action and every ``iota`` re-normalized, 1,485 since normal forms
+# are trusted.  Work counts do not depend on the host, so losing a shortcut
+# fails here anywhere.  Tighten the bound when a change lowers the work.
+LAWS_BV_NORMALIZE_CALLS = 1485
+
+
+def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
+    w = wl.IN_PROCESS["laws"]()
+    original = sys.modules["operad_forge.bv"].bv_normalize
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "operad_forge":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    tally = wl.Tally()
+    for start in (0, 25000, 50000, 75000):
+        wl.measure(w, start, [], 0, 250, limit=250, tally=tally)
+    assert tally.attempted == 1000 and tally.wrong == [] and tally.failed == 0
+    assert 0 < calls <= LAWS_BV_NORMALIZE_CALLS
 
 
 def test_cells_outputs_match_the_digests():

@@ -1,0 +1,109 @@
+"""The engine trusts a point flagged canonical: it is a normal form.  Here
+every normal form is checked again through the raw constructors, and every
+shortcut that trusts one is checked against the slow path it skips."""
+
+from dataclasses import replace
+from random import Random
+
+import pytest
+
+from operad_forge.bv import bv_act, bv_normalize, iota, raw_bv
+from operad_forge.operads import (
+    AssocOperad,
+    ComOperad,
+    EndOperad,
+    identity_perm,
+    operad_by_name,
+)
+from operad_forge.sampling import random_bv, random_wb
+from operad_forge.trees import corolla
+from operad_forge.wb import (
+    raw_wb,
+    reassemble_bands,
+    wb_act,
+    wb_decompose,
+    wb_normalize,
+)
+
+FREE = operad_by_name("free:a=2,b=3:4")
+OPERADS = [AssocOperad(), ComOperad(), EndOperad(2), FREE]
+
+
+def _normal_forms(op, seed, n=150):
+    """``n`` normalized random points of each resolution; draws the
+    truncated free operad refuses (an arity past its bound) are skipped."""
+    rng = Random(seed)
+    min_arity = 0 if op.elements(0) else 1
+    bvs, wbs = [], []
+    while len(bvs) < n:
+        try:
+            bvs.append(bv_normalize(random_bv(rng, op, min_arity=min_arity)))
+        except ValueError:
+            continue
+    while len(wbs) < n:
+        try:
+            p = random_wb(rng, op, max_main_vertices=4, min_arity=min_arity)
+            wbs.append(wb_normalize(p))
+        except ValueError:
+            continue
+    return bvs, wbs
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_normal_forms_revalidate_through_the_raw_constructors(op):
+    """Arities, parameter ranges, height monotonicity and the leaf word
+    being a permutation all hold on what the normalizers build."""
+    bvs, wbs = _normal_forms(op, 81)
+    for y in wbs:
+        assert y.canonical
+        raw_wb(op, y.tree.shape, y.labels, y.heights, y.tree.labels)
+        bvs.extend(y.labels)
+    for x in bvs:
+        assert x.canonical
+        raw_bv(op, x.tree.shape, x.labels, x.params, x.tree.labels)
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_identity_action_returns_the_normal_form(op):
+    bvs, wbs = _normal_forms(op, 82)
+    for x in bvs:
+        ident = identity_perm(x.arity)
+        assert bv_act(x, ident) is x
+        raw = replace(x, canonical=False)
+        for slow in (bv_normalize(raw), bv_act(raw, ident)):
+            assert slow == x and repr(slow) == repr(x)
+    for y in wbs:
+        ident = identity_perm(y.arity)
+        assert wb_act(y, ident) is y
+        raw = replace(y, canonical=False)
+        for slow in (wb_normalize(raw), wb_act(raw, ident)):
+            assert slow == y and repr(slow) == repr(y)
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_iota_is_the_normalized_corolla(op):
+    for n in range(4):
+        for a in op.elements(n) or []:
+            want = bv_normalize(raw_bv(op, corolla(n), (a,), ()))
+            got = iota(op, a)
+            assert got == want and repr(got) == repr(want)
+            assert got.canonical
+
+
+def test_iota_canonicalizes_a_free_element():
+    a = ("b", ("l", 3), ("a", ("l", 2), ("l", 1)))
+    assert FREE.decode(FREE.encode(a)) != a  # not in canonical order
+    want = bv_normalize(raw_bv(FREE, corolla(3), (a,), ()))
+    got = iota(FREE, a)
+    assert got == want and repr(got) == repr(want)
+    assert got.labels == (FREE.decode(FREE.encode(a)),)
+
+
+def test_reassemble_bands_checks_a_given_word():
+    _, wbs = _normal_forms(AssocOperad(), 83)
+    y = next(y for y in wbs if y.arity >= 2 and y.n_main_vertices >= 2)
+    d = wb_decompose(y)
+    assert reassemble_bands(y.operad, d.gaps, d.cubes, y.tree.labels) == y
+    for word in ((1,) * y.arity, tuple(range(1, y.arity)), tuple(range(2, y.arity + 2))):
+        with pytest.raises(ValueError):
+            reassemble_bands(y.operad, d.gaps, d.cubes, word)

@@ -1,16 +1,27 @@
 """Tree layer: enumeration against generate-and-filter oracles, grafting
-arithmetic, automorphisms against a recursive product-formula oracle, and
-canonical forms against pairwise isomorphism search."""
+arithmetic, automorphisms against a recursive product-formula oracle,
+canonical forms against pairwise isomorphism search, and the tie-break of
+``canonicalize`` against its brute force."""
 
+import json
 from collections import Counter
-from itertools import permutations
+from fractions import Fraction as F
+from itertools import groupby, permutations, product
+from operator import attrgetter
 from random import Random
 from typing import Iterator, Optional
 
+import pytest
+
+from operad_forge.bv import bv_act, bv_normalize, iota, raw_bv
+from operad_forge.operads import ComOperad, operad_by_name, perm_inverse
+from operad_forge.sampling import random_bv_of_arity, random_element
 from operad_forge.trees import (
+    Node,
     PlanarTree,
     Tree,
     canonical_form,
+    canonicalize,
     compose_iso,
     corolla,
     cut,
@@ -297,3 +308,116 @@ def test_working_form_kernel():
                 assert from_nodes(copy) == (t, labels, ts, tuple(range(1, n + 1)))
                 assert tuple(dangling) == word
 
+
+def _brute_canonicalize(n: Node, act, key):
+    """The tie-break by brute force, the oracle for ``canonicalize``: every
+    order of every block of equal child encodings is a candidate."""
+    encs = [
+        _brute_canonicalize(c, act, key) if isinstance(c, Node) else ("L", c)
+        for c in n.kids
+    ]
+    order = sorted(range(1, len(encs) + 1), key=lambda s: encs[s - 1])
+    blocks = [list(b) for _, b in groupby(order, key=lambda s: encs[s - 1])]
+    best = None
+    for choice in product(*(permutations(b) for b in blocks)):
+        pi = tuple(s for blk in choice for s in blk)
+        label = act(n.label, perm_inverse(pi))
+        cand = (tuple(encs[p - 1] for p in pi), key(label))
+        if best is None or cand < best[0]:
+            best = (cand, pi, label)
+    (child_encs, label_key), pi, n.label = best
+    n.kids = [n.kids[p - 1] for p in pi]
+    return ("N", "" if n.t is None else str(n.t), child_encs, label_key)
+
+
+def _symmetric_end_label(rng: Random, op, n: int):
+    """An ``end`` element of arity ``n`` that depends only on how many of
+    its inputs are 1: fixed by every permutation."""
+    values = [rng.randrange(op.size) for _ in range(n + 1)]
+    return (n, tuple(values[bin(i).count("1")] for i in range(op.size**n)))
+
+
+def _wide_point(rng: Random, width: int, root_label, leafless, unary):
+    """``(shape, labels, ts, word)``: a root of ``width`` slots over leaves
+    and leafless subtrees drawn from two shapes, the labels ``leafless``
+    (arity 0) and ``unary`` (arity 1) and two lengths, so that equal
+    children are common."""
+    kids, labels, ts = [], [root_label(rng, width)], [None]
+    for _ in range(width):
+        if rng.random() < 0.25:
+            kids.append(None)
+            continue
+        t = rng.choice((F(1, 2), F(1)))
+        if rng.random() < 0.5:
+            kids.append(PlanarTree(()))
+            labels.append(rng.choice(leafless))
+            ts.append(t)
+        else:
+            kids.append(PlanarTree((PlanarTree(()),)))
+            labels += [rng.choice(unary), leafless[0]]
+            ts += [t, F(1, 2)]
+    shape = PlanarTree(tuple(kids))
+    word = tuple(rng.sample(range(1, shape.n_leaves + 1), shape.n_leaves))
+    return shape, tuple(labels), tuple(ts), word
+
+
+def _tie_break_cases(name):
+    """``(act, key, root_label, leafless, unary)``: the operad's own action,
+    and for ``com`` also its resolution points under ``bv_act``, whose
+    labels are fixed by some transpositions and not by others."""
+    op = operad_by_name(name)
+
+    def root_label(rng, n):
+        if name == "end:2" and rng.random() < 0.5:
+            return _symmetric_end_label(rng, op, n)
+        return random_element(rng, op, n)
+
+    def key(a):
+        return json.dumps(op.encode(a), sort_keys=True)
+
+    cases = [(op.act, key, root_label, op.elements(0), op.elements(1)[:2])]
+    if name == "com":
+        two = raw_bv(op, PlanarTree((PlanarTree(()),) * 2), (2, 0, 0), (F(1, 2),) * 2)
+        cases.append((
+            bv_act,
+            attrgetter("order_key"),
+            lambda rng, n: bv_normalize(random_bv_of_arity(rng, op, n, 3)),
+            (iota(op, 0), bv_normalize(two)),
+            (iota(op, 1),),
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["com", "assoc", "end:2"])
+def test_tie_break_matches_the_brute_force(name):
+    rng = Random(71)
+    tied = 0
+    for act, key, root_label, leafless, unary in _tie_break_cases(name):
+        for _ in range(80):
+            width = rng.randint(2, 6)
+            shape, labels, ts, word = _wide_point(rng, width, root_label, leafless, unary)
+            fast = to_nodes(shape, labels, ts, word)
+            slow = to_nodes(shape, labels, ts, word)
+            enc = canonicalize(fast, act, key)
+            assert enc == _brute_canonicalize(slow, act, key)
+            assert from_nodes(fast) == from_nodes(slow)
+            tied += len(set(enc[2])) < len(enc[2])
+    assert tied >= 20
+
+
+def test_symmetric_label_fixes_a_tied_block():
+    """A ``com`` root over 8 equal leafless children acts once per child,
+    once for its first candidate and once per adjacent transposition, not
+    8! times."""
+    op = ComOperad()
+    calls = []
+
+    def act(a, sigma):
+        calls.append(sigma)
+        return op.act(a, sigma)
+
+    root = to_nodes(
+        PlanarTree((PlanarTree(()),) * 8), (8,) + (0,) * 8, (None,) + (F(1, 2),) * 8, ()
+    )
+    canonicalize(root, act, str)
+    assert len(calls) == 8 + 1 + 7
