@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
+from math import factorial
 from typing import Optional, Union
 
 from .operads import Perm, all_perms, compositions, identity_perm, perm_compose
@@ -29,6 +30,7 @@ from .trees import (
     labeled_encoding,
     planar_tree_counts,
     planar_trees,
+    slot_encodings,
 )
 
 ZERO = Fraction(0)
@@ -192,18 +194,35 @@ def class_key(idx: UpsilonIndex):
     return _vertex_key(idx, 0)
 
 
+def _presentations(enc: tuple) -> int:
+    """The planar presentations of an auxiliary tree's encoding whose leaves
+    carry class-key entries: at every vertex reachable through the key
+    (entries included), the multinomial ``n! / prod(m_i!)`` of the
+    multiplicities of its equal child encodings."""
+    kids = enc[1]
+    count = factorial(len(kids))
+    for _, same in groupby(kids):  # sorted, so equal encodings are adjacent
+        count //= factorial(len(list(same)))
+    for kid in kids:
+        if kid[0] == 1:  # an auxiliary vertex
+            count *= _presentations(kid)
+        elif kid[1][0] == 1:  # a leaf carrying a child vertex's key
+            count *= _presentations(kid[1][1])
+    return count
+
+
 @dataclass(frozen=True)
 class TreeClass:
-    """An isomorphism class of cell indices: a representative, all planar
-    members of the class found in the census, and the canonical key."""
+    """An isomorphism class of cell indices: its first-seen member in the
+    census and the canonical key.  ``size``, the number of planar members,
+    is read off the key."""
 
     representative: UpsilonIndex
-    members: tuple[UpsilonIndex, ...]
     key: tuple = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return _presentations(self.key)
 
     @property
     def level(self) -> int:
@@ -211,19 +230,12 @@ class TreeClass:
 
 
 def classify(indices: list[UpsilonIndex]) -> list[TreeClass]:
-    """Partition a census of indices into isomorphism classes, preserving
-    first-seen order."""
-    order: list[tuple] = []
-    buckets: dict[tuple, list[UpsilonIndex]] = {}
+    """Partition a census of indices into isomorphism classes, in first-seen
+    order, each represented by its first-seen member."""
+    reps: dict[tuple, UpsilonIndex] = {}
     for idx in indices:
-        key = class_key(idx)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(idx)
-    return [
-        TreeClass(buckets[key][0], tuple(buckets[key]), key) for key in order
-    ]
+        reps.setdefault(class_key(idx), idx)
+    return [TreeClass(rep, key) for key, rep in reps.items()]
 
 
 def automorphism_families(
@@ -234,25 +246,12 @@ def automorphism_families(
     auxiliary tree at ``f(v)`` whose leaf permutation equals the slot
     permutation of ``f`` at ``v``."""
     out: list[tuple[TreeIso, tuple[TreeIso, ...]]] = []
-    p = idx.main.n_vertices
     for f in isomorphisms(idx.main, idx.main):
-        options: list[list[TreeIso]] = []
-        ok = True
-        for v in range(p):
-            w = f.vertex_map[v]
-            pi = f.input_perms[v]
-            ident = identity_perm(len(pi))
-            opts = isomorphisms(
-                idx.aux[v], idx.aux[w], labels_a=pi, labels_b=ident
-            )
-            if not opts:
-                ok = False
-                break
-            options.append(opts)
-        if not ok:
-            continue
-        for combo in product(*options):
-            out.append((f, tuple(combo)))
+        options = [
+            isomorphisms(idx.aux[v], idx.aux[w], pi, identity_perm(len(pi)))
+            for v, (w, pi) in enumerate(zip(f.vertex_map, f.input_perms))
+        ]
+        out.extend((f, combo) for combo in product(*options))
     return out
 
 
@@ -261,9 +260,14 @@ def stab(
 ) -> list[Perm]:
     """Coset representatives of the input permutations of an auxiliary
     vertex under the automorphism families fixing it; the identity comes
-    first and represents the class of induced automorphisms."""
+    first and represents the class of induced automorphisms.
+
+    With the auxiliary leaves labeled by their slot entries, as in the class
+    key, the induced permutations are every permutation inside each block of
+    slots of the auxiliary vertex with equal encodings."""
     rep = cls.representative
-    if not 0 <= main_vertex < rep.main.n_vertices:
+    main = rep.main
+    if not 0 <= main_vertex < main.n_vertices:
         raise ValueError(f"no main vertex {main_vertex}")
     a = rep.aux[main_vertex]
     if not 0 <= aux_vertex < a.n_vertices:
@@ -271,14 +275,22 @@ def stab(
             f"no auxiliary vertex {aux_vertex} at main vertex {main_vertex}"
         )
     m = a.arity_of(aux_vertex)
-    induced: set[Perm] = set()
-    for f, gs in automorphism_families(rep):
-        if f.vertex_map[main_vertex] != main_vertex:
-            continue
-        g = gs[main_vertex]
-        if g.vertex_map[aux_vertex] != aux_vertex:
-            continue
-        induced.add(g.input_perms[aux_vertex])
+    entries = [
+        (0,) if c is None
+        else (1, _vertex_key(rep, main.child_vertex[(main_vertex, s)]))
+        for s, c in enumerate(main.subtrees[main_vertex].children, start=1)
+    ]
+    skip = 0  # the auxiliary leaves before aux_vertex, in planar order
+    v = aux_vertex
+    while v:
+        v, slot = a.vertex_parents[v]
+        skip += PlanarTree(a.subtrees[v].children[: slot - 1]).n_leaves
+    encs = slot_encodings(a.subtrees[aux_vertex], iter(entries[skip:]))
+    # the product of the symmetric groups on the blocks of equal encodings
+    induced = [
+        tau for tau in all_perms(m)
+        if all(encs[t - 1] == enc for t, enc in zip(tau, encs))
+    ]
     reps: list[Perm] = []
     covered: set[Perm] = set()
     ident = identity_perm(m)

@@ -11,7 +11,11 @@ A ``Tree`` adds a leaf labeling: a permutation of ``{1..n}`` listing, in
 planar left-to-right order, the abstract input carried by each leaf.
 
 ``TreeIso`` records a non-planar isomorphism as a vertex bijection plus a
-per-vertex permutation of input slots.
+per-vertex permutation of input slots.  Symmetry reads one structure, the
+bottom-up ``labeled_encoding``: two trees are isomorphic exactly when their
+encodings agree, and their isomorphisms are then, vertex by vertex, every
+bijection inside each block of sibling slots with equal encodings
+(``slot_encodings``), an iterated product of symmetric groups (Polya 1937).
 
 ``Node`` is the one mutable working form for tree surgery.  ``bv`` and
 ``wb`` rewrite their points on it (unit deletion, edge contraction,
@@ -300,133 +304,6 @@ class TreeIso:
     input_perms: tuple[tuple[int, ...], ...]
 
 
-def identity_iso(t: PlanarTree) -> TreeIso:
-    return TreeIso(
-        tuple(range(t.n_vertices)),
-        tuple(tuple(range(1, s.arity + 1)) for s in t.subtrees),
-    )
-
-
-def compose_iso(f: TreeIso, g: TreeIso) -> TreeIso:
-    """The composite applying ``f`` first, then ``g``."""
-    vm = tuple(g.vertex_map[m] for m in f.vertex_map)
-    ip = tuple(
-        tuple(g.input_perms[f.vertex_map[v]][s - 1] for s in f.input_perms[v])
-        for v in range(len(f.vertex_map))
-    )
-    return TreeIso(vm, ip)
-
-
-def inverse_iso(f: TreeIso) -> TreeIso:
-    n = len(f.vertex_map)
-    vm_inv = [0] * n
-    for v, m in enumerate(f.vertex_map):
-        vm_inv[m] = v
-    ip_inv: list[tuple[int, ...]] = [()] * n
-    for v, perm in enumerate(f.input_perms):
-        inv = [0] * len(perm)
-        for s, img in enumerate(perm, start=1):
-            inv[img - 1] = s
-        ip_inv[f.vertex_map[v]] = tuple(inv)
-    return TreeIso(tuple(vm_inv), tuple(ip_inv))
-
-
-def _match(
-    a: PlanarTree,
-    a_leaf0: int,
-    b: PlanarTree,
-    b_leaf0: int,
-    labels_a: Optional[tuple[int, ...]],
-    labels_b: Optional[tuple[int, ...]],
-) -> Iterator[tuple]:
-    """Yield local isomorphism records ``(slot_perm, child_records)``.
-
-    ``slot_perm[s-1]`` is the b-slot matched to a-slot ``s``; child_records
-    holds, for each a-slot that is a vertex, the recursive record.  Leaf
-    offsets track absolute planar positions for label comparison.
-    """
-    if a.arity != b.arity:
-        return
-    m = a.arity
-    # Precompute per-slot leaf offsets for both trees.
-    a_off: list[int] = []
-    pos = a_leaf0
-    for c in a.children:
-        a_off.append(pos)
-        pos += 1 if c is None else c.n_leaves
-    b_off = []
-    pos = b_leaf0
-    for c in b.children:
-        b_off.append(pos)
-        pos += 1 if c is None else c.n_leaves
-
-    def slot_ok(sa: int, sb: int) -> Iterator[tuple]:
-        ca, cb = a.children[sa], b.children[sb]
-        if ca is None and cb is None:
-            if labels_a is not None and (
-                labels_a[a_off[sa]] != labels_b[b_off[sb]]
-            ):
-                return
-            yield ()
-        elif ca is not None and cb is not None:
-            yield from _match(
-                ca, a_off[sa], cb, b_off[sb], labels_a, labels_b
-            )
-
-    # Backtracking over injective slot assignments; identity-first order.
-    def assign(sa: int, used: tuple[bool, ...], acc: list) -> Iterator[tuple]:
-        if sa == m:
-            perm = tuple(p + 1 for p, _ in acc)
-            records = tuple(r for _, r in acc if r != ())
-            yield (perm, records)
-            return
-        order = [s for s in range(m) if not used[s]]
-        for sb in order:
-            for rec in slot_ok(sa, sb):
-                new_used = used[:sb] + (True,) + used[sb + 1 :]
-                acc.append((sb, rec))
-                yield from assign(sa + 1, new_used, acc)
-                acc.pop()
-
-    yield from assign(0, (False,) * m, [])
-
-
-def _records_to_iso(
-    a: PlanarTree, b: PlanarTree, record: tuple
-) -> TreeIso:
-    """Flatten a nested local-isomorphism record into a TreeIso."""
-    n = a.n_vertices
-    vertex_map = [0] * n
-    input_perms: list[tuple[int, ...]] = [()] * n
-
-    def walk(
-        sub_a: PlanarTree, idx_a: int, sub_b: PlanarTree, idx_b: int, rec: tuple
-    ) -> None:
-        perm, child_records = rec
-        vertex_map[idx_a] = idx_b
-        input_perms[idx_a] = perm
-        # Preorder indices of b's vertex children, by slot.
-        b_child_idx: dict[int, int] = {}
-        nxt = idx_b + 1
-        for slot, c in enumerate(sub_b.children, start=1):
-            if c is not None:
-                b_child_idx[slot] = nxt
-                nxt += c.n_vertices
-        nxt_a = idx_a + 1
-        rec_i = 0
-        for slot, c in enumerate(sub_a.children, start=1):
-            if c is not None:
-                tgt_slot = perm[slot - 1]
-                tgt_child = sub_b.children[tgt_slot - 1]
-                assert tgt_child is not None
-                walk(c, nxt_a, tgt_child, b_child_idx[tgt_slot], child_records[rec_i])
-                rec_i += 1
-                nxt_a += c.n_vertices
-
-    walk(a, 0, b, 0, record)
-    return TreeIso(tuple(vertex_map), tuple(input_perms))
-
-
 def isomorphisms(
     a: PlanarTree,
     b: PlanarTree,
@@ -434,11 +311,9 @@ def isomorphisms(
     labels_b: Optional[tuple[int, ...]] = None,
 ) -> list[TreeIso]:
     """All non-planar isomorphisms a -> b (respecting leaf labels when
-    given).  With ``a is b`` and no labels this is the automorphism group."""
-    out = []
-    for rec in _match(a, 0, b, 0, labels_a, labels_b):
-        out.append(_records_to_iso(a, b, rec))
-    return out
+    given).  With ``a is b`` and no labels this is the automorphism group,
+    identity first."""
+    return list(_isos(a, labels_a, b, labels_b))
 
 
 def automorphisms(a: PlanarTree) -> list[TreeIso]:
@@ -449,18 +324,64 @@ def automorphisms(a: PlanarTree) -> list[TreeIso]:
 def nonplanar_iso(a: Tree, b: Tree) -> Optional[TreeIso]:
     """A label-respecting isomorphism between labeled trees, or ``None``.
 
-    ``nonplanar_iso(a, a)`` is the identity (identity-first search order).
+    ``nonplanar_iso(a, a)`` is the identity (the in-order matching).
     """
-    for iso in _iter_isos_labeled(a, b):
-        return iso
-    return None
+    return next(_isos(a.shape, a.labels, b.shape, b.labels), None)
 
 
-def _iter_isos_labeled(a: Tree, b: Tree) -> Iterator[TreeIso]:
-    if a.n != b.n:
-        return
-    for rec in _match(a.shape, 0, b.shape, 0, a.labels, b.labels):
-        yield _records_to_iso(a.shape, b.shape, rec)
+def _isos(a: PlanarTree, labels_a, b: PlanarTree, labels_b) -> Iterator[TreeIso]:
+    """The isomorphisms a -> b: none unless the labeled encodings agree (a
+    missing labeling labels every leaf ``None``)."""
+    la = (None,) * a.n_leaves if labels_a is None else tuple(labels_a)
+    lb = (None,) * b.n_leaves if labels_b is None else tuple(labels_b)
+    if labeled_encoding(a, iter(la)) == labeled_encoding(b, iter(lb)):
+        for vertex_map, input_perms in _block_matchings(a, la, b, lb):
+            yield TreeIso(tuple(vertex_map), tuple(input_perms))
+
+
+def _block_matchings(a: PlanarTree, la: tuple, b: PlanarTree, lb: tuple):
+    """The isomorphisms between two subtrees with equal labeled encodings,
+    as ``(vertex_map, input_perms)`` lists in ``a``'s preorder: each slot of
+    ``a`` in turn takes an unused slot of its block in ``b``, so every choice
+    completes, and the in-order matching comes first."""
+
+    def slots(t: PlanarTree, labels: tuple) -> list[tuple]:
+        # per slot: encoding, child subtree, its labels, its preorder index
+        out, leaf, v = [], 0, 1
+        for c, enc in zip(t.children, slot_encodings(t, iter(labels))):
+            n = 1 if c is None else c.n_leaves
+            out.append((enc, c, labels[leaf : leaf + n], v))
+            leaf += n
+            v += 0 if c is None else c.n_vertices
+        return out
+
+    sa, sb = slots(a, la), slots(b, lb)
+    block: dict = {}
+    for t, slot in enumerate(sb):
+        block.setdefault(slot[0], []).append(t)
+    perm = [0] * len(sa)
+    free = [True] * len(sb)
+
+    def assign(s: int, vertex_map: list, input_perms: list):
+        if s == len(sa):
+            yield [0] + vertex_map, [tuple(perm)] + input_perms
+            return
+        enc, ca, las, _ = sa[s]
+        for t in block[enc]:
+            if not free[t]:
+                continue
+            _, cb, lbs, vb = sb[t]
+            free[t], perm[s] = False, t + 1
+            if ca is None:
+                yield from assign(s + 1, vertex_map, input_perms)
+            else:
+                for vm, ip in _block_matchings(ca, las, cb, lbs):
+                    yield from assign(
+                        s + 1, vertex_map + [vb + w for w in vm], input_perms + ip
+                    )
+            free[t] = True
+
+    yield from assign(0, [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +398,15 @@ def labeled_encoding(sub: PlanarTree, labels: Iterator) -> tuple:
         (0, next(labels)) if c is None else labeled_encoding(c, labels)
         for c in sub.children
     )))
+
+
+def slot_encodings(sub: PlanarTree, labels: Iterator) -> list:
+    """The encodings that ``labeled_encoding(sub, labels)`` sorts, in slot
+    order: one per slot of the root, the leaf's or the child vertex's."""
+    return [
+        (0, next(labels)) if c is None else labeled_encoding(c, labels)
+        for c in sub.children
+    ]
 
 
 def _dec_labeled(enc) -> tuple[Optional[PlanarTree], list[int]]:

@@ -1,6 +1,7 @@
 """Cell-complex layer: index enumeration against a generate-and-filter
 oracle, classification against pairwise isomorphism search, contraction
-graphs against brute-force closure, stabilizers, the Reedy-style category,
+graphs against brute-force closure, stabilizers against the automorphism
+families, class sizes against the census, the Reedy-style category,
 membership polytopes, and the deformation."""
 
 from fractions import Fraction as F
@@ -28,7 +29,7 @@ from operad_forge.cells import (
     stab,
     subgraph_i,
 )
-from operad_forge.operads import all_perms
+from operad_forge.operads import all_perms, perm_compose
 from operad_forge.trees import (
     PlanarTree,
     Tree,
@@ -90,9 +91,10 @@ def test_enumerate_upsilon_against_oracle(k, l, nontrivial):
 )
 @pytest.mark.parametrize("nontrivial", [False, True])
 def test_census_size_counts_the_enumeration(k, l, nontrivial):
-    assert census_size(k, l, nontrivial) == len(
-        enumerate_upsilon(k, l, nontrivial)
-    )
+    census = enumerate_upsilon(k, l, nontrivial)
+    assert census_size(k, l, nontrivial) == len(census)
+    # the class keys' multinomials against the generating functions
+    assert sum(c.size for c in classify(census)) == census_size(k, l, nontrivial)
 
 
 def test_census_size_pinned_values():
@@ -216,18 +218,23 @@ def _partition(indices, key):
 )
 def test_classify_matches_slot_permutation_search(k, l, nontrivial):
     census = enumerate_upsilon(k, l, nontrivial)
-    got = [c.members for c in classify(census)]
-    assert got == _partition(census, _bruteforce_key)
+    classes = classify(census)
+    want = _partition(census, _bruteforce_key)
+    assert _partition(census, class_key) == want
+    assert [c.representative for c in classes] == [g[0] for g in want]
+    assert [c.size for c in classes] == [len(g) for g in want]
 
 
-def _oracle_graph(classes):
+def _oracle_graph(classes, census):
     """Brute-force closure: contract every main edge of every member of
-    every class, in class and member order; the edge list and the witness
-    of each edge, as first found."""
+    every class, in class and member order, the members taken from the
+    census; the edge list and the witness of each edge, as first found."""
     key2i = {c.key: i for i, c in enumerate(classes)}
+    members = _partition(census, class_key)
+    assert [c.representative for c in classes] == [g[0] for g in members]
     edges, witnesses = [], {}
     for ci, c in enumerate(classes):
-        for m in c.members:
+        for m in members[ci]:
             for (p, s) in m.main.child_vertex:
                 t = contract_main_edge(m, p, s)
                 if t.main.n_vertices == 1:
@@ -243,8 +250,9 @@ def test_build_graph_small_cases(g43):
     g32 = build_graph(3, 2)
     assert len(g32.edges) == 0 and len(g32.classes) > 0
 
-    ocls = classify(enumerate_upsilon(4, 3, True))
-    oedges, _ = _oracle_graph(ocls)
+    census = enumerate_upsilon(4, 3, True)
+    ocls = classify(census)
+    oedges, _ = _oracle_graph(ocls, census)
     assert len(g43.classes) == len(ocls)
     assert set(g43.edges) == set(oedges)
     assert (len(g43.classes), len(g43.edges)) == (63, 41)
@@ -262,9 +270,10 @@ def test_build_graph_small_cases(g43):
 
 @pytest.mark.parametrize("k,l", [(4, 3), (5, 4), (6, 4)])
 def test_build_graph_matches_all_members_pass(k, l):
-    classes = graph_classes(k, l)
+    census = enumerate_upsilon(k, l, True)
+    classes = classify(census)
     g = build_graph(k, l, classes)
-    edges, witnesses = _oracle_graph(classes)
+    edges, witnesses = _oracle_graph(classes, census)
     assert list(g.edges) == edges
     assert list(g.witnesses.items()) == list(witnesses.items())
 
@@ -312,6 +321,43 @@ def test_stabilizers_and_automorphism_families():
     assert len(automorphism_families(sym)) == 2
     # the swap of the two identical branches folds the slot transposition
     assert stab(classify([sym])[0], 0, 0) == [(1, 2)]
+
+
+def _oracle_stab(cls, main_vertex: int, aux_vertex: int) -> list:
+    """``stab`` from its definition: the input permutations at the
+    auxiliary vertex induced by every automorphism family fixing it, then
+    the same coset scan, identity first."""
+    rep = cls.representative
+    m = rep.aux[main_vertex].arity_of(aux_vertex)
+    induced = set()
+    for f, gs in automorphism_families(rep):
+        if f.vertex_map[main_vertex] != main_vertex:
+            continue
+        g = gs[main_vertex]
+        if g.vertex_map[aux_vertex] != aux_vertex:
+            continue
+        induced.add(g.input_perms[aux_vertex])
+    reps, covered = [], set()
+    ident = tuple(range(1, m + 1))
+    for sigma in [ident] + sorted(all_perms(m)):
+        if sigma in covered:
+            continue
+        reps.append(sigma)
+        for tau in induced:
+            covered.add(perm_compose(tau, sigma))
+    return reps
+
+
+def test_stab_matches_the_automorphism_families():
+    triples = 0
+    for k, l in [(4, 3), (5, 3)]:
+        for cls in graph_classes(k, l):
+            rep = cls.representative
+            for v in range(rep.main.n_vertices):
+                for u in range(rep.aux[v].n_vertices):
+                    assert stab(cls, v, u) == _oracle_stab(cls, v, u)
+                    triples += 1
+    assert triples == 459
 
 
 def test_reedy_category_structure(g43):
