@@ -48,6 +48,10 @@ class BVPoint:
     ``tree.shape``; ``params[v-1]`` is the length of the inner edge above
     non-root vertex ``v``.
 
+    The dataclass constructor checks nothing: caller data enters through
+    ``raw_bv``, which validates it once, and the engine builds only valid
+    points.
+
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``bv_act`` by the identity returns it as it is.  Only
     ``bv_normalize`` and the direct builders of normal forms (``bv_unit``,
@@ -106,7 +110,7 @@ def raw_bv(
     params: tuple[Fraction, ...],
     word: Optional[tuple[int, ...]] = None,
 ) -> BVPoint:
-    """Package un-normalized data; validated but not rewritten."""
+    """Package un-normalized data: validated, once, but not rewritten."""
     tree = Tree(shape, word if word is not None else tuple(range(1, shape.n_leaves + 1)))
     point = BVPoint(operad, operad.name, tree, tuple(labels), tuple(params), False)
     _validate_raw(point)
@@ -201,8 +205,8 @@ def _label_key(operad: Operad, label) -> str:
 
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
     """Canonical form of raw point data; idempotent and (tested) independent
-    of the rewrite order, which ``rng`` randomizes."""
-    _validate_raw(raw)
+    of the rewrite order, which ``rng`` randomizes.  The input is trusted:
+    it comes from ``raw_bv`` or from the engine."""
     operad = raw.operad
     root = rewrite_fixpoint(operad, _nodes(raw), _redexes, _rewrite, rng)
     canonicalize(root, operad.act, partial(_label_key, operad))
@@ -350,8 +354,6 @@ def bv_prime_components(x: BVPoint) -> list[BVPoint]:
 def bv_filtration(x: BVPoint, k: int, l: Optional[int] = None) -> bool:
     """Membership in the k-th filtration stage (and its l-th substage when
     ``l`` is given), tested on prime components."""
-    if not x.canonical:
-        x = bv_normalize(x)
     for comp in bv_prime_components(x):
         g = comp.geometric_inputs
         if l is None:
@@ -366,8 +368,8 @@ def bv_filtration(x: BVPoint, k: int, l: Optional[int] = None) -> bool:
 def x_cell_membership(x: BVPoint, k: int, l: int) -> str:
     """Classify raw cell-representative data: ``interior``, ``boundary``, or
     ``outside`` of the (k,l) cell family (quotient by the symmetric relation
-    only, so the input is deliberately NOT normalized)."""
-    _validate_raw(x)
+    only, so the input is deliberately NOT normalized).  The input is
+    trusted: build it with ``raw_bv``."""
     shape = x.tree.shape
     if shape.geometric_inputs != k or shape.n_vertices != l:
         return "outside"

@@ -303,9 +303,9 @@ def _cmd_filtration(args) -> int:
     data = _read_json(sys.stdin)
     try:
         if args.kind == "bv":
-            member = bv_filtration(bv_normalize(bv_from_json(data, op)), args.k, args.l)
+            member = bv_filtration(bv_from_json(data, op), args.k, args.l)
         else:
-            member = wb_filtration(wb_normalize(wb_from_json(data, op)), args.k, args.l)
+            member = wb_filtration(wb_from_json(data, op), args.k, args.l)
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid point: {exc}")
     _emit({"k": args.k, "l": args.l, "member": member})

@@ -66,6 +66,7 @@ from .operads import (
     CubeConfig,
     EndOperad,
     act_cubes,
+    block_perm,
     compose_cubes,
     identity_eta,
     identity_perm,
@@ -91,6 +92,7 @@ from .wb import (
     wb_is_prime,
     wb_left,
     wb_normalize,
+    wb_prime_components,
     wb_reassemble,
     wb_right,
     wb_trivial,
@@ -119,6 +121,15 @@ class CriterionResult:
 
 def _scaled(base: int, scale: float) -> int:
     return max(1, round(base * scale))
+
+
+def _random_heights(rng: Random, shape: PlanarTree, endpoints: bool = True) -> tuple:
+    """Monotone random heights on the main vertices, drawn in preorder."""
+    heights = [F(0)] * shape.n_vertices
+    for v, (p, _s) in enumerate(shape.vertex_parents):
+        lo = heights[p] if p >= 0 else F(0)
+        heights[v] = random_fraction(rng, lo=lo, endpoints=endpoints)
+    return tuple(heights)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +216,6 @@ def _com_wb_pool(max_vertices: int, grid) -> list[WBPoint]:
     return out
 
 
-def _assoc_gamma(a, xs):
-    out = a
-    for i in range(len(xs), 0, -1):
-        out = _A.compose(out, i, xs[i - 1])
-    return out
-
-
 def _check_bv_operad_laws(op, x, y, z, sigma, tau, bad):
     """Unit, equivariance, and (when y, z given) associativity of the
     resolution's operadic structure, compared slotwise."""
@@ -233,7 +237,7 @@ def _check_bv_operad_laws(op, x, y, z, sigma, tau, bad):
         lhs = bv_compose(bv_act(x, sigma), i, y)
         rhs = bv_act(
             bv_compose(x, inv[i - 1], y),
-            _A.compose(sigma, i, identity_perm(m)),
+            block_perm(sigma, i, m),
         )
         if lhs != rhs:
             bad.append(f"bv equivariance {x!r} {y!r} slot {i}")
@@ -270,7 +274,7 @@ def _check_wb_bimodule_laws(op, x, a, b, sigma, pool_by_arity, bad):
         lhs = wb_right(wb_act(x, sigma), i, a)
         rhs = wb_act(
             wb_right(x, inv[i - 1], a),
-            _A.compose(sigma, i, identity_perm(ma)),
+            block_perm(sigma, i, ma),
         )
         if lhs != rhs:
             bad.append(f"wb right-equivariance {x!r} {a!r} slot {i}")
@@ -318,7 +322,7 @@ def _check_wb_bimodule_laws(op, x, a, b, sigma, pool_by_arity, bad):
         if ma >= 1:
             sig = tuple(range(ma, 0, -1))
             xs_p = [xs[sig[j] - 1] for j in range(ma)]
-            block = _assoc_gamma(sig, [identity_perm(q.arity) for q in xs])
+            block = multi_compose(_A, sig, [identity_perm(q.arity) for q in xs])
             lhs = wb_left(op.act(a, sig), list(xs))
             rhs = wb_act(wb_left(a, xs_p), block)
             if lhs != rhs:
@@ -419,8 +423,8 @@ def criterion_laws(rng: Random, scale: float = 1.0) -> CriterionResult:
         m = len(a)
         xs = _pick_args(assoc_wb_by_arity, m)
         if xs is not None:
-            if mu_tilde(wb_left(a, list(xs))) != _assoc_gamma(
-                a, [mu_tilde(p) for p in xs]
+            if mu_tilde(wb_left(a, list(xs))) != multi_compose(
+                _A, a, [mu_tilde(p) for p in xs]
             ):
                 bad.append(f"mu-tilde vs left action at {a}")
     if mu(bv_unit(_A)) != _A.unit():
@@ -481,7 +485,6 @@ def _bv_stage(x: BVPoint) -> int:
 def _wb_stage(q: WBPoint) -> tuple[int, int]:
     """Smallest (k, l): k = max component geometric inputs, l = max auxiliary
     vertex count among the components realizing k."""
-    from .wb import wb_prime_components
     comps = wb_prime_components(q)
     k = max((c.geometric_inputs for c in comps), default=0)
     l = max(
@@ -667,11 +670,8 @@ def criterion_deloop(rng: Random, scale: float = 1.0) -> CriterionResult:
         labels = tuple(
             iota(_A, random_perm(rng, s.arity)) for s in shape.subtrees
         )
-        heights = [F(0)] * shape.n_vertices
-        for v, (p, _s) in enumerate(shape.vertex_parents):
-            lo = heights[p] if p >= 0 else F(0)
-            heights[v] = random_fraction(rng, lo=lo, endpoints=False)
-        y = wb_normalize(raw_wb(_A, shape, labels, tuple(heights)))
+        heights = _random_heights(rng, shape, endpoints=False)
+        y = wb_normalize(raw_wb(_A, shape, labels, heights))
         vals = _all_split_values(gw, y, max_edges=shape.n_vertices)
         checked += 1
         if len(vals) != 1:
@@ -851,11 +851,7 @@ def _random_cell_point(rng: Random, idx: UpsilonIndex) -> WBPoint:
             random_fraction(rng) for _ in range(a.n_vertices - 1)
         )
         labels.append(raw_bv(_A, a, labs, params))
-    heights = [F(0)] * idx.main.n_vertices
-    for v, (p, _s) in enumerate(idx.main.vertex_parents):
-        lo = heights[p] if p >= 0 else F(0)
-        heights[v] = random_fraction(rng, lo=lo)
-    return raw_wb(_A, idx.main, tuple(labels), tuple(heights))
+    return raw_wb(_A, idx.main, tuple(labels), _random_heights(rng, idx.main))
 
 
 def criterion_cells(rng: Random, scale: float = 1.0) -> CriterionResult:
@@ -896,15 +892,11 @@ def criterion_cells(rng: Random, scale: float = 1.0) -> CriterionResult:
     for idx in shapes:
         mx = max_vertices(idx.main)
         for _ in range(per_shape):
-            heights = [F(0)] * idx.main.n_vertices
-            for v, (p, _s) in enumerate(idx.main.vertex_parents):
-                lo = heights[p] if p >= 0 else F(0)
-                heights[v] = lo + (F(1) - lo) * F(rng.randint(0, 8), 8)
+            heights = _random_heights(rng, idx.main)
             aux = tuple(
-                tuple(F(rng.randint(0, 8), 8) for _ in range(a.n_vertices - 1))
+                tuple(random_fraction(rng) for _ in range(a.n_vertices - 1))
                 for a in idx.aux
             )
-            heights = tuple(heights)
             checked += 1
             if homotopy_H(idx, heights, aux, F(0)) != (heights, aux):
                 bad.append(f"homotopy not the identity at 0 on {idx!r}")

@@ -264,17 +264,13 @@ class Tree:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_word(self.labels, self.shape.n_leaves)
+        n = self.shape.n_leaves
+        if sorted(self.labels) != list(range(1, n + 1)):
+            raise ValueError(f"labels {self.labels} are not a permutation of 1..{n}")
 
     @property
     def n(self) -> int:
         return self.shape.n_leaves
-
-
-def check_word(word, n: int) -> None:
-    """Refuse a leaf word that is not a permutation of ``1..n``."""
-    if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"labels {word} are not a permutation of 1..{n}")
 
 
 def _trusted_tree(shape: PlanarTree, word: tuple[int, ...]) -> Tree:

@@ -40,7 +40,6 @@ from .trees import (
     Tree,
     _trusted_tree,
     canonicalize,
-    check_word,
     contract,
     corolla,
     cut,
@@ -62,6 +61,10 @@ class WBPoint:
     """A point of the bimodule resolution.  ``heights[v]`` and ``labels[v]``
     decorate preorder main-tree vertex ``v``; ``tree.labels`` is the leaf
     word of the main tree.
+
+    The dataclass constructor checks nothing: caller data enters through
+    ``raw_wb`` (or ``reassemble_bands``), which validates it once, and the
+    engine builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``wb_act`` by the identity returns it as it is.  Only
@@ -196,8 +199,8 @@ def _rewrite(operad: Operad, root: Node, redex) -> Node:
 
 
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
-    """Canonical form; idempotent and rewrite-order independent (tested)."""
-    _validate_raw(raw)
+    """Canonical form; idempotent and rewrite-order independent (tested).
+    The input is trusted: it comes from ``raw_wb`` or from the engine."""
     operad = raw.operad
     root = _nodes(raw)
     # Rewriting reads the labels (unit detection, merges), so they must be
@@ -360,7 +363,9 @@ def reassemble_bands(
     """Stack the band sub-point lists back into a single point: each
     sub-point's dangling edges are filled, in planar order, by the
     sub-points of the band above.  Inverse of ``subdivide`` up to
-    normalization."""
+    normalization.  The stack is built with ``raw_wb``, which checks the
+    caller's ``word`` (``None`` is the identity) and that heights do not
+    drop from one band to the next."""
     if len(gap_lists) != len(cube_lists) + 1:
         raise ValueError("need one more gap list than cube lists")
     bands: list[Sequence[WBPoint]] = [gap_lists[0]]
@@ -386,17 +391,12 @@ def reassemble_bands(
         items = new_items
     if len(items) != 1:
         raise AssertionError("bottom band must produce a single rooted point")
-    if not isinstance(items[0], Node):
-        # Every band was trivial: the stack is the degenerate unit point.
-        return wb_trivial(operad)
     root = items[0]
-    arity = len(leaf_slots(root))
-    if word is None:
-        word = identity_perm(arity)
-    else:
-        check_word(word, arity)
-    set_word(root, word)
-    return wb_normalize(_point(operad, root, False))
+    if not isinstance(root, Node):
+        # Every band was trivial: the stack is the degenerate unit point.
+        root = Node(bv_unit(operad), ZERO, [root])
+    shape, labels, heights, _ = from_nodes(root)
+    return wb_normalize(raw_wb(operad, shape, labels, heights, word))
 
 
 def wb_is_prime(x: WBPoint) -> bool:
@@ -451,8 +451,6 @@ def wb_filtration(x: WBPoint, k: int, l: Optional[int] = None) -> bool:
     total auxiliary-tree vertices), tested on prime components.  They are
     read off the unit-cube cut unnormalized: normalizing a component only
     re-presents it, which changes neither count."""
-    if not x.canonical:
-        x = wb_normalize(x)
     for comp in wb_decompose(x).cubes[0]:
         if is_trivial_subpoint(comp):
             continue  # an edge crossing the band
@@ -473,9 +471,9 @@ def y_cell_membership(x: WBPoint, k: int, l: int) -> frozenset[str]:
 
     The input is deliberately not normalized: the cells quotient only by the
     symmetric relation and the equal-height contraction, so boundary strata
-    survive on representatives.
+    survive on representatives.  The input is trusted: build it with
+    ``raw_wb``.
     """
-    _validate_raw(x)
     flags: set[str] = set()
     if x.geometric_inputs != k or x.aux_vertex_count != l:
         return frozenset({"outside"})

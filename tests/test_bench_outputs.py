@@ -1,9 +1,9 @@
 """The benchmark's recorded outputs still hold: a slice of each in-process
 workload's catalog and one pass over the ``cells`` requests, checked
 against ``bench/data`` exactly as ``bench/run.py`` checks them, the
-``laws`` slice stays within a pinned count of normalizations, and every
-name the benchmark's tracer rebinds still exists.  The ``bench`` modules
-are imported, never changed."""
+``laws`` slice stays within pinned counts of normalizations and
+validations, and every name the benchmark's tracer rebinds still exists.
+The ``bench`` modules are imported, never changed."""
 
 import importlib
 import sys
@@ -20,15 +20,19 @@ finally:
     sys.path.remove(str(BENCH))
 
 
-@pytest.mark.parametrize("name", ["normalize", "laws"])
-def test_in_process_outputs_match_the_digests(name):
-    w = wl.IN_PROCESS[name]()
+def _replay(w):
+    """Entries 0-249 at catalog starts 0, 25,000, 50,000 and 75,000."""
     tally = wl.Tally()
     for start in (0, 25000, 50000, 75000):
         wl.measure(w, start, [], 0, 250, limit=250, tally=tally)
     assert tally.attempted == 1000
     assert tally.wrong == []
     assert tally.failed == 0
+
+
+@pytest.mark.parametrize("name", ["normalize", "laws"])
+def test_in_process_outputs_match_the_digests(name):
+    _replay(wl.IN_PROCESS[name]())
 
 
 # ``bv_normalize`` calls over that ``laws`` slice: 4,310 while every
@@ -53,11 +57,31 @@ def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    tally = wl.Tally()
-    for start in (0, 25000, 50000, 75000):
-        wl.measure(w, start, [], 0, 250, limit=250, tally=tally)
-    assert tally.attempted == 1000 and tally.wrong == [] and tally.failed == 0
+    _replay(w)
     assert 0 < calls <= LAWS_BV_NORMALIZE_CALLS
+
+
+# ``_validate_raw`` calls (``bv`` and ``wb`` together) over the same slice:
+# 2,363 while the normalizers and the cell classifiers re-checked every
+# point, 40 since only ``raw_bv`` and ``raw_wb`` validate (the ``raw_wb``
+# of ``wb_gamma0``).  Tighten the bound when a change lowers the work.
+LAWS_VALIDATE_RAW_CALLS = 40
+
+
+def test_laws_slice_stays_within_its_validation_bound(monkeypatch):
+    w = wl.IN_PROCESS["laws"]()
+    calls = 0
+    for layer in ("bv", "wb"):
+        module = sys.modules[f"operad_forge.{layer}"]
+
+        def counted(p, original=module._validate_raw):
+            nonlocal calls
+            calls += 1
+            return original(p)
+
+        monkeypatch.setattr(module, "_validate_raw", counted)
+    _replay(w)
+    assert 0 < calls <= LAWS_VALIDATE_RAW_CALLS
 
 
 def test_cells_outputs_match_the_digests():

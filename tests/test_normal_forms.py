@@ -1,12 +1,17 @@
 """The engine trusts a point flagged canonical: it is a normal form.  Here
 every normal form is checked again through the raw constructors, and every
-shortcut that trusts one is checked against the slow path it skips."""
+shortcut that trusts one is checked against the slow path it skips.  Only
+the raw constructors validate, so every point the engine hands to a
+normalizer is checked here too."""
 
+import sys
 from dataclasses import replace
+from fractions import Fraction as F
 from random import Random
 
 import pytest
 
+from operad_forge import selftest
 from operad_forge.bv import bv_act, bv_normalize, iota, raw_bv
 from operad_forge.operads import (
     AssocOperad,
@@ -16,13 +21,14 @@ from operad_forge.operads import (
     operad_by_name,
 )
 from operad_forge.sampling import random_bv, random_wb
-from operad_forge.trees import corolla
+from operad_forge.trees import corolla, graft
 from operad_forge.wb import (
     raw_wb,
     reassemble_bands,
     wb_act,
     wb_decompose,
     wb_normalize,
+    wb_trivial,
 )
 
 FREE = operad_by_name("free:a=2,b=3:4")
@@ -104,6 +110,85 @@ def test_reassemble_bands_checks_a_given_word():
     y = next(y for y in wbs if y.arity >= 2 and y.n_main_vertices >= 2)
     d = wb_decompose(y)
     assert reassemble_bands(y.operad, d.gaps, d.cubes, y.tree.labels) == y
-    for word in ((1,) * y.arity, tuple(range(1, y.arity)), tuple(range(2, y.arity + 2))):
+    for word in (
+        (1,) * y.arity,
+        tuple(range(1, y.arity)),
+        tuple(range(1, y.arity + 2)),
+        tuple(range(2, y.arity + 2)),
+    ):
         with pytest.raises(ValueError):
             reassemble_bands(y.operad, d.gaps, d.cubes, word)
+
+
+def test_reassemble_bands_checks_the_word_of_an_all_trivial_stack():
+    op = AssocOperad()
+    t = wb_trivial(op)
+    assert reassemble_bands(op, [[t], [t]], [[t]], (1,)) == t
+    with pytest.raises(ValueError):
+        reassemble_bands(op, [[t], [t]], [[t]], (1, 2))
+
+
+def _stack(op, low, high):
+    """Unit-cube bands: an arity-2 corolla at height ``low``, an arity-2
+    corolla at height ``high`` on its first input, and leaves above."""
+    a = iota(op, (1, 2))
+    bottom = raw_wb(op, corolla(2), (a,), (low,))
+    middle = raw_wb(op, corolla(2), (a,), (high,))
+    t = wb_trivial(op)
+    return reassemble_bands(op, [[bottom], [t, t, t]], [[middle, t]])
+
+
+def test_reassemble_bands_refuses_bands_out_of_height_order():
+    op = AssocOperad()
+    want = wb_normalize(raw_wb(
+        op, graft(corolla(2), 1, corolla(2)), (iota(op, (1, 2)),) * 2,
+        (F(0), F(1, 2)),
+    ))
+    assert _stack(op, F(0), F(1, 2)) == want
+    with pytest.raises(ValueError, match="monotonicity"):
+        _stack(op, F(1), F(1, 2))
+
+
+def _revalidating(monkeypatch):
+    """Wrap ``bv_normalize`` and ``wb_normalize`` wherever a module of the
+    package binds them, so that each input (and, for a bimodule point,
+    each of its labels) is rebuilt through the raw constructors first."""
+    bv_original, wb_original = bv_normalize, wb_normalize
+    seen = {"bv": 0, "wb": 0}
+
+    def bv_checked(x, *args, **kwargs):
+        seen["bv"] += 1
+        raw_bv(x.operad, x.tree.shape, x.labels, x.params, x.tree.labels)
+        return bv_original(x, *args, **kwargs)
+
+    def wb_checked(y, *args, **kwargs):
+        seen["wb"] += 1
+        raw_wb(y.operad, y.tree.shape, y.labels, y.heights, y.tree.labels)
+        for x in y.labels:
+            raw_bv(x.operad, x.tree.shape, x.labels, x.params, x.tree.labels)
+        return wb_original(y, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "operad_forge":
+            for attr, value in list(vars(module).items()):
+                if value is bv_original:
+                    monkeypatch.setattr(module, attr, bv_checked)
+                elif value is wb_original:
+                    monkeypatch.setattr(module, attr, wb_checked)
+    return seen
+
+
+@pytest.mark.parametrize("criterion", [
+    selftest.criterion_laws,
+    selftest.criterion_roundtrip,
+    selftest.criterion_alpha_laws,
+    selftest.criterion_deloop,
+], ids=lambda c: c.__name__)
+def test_engine_built_points_revalidate(monkeypatch, criterion):
+    """The points that ``bv_compose``, ``bv_act``, ``wb_left``,
+    ``wb_right``, ``wb_act``, the band cuts and ``reassemble_bands`` build
+    pass the raw constructors' checks."""
+    seen = _revalidating(monkeypatch)
+    result = criterion(Random(13), scale=0.05)
+    assert result.ok, result.line
+    assert seen["bv"] > 0 and seen["wb"] > 0
