@@ -49,6 +49,7 @@ from .cells import (
     automorphism_families,
     build_graph,
     census_size,
+    class_count,
     class_key,
     classify,
     contract_main_edge,

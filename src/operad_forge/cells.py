@@ -2,8 +2,8 @@
 
 A cell index pairs a main planar tree with one auxiliary planar tree per
 main vertex (the auxiliary tree's leaves are the vertex's input slots).
-This module enumerates those indices by geometric-input count and total
-auxiliary vertex count, groups them into classes under families of
+This module counts and enumerates those indices by geometric-input count
+and total auxiliary vertex count, groups them into classes under families of
 non-planar isomorphisms, builds the directed graphs whose edges contract a
 single inner edge of the main tree (splicing the two auxiliary trees), and
 derives from each graph a Reedy-category index structure.  It also provides
@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
 from math import factorial
+from operator import mul
 from typing import Optional, Union
 
 from .operads import Perm, all_perms, compositions, identity_perm, perm_compose
@@ -28,7 +29,6 @@ from .trees import (
     graft,
     isomorphisms,
     labeled_encoding,
-    planar_tree_counts,
     planar_trees,
     slot_encodings,
 )
@@ -108,57 +108,84 @@ def enumerate_upsilon(
     return out
 
 
-def census_size(k: int, l: int, require_nontrivial_main: bool = False) -> int:
-    """``len(enumerate_upsilon(k, l, require_nontrivial_main))``, counted
-    without building an index.
+def _series(k: int, l: int, colours: int, unordered: bool) -> int:
+    """The coefficient of ``x^k y^l`` in ``T = y (x + F(x + colours T) - 1)``,
+    ``F`` the sequence construction ``1 / (1 - A)`` or, when ``unordered``,
+    the multiset one ``exp(sum_j A(x^j, y^j) / j)`` (Flajolet & Sedgewick,
+    *Analytic Combinatorics*, 2009, I.2).  ``F`` is solved one ``y``-degree
+    at a time, as ``T`` at degree ``c`` reads ``F`` below ``c`` only: the
+    sequence from ``F = 1 + A F``, the multiset from its ``x``-derivative,
+    ``x F' = D F`` with ``D = sum_j (x A')(x^j, y^j)``, all in integers.
+    Every term of ``A`` has ``x``-degree at least 1."""
+    f: list[list[int]] = []  # f[c][g]: the coefficient of x^g y^c in F
+    a: list[list[int]] = []  # the same for A = x + colours T
+    d = [[0] * (k + 1) for _ in range(l)]  # the same for D
+    w = d if unordered else a  # the weights of the recurrence
 
-    Generating-function counting over main trees (Flajolet & Sedgewick,
-    *Analytic Combinatorics*, 2009): a main leaf weighs ``x`` and a main
-    vertex of arity ``a`` weighs ``P_a = sum count * x^u * y^c`` over its
-    auxiliary trees with ``c`` vertices and ``u`` univalent vertices, so the
-    census is the coefficient of ``x^k y^l`` in ``T = sum_a P_a (x + T)^a``.
-    Every slot weighs at least ``x``, so arities above ``k`` drop out.
-    """
+    def tree(c: int) -> list[int]:  # the y-degree c >= 1 slice of T
+        t = [0] + f[c - 1][1:]
+        t[1] += c == 1
+        return t
+
+    for c in range(l):
+        if c:
+            a.append([colours * n for n in tree(c)])
+        else:
+            a.append([int(g == 1) for g in range(k + 1)])
+        if unordered:  # (x A')(x^j, y^j) holds n a[c][n] at x^(n j) y^(c j)
+            for j in range(1, (l - 1) // c + 1 if c else k + 1):
+                for n in range(1, k // j + 1):
+                    d[c * j][n * j] += n * a[c][n]
+        if not c:  # A = x at y-degree 0, so F = 1 / (1 - x) for both
+            f.append([1] * (k + 1))
+            continue
+        f.append([0] * (k + 1))
+        for g in range(1, k + 1):
+            s = sum(
+                sum(map(mul, w[c1][1 : g + 1], f[c - c1][g - 1 :: -1]))
+                for c1 in range(c + 1)
+            )
+            f[c][g] = s // g if unordered else s
+    return tree(l)[k]
+
+
+def _count(k: int, l: int, require_nontrivial_main: bool, unordered: bool) -> int:
     if k < 1 or l < 1:
         raise ValueError("both grading parameters must be >= 1")
-    aux = [
-        [
-            (u, c, n)
-            for c in range(1, l + 1)
-            for u, n in planar_tree_counts(a, c).items()
-            if a + u <= k
-        ]
-        for a in range(k + 1)
-    ]
-    # tree[g][c]: weighted main trees of x-degree g and y-degree c;
-    # power[a][g][c]: the same coefficient of (x + T)^a.  T at y-degree c
-    # needs powers below c only, since every P_a has y-degree >= 1.
-    tree = [[0] * (l + 1) for _ in range(k + 1)]
-    power = [[[0] * (l + 1) for _ in range(k + 1)] for _ in range(k + 1)]
-    for a in range(k + 1):
-        power[a][a][0] = 1  # x^a
-    for c in range(1, l + 1):
-        for a, options in enumerate(aux):
-            pa = power[a]
-            for u, c1, n in options:
-                if c1 <= c:
-                    for g in range(a + u, k + 1):
-                        tree[g][c] += n * pa[g - u][c - c1]
-        for a in range(1, k + 1):
-            prev, pa = power[a - 1], power[a]
-            for g in range(a, k + 1):
-                # the first slot is a main leaf, or a main tree of
-                # x-degree g1 and y-degree c1
-                s = prev[g - 1][c]
-                for g1 in range(1, g - a + 2):
-                    row, rest = tree[g1], prev[g - g1]
-                    for c1 in range(1, c + 1):
-                        s += row[c1] * rest[c - c1]
-                pa[g][c] = s
-    total = tree[k][l]
-    if require_nontrivial_main:  # drop the corollas: a leaves, one vertex
-        total -= sum(planar_tree_counts(a, l).get(k - a, 0) for a in range(k + 1))
+    total = _series(k, l, 2, unordered)
+    if require_nontrivial_main:  # less the corollas: no child main vertex
+        total -= _series(k, l, 1, unordered)
     return total
+
+
+def census_size(k: int, l: int, require_nontrivial_main: bool = False) -> int:
+    """``len(enumerate_upsilon(k, l, require_nontrivial_main))``, counted
+    with no index built.
+
+    Glued along its main edges, a cell index is one planar tree of
+    auxiliary vertices, each child of three kinds: a main leaf, an
+    auxiliary child, or the auxiliary root of a child main vertex.  With
+    ``x`` marking geometric inputs (main leaves and childless auxiliary
+    vertices) and ``y`` auxiliary vertices, the census is the coefficient
+    of ``x^k y^l`` in ``T = y (x + SEQ>=1(x + 2 T))``.  The corolla main
+    trees have no child of the third kind: ``T = y (x + SEQ>=1(x + T))``
+    counts them, the plain planar trees of ``enumerate_trees``.
+    """
+    return _count(k, l, require_nontrivial_main, unordered=False)
+
+
+def class_count(k: int, l: int, require_nontrivial_main: bool = False) -> int:
+    """``len(classify(enumerate_upsilon(k, l, require_nontrivial_main)))``,
+    counted with no index built.
+
+    A class key is the tree of ``census_size`` with unordered children: an
+    auxiliary vertex encodes the multiset of its children, each a main
+    leaf, an auxiliary child or the key of a child main vertex.  So the
+    count is the coefficient of ``x^k y^l`` in
+    ``C = y (x + MSET>=1(x + 2 C))``, less ``C = y (x + MSET>=1(x + C))``
+    for the corolla main trees.
+    """
+    return _count(k, l, require_nontrivial_main, unordered=True)
 
 
 # ---------------------------------------------------------------------------

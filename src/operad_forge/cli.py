@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Optional
@@ -20,6 +21,7 @@ from .cells import (
     TreeClass,
     build_graph,
     census_size,
+    class_count,
     classify,
     enumerate_upsilon,
     graph_classes,
@@ -152,8 +154,8 @@ def _load_kernel_spec(path: str) -> dict:
         raise CliInputError(f"cannot read kernel file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"kernel file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(spec, dict) or "table" not in spec:
-        raise CliInputError(f"kernel file {path!r} must be an object with a 'table'")
+    if not isinstance(spec, dict) or not isinstance(spec.get("table"), dict):
+        raise CliInputError(f"kernel file {path!r} must hold a 'table' object")
     return spec
 
 
@@ -165,14 +167,14 @@ def _loop_kernel(name: str, operad: Operad) -> LoopElement:
     if name.startswith("table:"):
         spec = _load_kernel_spec(name[len("table:"):])
         window = spec.get("window", ["1/3", "2/3"])
-        try:
-            lo, hi = (parse_frac(w) for w in window)
-        except (ValueError, TypeError) as exc:
-            raise CliInputError(f"bad kernel window {window!r}") from exc
         table = {json.dumps(k, sort_keys=True) if not isinstance(k, str) else k: v
                  for k, v in spec["table"].items()}
         endo = table_eta(operad, table, name="table")
-        return window_loop(eta, endo, (lo, hi), name=f"table[{lo},{hi}]")
+        try:  # window_loop refuses a window outside 0 <= lo < hi <= 1
+            lo, hi = (parse_frac(w) for w in window)
+            return window_loop(eta, endo, (lo, hi), name=f"table[{lo},{hi}]")
+        except (ValueError, TypeError) as exc:
+            raise CliInputError(f"bad kernel window {window!r}") from exc
     raise CliInputError(f"unknown kernel {name!r} (expected 'constant' or 'table:<file>')")
 
 
@@ -371,17 +373,16 @@ def _cmd_deloop(args) -> int:
 
 
 def _graph_classes(args, k: int, l: int) -> list[TreeClass]:
-    """The classes of the contraction graph, refused over the budget before
-    any edge is built."""
+    """The classes of the contraction graph, refused over the budget on
+    their count before any index is built."""
     budget = _budget(args)
     _check_grading(k, l)
-    classes = graph_classes(k, l)
-    if len(classes) > budget:
+    count = class_count(k, l, require_nontrivial_main=True)
+    if count > budget:
         raise CliValidationError(
-            f"class count {len(classes)} exceeds budget {budget}",
-            k=k, l=l,
+            f"class count {count} exceeds budget {budget}", k=k, l=l,
         )
-    return classes
+    return graph_classes(k, l)
 
 
 def _cmd_graph(args) -> int:
@@ -453,7 +454,7 @@ def _cmd_export_dot(args) -> int:
         else:  # graph: rebuild from the (k,l) recorded in the payload
             k, l = int(data["k"]), int(data["l"])
             _write(dot_graph(build_graph(k, l, _graph_classes(args, k, l))))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
         raise CliValidationError(f"invalid payload for kind {args.kind!r}: {exc}")
     return 0
 
@@ -471,6 +472,18 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument grammar
 # ---------------------------------------------------------------------------
+
+
+def _finite_float(text: str) -> float:
+    """A float option's value; ``nan``, ``inf`` and overflows such as
+    ``1e309`` are refused as grammar errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -534,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("tree", "bv", "wb", "graph"),
                    default="tree")
     p = add("selftest", _cmd_selftest, "run the full acceptance suite")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_finite_float, default=1.0,
                    help="shrink randomized sample counts (default: 1.0, full)")
     return top
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from random import Random
 from typing import Callable, Optional
@@ -65,6 +66,7 @@ from .operads import (
     ComOperad,
     CubeConfig,
     EndOperad,
+    OperadMapEta,
     act_cubes,
     block_perm,
     compose_cubes,
@@ -80,7 +82,7 @@ from .sampling import (
     random_perm,
     random_wb,
 )
-from .trees import PlanarTree, corolla, enumerate_trees, planar_tree_counts, planar_trees
+from .trees import PlanarTree, corolla, enumerate_trees, planar_trees
 from .wb import (
     WBPoint,
     mu_tilde,
@@ -117,6 +119,13 @@ class CriterionResult:
         status = "PASS" if self.ok else "FAIL"
         tail = f" — {self.detail}" if self.detail else ""
         return f"[{status}] criterion {self.number}: {self.name} ({self.checked} checks){tail}"
+
+
+@cache
+def _reversal() -> OperadMapEta:
+    """Word reversal on ``_A`` as a table kernel, built once: the table
+    holds every word up to arity 8 and draws no randomness."""
+    return table_eta(_A, reversal_table(8), "rev")
 
 
 def _scaled(base: int, scale: float) -> int:
@@ -495,9 +504,9 @@ def _wb_stage(q: WBPoint) -> tuple[int, int]:
 
 
 def _census_tree_oracle(k: int, l: int) -> int:
-    """``len(enumerate_trees(k, l))`` by the counting recursion, which
-    builds no tree."""
-    return sum(planar_tree_counts(m, l).get(k - m, 0) for m in range(k + 1))
+    """``len(enumerate_trees(k, l))`` counted, with no tree built: the
+    indices whose main tree is a corolla, one per auxiliary tree."""
+    return census_size(k, l) - census_size(k, l, True)
 
 
 def _census_upsilon_oracle(k: int, l: int) -> int:
@@ -593,10 +602,8 @@ def criterion_alpha_laws(rng: Random, scale: float = 1.0) -> CriterionResult:
     checked = 0
     eta = identity_eta(_A)
     f0 = eta_mu_tilde(eta)
-    fw = xi(window_loop(eta, table_eta(_A, reversal_table(8), "rev"), name="w"))
-    fv = xi(window_loop(
-        eta, table_eta(_A, reversal_table(8), "rev"), (F(1, 4), F(1, 2)), name="v"
-    ))
+    fw = xi(window_loop(eta, _reversal(), name="w"))
+    fv = xi(window_loop(eta, _reversal(), (F(1, 4), F(1, 2)), name="v"))
     stock = [f0, fw, fv]
     n_rand = _scaled(200, scale)
     for _ in range(n_rand):
@@ -654,7 +661,7 @@ def criterion_deloop(rng: Random, scale: float = 1.0) -> CriterionResult:
     bad: list[str] = []
     checked = 0
     eta = identity_eta(_A)
-    rev = table_eta(_A, reversal_table(8), "rev")
+    rev = _reversal()
     gw = window_loop(eta, rev, name="w")
 
     # Split independence: exhaustive over shapes with <= 4 main vertices,
@@ -714,7 +721,7 @@ def criterion_worked_examples(rng: Random, scale: float = 1.0) -> CriterionResul
     bad: list[str] = []
     checked = 0
     eta = identity_eta(_A)
-    g = window_loop(eta, table_eta(_A, reversal_table(8), "rev"), name="w")
+    g = window_loop(eta, _reversal(), name="w")
 
     # Delooping closed form: main tree = root (arity 2) with an arity-2
     # child at the same height and an arity-3 child at a later height.  The
@@ -754,10 +761,8 @@ def criterion_worked_examples(rng: Random, scale: float = 1.0) -> CriterionResul
     x5t = PlanarTree((None, None))
     shape = PlanarTree((x2t, x5t))
     f0 = eta_mu_tilde(eta)
-    f1 = xi(window_loop(eta, table_eta(_A, reversal_table(8), "rev"), name="wa"))
-    f2 = xi(window_loop(
-        eta, table_eta(_A, reversal_table(8), "rev"), (F(1, 4), F(1, 2)), name="wb"
-    ))
+    f1 = xi(window_loop(eta, _reversal(), name="wa"))
+    f2 = xi(window_loop(eta, _reversal(), (F(1, 4), F(1, 2)), name="wb"))
     unit = _A.unit()
     for _ in range(_scaled(10, scale)):
         labs = {
@@ -928,7 +933,7 @@ def criterion_cells(rng: Random, scale: float = 1.0) -> CriterionResult:
 def criterion_mutants(rng: Random, scale: float = 1.0) -> CriterionResult:
     bad: list[str] = []
     eta = identity_eta(_A)
-    rev = table_eta(_A, reversal_table(8), "rev")
+    rev = _reversal()
     n = _scaled(40, scale)
     bv_samples = [bv_normalize(random_bv(rng, _A)) for _ in range(n)]
     bv_single = [

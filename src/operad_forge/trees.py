@@ -124,32 +124,13 @@ def graft(base: PlanarTree, i: int, scion: PlanarTree) -> PlanarTree:
     ``scion``; the scion's root edge becomes a new inner edge."""
     if not 1 <= i <= base.n_leaves:
         raise IndexError(f"leaf index {i} out of range 1..{base.n_leaves}")
-
-    def go(sub: PlanarTree, target: int) -> PlanarTree:
-        new_children: list[Optional[PlanarTree]] = []
-        done = False
-        for c in sub.children:
-            if done:
-                new_children.append(c)
-                continue
-            if c is None:
-                if target == 1:
-                    new_children.append(scion)
-                    done = True
-                else:
-                    new_children.append(c)
-                    target -= 1
-            else:
-                nl = c.n_leaves
-                if target <= nl:
-                    new_children.append(go(c, target))
-                    done = True
-                else:
-                    new_children.append(c)
-                    target -= nl
-        return PlanarTree(tuple(new_children))
-
-    return go(base, i)
+    kids = list(base.children)
+    for s, c in enumerate(kids):
+        n = 1 if c is None else c.n_leaves
+        if i <= n:  # leaf i is this slot's, or in the child vertex here
+            kids[s] = scion if c is None else graft(c, i, scion)
+            return PlanarTree(tuple(kids))
+        i -= n
 
 
 # ---------------------------------------------------------------------------
@@ -205,49 +186,6 @@ def enumerate_trees(k: int, l: int) -> list[PlanarTree]:
         t for m in range(k + 1) for t in planar_trees(m, l)
         if t.geometric_inputs == k
     ]
-
-
-def _add_product(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
-    """``out += a * b`` for polynomials stored as ``{exponent: coefficient}``."""
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-
-
-@lru_cache(maxsize=None)
-def _forests_lv_count(p: int, n: int) -> dict[int, int]:
-    """The counting twin of ``_forests_lv``: univalent count -> number of
-    child tuples."""
-    if p == 0 and n == 0:
-        return {0: 1}
-    if p < 0 or n < 0:
-        return {}
-    out: dict[int, int] = {}
-    if p >= 1:
-        _add_product(out, {0: 1}, _forests_lv_count(p - 1, n))
-    for n1 in range(1, n + 1):
-        for p1 in range(0, p + 1):
-            _add_product(out, _trees_lv_count(p1, n1), _forests_lv_count(p - p1, n - n1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _trees_lv_count(p: int, n: int) -> dict[int, int]:
-    """The counting twin of ``_trees_lv``: univalent count -> number of
-    trees."""
-    if n <= 0 or p < 0:
-        return {}
-    if p == 0 and n == 1:
-        return {1: 1}  # the lone univalent vertex; its child tuple is empty
-    return _forests_lv_count(p, n - 1)
-
-
-def planar_tree_counts(n_leaves: int, n_vertices: int) -> dict[int, int]:
-    """How many ``planar_trees(n_leaves, n_vertices)`` have each number of
-    univalent vertices, without building any tree."""
-    if n_vertices <= 0 or n_leaves < 0:
-        return {}
-    return dict(_trees_lv_count(n_leaves, n_vertices))
 
 
 # ---------------------------------------------------------------------------

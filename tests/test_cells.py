@@ -16,6 +16,7 @@ from operad_forge.cells import (
     automorphism_families,
     build_graph,
     census_size,
+    class_count,
     class_key,
     classify,
     contract_main_edge,
@@ -94,7 +95,9 @@ def test_census_size_counts_the_enumeration(k, l, nontrivial):
     census = enumerate_upsilon(k, l, nontrivial)
     assert census_size(k, l, nontrivial) == len(census)
     # the class keys' multinomials against the generating functions
-    assert sum(c.size for c in classify(census)) == census_size(k, l, nontrivial)
+    classes = classify(census)
+    assert sum(c.size for c in classes) == census_size(k, l, nontrivial)
+    assert class_count(k, l, nontrivial) == len(classes)
 
 
 def test_census_size_pinned_values():
@@ -103,9 +106,24 @@ def test_census_size_pinned_values():
     # both checked once by enumeration, which takes seconds
     assert census_size(6, 5) == 251568
     assert census_size(6, 5, True) == 235845
+    # past the reach of enumeration, and the cubic-in-k case of the old
+    # counter (one census member at l = 1)
+    assert census_size(30, 30) == 16092270593006083173713827586677596068249600
+    assert census_size(400, 1) == 1
     for k, l in [(0, 3), (3, 0), (-1, 2)]:
         with pytest.raises(ValueError, match="grading parameters"):
             census_size(k, l)
+
+
+def test_class_count_pinned_values():
+    # the vertices of the contraction graphs, each checked once by
+    # classifying the census
+    pins = {(4, 3): 63, (5, 4): 887, (6, 4): 1389, (5, 5): 6925,
+            (6, 5): 12590, (7, 5): 20972}
+    assert {kl: class_count(*kl, True) for kl in pins} == pins
+    for k, l in [(0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="grading parameters"):
+            class_count(k, l)
 
 
 def test_nontrivial_census_is_a_subset():

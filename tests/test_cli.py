@@ -161,6 +161,7 @@ def test_graph_budget_is_checked_before_contracting(
     capsys, monkeypatch, command
 ):
     monkeypatch.setattr(cli, "build_graph", _refuse_to_run)
+    monkeypatch.setattr(cli, "graph_classes", _refuse_to_run)
     code, out, _ = run(
         capsys, monkeypatch, ["--budget", "10", command, "--k", "4", "--l", "3"]
     )
@@ -171,6 +172,7 @@ def test_graph_budget_is_checked_before_contracting(
 def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     monkeypatch.setattr(cli, "build_graph", _refuse_to_run)
+    monkeypatch.setattr(cli, "graph_classes", _refuse_to_run)
     argv = ["export-dot", "--kind", "graph"]
     code, out, _ = run(capsys, monkeypatch, ["--budget", "10", *argv], '{"k":4,"l":3}')
     assert code == 1
@@ -178,9 +180,10 @@ def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, argv, '{"k":0,"l":3}')
     assert code == 2 and out == ""
     assert err.startswith("operad-forge: --k and --l must be >= 1")
-    code, out, _ = run(capsys, monkeypatch, argv, '{"k":"x","l":3}')
-    assert code == 1
-    assert json.loads(out)["error"].startswith("invalid payload for kind 'graph'")
+    for payload in ('{"k":"x","l":3}', '{"k":1e400,"l":2}', '{"k":Infinity,"l":2}'):
+        code, out, _ = run(capsys, monkeypatch, argv, payload)
+        assert code == 1
+        assert json.loads(out)["error"].startswith("invalid payload for kind 'graph'")
 
 
 @pytest.mark.parametrize(
@@ -252,7 +255,7 @@ def test_homotopy_h_hand_value(capsys, monkeypatch):
     assert data["membership"]["H"] is True
 
 
-def test_exit_code_2_on_bad_input(capsys, monkeypatch):
+def test_exit_code_2_on_bad_input(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, monkeypatch, ["normalize-bv"], "{not json")
     assert code == 2 and "JSON" in err
     code, _, err = run(
@@ -267,8 +270,21 @@ def test_exit_code_2_on_bad_input(capsys, monkeypatch):
         dumps(wb_to_json(w)),
     )
     assert code == 2 and "unknown kernel" in err
-    # argparse grammar errors also exit 2
+    # a reversed window, and a table that is not an object
+    for name, spec in [("reversed", {"window": ["2/3", "1/3"], "table": {}}),
+                       ("list", {"table": []})]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(
+            capsys, monkeypatch, ["deloop", "--kernel", f"table:{path}"],
+            dumps(wb_to_json(w)),
+        )
+        assert code == 2 and out == "" and err.startswith("operad-forge: ")
+        assert "Traceback" not in err
+    # argparse grammar errors also exit 2, a non-finite scale among them
     assert main(["no-such-command"]) == 2
+    for scale in ("nan", "inf", "1e309"):
+        assert main(["selftest", "--scale", scale]) == 2
     capsys.readouterr()
 
 

@@ -5,7 +5,6 @@ against pairwise isomorphism search, and the tie-break of ``canonicalize``
 against its brute force."""
 
 import json
-from collections import Counter
 from fractions import Fraction as F
 from itertools import groupby, permutations, product
 from operator import attrgetter
@@ -15,6 +14,7 @@ from typing import Iterator, Optional
 import pytest
 
 from operad_forge.bv import bv_act, bv_normalize, iota, raw_bv
+from operad_forge.cells import census_size
 from operad_forge.operads import ComOperad, operad_by_name, perm_inverse
 from operad_forge.sampling import random_bv_of_arity, random_element
 from operad_forge.trees import (
@@ -33,7 +33,6 @@ from operad_forge.trees import (
     labeled_encoding,
     leaf_slots,
     nonplanar_iso,
-    planar_tree_counts,
     planar_trees,
     preorder,
     slot_encodings,
@@ -76,13 +75,6 @@ def test_planar_trees_against_growth_oracle():
             assert len(set(map(repr, got))) == len(got)
 
 
-def test_planar_tree_counts_tally_planar_trees():
-    for nl in range(0, 6):
-        for nv in range(-1, 6):
-            want = Counter(t.n_univalent for t in planar_trees(nl, nv))
-            assert planar_tree_counts(nl, nv) == dict(want)
-
-
 def test_enumerate_trees_is_generate_and_filter():
     for k in range(1, 5):
         for l in range(1, 5):
@@ -95,12 +87,13 @@ def test_enumerate_trees_is_generate_and_filter():
             assert sorted(map(repr, enumerate_trees(k, l))) == want
 
 
-def test_enumerate_trees_counts_match_planar_tree_counts():
-    # planar_tree_counts is a counting recursion of its own, with no tree
-    # built, so it checks enumerate_trees independently.
+def test_enumerate_trees_counts_match_the_corolla_census():
+    # A planar tree is the auxiliary tree of a cell index with a corolla
+    # main tree.  census_size counts those with no tree built, so it checks
+    # enumerate_trees independently.
     for k in range(1, 7):
         for l in range(1, 6):
-            want = sum(planar_tree_counts(m, l).get(k - m, 0) for m in range(k + 1))
+            want = census_size(k, l) - census_size(k, l, True)
             assert len(enumerate_trees(k, l)) == want
 
 
@@ -122,6 +115,20 @@ def test_graft_leaf_arithmetic():
         g = graft(base, i, scion)
         assert g.n_leaves == base.n_leaves + scion.n_leaves - 1
         assert g.n_vertices == base.n_vertices + scion.n_vertices
+
+
+def test_graft_replaces_the_ith_leaf():
+    # a leaf is "." in the compact repr, so grafting replaces the i-th dot
+    scion = PlanarTree((corolla(1), None))
+    for nl in range(0, 5):
+        for t in planar_trees(nl, 3):
+            parts = repr(t).split(".")
+            for i in range(1, nl + 1):
+                want = ".".join(parts[:i]) + repr(scion) + ".".join(parts[i:])
+                assert repr(graft(t, i, scion)) == want
+            for i in (0, nl + 1):
+                with pytest.raises(IndexError, match=rf"^leaf index {i} out of range 1\.\.{nl}$"):
+                    graft(t, i, scion)
 
 
 def test_graft_parallel_slots_commute():
