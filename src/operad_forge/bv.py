@@ -20,12 +20,13 @@ from functools import cached_property, partial
 from random import Random
 from typing import Any, Optional
 
-from .operads import AssocOperad, Operad, Perm, identity_perm, perm_compose
+from .operads import AssocOperad, Operad, Perm, identity_perm
 from .trees import (
     Node,
     PlanarTree,
     Tree,
     _trusted_tree,
+    act_on_word,
     canonicalize,
     contract,
     corolla,
@@ -247,16 +248,8 @@ def mu(x: BVPoint) -> Any:
 
 
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
-    """The symmetric action: relabel the leaves, then re-canonicalize.  A
-    normal form is a fixed point of the identity."""
-    if x.canonical and sigma == identity_perm(x.arity):
-        return x
-    new_word = perm_compose(x.tree.labels, sigma)
-    p = BVPoint(
-        x.operad, x.operad_name, Tree(x.tree.shape, new_word), x.labels,
-        x.params, False,
-    )
-    return bv_normalize(p)
+    """The symmetric action: relabel the leaves, then re-canonicalize."""
+    return act_on_word(x, sigma, bv_normalize)
 
 
 def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:
@@ -351,18 +344,30 @@ def bv_prime_components(x: BVPoint) -> list[BVPoint]:
 # ---------------------------------------------------------------------------
 
 
+def in_stage(pairs, k: int, l: Optional[int] = None) -> bool:
+    """Whether prime components with these ``(geometric inputs, size)``
+    pairs lie in the k-th filtration stage (and its l-th substage when ``l``
+    is given, which bounds the size of the components with ``k`` inputs)."""
+    return all(
+        g <= k if l is None else g <= k - 1 or (g == k and size <= l)
+        for g, size in pairs
+    )
+
+
 def bv_filtration(x: BVPoint, k: int, l: Optional[int] = None) -> bool:
     """Membership in the k-th filtration stage (and its l-th substage when
-    ``l`` is given), tested on prime components."""
-    for comp in bv_prime_components(x):
-        g = comp.geometric_inputs
-        if l is None:
-            if g > k:
-                return False
-        else:
-            if not (g <= k - 1 or (g == k and comp.n_vertices <= l)):
-                return False
-    return True
+    ``l`` is given, counting vertices), tested on prime components."""
+    return in_stage(
+        ((c.geometric_inputs, c.n_vertices) for c in bv_prime_components(x)), k, l
+    )
+
+
+def has_unit_bivalent(x: BVPoint) -> bool:
+    """Whether some vertex of ``x`` has one input and the unit label."""
+    return any(
+        sub.arity == 1 and x.operad.is_unit(label)
+        for sub, label in zip(x.tree.shape.subtrees, x.labels)
+    )
 
 
 def x_cell_membership(x: BVPoint, k: int, l: int) -> str:
@@ -373,10 +378,6 @@ def x_cell_membership(x: BVPoint, k: int, l: int) -> str:
     shape = x.tree.shape
     if shape.geometric_inputs != k or shape.n_vertices != l:
         return "outside"
-    for v, sub in enumerate(shape.subtrees):
-        if sub.arity == 1 and x.operad.is_unit(x.labels[v]):
-            return "boundary"
-    for t in x.params:
-        if t == 0 or t == 1:
-            return "boundary"
+    if has_unit_bivalent(x) or any(t == 0 or t == 1 for t in x.params):
+        return "boundary"
     return "interior"

@@ -22,7 +22,7 @@ from math import factorial
 from operator import mul
 from typing import Optional, Union
 
-from .operads import Perm, all_perms, compositions, identity_perm, perm_compose
+from .operads import Perm, all_perms, compositions, identity_perm
 from .trees import (
     PlanarTree,
     TreeIso,
@@ -203,16 +203,22 @@ def class_count(k: int, l: int, require_nontrivial_main: bool = False) -> int:
 # ``(1, child key)`` for a child vertex.
 
 
-def _vertex_key(idx: UpsilonIndex, v: int) -> tuple:
+def _slot_entries(idx: UpsilonIndex, v: int) -> list[tuple]:
+    """The class-key entry of each input slot of main vertex ``v``, in slot
+    order: ``(0,)`` for a main leaf, ``(1, key)`` for a child vertex."""
     entries = []
-    w = v + 1
+    w = v + 1  # the preorder index of the next child vertex
     for c in idx.main.subtrees[v].children:
         if c is None:
             entries.append((0,))
         else:
             entries.append((1, _vertex_key(idx, w)))
             w += c.n_vertices
-    return labeled_encoding(idx.aux[v], iter(entries))
+    return entries
+
+
+def _vertex_key(idx: UpsilonIndex, v: int) -> tuple:
+    return labeled_encoding(idx.aux[v], iter(_slot_entries(idx, v)))
 
 
 def class_key(idx: UpsilonIndex):
@@ -286,48 +292,37 @@ def stab(
     cls: TreeClass, main_vertex: int, aux_vertex: int
 ) -> list[Perm]:
     """Coset representatives of the input permutations of an auxiliary
-    vertex under the automorphism families fixing it; the identity comes
-    first and represents the class of induced automorphisms.
+    vertex under the automorphism families fixing it, in lexicographic
+    order, so the identity comes first and represents the class of induced
+    automorphisms.
 
     With the auxiliary leaves labeled by their slot entries, as in the class
     key, the induced permutations are every permutation inside each block of
-    slots of the auxiliary vertex with equal encodings."""
+    slots of the auxiliary vertex with equal encodings.  So the least
+    member of each coset is the one that increases on every block."""
     rep = cls.representative
-    main = rep.main
-    if not 0 <= main_vertex < main.n_vertices:
+    if not 0 <= main_vertex < rep.main.n_vertices:
         raise ValueError(f"no main vertex {main_vertex}")
     a = rep.aux[main_vertex]
     if not 0 <= aux_vertex < a.n_vertices:
         raise ValueError(
             f"no auxiliary vertex {aux_vertex} at main vertex {main_vertex}"
         )
-    m = a.arity_of(aux_vertex)
-    entries = [
-        (0,) if c is None
-        else (1, _vertex_key(rep, main.child_vertex[(main_vertex, s)]))
-        for s, c in enumerate(main.subtrees[main_vertex].children, start=1)
-    ]
     skip = 0  # the auxiliary leaves before aux_vertex, in planar order
     v = aux_vertex
     while v:
         v, slot = a.vertex_parents[v]
         skip += PlanarTree(a.subtrees[v].children[: slot - 1]).n_leaves
-    encs = slot_encodings(a.subtrees[aux_vertex], iter(entries[skip:]))
-    # the product of the symmetric groups on the blocks of equal encodings
-    induced = [
-        tau for tau in all_perms(m)
-        if all(encs[t - 1] == enc for t, enc in zip(tau, encs))
+    entries = iter(_slot_entries(rep, main_vertex)[skip:])
+    encs = slot_encodings(a.subtrees[aux_vertex], entries)
+    blocks: dict[tuple, list[int]] = {}
+    for s, enc in enumerate(encs):
+        blocks.setdefault(enc, []).append(s)
+    pairs = [(s, t) for blk in blocks.values() for s, t in zip(blk, blk[1:])]
+    return [
+        sigma for sigma in all_perms(len(encs))
+        if all(sigma[s] < sigma[t] for s, t in pairs)
     ]
-    reps: list[Perm] = []
-    covered: set[Perm] = set()
-    ident = identity_perm(m)
-    for sigma in [ident] + sorted(all_perms(m)):
-        if sigma in covered:
-            continue
-        reps.append(sigma)
-        for tau in induced:
-            covered.add(perm_compose(tau, sigma))
-    return reps
 
 
 # ---------------------------------------------------------------------------

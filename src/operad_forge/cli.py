@@ -100,9 +100,17 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _check_grading(k: int, l: int) -> None:
+def _grade_budget(args, k: int, l: int) -> int:
+    """The budget for grade ``(k, l)``, with ``k`` compared first: an index
+    of that grade has ``k`` geometric inputs to build, and at ``l >= 2`` its
+    census and class counts are at least ``k``, so a larger ``k`` is refused
+    before anything is counted."""
+    budget = _budget(args)
     if k < 1 or l < 1:
         raise CliInputError(f"--k and --l must be >= 1, got --k {k} --l {l}")
+    if k > budget:
+        raise CliValidationError(f"k {k} exceeds budget {budget}", k=k, l=l)
+    return budget
 
 
 def _read_json(stream) -> Any:
@@ -315,8 +323,7 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_cells(args) -> int:
-    budget = _budget(args)
-    _check_grading(args.k, args.l)
+    budget = _grade_budget(args, args.k, args.l)
     size = census_size(args.k, args.l, args.nontrivial)
     if size > budget:
         raise CliValidationError(
@@ -375,8 +382,7 @@ def _cmd_deloop(args) -> int:
 def _graph_classes(args, k: int, l: int) -> list[TreeClass]:
     """The classes of the contraction graph, refused over the budget on
     their count before any index is built."""
-    budget = _budget(args)
-    _check_grading(k, l)
+    budget = _grade_budget(args, k, l)
     count = class_count(k, l, require_nontrivial_main=True)
     if count > budget:
         raise CliValidationError(

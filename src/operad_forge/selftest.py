@@ -195,33 +195,33 @@ def _iter_monotone_heights(shape: PlanarTree, grid):
     yield from go(0, ())
 
 
+def _small_shapes(min_vertices: int, max_vertices: int) -> list[PlanarTree]:
+    """The shapes with at most 3 leaves and no vertex of arity above 2, by
+    vertex count, then leaf count."""
+    return [
+        shape
+        for nv in range(min_vertices, max_vertices + 1)
+        for nl in range(0, 4)
+        for shape in planar_trees(nl, nv)
+        if all(s.arity <= 2 for s in shape.subtrees)
+    ]
+
+
 def _com_bv_pool(max_vertices: int, grid) -> list[BVPoint]:
     out = []
-    for nv in range(1, max_vertices + 1):
-        for nl in range(0, 4):
-            for shape in planar_trees(nl, nv):
-                if any(s.arity > 2 for s in shape.subtrees):
-                    continue
-                labels = tuple(s.arity for s in shape.subtrees)
-                for params in product(grid, repeat=nv - 1):
-                    out.append(
-                        bv_normalize(raw_bv(_COM, shape, labels, params))
-                    )
+    for shape in _small_shapes(1, max_vertices):
+        labels = tuple(s.arity for s in shape.subtrees)
+        for params in product(grid, repeat=shape.n_vertices - 1):
+            out.append(bv_normalize(raw_bv(_COM, shape, labels, params)))
     return out
 
 
 def _com_wb_pool(max_vertices: int, grid) -> list[WBPoint]:
     out = []
-    for nv in range(1, max_vertices + 1):
-        for nl in range(0, 4):
-            for shape in planar_trees(nl, nv):
-                if any(s.arity > 2 for s in shape.subtrees):
-                    continue
-                labels = tuple(iota(_COM, s.arity) for s in shape.subtrees)
-                for heights in _iter_monotone_heights(shape, grid):
-                    out.append(
-                        wb_normalize(raw_wb(_COM, shape, labels, heights))
-                    )
+    for shape in _small_shapes(1, max_vertices):
+        labels = tuple(iota(_COM, s.arity) for s in shape.subtrees)
+        for heights in _iter_monotone_heights(shape, grid):
+            out.append(wb_normalize(raw_wb(_COM, shape, labels, heights)))
     return out
 
 
@@ -666,14 +666,7 @@ def criterion_deloop(rng: Random, scale: float = 1.0) -> CriterionResult:
 
     # Split independence: exhaustive over shapes with <= 4 main vertices,
     # random decorations, every split sequence.
-    shapes = []
-    for nv in range(2, 5):
-        for nl in range(0, 4):
-            shapes.extend(
-                s for s in planar_trees(nl, nv)
-                if all(sub.arity <= 2 for sub in s.subtrees)
-            )
-    for shape in shapes:
+    for shape in _small_shapes(2, 4):
         labels = tuple(
             iota(_A, random_perm(rng, s.arity)) for s in shape.subtrees
         )

@@ -26,12 +26,12 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import groupby, permutations, product
 from typing import Iterator, Optional
 
-from .operads import perm_inverse
+from .operads import identity_perm, perm_compose, perm_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +328,7 @@ def labeled_encoding(sub: PlanarTree, labels: Iterator) -> tuple:
     with its leaves, in planar order, labeled by ``labels``: a leaf encodes
     as ``(0, label)`` and a vertex as ``(1, sorted child encodings)``.  Two
     labeled trees are isomorphic exactly when their encodings are equal."""
-    return (1, tuple(sorted(
-        (0, next(labels)) if c is None else labeled_encoding(c, labels)
-        for c in sub.children
-    )))
+    return (1, tuple(sorted(slot_encodings(sub, labels))))
 
 
 def slot_encodings(sub: PlanarTree, labels: Iterator) -> list:
@@ -343,25 +340,17 @@ def slot_encodings(sub: PlanarTree, labels: Iterator) -> list:
     ]
 
 
-def _dec_labeled(enc) -> tuple[Optional[PlanarTree], list[int]]:
-    if enc[0] == 0:
-        return None, [enc[1]]
-    children: list[Optional[PlanarTree]] = []
-    labels: list[int] = []
-    for ce in enc[1]:
-        c, ls = _dec_labeled(ce)
-        children.append(c)
-        labels.extend(ls)
-    return PlanarTree(tuple(children)), labels
-
-
 def canonical_form(a: Tree) -> Tree:
     """The canonical representative of the non-planar isomorphism class of a
     labeled tree: the lexicographically minimal planar presentation obtained
-    by sorting children bottom-up (labels travel with their leaves)."""
-    shape, labels = _dec_labeled(labeled_encoding(a.shape, iter(a.labels)))
-    assert shape is not None
-    return Tree(shape, tuple(labels))
+    by sorting children bottom-up (labels travel with their leaves).  It is
+    ``canonicalize`` with the trivial action, whose order on children is
+    that of ``labeled_encoding``."""
+    nv = a.shape.n_vertices
+    root = to_nodes(a.shape, (None,) * nv, (None,) * nv, a.labels)
+    canonicalize(root, lambda label, sigma: label, lambda label: "")
+    shape, _, _, word = from_nodes(root)
+    return _trusted_tree(shape, word)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +497,16 @@ def cut(node: Node, keep) -> tuple[Node, list]:
         return Node(m.label, m.t, kids)
 
     return copy(node), dangling
+
+
+def act_on_word(x, sigma, normalize):
+    """The symmetric action on a point of either resolution (``bv_act``,
+    ``wb_act``): relabel the leaves by ``sigma``, then ``normalize``.  A
+    normal form is a fixed point of the identity."""
+    if x.canonical and sigma == identity_perm(x.arity):
+        return x
+    tree = Tree(x.tree.shape, perm_compose(x.tree.labels, sigma))
+    return normalize(replace(x, tree=tree, canonical=False))
 
 
 def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:

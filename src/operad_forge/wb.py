@@ -22,23 +22,24 @@ from operator import attrgetter
 from random import Random
 from typing import Any, Optional, Sequence
 
-from .bv import BVPoint, bv_act, bv_compose, bv_normalize, bv_unit, iota, mu
-from .operads import (
-    AssocOperad,
-    CubeConfig,
-    Interval,
-    Operad,
-    Perm,
-    gaps,
-    identity_perm,
-    perm_compose,
-    unit_cube,
+from .bv import (
+    BVPoint,
+    bv_act,
+    bv_compose,
+    bv_normalize,
+    bv_unit,
+    has_unit_bivalent,
+    in_stage,
+    iota,
+    mu,
 )
+from .operads import AssocOperad, CubeConfig, Operad, Perm, gaps, unit_cube
 from .trees import (
     Node,
     PlanarTree,
     Tree,
     _trusted_tree,
+    act_on_word,
     canonicalize,
     contract,
     corolla,
@@ -264,16 +265,8 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
-    """Symmetric action on the main-tree leaf word.  A normal form is a
-    fixed point of the identity."""
-    if x.canonical and sigma == identity_perm(x.arity):
-        return x
-    new_word = perm_compose(x.tree.labels, sigma)
-    p = WBPoint(
-        x.operad, x.operad_name, Tree(x.tree.shape, new_word), x.heights,
-        x.labels, False,
-    )
-    return wb_normalize(p)
+    """Symmetric action on the main-tree leaf word, then re-canonicalize."""
+    return act_on_word(x, sigma, wb_normalize)
 
 
 def mu_tilde(x: WBPoint) -> Any:
@@ -316,20 +309,14 @@ def subdivide(
     """
     if not y.canonical:
         y = wb_normalize(y)
-    gap_ints = gaps(c)  # refuses an unsorted configuration
+    bands = _interleave(gaps(c), c.intervals)  # gaps refuses an unsorted c
     operad = y.operad
     trivial = wb_trivial(operad)
 
-    bands: list[tuple[str, Interval]] = [("gap", gap_ints[0])]
-    for j in range(c.n):
-        bands.append(("cube", c.intervals[j]))
-        bands.append(("gap", gap_ints[j + 1]))
-
     frontier: list[Any] = [_nodes(y)]
-    gap_lists: list[list[WBPoint]] = []
-    cube_lists: list[list[WBPoint]] = []
-    for kind, (lo, hi) in bands:
-        if kind == "gap":
+    band_lists: list[list[WBPoint]] = []
+    for b, (lo, hi) in enumerate(bands):
+        if b % 2 == 0:  # a closed gap band
             inband = lambda n: lo <= n.t <= hi  # noqa: E731
         else:
             inband = lambda n: lo < n.t < hi  # noqa: E731
@@ -347,11 +334,20 @@ def subdivide(
                 # A leaf half-edge or an edge to a vertex above the band.
                 subpoints.append(trivial)
                 new_frontier.append(item)
-        (gap_lists if kind == "gap" else cube_lists).append(subpoints)
+        band_lists.append(subpoints)
         frontier = new_frontier
     if any(isinstance(item, Node) for item in frontier):
         raise AssertionError("subdivision did not exhaust the main vertices")
-    return gap_lists, cube_lists
+    return band_lists[0::2], band_lists[1::2]
+
+
+def _interleave(gap_items: Sequence, cube_items: Sequence) -> list:
+    """The bands from the bottom up: gap 0, cube 1, gap 1, ..., cube n,
+    gap n."""
+    out = [gap_items[0]]
+    for cube, gap in zip(cube_items, gap_items[1:]):
+        out += (cube, gap)
+    return out
 
 
 def reassemble_bands(
@@ -368,10 +364,7 @@ def reassemble_bands(
     drop from one band to the next."""
     if len(gap_lists) != len(cube_lists) + 1:
         raise ValueError("need one more gap list than cube lists")
-    bands: list[Sequence[WBPoint]] = [gap_lists[0]]
-    for j in range(len(cube_lists)):
-        bands.append(cube_lists[j])
-        bands.append(gap_lists[j + 1])
+    bands = _interleave(gap_lists, cube_lists)
 
     items: list[Any] = [0] * sum(p.arity for p in bands[-1])
     for band in reversed(bands):
@@ -450,18 +443,10 @@ def wb_filtration(x: WBPoint, k: int, l: Optional[int] = None) -> bool:
     """Membership in the k-th filtration stage (substage ``l`` counts the
     total auxiliary-tree vertices), tested on prime components.  They are
     read off the unit-cube cut unnormalized: normalizing a component only
-    re-presents it, which changes neither count."""
-    for comp in wb_decompose(x).cubes[0]:
-        if is_trivial_subpoint(comp):
-            continue  # an edge crossing the band
-        g = comp.geometric_inputs
-        if l is None:
-            if g > k:
-                return False
-        else:
-            if not (g <= k - 1 or (g == k and comp.aux_vertex_count <= l)):
-                return False
-    return True
+    re-presents it, which changes neither count.  A trivial sub-point is an
+    edge crossing the band, not a component."""
+    comps = [c for c in wb_decompose(x).cubes[0] if not is_trivial_subpoint(c)]
+    return in_stage(((c.geometric_inputs, c.aux_vertex_count) for c in comps), k, l)
 
 
 def y_cell_membership(x: WBPoint, k: int, l: int) -> frozenset[str]:
@@ -478,16 +463,11 @@ def y_cell_membership(x: WBPoint, k: int, l: int) -> frozenset[str]:
     if x.geometric_inputs != k or x.aux_vertex_count != l:
         return frozenset({"outside"})
 
-    boundary = False
-    if any(t in (ZERO, ONE) for t in x.heights):
-        boundary = True
-    if any(t == 0 for lab in x.labels for t in lab.params):
-        boundary = True
-    for lab in x.labels:
-        for v, sub in enumerate(lab.tree.shape.subtrees):
-            if sub.arity == 1 and x.operad.is_unit(lab.labels[v]):
-                boundary = True
-    if boundary:
+    if (
+        any(t in (ZERO, ONE) for t in x.heights)
+        or any(t == 0 for lab in x.labels for t in lab.params)
+        or any(has_unit_bivalent(lab) for lab in x.labels)
+    ):
         flags.add("dY")
     else:
         flags.add("interior")

@@ -13,6 +13,7 @@ import pytest
 from operad_forge.cells import (
     ContractionGraph,
     UpsilonIndex,
+    _vertex_key,
     automorphism_families,
     build_graph,
     census_size,
@@ -38,6 +39,7 @@ from operad_forge.trees import (
     corolla,
     isomorphisms,
     planar_trees,
+    slot_encodings,
 )
 
 
@@ -341,10 +343,24 @@ def test_stabilizers_and_automorphism_families():
     assert stab(classify([sym])[0], 0, 0) == [(1, 2)]
 
 
+def _coset_reps(m: int, induced) -> list:
+    """The coset scan: the identity first, then, in lexicographic order,
+    each permutation that no earlier representative's coset covers."""
+    reps, covered = [], set()
+    ident = tuple(range(1, m + 1))
+    for sigma in [ident] + sorted(all_perms(m)):
+        if sigma in covered:
+            continue
+        reps.append(sigma)
+        for tau in induced:
+            covered.add(perm_compose(tau, sigma))
+    return reps
+
+
 def _oracle_stab(cls, main_vertex: int, aux_vertex: int) -> list:
     """``stab`` from its definition: the input permutations at the
     auxiliary vertex induced by every automorphism family fixing it, then
-    the same coset scan, identity first."""
+    the coset scan."""
     rep = cls.representative
     m = rep.aux[main_vertex].arity_of(aux_vertex)
     induced = set()
@@ -355,15 +371,46 @@ def _oracle_stab(cls, main_vertex: int, aux_vertex: int) -> list:
         if g.vertex_map[aux_vertex] != aux_vertex:
             continue
         induced.add(g.input_perms[aux_vertex])
-    reps, covered = [], set()
-    ident = tuple(range(1, m + 1))
-    for sigma in [ident] + sorted(all_perms(m)):
-        if sigma in covered:
-            continue
-        reps.append(sigma)
-        for tau in induced:
-            covered.add(perm_compose(tau, sigma))
-    return reps
+    return _coset_reps(m, induced)
+
+
+def _block_scan_stab(cls, main_vertex: int, aux_vertex: int) -> list:
+    """``stab`` as a scan: the induced permutations are all those that keep
+    every slot of the auxiliary vertex in its block of equal encodings, and
+    the coset scan picks a representative per coset."""
+    rep = cls.representative
+    main = rep.main
+    a = rep.aux[main_vertex]
+    m = a.arity_of(aux_vertex)
+    entries = [
+        (0,) if c is None
+        else (1, _vertex_key(rep, main.child_vertex[(main_vertex, s)]))
+        for s, c in enumerate(main.subtrees[main_vertex].children, start=1)
+    ]
+    skip = 0  # the auxiliary leaves before aux_vertex, in planar order
+    v = aux_vertex
+    while v:
+        v, slot = a.vertex_parents[v]
+        skip += PlanarTree(a.subtrees[v].children[: slot - 1]).n_leaves
+    encs = slot_encodings(a.subtrees[aux_vertex], iter(entries[skip:]))
+    induced = [
+        tau for tau in all_perms(m)
+        if all(encs[t - 1] == enc for t, enc in zip(tau, encs))
+    ]
+    return _coset_reps(m, induced)
+
+
+def test_stab_matches_the_block_coset_scan():
+    triples = 0
+    for k, l in [(4, 3), (5, 3), (5, 4), (6, 3), (4, 4)]:
+        for nontrivial in (False, True):
+            for cls in classify(enumerate_upsilon(k, l, nontrivial)):
+                rep = cls.representative
+                for v in range(rep.main.n_vertices):
+                    for u in range(rep.aux[v].n_vertices):
+                        assert stab(cls, v, u) == _block_scan_stab(cls, v, u)
+                        triples += 1
+    assert triples == 14003
 
 
 def test_stab_matches_the_automorphism_families():

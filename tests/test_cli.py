@@ -186,6 +186,42 @@ def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
         assert json.loads(out)["error"].startswith("invalid payload for kind 'graph'")
 
 
+HUGE = 10**15
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, l",
+    [
+        (["cells", "--k", str(HUGE), "--l", "2"], "", 2),
+        (["cells", "--k", str(HUGE), "--l", "1"], "", 1),
+        (["graph", "--k", str(HUGE), "--l", "1"], "", 1),
+        (["reedy", "--k", str(HUGE), "--l", "2"], "", 2),
+        (["export-dot", "--kind", "graph"], f'{{"k":{HUGE},"l":2}}', 2),
+    ],
+)
+def test_huge_grades_are_refused_before_counting(
+    capsys, monkeypatch, argv, stdin, l
+):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    for name in ("census_size", "class_count", "enumerate_upsilon", "graph_classes"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    start = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch, argv, stdin)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert out == f'{{"error":"k {HUGE} exceeds budget 200000","k":{HUGE},"l":{l}}}\n'
+
+
+def test_k_is_compared_with_the_budget_before_the_census(capsys, monkeypatch):
+    # at l = 1 the census is 1, but its one index has k geometric inputs
+    argv = ["cells", "--k", "5", "--l", "1"]
+    code, out, _ = run(capsys, monkeypatch, ["--budget", "5", *argv])
+    assert code == 0 and json.loads(out)["census"] == 1
+    code, out, _ = run(capsys, monkeypatch, ["--budget", "4", *argv])
+    assert code == 1
+    assert out == '{"error":"k 5 exceeds budget 4","k":5,"l":1}\n'
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,12 +1,15 @@
 """Every module in the package uses every name it imports (``__init__.py``
-is exempt: its imports are the package's re-exports), and every private
+is exempt: its imports are the package's re-exports), every private
 module-level function, class and constant is reachable from the rest of
-the package."""
+the package, and every public module-level function and class is read
+somewhere."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "operad_forge"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "operad_forge"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -32,7 +35,7 @@ def test_no_unused_imports():
 
 def _defined_name(node: ast.stmt):
     """The name a module-level definition binds, or ``None``."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(node, DEFINITIONS):
         return node.name
     if isinstance(node, ast.Assign) and len(node.targets) == 1:
         target = node.targets[0]
@@ -47,6 +50,12 @@ def _is_private(name) -> bool:
     return name is not None and name.startswith("_") and not name.startswith("__")
 
 
+def _reads(node: ast.stmt) -> set[str]:
+    """The names a statement reads: bare names and attribute names."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def _dead_private_names() -> list[str]:
     """Private module-level definitions that no public code reaches.  Names
     are matched package-wide (a read ``x._f`` counts as a use of every
@@ -58,8 +67,7 @@ def _dead_private_names() -> list[str]:
     roots: set[str] = set()  # the names the rest of the package reads
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            read = _reads(node)
             name = _defined_name(node)
             if _is_private(name):
                 uses.setdefault(name, set()).update(read)
@@ -78,3 +86,27 @@ def _dead_private_names() -> list[str]:
 
 def test_no_dead_private_code():
     assert _dead_private_names() == []
+
+
+def _dead_public_names() -> list[str]:
+    """Public module-level functions and classes of the package that no
+    code in ``src``, ``tests``, ``demos`` or ``bench`` reads, apart from
+    their own definition and the re-exports of ``__init__.py``."""
+    defined: dict[str, str] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
+    read: set[str] = set()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == PACKAGE / "__init__.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                # a definition reading its own name is recursion, not a use
+                read |= _reads(node) - {getattr(node, "name", None)}
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_no_dead_public_code():
+    assert _dead_public_names() == []

@@ -432,6 +432,35 @@ def test_isomorphisms_match_the_backtracking_search():
     assert (pairs, isomorphic) == (3994, 225)
 
 
+def _decode(enc) -> tuple[Optional[PlanarTree], list[int]]:
+    """The tree and leaf word that a labeled encoding spells, children in
+    encoding order."""
+    if enc[0] == 0:
+        return None, [enc[1]]
+    children: list[Optional[PlanarTree]] = []
+    labels: list[int] = []
+    for ce in enc[1]:
+        c, ls = _decode(ce)
+        children.append(c)
+        labels.extend(ls)
+    return PlanarTree(tuple(children)), labels
+
+
+def test_canonical_form_is_the_decoded_labeled_encoding():
+    rng = Random(1507)
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(0, 6):
+            for t in planar_trees(nl, nv):
+                for _ in range(3):
+                    word = tuple(rng.sample(range(1, nl + 1), nl))
+                    shape, labels = _decode(labeled_encoding(t, iter(word)))
+                    c = canonical_form(Tree(t, word))
+                    assert (c.shape, c.labels) == (shape, tuple(labels))
+                    cases += 1
+    assert cases == 13578
+
+
 def test_slot_encodings_are_what_labeled_encoding_sorts():
     for nv in range(1, 4):
         for nl in range(0, 5):
