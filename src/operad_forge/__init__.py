@@ -54,6 +54,7 @@ from .cells import (
     classify,
     contract_main_edge,
     enumerate_upsilon,
+    generate_classes,
     h_membership,
     homotopy_H,
     latching_index,

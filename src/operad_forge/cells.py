@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import groupby, product
+from functools import cached_property, cmp_to_key
+from itertools import chain, groupby, product
 from math import factorial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Union
 
 from .operads import Perm, all_perms, compositions, identity_perm
@@ -92,7 +92,8 @@ def enumerate_upsilon(
     out: list[UpsilonIndex] = []
     min_p = 2 if require_nontrivial_main else 1
     for p in range(min_p, l + 1):  # main vertices; each needs >= 1 aux vertex
-        for m in range(0, k + 1):  # main leaves
+        # main leaves: each of the l auxiliary vertices adds at most one input
+        for m in range(max(0, k - l), k + 1):
             for main in planar_trees(m, p):
                 arities = [main.arity_of(v) for v in range(p)]
                 for counts in compositions(l, p):
@@ -246,9 +247,10 @@ def _presentations(enc: tuple) -> int:
 
 @dataclass(frozen=True)
 class TreeClass:
-    """An isomorphism class of cell indices: its first-seen member in the
-    census and the canonical key.  ``size``, the number of planar members,
-    is read off the key."""
+    """An isomorphism class of cell indices: its representative and the
+    canonical key.  The representative is the least member in
+    ``enumerate_upsilon`` order, which is the census's first-seen member.
+    ``size``, the number of planar members, is read off the key."""
 
     representative: UpsilonIndex
     key: tuple = field(compare=False, repr=False)
@@ -264,11 +266,225 @@ class TreeClass:
 
 def classify(indices: list[UpsilonIndex]) -> list[TreeClass]:
     """Partition a census of indices into isomorphism classes, in first-seen
-    order, each represented by its first-seen member."""
+    order, each represented by its first-seen member.  On a whole census
+    that member is the class's least in ``enumerate_upsilon`` order, so the
+    result equals ``generate_classes``, which builds no census."""
     reps: dict[tuple, UpsilonIndex] = {}
     for idx in indices:
         reps.setdefault(class_key(idx), idx)
     return [TreeClass(rep, key) for key, rep in reps.items()]
+
+
+# ---------------------------------------------------------------------------
+# Classes generated from their keys
+# ---------------------------------------------------------------------------
+#
+# A class key is a tree of auxiliary vertices whose children are main
+# leaves, auxiliary children and the keys of child main vertices: the
+# grammar ``C = y (x + MSET>=1(x + 2 C))`` that ``class_count`` counts.
+# ``generate_classes`` builds the keys of each grade bottom-up as multisets
+# over the keys of lower grades, so each class comes out once (an orderly
+# generation: McKay, "Isomorph-free exhaustive generation", J. Algorithms
+# 26, 1998), and decodes each key to its least member in census order.
+#
+# That order is lexicographic in (main vertex count, main leaf count, main
+# tree, composition, auxiliary trees).  A planar tree's position in
+# ``planar_trees`` compares child sequences, a leaf before a vertex and
+# vertices by (vertex count, leaf count, children).  So every auxiliary
+# subtree contributes four runs to a member's order, each at a fixed place:
+#   E, the tokens of its leaves' entries in the main tree (a main leaf
+#      ``(0,)``, a child main vertex ``(1, vertices, leaves, E)``);
+#   B, the auxiliary vertex counts of the child main vertices below it, in
+#      main preorder (their part of the composition);
+#   O, its token in its own auxiliary tree (``(1, vertices, leaves,
+#      children's tokens)``);
+#   X, the auxiliary trees of the child main vertices below it, in main
+#      preorder, each as its root's children's tokens.
+# A member is least when every subtree takes its least (E, B, O, X) over
+# the orders of its children, each child taking its own least first (an
+# exchange argument: a child's runs keep their length and place).  At one
+# vertex, ``_least_order`` finds that order.
+
+
+@dataclass(eq=False)
+class _KeyVertex:
+    """An auxiliary vertex of a class key with the subtree below it, its
+    children in least order: ``kids`` holds ``(kind, vertex)`` pairs, kind
+    0 a main leaf, 1 a child main vertex (as its auxiliary root), 2 an
+    auxiliary child.  ``aux`` counts the auxiliary vertices of the subtree
+    in its own tree, ``mains`` and ``main_leaves`` the main vertices and
+    main leaves below it."""
+
+    key: tuple
+    kids: tuple
+    leaves: int
+    aux: int
+    mains: int
+    main_leaves: int
+    e: tuple
+    b: tuple
+    o: tuple
+    x: tuple
+
+
+_MAIN_LEAF = (0, (0,))  # a main leaf's entry in a key
+_LEAF_TOKEN = (0,)
+
+
+def _child(kind: int, v: _KeyVertex) -> tuple:
+    """A child main vertex (kind 1) or auxiliary child (kind 2) as
+    ``(E, B, O, X, kind, vertex)``: its runs in the parent's order."""
+    if kind == 1:
+        return (
+            ((1, 1 + v.mains, v.main_leaves, v.e),), (v.aux,) + v.b,
+            _LEAF_TOKEN, (v.o,) + v.x, 1, v,
+        )
+    return (v.e, v.b, (1, v.aux, v.leaves, v.o), v.x, 2, v)
+
+
+def _concat(a: tuple, b: tuple) -> int:
+    """Compare ``a + b`` with ``b + a``: the order of the least
+    concatenation, a total preorder on runs that are not empty."""
+    ab, ba = a + b, b + a
+    return (ab > ba) - (ab < ba)
+
+
+def _before(a: tuple, b: tuple) -> int:
+    """Order two children that carry leaves: E, then B, by concatenation,
+    then O, then X by concatenation."""
+    return (
+        _concat(a[0], b[0]) or _concat(a[1], b[1])
+        or (a[2] > b[2]) - (a[2] < b[2]) or _concat(a[3], b[3])
+    )
+
+
+def _least_order(children: list[tuple]) -> list[tuple]:
+    """The children of one vertex in the order whose concatenated (E, B, O,
+    X) is least.  Leafless children have empty E, B and X, so they change O
+    only: they merge into the sorted rest by O, whose tokens, having leaves,
+    never equal theirs.  A main leaf, least in E and in O, leads, so it is
+    left to the caller."""
+    leafy = sorted((c for c in children if c[0]), key=cmp_to_key(_before))
+    leafless = sorted((c for c in children if not c[0]), key=itemgetter(2))
+    out: list[tuple] = []
+    i = 0
+    for c in leafy:
+        while i < len(leafless) and leafless[i][2] < c[2]:
+            out.append(leafless[i])
+            i += 1
+        out.append(c)
+    return out + leafless[i:]
+
+
+def _key_vertex(n_leaves: int, children: list[tuple]) -> _KeyVertex:
+    """The vertex with ``n_leaves`` main leaves and ``children``, as
+    ``_child`` gives them, in least order."""
+    order = _least_order(children)
+    encs = sorted((0, (1, c[5].key)) if c[4] == 1 else c[5].key for c in order)
+    kids = ((0, None),) * n_leaves + tuple((c[4], c[5]) for c in order)
+    subs = [c[5] for c in order if c[4] == 2]
+    mains = [c[5] for c in order if c[4] == 1]
+    return _KeyVertex(
+        (1, (_MAIN_LEAF,) * n_leaves + tuple(encs)),
+        kids,
+        n_leaves + len(mains) + sum(v.leaves for v in subs),
+        1 + sum(v.aux for v in subs),
+        sum(1 + v.mains for v in mains) + sum(v.mains for v in subs),
+        n_leaves + sum(v.main_leaves for v in mains + subs),
+        (_LEAF_TOKEN,) * n_leaves + tuple(chain.from_iterable(c[0] for c in order)),
+        tuple(chain.from_iterable(c[1] for c in order)),
+        (_LEAF_TOKEN,) * n_leaves + tuple(c[2] for c in order),
+        tuple(chain.from_iterable(c[3] for c in order)),
+    )
+
+
+def _key_vertices(g: int, c: int, lower: list) -> list[_KeyVertex]:
+    """The key vertices of grade ``(g, c)``: ``g`` geometric inputs and
+    ``c`` auxiliary vertices.  ``lower`` lists ``(c', g', children)`` for
+    every lower grade with ``c' < c``, in increasing ``(c', g')``; each
+    multiset of those children is taken once, in non-decreasing list
+    order, and main leaves make up the rest of ``g``."""
+    out = [_key_vertex(0, [])] if (g, c) == (1, 1) else []
+
+    def extend(start: int, first: int, g: int, c: int, chosen: list) -> None:
+        if c == 0:
+            if chosen or g:
+                out.append(_key_vertex(g, chosen))
+            return
+        for i in range(start, len(lower)):
+            ci, gi, kids = lower[i]
+            if ci > c:
+                break
+            if gi > g or (gi == g and ci < c):  # a child needs an input
+                continue
+            for j in range(first if i == start else 0, len(kids)):
+                extend(i, j, g - gi, c - ci, chosen + [kids[j]])
+
+    extend(0, 0, g, c - 1, [])
+    return out
+
+
+def _decode(v: _KeyVertex) -> tuple[PlanarTree, list[PlanarTree]]:
+    """The main subtree of a main vertex's auxiliary root ``v`` and its
+    auxiliary trees in main preorder, in the least order of ``v``."""
+    aux: list[PlanarTree] = []
+    slots: list[Optional[PlanarTree]] = []
+
+    def shape(u: _KeyVertex) -> PlanarTree:
+        kids: list[Optional[PlanarTree]] = []
+        for kind, w in u.kids:
+            kids.append(shape(w) if kind == 2 else None)
+            if kind == 0:
+                slots.append(None)
+            elif kind == 1:
+                sub, sub_aux = _decode(w)
+                slots.append(sub)
+                aux.extend(sub_aux)
+        return PlanarTree(tuple(kids))
+
+    root = shape(v)
+    return PlanarTree(tuple(slots)), [root] + aux
+
+
+def _trusted_index(main: PlanarTree, aux: tuple[PlanarTree, ...]) -> UpsilonIndex:
+    """An ``UpsilonIndex`` that the engine built itself, so it is not
+    checked again: a decoded key or a contraction."""
+    idx = object.__new__(UpsilonIndex)
+    object.__setattr__(idx, "main", main)
+    object.__setattr__(idx, "aux", aux)
+    return idx
+
+
+def generate_classes(
+    k: int, l: int, require_nontrivial_main: bool = False
+) -> list[TreeClass]:
+    """``classify(enumerate_upsilon(k, l, require_nontrivial_main))``,
+    generated from the class keys with no index of the census built: the
+    same classes, keys and representatives (each class's least member in
+    ``enumerate_upsilon`` order), in the same order.  The work follows the
+    class count of the grade and of the lower grades it is built from."""
+    if k < 1 or l < 1:
+        raise ValueError("both grading parameters must be >= 1")
+    lower: list[tuple[int, int, list[tuple]]] = []
+    for c in range(1, l):
+        for g in range(1, k + 1):
+            verts = _key_vertices(g, c, lower)
+            if verts:
+                lower.append(
+                    (c, g, [_child(kind, v) for v in verts for kind in (1, 2)])
+                )
+    top = [
+        v for v in _key_vertices(k, l, lower)
+        if v.mains or not require_nontrivial_main
+    ]
+    top.sort(key=lambda v: (
+        v.mains, v.main_leaves, v.e, (v.aux,) + v.b, (v.o,) + v.x
+    ))
+    out = []
+    for v in top:
+        main, aux = _decode(v)
+        out.append(TreeClass(_trusted_index(main, tuple(aux)), v.key))
+    return out
 
 
 def automorphism_families(
@@ -353,7 +569,7 @@ def contract_main_edge(
         v = up
     aux = idx.aux
     merged = graft(aux[parent], slot, aux[child])
-    return UpsilonIndex(
+    return _trusted_index(
         sub, aux[:parent] + (merged,) + aux[parent + 1 : child] + aux[child + 1 :]
     )
 
@@ -405,8 +621,10 @@ def _finish_graph(
 def graph_classes(k: int, l: int) -> list[TreeClass]:
     """The vertices of ``build_graph(k, l)``: the classes with ``k``
     geometric inputs, ``l`` auxiliary vertices, and a non-corolla main
-    tree."""
-    return classify(enumerate_upsilon(k, l, require_nontrivial_main=True))
+    tree, generated with no census.  Each is represented by its least
+    member in ``enumerate_upsilon`` order, and they come in the order of
+    those members."""
+    return generate_classes(k, l, require_nontrivial_main=True)
 
 
 def build_graph(

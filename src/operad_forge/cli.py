@@ -22,8 +22,7 @@ from .cells import (
     build_graph,
     census_size,
     class_count,
-    classify,
-    enumerate_upsilon,
+    generate_classes,
     graph_classes,
     h_membership,
     homotopy_H,
@@ -330,12 +329,11 @@ def _cmd_cells(args) -> int:
             f"census size {size} exceeds budget {budget}",
             k=args.k, l=args.l,
         )
-    census = enumerate_upsilon(args.k, args.l, args.nontrivial)
-    classes = classify(census)
+    classes = generate_classes(args.k, args.l, args.nontrivial)
     _emit({
         "k": args.k,
         "l": args.l,
-        "census": len(census),
+        "census": size,
         "classes": [class_to_json(c) for c in classes],
     })
     return 0
@@ -381,7 +379,7 @@ def _cmd_deloop(args) -> int:
 
 def _graph_classes(args, k: int, l: int) -> list[TreeClass]:
     """The classes of the contraction graph, refused over the budget on
-    their count before any index is built."""
+    their count before any is generated."""
     budget = _grade_budget(args, k, l)
     count = class_count(k, l, require_nontrivial_main=True)
     if count > budget:

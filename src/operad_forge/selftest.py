@@ -37,8 +37,8 @@ from .cells import (
     UpsilonIndex,
     build_graph,
     census_size,
-    classify,
     enumerate_upsilon,
+    graph_classes,
     h_membership,
     homotopy_H,
     max_vertices,
@@ -883,9 +883,7 @@ def criterion_cells(rng: Random, scale: float = 1.0) -> CriterionResult:
             bad.append("the (3,2) graph should have no edges")
 
     # Homotopy endpoints and image membership.
-    shapes = [
-        c.representative for c in classify(enumerate_upsilon(4, 3, True))
-    ]
+    shapes = [c.representative for c in graph_classes(4, 3)]
     per_shape = _scaled(500, scale)
     for idx in shapes:
         mx = max_vertices(idx.main)

@@ -140,20 +140,24 @@ def graft(base: PlanarTree, i: int, scion: PlanarTree) -> PlanarTree:
 
 @lru_cache(maxsize=None)
 def _forests_lv(p: int, n: int) -> tuple[tuple[Optional[PlanarTree], ...], ...]:
-    """Ordered child tuples with total leaf count p and total vertices n."""
-    if p == 0 and n == 0:
-        return ((),)
+    """Ordered child tuples with total leaf count p and total vertices n,
+    compared slot by slot: a leaf before a vertex, vertices by (vertex
+    count, leaf count, position).  So the tuples with ``j`` leading leaves
+    come in decreasing ``j``, each run with its first vertex in that order.
+    Every call below has fewer vertices, so the recursion is as deep as
+    ``n``, whatever ``p``."""
     if p < 0 or n < 0:
         return ()
+    if n == 0:
+        return ((None,) * p,)
     out: list[tuple[Optional[PlanarTree], ...]] = []
-    if p >= 1:
-        for rest in _forests_lv(p - 1, n):
-            out.append((None,) + rest)
-    for n1 in range(1, n + 1):
-        for p1 in range(0, p + 1):
-            for t in _trees_lv(p1, n1):
-                for rest in _forests_lv(p - p1, n - n1):
-                    out.append((t,) + rest)
+    for j in range(p, -1, -1):
+        lead = (None,) * j
+        for n1 in range(1, n + 1):
+            for p1 in range(0, p - j + 1):
+                for t in _trees_lv(p1, n1):
+                    for rest in _forests_lv(p - j - p1, n - n1):
+                        out.append(lead + (t,) + rest)
     return tuple(out)
 
 

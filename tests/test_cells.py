@@ -1,18 +1,26 @@
 """Cell-complex layer: index enumeration against a generate-and-filter
-oracle, classification against pairwise isomorphism search, contraction
-graphs against brute-force closure, stabilizers against the automorphism
+oracle, classification against pairwise isomorphism search, the class
+generator against classification of the census and its least members
+against every order of wide vertices, contraction graphs against
+brute-force closure, stabilizers against the automorphism
 families, class sizes against the census, the Reedy-style category,
 membership polytopes, and the deformation."""
 
 from fractions import Fraction as F
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 from random import Random
 
 import pytest
 
+from operad_forge import cells
 from operad_forge.cells import (
     ContractionGraph,
+    TreeClass,
     UpsilonIndex,
+    _child,
+    _decode,
+    _key_vertex,
     _vertex_key,
     automorphism_families,
     build_graph,
@@ -22,6 +30,7 @@ from operad_forge.cells import (
     classify,
     contract_main_edge,
     enumerate_upsilon,
+    generate_classes,
     graph_classes,
     h_membership,
     homotopy_H,
@@ -86,6 +95,13 @@ def test_enumerate_upsilon_against_oracle(k, l, nontrivial):
     assert len(set(map(repr, got))) == len(got)
 
 
+@lru_cache(maxsize=None)
+def _classified(k, l, nontrivial):
+    """The census size and ``classify`` of the census, built once a grade."""
+    census = enumerate_upsilon(k, l, nontrivial)
+    return len(census), classify(census)
+
+
 @pytest.mark.parametrize(
     "k,l",
     # every grading this file enumerates, and four larger ones
@@ -94,12 +110,171 @@ def test_enumerate_upsilon_against_oracle(k, l, nontrivial):
 )
 @pytest.mark.parametrize("nontrivial", [False, True])
 def test_census_size_counts_the_enumeration(k, l, nontrivial):
-    census = enumerate_upsilon(k, l, nontrivial)
-    assert census_size(k, l, nontrivial) == len(census)
+    size, classes = _classified(k, l, nontrivial)
+    assert census_size(k, l, nontrivial) == size
     # the class keys' multinomials against the generating functions
-    classes = classify(census)
     assert sum(c.size for c in classes) == census_size(k, l, nontrivial)
     assert class_count(k, l, nontrivial) == len(classes)
+
+
+@pytest.mark.parametrize(
+    "k,l", [(k, l) for k in range(1, 7) for l in range(1, 5)] + [(5, 5)]
+)
+@pytest.mark.parametrize("nontrivial", [False, True])
+def test_generate_classes_is_classify_of_the_census(k, l, nontrivial):
+    _, want = _classified(k, l, nontrivial)
+    got = generate_classes(k, l, nontrivial)
+    assert [repr(c.representative) for c in got] == [
+        repr(c.representative) for c in want
+    ]
+    assert [c.key for c in got] == [c.key for c in want]
+    assert [class_key(c.representative) for c in got] == [c.key for c in got]
+
+
+@pytest.mark.parametrize("k,l", [(6, 5), (300, 2)])
+def test_generate_classes_counts_past_the_census(k, l, monkeypatch):
+    built = 0
+    key_vertex = cells._key_vertex
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return key_vertex(*args)
+
+    monkeypatch.setattr(cells, "_key_vertex", counted)
+    classes = generate_classes(k, l, True)
+    assert len(classes) == class_count(k, l, True)
+    assert sum(c.size for c in classes) == census_size(k, l, True)
+    # the work: one key vertex per class of the grade and of each lower
+    # grade it is built from, with or without a child main vertex
+    assert built == class_count(k, l) + sum(
+        class_count(g, c) for c in range(1, l) for g in range(1, k + 1)
+    )
+
+
+def _in_census_order(idx: UpsilonIndex) -> tuple:
+    """Where ``enumerate_upsilon`` puts ``idx``: by main vertex count, main
+    leaf count, main tree, composition, then auxiliary trees, each tree in
+    ``planar_trees`` order (``test_trees`` checks that order)."""
+
+    def tree(t):
+        return tuple(
+            (0,) if c is None else (1, c.n_vertices, c.n_leaves, tree(c))
+            for c in t.children
+        )
+
+    return (
+        idx.main.n_vertices, idx.main.n_leaves, tree(idx.main),
+        tuple(a.n_vertices for a in idx.aux), tuple(map(tree, idx.aux)),
+    )
+
+
+# A class key as nested children, in no particular order: ``L`` a main
+# leaf, ``("A", kids)`` an auxiliary vertex, ``("M", ("A", kids))`` a child
+# main vertex with its auxiliary root.
+L = ("L",)
+
+
+def A(*kids):
+    return ("A", kids)
+
+
+def M(*kids):
+    return ("M", A(*kids))
+
+
+@lru_cache(maxsize=None)
+def _orders(node) -> frozenset:
+    """Every planar presentation of ``node``: each distinct order of the
+    children of each auxiliary vertex."""
+    if node[0] == "L":
+        return frozenset([node])
+    if node[0] == "M":
+        return frozenset(("M", a) for a in _orders(node[1]))
+    return frozenset(
+        ("A", kids)
+        for perm in set(permutations(node[1]))
+        for kids in product(*map(_orders, perm))
+    )
+
+
+def _index_of(root) -> UpsilonIndex:
+    """The cell index of a presentation of a main vertex's auxiliary root."""
+    aux = []
+
+    def main_vertex(a):
+        at = len(aux)
+        aux.append(None)
+        slots = []
+
+        def shape(node):
+            kids = []
+            for c in node[1]:
+                if c[0] == "A":
+                    kids.append(shape(c))
+                else:
+                    kids.append(None)
+                    slots.append(None if c[0] == "L" else main_vertex(c[1]))
+            return PlanarTree(tuple(kids))
+
+        aux[at] = shape(a)
+        return PlanarTree(tuple(slots))
+
+    return UpsilonIndex(main_vertex(root), tuple(aux))
+
+
+def _key_vertex_of(node):
+    """The generator's key vertex of an auxiliary vertex."""
+    leaves = sum(c[0] == "L" for c in node[1])
+    return _key_vertex(leaves, [
+        _child(1, _key_vertex_of(c[1])) if c[0] == "M"
+        else _child(2, _key_vertex_of(c))
+        for c in node[1] if c[0] != "L"
+    ])
+
+
+# Children the roots below draw from: main leaves, leafless auxiliary
+# children, auxiliary children whose leaves are all main leaves, and
+# children carrying main vertices, directly or below an auxiliary child.
+POOL = [
+    L, A(), A(A()), A(L), A(L, L), A(L, A()),
+    M(L), M(A(L)), M(L, L), M(), M(A()), M(L, M(L)),
+    A(M(L), L), A(M(L)), A(L, M(A(L))), A(M(), A()), A(M(L), M(L, L)),
+]
+# Hand-picked roots: leafless children between runs that carry leaves,
+# runs whose least concatenation is not their sorted order, and child main
+# vertices told apart only by their auxiliary counts or trees.
+WIDE_ROOTS = [
+    A(L, L, A(), A(L, L), M(A(L)), A(M(L), L)),
+    A(A(), M(L), A(M(L)), M(L), A(A()), L),
+    A(M(L), A(M(L), L), A(L, M(L)), A(), L),
+    A(M(L, L), M(L), A(M(L), M(L, L)), A(A()), A()),
+    A(M(A(L)), M(L), A(), M(A(L)), A(L)),
+    A(M(), A(), A(M(), A()), M(A()), A(A()), L),
+    A(M(L, M(L)), M(L), A(M(L)), A(), L, A(A())),
+    A(M(A(L, L)), M(A(L), L), A(), L, M(L, L)),
+]
+
+
+def _wide_roots():
+    rng = Random(16)
+    roots = list(WIDE_ROOTS)
+    while len(roots) < 30:
+        root = A(*rng.choices(POOL, k=rng.randint(5, 7)))
+        if len(_orders(root)) <= 500:
+            roots.append(root)
+    return roots
+
+
+def test_least_member_of_wide_vertices_against_every_order():
+    for root in _wide_roots():
+        members = {_index_of(p) for p in _orders(root)}
+        least = min(members, key=_in_census_order)
+        vertex = _key_vertex_of(root)
+        main, aux = _decode(vertex)
+        assert UpsilonIndex(main, tuple(aux)) == least, root
+        assert vertex.key == class_key(least)
+        assert TreeClass(least, vertex.key).size == len(members)
 
 
 def test_census_size_pinned_values():
@@ -310,6 +485,16 @@ def test_build_graph_regression_counts_6_4():
     assert len(g.classes) == 1389
     assert len(g.edges) == 1746
     assert len(g.components) == 207
+
+
+def test_build_graph_regression_counts_7_5():
+    # past the census, 593,565 indices: the pins were checked once against
+    # the graph built by classifying it
+    g = build_graph(7, 5)
+    assert len(g.classes) == class_count(7, 5, True) == 20972
+    assert sum(c.size for c in g.classes) == census_size(7, 5, True)
+    assert len(g.edges) == 38263
+    assert len(g.components) == 1471
 
 
 def test_subgraph_levels(g43):

@@ -14,7 +14,7 @@ import pytest
 
 from operad_forge.bv import bv_normalize, iota, raw_bv
 from operad_forge.cells import UpsilonIndex, build_graph
-from operad_forge import cli
+from operad_forge import cells, cli
 from operad_forge.cli import main
 from operad_forge.mapping import assoc_reversal_eta, window_loop, xi
 from operad_forge.operads import AssocOperad, identity_eta
@@ -146,8 +146,7 @@ def _refuse_to_run(*args, **kwargs):
 
 def test_cells_budget_is_checked_before_enumerating(capsys, monkeypatch):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    monkeypatch.setattr(cli, "enumerate_upsilon", _refuse_to_run)
-    monkeypatch.setattr(cli, "classify", _refuse_to_run)
+    monkeypatch.setattr(cli, "generate_classes", _refuse_to_run)
     code, out, _ = run(capsys, monkeypatch, ["cells", "--k", "8", "--l", "8"])
     assert code == 1
     assert out == (
@@ -203,13 +202,57 @@ def test_huge_grades_are_refused_before_counting(
     capsys, monkeypatch, argv, stdin, l
 ):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    for name in ("census_size", "class_count", "enumerate_upsilon", "graph_classes"):
+    for name in ("census_size", "class_count", "generate_classes", "graph_classes"):
         monkeypatch.setattr(cli, name, _refuse_to_run)
     start = time.perf_counter()
     code, out, err = run(capsys, monkeypatch, argv, stdin)
     assert time.perf_counter() - start < 1
     assert (code, err) == (1, "")
     assert out == f'{{"error":"k {HUGE} exceeds budget 200000","k":{HUGE},"l":{l}}}\n'
+
+
+def _no_census(*args, **kwargs):
+    raise AssertionError("the cell complex should be generated class by class")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, classes",
+    [
+        (["cells", "--k", "3", "--l", "2", "--nontrivial"], "", 4),
+        (["graph", "--k", "4", "--l", "3"], "", 63),
+        (["reedy", "--k", "4", "--l", "3"], "", None),
+        (["export-dot", "--kind", "graph"], '{"k":4,"l":3}', None),
+        (["graph", "--k", "300", "--l", "2"], "", 301),
+        (["cells", "--k", "400", "--l", "2"], "", 802),
+        (["cells", "--k", "900", "--l", "1"], "", 1),
+        (["--budget", "300", "graph", "--k", "300", "--l", "3"], "", None),
+        (["--budget", "10", "reedy", "--k", "4", "--l", "3"], "", None),
+        (["graph", "--k", "4", "--l", "3", "--level", "5"], "", None),
+        (["reedy", "--k", "0", "--l", "3"], "", None),
+        (["export-dot", "--kind", "graph"], '{"k":4}', None),
+    ],
+)
+def test_cell_complex_commands_build_no_census(
+    capsys, monkeypatch, argv, stdin, classes
+):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    census_api = (cells.enumerate_upsilon, cells.classify)
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "operad_forge":
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in census_api):
+                    monkeypatch.setattr(module, attr, _no_census)
+    assert cells.enumerate_upsilon is cells.classify is _no_census
+    code, out, err = run(capsys, monkeypatch, argv, stdin)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        if classes is not None:
+            assert len(json.loads(out)["classes"]) == classes
+    elif code == 1:
+        assert "error" in json.loads(out) and err == ""
+    else:
+        assert code == 2 and out == "" and err.startswith("operad-forge: ")
 
 
 def test_k_is_compared_with_the_budget_before_the_census(capsys, monkeypatch):

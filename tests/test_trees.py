@@ -75,6 +75,27 @@ def test_planar_trees_against_growth_oracle():
             assert len(set(map(repr, got))) == len(got)
 
 
+def _slot_order(t: PlanarTree) -> tuple:
+    """The order of ``planar_trees``: slot by slot, a leaf before a vertex,
+    vertices by (vertex count, leaf count, children)."""
+    return tuple(
+        (0,) if c is None else (1, c.n_vertices, c.n_leaves, _slot_order(c))
+        for c in t.children
+    )
+
+
+def test_planar_trees_are_in_slot_order_at_any_depth():
+    for nl in range(0, 7):
+        for nv in range(1, 5):
+            got = planar_trees(nl, nv)
+            keys = list(map(_slot_order, got))
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    # the caches fill by vertex count, so a wide grade recurses no deeper
+    # than its vertices, whatever its leaves
+    assert planar_trees(1500, 1) == [corolla(1500)]
+    assert len(planar_trees(60, 2)) == 61 * 62 // 2
+
+
 def test_enumerate_trees_is_generate_and_filter():
     for k in range(1, 5):
         for l in range(1, 5):
