@@ -4,9 +4,10 @@ actions, and an explicit delooping of operad-map loops into bimodule maps.
 Layers, bottom up:
 
 - :mod:`operad_forge.trees` — planar rooted trees, grafting, enumeration,
-  non-planar isomorphism, canonical forms, and the mutable working form
-  ``Node`` on which ``bv``, ``wb`` and ``mapping`` do their tree surgery
-  (it needs only the permutation helpers of ``operads``).
+  the labeled encoding and canonical forms of non-planar isomorphism
+  classes, and the mutable working form ``Node`` on which ``bv``, ``wb``
+  and ``mapping`` do their tree surgery (it needs only the permutation
+  helpers of ``operads``).
 - :mod:`operad_forge.operads` — finite-data operads (one-operation,
   symmetric-groups, endomorphism, free truncated), interval configurations,
   law validators.
@@ -46,7 +47,6 @@ from .cells import (
     ReedyData,
     TreeClass,
     UpsilonIndex,
-    automorphism_families,
     build_graph,
     census_size,
     class_count,
@@ -97,13 +97,10 @@ from .operads import (
 from .trees import (
     PlanarTree,
     Tree,
-    TreeIso,
     canonical_form,
     corolla,
     enumerate_trees,
     graft,
-    isomorphisms,
-    nonplanar_iso,
     planar_trees,
 )
 from .wb import (

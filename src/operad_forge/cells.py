@@ -4,7 +4,8 @@ A cell index pairs a main planar tree with one auxiliary planar tree per
 main vertex (the auxiliary tree's leaves are the vertex's input slots).
 This module counts and enumerates those indices by geometric-input count
 and total auxiliary vertex count, groups them into classes under families of
-non-planar isomorphisms, builds the directed graphs whose edges contract a
+non-planar isomorphisms (decided by a canonical class key, with no
+isomorphism listed), builds the directed graphs whose edges contract a
 single inner edge of the main tree (splicing the two auxiliary trees), and
 derives from each graph a Reedy-category index structure.  It also provides
 the height polytopes attached to an index (membership predicates over
@@ -22,12 +23,10 @@ from math import factorial
 from operator import itemgetter, mul
 from typing import Optional, Union
 
-from .operads import Perm, all_perms, compositions, identity_perm
+from .operads import Perm, all_perms, compositions
 from .trees import (
     PlanarTree,
-    TreeIso,
     graft,
-    isomorphisms,
     labeled_encoding,
     planar_trees,
     slot_encodings,
@@ -487,30 +486,14 @@ def generate_classes(
     return out
 
 
-def automorphism_families(
-    idx: UpsilonIndex,
-) -> list[tuple[TreeIso, tuple[TreeIso, ...]]]:
-    """All self-families ``(f, (g_v)_v)``: a main-tree automorphism ``f``
-    plus, per main vertex ``v``, an auxiliary isomorphism ``g_v`` onto the
-    auxiliary tree at ``f(v)`` whose leaf permutation equals the slot
-    permutation of ``f`` at ``v``."""
-    out: list[tuple[TreeIso, tuple[TreeIso, ...]]] = []
-    for f in isomorphisms(idx.main, idx.main):
-        options = [
-            isomorphisms(idx.aux[v], idx.aux[w], pi, identity_perm(len(pi)))
-            for v, (w, pi) in enumerate(zip(f.vertex_map, f.input_perms))
-        ]
-        out.extend((f, combo) for combo in product(*options))
-    return out
-
-
 def stab(
     cls: TreeClass, main_vertex: int, aux_vertex: int
 ) -> list[Perm]:
     """Coset representatives of the input permutations of an auxiliary
-    vertex under the automorphism families fixing it, in lexicographic
-    order, so the identity comes first and represents the class of induced
-    automorphisms.
+    vertex under the automorphism families fixing it (the families, as
+    defined above ``class_key``, from the representative to itself), in
+    lexicographic order, so the identity comes first and represents the
+    class of induced automorphisms.
 
     With the auxiliary leaves labeled by their slot entries, as in the class
     key, the induced permutations are every permutation inside each block of

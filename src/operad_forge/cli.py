@@ -166,17 +166,40 @@ def _load_kernel_spec(path: str) -> dict:
     return spec
 
 
+def _kernel_table(path: str, raw: dict, operad: Operad) -> dict:
+    """A kernel file's table, keyed as ``table_eta`` looks its elements up:
+    by ``json.dumps(encode(x), sort_keys=True)`` of each decoded key ``x``,
+    whatever spacing or presentation the file gave it.  A key or an image
+    that is not an element, an image of another arity than its key, and two
+    keys for one element with different images are refused."""
+    table: dict = {}
+    for text, image in raw.items():
+        try:
+            x = operad.decode(json.loads(text))
+            y = operad.decode(image)
+        except ValueError as exc:  # a JSONDecodeError is a ValueError
+            raise CliInputError(f"kernel file {path!r}: entry {text[:40]!r}: {exc}") from exc
+        if operad.arity(y) != operad.arity(x):
+            raise CliInputError(
+                f"kernel file {path!r}: entry {text[:40]!r} has an image of arity "
+                f"{operad.arity(y)}, not {operad.arity(x)}"
+            )
+        key, value = json.dumps(operad.encode(x), sort_keys=True), operad.encode(y)
+        if table.setdefault(key, value) != value:
+            raise CliInputError(f"kernel file {path!r}: two images for {key[:40]}")
+    return table
+
+
 def _loop_kernel(name: str, operad: Operad) -> LoopElement:
     """Resolve a loop-kernel name: ``constant`` or ``table:<file>``."""
     eta = identity_eta(operad)
     if name == "constant":
         return constant_loop(eta)
     if name.startswith("table:"):
-        spec = _load_kernel_spec(name[len("table:"):])
+        path = name[len("table:"):]
+        spec = _load_kernel_spec(path)
         window = spec.get("window", ["1/3", "2/3"])
-        table = {json.dumps(k, sort_keys=True) if not isinstance(k, str) else k: v
-                 for k, v in spec["table"].items()}
-        endo = table_eta(operad, table, name="table")
+        endo = table_eta(operad, _kernel_table(path, spec["table"], operad), name="table")
         try:  # window_loop refuses a window outside 0 <= lo < hi <= 1
             lo, hi = (parse_frac(w) for w in window)
             return window_loop(eta, endo, (lo, hi), name=f"table[{lo},{hi}]")
@@ -456,9 +479,11 @@ def _cmd_export_dot(args) -> int:
         elif args.kind == "wb":
             _write(dot_wb(wb_normalize(wb_from_json(data, op))))
         else:  # graph: rebuild from the (k,l) recorded in the payload
-            k, l = int(data["k"]), int(data["l"])
+            k, l = data["k"], data["l"]
+            if type(k) is not int or type(l) is not int:
+                raise ValueError(f"k and l must be integers, got {k!r:.40}, {l!r:.40}")
             _write(dot_graph(build_graph(k, l, _graph_classes(args, k, l))))
-    except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliValidationError(f"invalid payload for kind {args.kind!r}: {exc}")
     return 0
 

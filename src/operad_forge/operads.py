@@ -89,6 +89,8 @@ class Operad:
         raise NotImplementedError
 
     def decode(self, data: Any) -> Any:
+        """The element that ``data`` encodes; ``ValueError`` when it encodes
+        none.  This is where an element enters, so it is checked here."""
         raise NotImplementedError
 
     def is_unit(self, x: Any) -> bool:
@@ -125,7 +127,9 @@ class ComOperad(Operad):
         return x
 
     def decode(self, data):
-        return int(data)
+        if type(data) is not int or data < 0:
+            raise ValueError(f"com element must be an integer >= 0, got {data!r:.60}")
+        return data
 
 
 class AssocOperad(Operad):
@@ -164,7 +168,15 @@ class AssocOperad(Operad):
         return list(x)
 
     def decode(self, data):
-        return tuple(int(v) for v in data)
+        if not (
+            isinstance(data, (list, tuple))
+            and all(type(v) is int for v in data)
+            and sorted(data) == list(range(1, len(data) + 1))
+        ):
+            raise ValueError(
+                f"assoc element must be a permutation of 1..n, got {data!r:.60}"
+            )
+        return tuple(data)
 
 
 class EndOperad(Operad):
@@ -221,7 +233,25 @@ class EndOperad(Operad):
         return [x[0], list(x[1])]
 
     def decode(self, data):
-        return (int(data[0]), tuple(int(v) for v in data[1]))
+        size = self.size
+        if not (isinstance(data, (list, tuple)) and len(data) == 2):
+            raise ValueError(f"{self.name} element must be [n, table], got {data!r:.60}")
+        n, table = data
+        # at size >= 2, size**n > n: an arity above the table's length is
+        # refused before size**n is computed
+        if not (
+            type(n) is int
+            and n >= 0
+            and isinstance(table, (list, tuple))
+            and (size == 1 or n <= len(table))
+            and len(table) == size**n
+            and all(type(v) is int and 0 <= v < size for v in table)
+        ):
+            raise ValueError(
+                f"{self.name} element must be [n, table] with {size}**n table "
+                f"entries in 0..{size - 1}, got {data!r:.60}"
+            )
+        return (n, tuple(table))
 
 
 class FreeTruncOperad(Operad):
@@ -344,15 +374,33 @@ class FreeTruncOperad(Operad):
         return enc(x) if x != self.UNIT else ["unit"]
 
     def decode(self, data):
-        if data == ["unit"]:
+        """A generator tree with leaves labeled 1..n, each once, and each
+        generator with as many children as its arity; or ``["unit"]``."""
+        if isinstance(data, (list, tuple)) and list(data) == ["unit"]:
             return self.UNIT
+        leaves: list[int] = []
 
         def dec(d):
+            if not isinstance(d, (list, tuple)) or not d:
+                raise ValueError(f"free tree node must be a non-empty list, got {d!r:.60}")
             if d[0] == "l":
-                return ("l", int(d[1]))
+                if len(d) != 2 or type(d[1]) is not int:
+                    raise ValueError(f"free leaf must be ['l', k], got {d!r:.60}")
+                leaves.append(d[1])
+                return ("l", d[1])
+            if not isinstance(d[0], str) or self.generators.get(d[0]) != len(d) - 1:
+                raise ValueError(
+                    f"not a generator of {self.name} with its arity: {d!r:.60}"
+                )
             return (d[0],) + tuple(dec(c) for c in d[1:])
 
-        return self._canon(dec(data))
+        x = dec(data)
+        if x[0] == "l" or sorted(leaves) != list(range(1, len(leaves) + 1)):
+            raise ValueError(
+                f"free element must label its leaves 1..n, each once, below "
+                f"a generator, got {data!r:.60}"
+            )
+        return self._canon(x)
 
 
 def operad_by_name(name: str) -> Operad:

@@ -96,7 +96,9 @@ def tree_from_json(data: dict) -> Tree:
     sigma = data.get("sigma")
     if sigma is None:
         sigma = list(range(1, shape.n_leaves + 1))
-    return Tree(shape, tuple(int(v) for v in sigma))
+    if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
+        raise ValueError(f"sigma must be a list of integers, got {sigma!r:.40}")
+    return Tree(shape, tuple(sigma))
 
 
 # ---------------------------------------------------------------------------

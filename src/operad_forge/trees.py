@@ -1,5 +1,5 @@
 """Rooted planar trees with ordered inputs, leaf labelings, grafting,
-enumeration, and non-planar isomorphism with canonical forms.
+enumeration, and canonical forms of non-planar isomorphism classes.
 
 A planar tree is a purely structural value: every vertex carries an ordered
 tuple of child slots, and each slot holds either another vertex (a
@@ -10,12 +10,13 @@ equality of trees is value equality.
 A ``Tree`` adds a leaf labeling: a permutation of ``{1..n}`` listing, in
 planar left-to-right order, the abstract input carried by each leaf.
 
-``TreeIso`` records a non-planar isomorphism as a vertex bijection plus a
-per-vertex permutation of input slots.  Symmetry reads one structure, the
-bottom-up ``labeled_encoding``: two trees are isomorphic exactly when their
-encodings agree, and their isomorphisms are then, vertex by vertex, every
-bijection inside each block of sibling slots with equal encodings
-(``slot_encodings``), an iterated product of symmetric groups (Polya 1937).
+Symmetry reads one structure, the bottom-up ``labeled_encoding``: two
+labeled trees are isomorphic (non-planarly, leaf labels respected) exactly
+when their encodings agree, and their isomorphisms are then, vertex by
+vertex, every bijection inside each block of sibling slots with equal
+encodings (``slot_encodings``), an iterated product of symmetric groups
+(Polya 1937).  The engine reads these blocks and never lists the
+isomorphisms themselves.
 
 ``Node`` is the one mutable working form for tree surgery.  ``bv`` and
 ``wb`` rewrite their points on it (unit deletion, edge contraction,
@@ -222,104 +223,6 @@ def _trusted_tree(shape: PlanarTree, word: tuple[int, ...]) -> Tree:
     object.__setattr__(tree, "shape", shape)
     object.__setattr__(tree, "labels", word)
     return tree
-
-
-# ---------------------------------------------------------------------------
-# Isomorphisms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeIso:
-    """A non-planar isomorphism between two planar trees.
-
-    ``vertex_map[v]`` is the image (preorder index in the target) of source
-    vertex ``v``; ``input_perms[v][s-1]`` is the target slot to which slot
-    ``s`` of source vertex ``v`` is sent.
-    """
-
-    vertex_map: tuple[int, ...]
-    input_perms: tuple[tuple[int, ...], ...]
-
-
-def isomorphisms(
-    a: PlanarTree,
-    b: PlanarTree,
-    labels_a: Optional[tuple[int, ...]] = None,
-    labels_b: Optional[tuple[int, ...]] = None,
-) -> list[TreeIso]:
-    """All non-planar isomorphisms a -> b (respecting leaf labels when
-    given).  With ``a is b`` and no labels this is the automorphism group,
-    identity first."""
-    return list(_isos(a, labels_a, b, labels_b))
-
-
-def automorphisms(a: PlanarTree) -> list[TreeIso]:
-    """The full automorphism group of ``a`` (leaf labels ignored)."""
-    return isomorphisms(a, a)
-
-
-def nonplanar_iso(a: Tree, b: Tree) -> Optional[TreeIso]:
-    """A label-respecting isomorphism between labeled trees, or ``None``.
-
-    ``nonplanar_iso(a, a)`` is the identity (the in-order matching).
-    """
-    return next(_isos(a.shape, a.labels, b.shape, b.labels), None)
-
-
-def _isos(a: PlanarTree, labels_a, b: PlanarTree, labels_b) -> Iterator[TreeIso]:
-    """The isomorphisms a -> b: none unless the labeled encodings agree (a
-    missing labeling labels every leaf ``None``)."""
-    la = (None,) * a.n_leaves if labels_a is None else tuple(labels_a)
-    lb = (None,) * b.n_leaves if labels_b is None else tuple(labels_b)
-    if labeled_encoding(a, iter(la)) == labeled_encoding(b, iter(lb)):
-        for vertex_map, input_perms in _block_matchings(a, la, b, lb):
-            yield TreeIso(tuple(vertex_map), tuple(input_perms))
-
-
-def _block_matchings(a: PlanarTree, la: tuple, b: PlanarTree, lb: tuple):
-    """The isomorphisms between two subtrees with equal labeled encodings,
-    as ``(vertex_map, input_perms)`` lists in ``a``'s preorder: each slot of
-    ``a`` in turn takes an unused slot of its block in ``b``, so every choice
-    completes, and the in-order matching comes first."""
-
-    def slots(t: PlanarTree, labels: tuple) -> list[tuple]:
-        # per slot: encoding, child subtree, its labels, its preorder index
-        out, leaf, v = [], 0, 1
-        for c, enc in zip(t.children, slot_encodings(t, iter(labels))):
-            n = 1 if c is None else c.n_leaves
-            out.append((enc, c, labels[leaf : leaf + n], v))
-            leaf += n
-            v += 0 if c is None else c.n_vertices
-        return out
-
-    sa, sb = slots(a, la), slots(b, lb)
-    block: dict = {}
-    for t, slot in enumerate(sb):
-        block.setdefault(slot[0], []).append(t)
-    perm = [0] * len(sa)
-    free = [True] * len(sb)
-
-    def assign(s: int, vertex_map: list, input_perms: list):
-        if s == len(sa):
-            yield [0] + vertex_map, [tuple(perm)] + input_perms
-            return
-        enc, ca, las, _ = sa[s]
-        for t in block[enc]:
-            if not free[t]:
-                continue
-            _, cb, lbs, vb = sb[t]
-            free[t], perm[s] = False, t + 1
-            if ca is None:
-                yield from assign(s + 1, vertex_map, input_perms)
-            else:
-                for vm, ip in _block_matchings(ca, las, cb, lbs):
-                    yield from assign(
-                        s + 1, vertex_map + [vb + w for w in vm], input_perms + ip
-                    )
-            free[t] = True
-
-    yield from assign(0, [], [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 oracle, classification against pairwise isomorphism search, the class
 generator against classification of the census and its least members
 against every order of wide vertices, contraction graphs against
-brute-force closure, stabilizers against the automorphism
-families, class sizes against the census, the Reedy-style category,
-membership polytopes, and the deformation."""
+brute-force closure, stabilizers against the automorphism families and
+against a coset scan of the sibling blocks, class sizes against the census,
+the Reedy-style category, membership polytopes, and the deformation.  The
+isomorphisms and automorphism families come from the backtracking search of
+``iso_search``, which reads no encoding, so the class and stabilizer oracles
+are independent of the class key."""
 
 from fractions import Fraction as F
 from functools import lru_cache
@@ -22,7 +25,6 @@ from operad_forge.cells import (
     _decode,
     _key_vertex,
     _vertex_key,
-    automorphism_families,
     build_graph,
     census_size,
     class_count,
@@ -46,10 +48,11 @@ from operad_forge.trees import (
     Tree,
     canonical_form,
     corolla,
-    isomorphisms,
     planar_trees,
     slot_encodings,
 )
+
+from iso_search import automorphism_families, isomorphisms
 
 
 @pytest.fixture(scope="module")

@@ -77,29 +77,31 @@ def test_deloop_constant_kernel(capsys, monkeypatch):
 def test_deloop_table_kernel_matches_function_kernel(
     capsys, monkeypatch, tmp_path
 ):
+    # a key is read as the element it spells, spaced or compact
     rev = assoc_reversal_eta()
-    table = {}
-    for n in range(1, 5):
-        for x in A.elements(n):
-            y = rev(x)
-            if y != x:
-                table[json.dumps(A.encode(x), sort_keys=True)] = A.encode(y)
-    spec = tmp_path / "rev.json"
-    spec.write_text(
-        json.dumps({"window": ["1/3", "2/3"], "table": table}),
-        encoding="utf-8",
-    )
     w = wb_normalize(raw_wb(A, corolla(3), (iota(A, (1, 3, 2)),), (F(1, 2),)))
-    code, out, _ = run(
-        capsys,
-        monkeypatch,
-        ["deloop", "--kernel", f"table:{spec}"],
-        dumps(wb_to_json(w)),
-    )
-    assert code == 0
     want = xi(window_loop(identity_eta(A), rev))(w)
-    assert json.loads(out)["value"] == A.encode(want)
-    assert json.loads(out)["value"] != [1, 3, 2]
+    for separators in (None, (",", ":")):
+        table = {}
+        for n in range(1, 5):
+            for x in A.elements(n):
+                y = rev(x)
+                if y != x:
+                    table[json.dumps(A.encode(x), separators=separators)] = A.encode(y)
+        spec = tmp_path / "rev.json"
+        spec.write_text(
+            json.dumps({"window": ["1/3", "2/3"], "table": table}),
+            encoding="utf-8",
+        )
+        code, out, _ = run(
+            capsys,
+            monkeypatch,
+            ["deloop", "--kernel", f"table:{spec}"],
+            dumps(wb_to_json(w)),
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == A.encode(want)
+        assert json.loads(out)["value"] != [1, 3, 2]
 
 
 def test_cells_counts(capsys, monkeypatch):
@@ -179,7 +181,8 @@ def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, argv, '{"k":0,"l":3}')
     assert code == 2 and out == ""
     assert err.startswith("operad-forge: --k and --l must be >= 1")
-    for payload in ('{"k":"x","l":3}', '{"k":1e400,"l":2}', '{"k":Infinity,"l":2}'):
+    for payload in ('{"k":"x","l":3}', '{"k":1e400,"l":2}', '{"k":Infinity,"l":2}',
+                    '{"k":2.7,"l":true}', '{"k":4,"l":3.0}', '{"k":"4","l":3}'):
         code, out, _ = run(capsys, monkeypatch, argv, payload)
         assert code == 1
         assert json.loads(out)["error"].startswith("invalid payload for kind 'graph'")
@@ -349,9 +352,16 @@ def test_exit_code_2_on_bad_input(capsys, monkeypatch, tmp_path):
         dumps(wb_to_json(w)),
     )
     assert code == 2 and "unknown kernel" in err
-    # a reversed window, and a table that is not an object
+    # a reversed window, a table that is not an object, a key or an image
+    # that is no element, an image of the wrong arity, and two images for
+    # one element
     for name, spec in [("reversed", {"window": ["2/3", "1/3"], "table": {}}),
-                       ("list", {"table": []})]:
+                       ("list", {"table": []}),
+                       ("bad-key", {"table": {"[1, 1]": [1, 2]}}),
+                       ("no-json-key", {"table": {"[1, 2": [2, 1]}}),
+                       ("bad-image", {"table": {"[1, 2]": [2, 2]}}),
+                       ("arity", {"table": {"[1, 3, 2]": [1, 2]}}),
+                       ("two-images", {"table": {"[1, 2]": [2, 1], "[1,2]": [1, 2]}})]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(spec))
         code, out, err = run(
@@ -423,11 +433,28 @@ def test_exit_code_2_on_deeply_nested_input():
 
 
 def test_exit_code_1_with_witness_on_invalid_point(capsys, monkeypatch):
-    bad = bv_to_json(iota(A, (2, 1)))
-    bad["labels"] = [[1, 2, 3]]  # arity mismatch with the 2-leaf corolla
-    code, out, _ = run(capsys, monkeypatch, ["normalize-bv"], json.dumps(bad))
-    assert code == 1
-    assert "error" in json.loads(out)
+    # a label or a leaf word that the operad or the tree cannot decode
+    for operad, label, sigma in [
+        ("assoc", [1, 2, 3], [1, 2]),  # arity mismatch with the 2-leaf corolla
+        ("assoc", [1, 1], [1, 2]),
+        ("assoc", [1.7, 2], [1, 2]),
+        ("assoc", [True, 2], [1, 2]),
+        ("assoc", [2, 1], [2.9, True]),
+        ("com", 2.5, [1, 2]),
+        ("com", -3, [1, 2]),
+        ("end:2", [2, [0, 1]], [1, 2]),
+        ("end:2", [2, [0, 1, 1, 5]], [1, 2]),
+        ("free:m=2:3", ["zz", ["l", 1], ["l", 2]], [1, 2]),
+        ("free:m=2:3", ["m", ["l", 1], ["l", 1]], [1, 2]),
+    ]:
+        bad = bv_to_json(iota(A, (2, 1)))
+        bad["labels"] = [label]
+        bad["tree"]["sigma"] = sigma
+        code, out, _ = run(
+            capsys, monkeypatch, ["--operad", operad, "normalize-bv"], json.dumps(bad)
+        )
+        assert code == 1
+        assert json.loads(out)["error"].startswith("invalid resolution point")
 
 
 def test_compose_bv_command(capsys, monkeypatch):

@@ -97,7 +97,7 @@ def test_iota_is_the_normalized_corolla(op):
 
 
 def test_iota_canonicalizes_a_free_element():
-    a = ("b", ("l", 3), ("a", ("l", 2), ("l", 1)))
+    a = ("a", ("l", 3), ("a", ("l", 2), ("l", 1)))
     assert FREE.decode(FREE.encode(a)) != a  # not in canonical order
     want = bv_normalize(raw_bv(FREE, corolla(3), (a,), ()))
     got = iota(FREE, a)

@@ -44,6 +44,52 @@ def test_stock_operads_satisfy_laws(op):
     assert report.ok, report.to_json()
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("assoc", [1, 1]),
+        ("assoc", [1.7, 2]),
+        ("assoc", [True, 2]),
+        ("assoc", [2, 3]),
+        ("assoc", "12"),
+        ("com", 2.5),
+        ("com", -3),
+        ("com", True),
+        ("com", "3"),
+        ("end:2", [2, [0, 1]]),
+        ("end:2", [1, [5, 0]]),
+        ("end:2", [1, [0, True]]),
+        ("end:2", [True, [0, 1]]),
+        ("end:2", [1.0, [0, 1]]),
+        ("end:2", [1, [0, 1], 7]),
+        ("end:2", [10**18, [0, 1]]),
+        ("free:m=2:3", ["zz", ["l", 1], ["l", 2]]),
+        ("free:m=2:3", ["m", ["l", 1], ["l", 1]]),
+        ("free:m=2:3", ["l", 1]),
+        ("free:m=2:3", ["m", ["l", 1]]),
+        ("free:m=2:3", ["m", ["l", 1], ["l", 3]]),
+        ("free:m=2:3", ["m", ["l", 1], ["l", True]]),
+        ("free:m=2:3", [["m"], ["l", 1], ["l", 2]]),
+        ("free:m=2:3", []),
+    ],
+)
+def test_decoders_refuse_non_elements(name, data):
+    # an arity of 10**18 is refused from the table's length, with no
+    # 2**(10**18) computed
+    with pytest.raises(ValueError):
+        operad_by_name(name).decode(data)
+
+
+@pytest.mark.parametrize("name", ["assoc", "com", "end:2", "free:m=2:4"])
+def test_decoders_accept_every_encoded_element(name):
+    op = operad_by_name(name)
+    for n in range(4):
+        for x in op.elements(n) or []:
+            assert op.decode(op.encode(x)) == x
+    # end:1 has one table entry at every arity
+    assert EndOperad(1).decode([10**18, [0]]) == (10**18, (0,))
+
+
 class _LeftActionAssoc(AssocOperad):
     """``assoc`` acting on the left, ``x.sigma = AssocOperad.act(x, sigma^-1)``:
     the unit, associativity and identity-action laws hold, but

@@ -1,8 +1,9 @@
 """Tree layer: enumeration against generate-and-filter oracles, grafting
-arithmetic, automorphisms against a recursive product-formula oracle, the
-block isomorphisms against a backtracking slot search, canonical forms
-against pairwise isomorphism search, and the tie-break of ``canonicalize``
-against its brute force."""
+arithmetic, canonical forms against pairwise isomorphism search and against
+the decoded labeled encoding, and the tie-break of ``canonicalize`` against
+its brute force.  ``trees`` lists no isomorphisms: the search here is the
+encoding-free backtracking of ``iso_search``, itself checked against a
+recursive product formula for the automorphism count."""
 
 import json
 from fractions import Fraction as F
@@ -22,23 +23,21 @@ from operad_forge.trees import (
     PlanarTree,
     Tree,
     canonical_form,
-    TreeIso,
     canonicalize,
     corolla,
     cut,
     enumerate_trees,
     from_nodes,
     graft,
-    isomorphisms,
     labeled_encoding,
     leaf_slots,
-    nonplanar_iso,
     planar_trees,
     preorder,
     slot_encodings,
     to_nodes,
 )
-from operad_forge.trees import automorphisms
+
+from iso_search import Iso, automorphisms, isomorphisms, nonplanar_iso
 
 
 def _oracle_trees(max_vertices: int) -> list[PlanarTree]:
@@ -200,24 +199,24 @@ def test_caterpillar_automorphism_group_order():
     assert len(automorphisms(cat)) == 2
 
 
-def identity_iso(t: PlanarTree) -> TreeIso:
-    return TreeIso(
+def identity_iso(t: PlanarTree) -> Iso:
+    return Iso(
         tuple(range(t.n_vertices)),
         tuple(tuple(range(1, s.arity + 1)) for s in t.subtrees),
     )
 
 
-def compose_iso(f: TreeIso, g: TreeIso) -> TreeIso:
+def compose_iso(f: Iso, g: Iso) -> Iso:
     """The composite applying ``f`` first, then ``g``."""
     vm = tuple(g.vertex_map[m] for m in f.vertex_map)
     ip = tuple(
         tuple(g.input_perms[f.vertex_map[v]][s - 1] for s in f.input_perms[v])
         for v in range(len(f.vertex_map))
     )
-    return TreeIso(vm, ip)
+    return Iso(vm, ip)
 
 
-def inverse_iso(f: TreeIso) -> TreeIso:
+def inverse_iso(f: Iso) -> Iso:
     n = len(f.vertex_map)
     vm_inv = [0] * n
     for v, m in enumerate(f.vertex_map):
@@ -228,7 +227,7 @@ def inverse_iso(f: TreeIso) -> TreeIso:
         for s, img in enumerate(perm, start=1):
             inv[img - 1] = s
         ip_inv[f.vertex_map[v]] = tuple(inv)
-    return TreeIso(tuple(vm_inv), tuple(ip_inv))
+    return Iso(tuple(vm_inv), tuple(ip_inv))
 
 
 def test_iso_group_structure():
@@ -323,136 +322,6 @@ def test_planar_presentations_cover_orbit():
         assert nonplanar_iso(base, Tree(p, perm)) is not None
 
 
-def _match(
-    a: PlanarTree,
-    a_leaf0: int,
-    b: PlanarTree,
-    b_leaf0: int,
-    labels_a: Optional[tuple[int, ...]],
-    labels_b: Optional[tuple[int, ...]],
-) -> Iterator[tuple]:
-    """Yield local isomorphism records ``(slot_perm, child_records)``.
-
-    ``slot_perm[s-1]`` is the b-slot matched to a-slot ``s``; child_records
-    holds, for each a-slot that is a vertex, the recursive record.  Leaf
-    offsets track absolute planar positions for label comparison.
-    """
-    if a.arity != b.arity:
-        return
-    m = a.arity
-    # Precompute per-slot leaf offsets for both trees.
-    a_off: list[int] = []
-    pos = a_leaf0
-    for c in a.children:
-        a_off.append(pos)
-        pos += 1 if c is None else c.n_leaves
-    b_off = []
-    pos = b_leaf0
-    for c in b.children:
-        b_off.append(pos)
-        pos += 1 if c is None else c.n_leaves
-
-    def slot_ok(sa: int, sb: int) -> Iterator[tuple]:
-        ca, cb = a.children[sa], b.children[sb]
-        if ca is None and cb is None:
-            if labels_a is not None and (
-                labels_a[a_off[sa]] != labels_b[b_off[sb]]
-            ):
-                return
-            yield ()
-        elif ca is not None and cb is not None:
-            yield from _match(
-                ca, a_off[sa], cb, b_off[sb], labels_a, labels_b
-            )
-
-    # Backtracking over injective slot assignments; identity-first order.
-    def assign(sa: int, used: tuple[bool, ...], acc: list) -> Iterator[tuple]:
-        if sa == m:
-            perm = tuple(p + 1 for p, _ in acc)
-            records = tuple(r for _, r in acc if r != ())
-            yield (perm, records)
-            return
-        order = [s for s in range(m) if not used[s]]
-        for sb in order:
-            for rec in slot_ok(sa, sb):
-                new_used = used[:sb] + (True,) + used[sb + 1 :]
-                acc.append((sb, rec))
-                yield from assign(sa + 1, new_used, acc)
-                acc.pop()
-
-    yield from assign(0, (False,) * m, [])
-
-
-def _records_to_iso(
-    a: PlanarTree, b: PlanarTree, record: tuple
-) -> TreeIso:
-    """Flatten a nested local-isomorphism record into a TreeIso."""
-    n = a.n_vertices
-    vertex_map = [0] * n
-    input_perms: list[tuple[int, ...]] = [()] * n
-
-    def walk(
-        sub_a: PlanarTree, idx_a: int, sub_b: PlanarTree, idx_b: int, rec: tuple
-    ) -> None:
-        perm, child_records = rec
-        vertex_map[idx_a] = idx_b
-        input_perms[idx_a] = perm
-        # Preorder indices of b's vertex children, by slot.
-        b_child_idx: dict[int, int] = {}
-        nxt = idx_b + 1
-        for slot, c in enumerate(sub_b.children, start=1):
-            if c is not None:
-                b_child_idx[slot] = nxt
-                nxt += c.n_vertices
-        nxt_a = idx_a + 1
-        rec_i = 0
-        for slot, c in enumerate(sub_a.children, start=1):
-            if c is not None:
-                tgt_slot = perm[slot - 1]
-                tgt_child = sub_b.children[tgt_slot - 1]
-                assert tgt_child is not None
-                walk(c, nxt_a, tgt_child, b_child_idx[tgt_slot], child_records[rec_i])
-                rec_i += 1
-                nxt_a += c.n_vertices
-
-    walk(a, 0, b, 0, record)
-    return TreeIso(tuple(vertex_map), tuple(input_perms))
-
-
-def _oracle_isomorphisms(a, b, labels_a=None, labels_b=None) -> list[TreeIso]:
-    """Every isomorphism by backtracking over injective slot assignments,
-    vertex by vertex, with no encoding."""
-    return [
-        _records_to_iso(a, b, rec) for rec in _match(a, 0, b, 0, labels_a, labels_b)
-    ]
-
-
-def test_isomorphisms_match_the_backtracking_search():
-    # each tree against itself and six seeded partners of its size, with
-    # and without random leaf labels
-    rng = Random(12)
-    pairs = isomorphic = 0
-    for nv in range(1, 4):
-        for nl in range(0, 5):
-            pool = planar_trees(nl, nv)
-            for a in pool:
-                for b in [a] + rng.sample(pool, min(6, len(pool))):
-                    for labeled in (False, True):
-                        la = lb = None
-                        if labeled:
-                            la = tuple(rng.sample(range(1, nl + 1), nl))
-                            lb = la if b is a else tuple(rng.sample(la, nl))
-                        got = isomorphisms(a, b, la, lb)
-                        want = _oracle_isomorphisms(a, b, la, lb)
-                        assert len(got) == len(want)
-                        assert set(got) == set(want)
-                        if a is b:
-                            assert got[0] == identity_iso(a)
-                        pairs += 1
-                        isomorphic += bool(got) and b is not a
-    assert (pairs, isomorphic) == (3994, 225)
-
-
 def _decode(enc) -> tuple[Optional[PlanarTree], list[int]]:
     """The tree and leaf word that a labeled encoding spells, children in
     encoding order."""
@@ -490,19 +359,6 @@ def test_slot_encodings_are_what_labeled_encoding_sorts():
                 slots = slot_encodings(t, iter(word))
                 assert len(slots) == t.arity
                 assert labeled_encoding(t, iter(word)) == (1, tuple(sorted(slots)))
-
-
-def test_non_isomorphic_wide_trees_are_refused_at_once():
-    # equal arity, eight equal 2-corolla children and one different child:
-    # a slot-by-slot search tries every order of the eight before it fails
-    w = 8
-    a = PlanarTree((corolla(2),) * w + (corolla(3),))
-    b = PlanarTree((corolla(2),) * w + (PlanarTree((None, None, corolla(0))),))
-    assert isomorphisms(a, b) == []
-    ta = Tree(a, tuple(range(1, a.n_leaves + 1)))
-    tb = Tree(b, tuple(range(1, b.n_leaves + 1)))
-    assert nonplanar_iso(ta, tb) is None
-    assert nonplanar_iso(ta, ta) == identity_iso(a)
 
 
 def test_isomorphisms_respect_leaf_labels():
