@@ -184,6 +184,11 @@ def class_count(k: int, l: int, require_nontrivial_main: bool = False) -> int:
     count is the coefficient of ``x^k y^l`` in
     ``C = y (x + MSET>=1(x + 2 C))``, less ``C = y (x + MSET>=1(x + C))``
     for the corolla main trees.
+
+    With the flag it is at least ``2**l - 2``: a key at ``k = 1`` is a path
+    of ``l`` auxiliary vertices, each edge auxiliary or main and the last
+    vertex childless or holding the main leaf; the ``2**l - 2`` with a main
+    edge map one-to-one to ``(k, l)`` by ``k - 1`` main leaves at the root.
     """
     return _count(k, l, require_nontrivial_main, unordered=True)
 
@@ -561,23 +566,18 @@ def contract_main_edge(
 class ContractionGraph:
     """Classes of cell indices with non-corolla main trees, with a directed
     edge whenever contracting one inner main edge of a member lands in the
-    target class.  ``witnesses[(i, j)]`` records one such contraction."""
+    target class."""
 
     k: int
     l: int
     classes: tuple[TreeClass, ...]
     edges: tuple[tuple[int, int], ...]
-    witnesses: dict[tuple[int, int], tuple[UpsilonIndex, int, int]]
     components: tuple[tuple[int, ...], ...]
     initials: tuple[int, ...]
 
 
 def _finish_graph(
-    k: int,
-    l: int,
-    classes: list[TreeClass],
-    edges: list[tuple[int, int]],
-    witnesses: dict[tuple[int, int], tuple[UpsilonIndex, int, int]],
+    k: int, l: int, classes: list[TreeClass], edges: list[tuple[int, int]]
 ) -> ContractionGraph:
     parent = list(range(len(classes)))
 
@@ -597,7 +597,7 @@ def _finish_graph(
         i for i, c in enumerate(classes) if c.level == 0
     )
     return ContractionGraph(
-        k, l, tuple(classes), tuple(edges), witnesses, components, initials
+        k, l, tuple(classes), tuple(edges), components, initials
     )
 
 
@@ -619,7 +619,7 @@ def build_graph(
         classes = graph_classes(k, l)
     key_to_idx = {c.key: i for i, c in enumerate(classes)}
     edges: list[tuple[int, int]] = []
-    witnesses: dict[tuple[int, int], tuple[UpsilonIndex, int, int]] = {}
+    seen: set[tuple[int, int]] = set()
     # A family of isomorphisms carries inner edges to inner edges and their
     # contractions to isomorphic indices, so every member of a class reaches
     # the same target classes: the representative's edges are all of them.
@@ -630,10 +630,10 @@ def build_graph(
             if target.main.n_vertices == 1:
                 continue  # corolla main trees are outside the graph
             tj = key_to_idx[class_key(target)]
-            if (ci, tj) not in witnesses:
+            if (ci, tj) not in seen:
+                seen.add((ci, tj))
                 edges.append((ci, tj))
-                witnesses[(ci, tj)] = (rep, parent, slot)
-    return _finish_graph(k, l, classes, edges, witnesses)
+    return _finish_graph(k, l, classes, edges)
 
 
 def subgraph_i(g: ContractionGraph, i: int) -> ContractionGraph:
@@ -660,9 +660,7 @@ def subgraph_i(g: ContractionGraph, i: int) -> ContractionGraph:
             for b in sorted(frontier):
                 if g.classes[b].level == i:
                     edges.append((remap[j], remap[b]))
-    return _finish_graph(
-        g.k, g.l, [g.classes[j] for j in keep], edges, {}
-    )
+    return _finish_graph(g.k, g.l, [g.classes[j] for j in keep], edges)
 
 
 # ---------------------------------------------------------------------------

@@ -100,15 +100,20 @@ def _budget(args) -> int:
 
 
 def _grade_budget(args, k: int, l: int) -> int:
-    """The budget for grade ``(k, l)``, with ``k`` compared first: an index
-    of that grade has ``k`` geometric inputs to build, and at ``l >= 2`` its
-    census and class counts are at least ``k``, so a larger ``k`` is refused
-    before anything is counted."""
+    """The budget for grade ``(k, l)``, checked before anything is counted:
+    an index has ``k`` geometric inputs, and the census and class counts are
+    at least ``k`` (at ``l >= 2``) and ``2**l - 2`` (``cells.class_count``),
+    which exceeds the budget exactly when ``l >= (budget + 2).bit_length()``."""
     budget = _budget(args)
     if k < 1 or l < 1:
         raise CliInputError(f"--k and --l must be >= 1, got --k {k} --l {l}")
     if k > budget:
         raise CliValidationError(f"k {k} exceeds budget {budget}", k=k, l=l)
+    if l >= (budget + 2).bit_length():
+        raise CliValidationError(
+            f"l {l} exceeds budget {budget}: grade ({k}, {l}) has at least "
+            f"2**{l} - 2 classes", k=k, l=l,
+        )
     return budget
 
 

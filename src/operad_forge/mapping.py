@@ -41,7 +41,7 @@ from .operads import (
     ValidationReport,
     sort_to_increasing,
 )
-from .trees import Node, leaf_slots, preorder, to_nodes
+from .trees import fold, to_nodes
 from .wb import (
     ONE,
     ZERO,
@@ -172,15 +172,11 @@ def assoc_reversal_eta() -> OperadMapEta:
     )
 
 
-def end_conjugation_eta(size: int, bijection: Optional[Sequence[int]] = None) -> OperadMapEta:
-    """Conjugation of the endomorphism operad of a finite set by a bijection
-    of that set (default: the order-reversing bijection)."""
+def end_conjugation_eta(size: int) -> OperadMapEta:
+    """Conjugation of the endomorphism operad of a finite set by its
+    order-reversing bijection."""
     E = EndOperad(size)
-    s = tuple(bijection) if bijection is not None else tuple(
-        size - 1 - i for i in range(size)
-    )
-    if sorted(s) != list(range(size)):
-        raise ValueError("not a bijection of the underlying set")
+    s = tuple(size - 1 - i for i in range(size))
 
     def conj(x):
         n, table = x
@@ -374,41 +370,17 @@ def loop_alpha(c: CubeConfig, gs: Sequence[LoopElement]) -> LoopElement:
 # ---------------------------------------------------------------------------
 
 
-def _xi_value(g: LoopElement, n: Node, chooser) -> Any:
-    """Evaluate the delooping on the planar working form: a single vertex is
-    fed to the loop kernel directly; otherwise the tree is split along an
-    inner main edge and the two halves are composed in the target."""
-    if all(not isinstance(c, Node) for c in n.kids):
-        return g(n.label, n.t)
-
-    edges = [(parent, slot) for _, parent, slot in preorder(n)[1:]]
-    parent, slot = chooser(edges) if chooser is not None else edges[0]
-    sub = parent.kids[slot - 1]
-    parent.kids[slot - 1] = 0
-    try:
-        # Planar leaf position of the cut edge within the lower half.
-        i = leaf_slots(n).index((parent, slot)) + 1
-        lower = _xi_value(g, n, chooser)
-    finally:
-        parent.kids[slot - 1] = sub
-    upper = _xi_value(g, sub, chooser)
-    return g.eta.target.compose(lower, i, upper)
-
-
-def xi(
-    g: LoopElement,
-    split_choice: Optional[Callable[[list[tuple[Node, int]]], tuple[Node, int]]] = None,
-) -> BimodMapElement:
-    """Deloop: turn a loop into a bimodule map.  The value on a point is
-    computed on its planar presentation by recursive edge splitting (the
-    result is independent of the chosen edges; tested), then moved back by
-    the leaf word."""
+def xi(g: LoopElement) -> BimodMapElement:
+    """Deloop: turn a loop into a bimodule map.  The loop's values on the
+    main vertices' labels at their heights are composed along the planar
+    main tree, as ``mu_tilde`` composes labels, and moved back by the leaf
+    word: the value of every split sequence (``selftest.xi_by_splitting``)."""
     target = g.eta.target
 
     def kernel(y: WBPoint):
-        root = to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)
-        val = _xi_value(g, root, split_choice)
-        return target.act(val, y.tree.labels)
+        values = [g(label, t) for label, t in zip(y.labels, y.heights)]
+        root = to_nodes(y.tree.shape, values, y.heights, y.tree.labels)
+        return target.act(fold(root, target.compose), y.tree.labels)
 
     return BimodMapElement(g.eta, kernel, name=f"xi({g.name})")
 

@@ -269,10 +269,11 @@ class FreeTruncOperad(Operad):
 
     def __init__(self, generators: dict[str, int], max_arity: int):
         for g, a in generators.items():
+            if g == "l":  # the encoding's leaf marker
+                raise ValueError("a generator may not be named 'l'")
             if a < 2:
                 raise ValueError(f"generator {g!r} must have arity >= 2")
         self.generators = dict(sorted(generators.items()))
-        self.max_arity = max_arity
         self.max_supported_arity = max_arity
         gens = ",".join(f"{g}={a}" for g, a in self.generators.items())
         self.name = f"free:{gens}:{max_arity}"
@@ -311,11 +312,9 @@ class FreeTruncOperad(Operad):
         self._check_slot(x, i)
         if x == self.UNIT:
             return y
-        n, m = self.arity(x), self.arity(y)
-        if n + m - 1 > self.max_arity:
-            raise ValueError(
-                f"composition arity {n + m - 1} exceeds bound {self.max_arity}"
-            )
+        n, m, bound = self.arity(x), self.arity(y), self.max_supported_arity
+        if n + m - 1 > bound:
+            raise ValueError(f"composition arity {n + m - 1} exceeds bound {bound}")
         # Renumber x's leaves above i and y's leaves into the slot.
         def subst(t):
             if t[0] == "l":
@@ -337,7 +336,7 @@ class FreeTruncOperad(Operad):
         return self._canon(self._relabel(x, {j: sigma[j - 1] for j in range(1, len(sigma) + 1)}))
 
     def elements(self, n):
-        if n > self.max_arity or n < 2:
+        if n > self.max_supported_arity or n < 2:
             return [self.UNIT] if n == 1 else []
         out = set()
         for enc in self._all_shapes(n):
@@ -417,6 +416,8 @@ def operad_by_name(name: str) -> Operad:
         generators = {}
         for part in gens.split(","):
             g, a = part.split("=")
+            if g in generators:
+                raise ValueError(f"generator {g!r} named twice in {name!r}")
             generators[g] = int(a)
         return FreeTruncOperad(generators, int(bound))
     raise ValueError(f"unknown operad {name!r}")
@@ -492,16 +493,11 @@ def inner_perm(n: int, i: int, tau: Perm) -> Perm:
     return AssocOperad().compose(identity_perm(n), i, tau)
 
 
-def validate_operad(
-    O: Operad, max_arity: int = 3, max_elements: int = 64
-) -> ValidationReport:
+def validate_operad(O: Operad, max_arity: int = 3) -> ValidationReport:
     """Exhaustively check unit, associativity, and equivariance laws on the
-    enumerable arities up to ``max_arity`` (capped per arity)."""
+    enumerable arities up to ``max_arity`` (at most 64 elements each)."""
     report = ValidationReport(subject=O.name)
-    pool: dict[int, list] = {}
-    for n in range(0, max_arity + 1):
-        els = O.elements(n)
-        pool[n] = (els or [])[:max_elements]
+    pool = {n: (O.elements(n) or [])[:64] for n in range(0, max_arity + 1)}
 
     unit = O.unit()
     # Unit laws.
@@ -601,14 +597,14 @@ def validate_operad(
     return report
 
 
-def validate_eta(eta: OperadMapEta, max_arity: int = 3, max_elements: int = 32) -> ValidationReport:
+def validate_eta(eta: OperadMapEta, max_arity: int = 3) -> ValidationReport:
     """Check unit/composition/action preservation of an operad map on the
-    enumerable part of its source."""
+    enumerable part of its source (at most 32 elements per arity)."""
     report = ValidationReport(subject=eta.name)
     O, P = eta.source, eta.target
     if eta(O.unit()) != P.unit():
         report.add("unit-preservation", unit=O.unit())
-    pool = {n: (O.elements(n) or [])[:max_elements] for n in range(0, max_arity + 1)}
+    pool = {n: (O.elements(n) or [])[:32] for n in range(0, max_arity + 1)}
     for n, xs in pool.items():
         for x in xs:
             report.checked += 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from random import Random
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .bv import (
     BVPoint,
@@ -82,7 +82,16 @@ from .sampling import (
     random_perm,
     random_wb,
 )
-from .trees import PlanarTree, corolla, enumerate_trees, planar_trees
+from .trees import (
+    Node,
+    PlanarTree,
+    corolla,
+    enumerate_trees,
+    leaf_slots,
+    planar_trees,
+    preorder,
+    to_nodes,
+)
 from .wb import (
     WBPoint,
     mu_tilde,
@@ -643,18 +652,37 @@ def criterion_alpha_laws(rng: Random, scale: float = 1.0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+def xi_by_splitting(g, y: WBPoint, choose) -> Any:
+    """``xi(g)(y)`` by its definition, for a canonical ``y``: split the planar
+    presentation along the main edge that ``choose`` picks from its
+    ``(parent, slot)`` edges in preorder, down to single vertices, each sent
+    to ``g(label, height)``; compose the halves; act by the leaf word."""
+    target = g.eta.target
+
+    def value(n: Node) -> Any:
+        if all(not isinstance(c, Node) for c in n.kids):
+            return g(n.label, n.t)
+        edges = [(parent, slot) for _, parent, slot in preorder(n)[1:]]
+        parent, slot = choose(edges)
+        sub = parent.kids[slot - 1]
+        parent.kids[slot - 1] = 0
+        try:
+            # Planar leaf position of the cut edge within the lower half.
+            i = leaf_slots(n).index((parent, slot)) + 1
+            lower = value(n)
+        finally:
+            parent.kids[slot - 1] = sub
+        return target.compose(lower, i, value(sub))
+
+    root = to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)
+    return target.act(value(root), y.tree.labels)
+
+
 def _all_split_values(g, y: WBPoint, max_edges: int) -> set:
-    """Evaluate the delooping along every split-choice sequence."""
-    out = set()
+    """The delooping's definition along every split sequence."""
     depth = max(0, y.n_main_vertices - 1)
-    for seq in product(range(max_edges), repeat=depth):
-        rest = list(seq)
-
-        def chooser(edges):
-            return edges[rest.pop(0) % len(edges)]
-
-        out.add(xi(g, split_choice=chooser)(y))
-    return out
+    return {xi_by_splitting(g, y, lambda es, it=iter(seq): es[next(it) % len(es)])
+            for seq in product(range(max_edges), repeat=depth)}
 
 
 def criterion_deloop(rng: Random, scale: float = 1.0) -> CriterionResult:
@@ -664,8 +692,8 @@ def criterion_deloop(rng: Random, scale: float = 1.0) -> CriterionResult:
     rev = _reversal()
     gw = window_loop(eta, rev, name="w")
 
-    # Split independence: exhaustive over shapes with <= 4 main vertices,
-    # random decorations, every split sequence.
+    # The fold equals the definition: exhaustive over shapes with <= 4 main
+    # vertices, random decorations, every split sequence.
     for shape in _small_shapes(2, 4):
         labels = tuple(
             iota(_A, random_perm(rng, s.arity)) for s in shape.subtrees
@@ -674,8 +702,8 @@ def criterion_deloop(rng: Random, scale: float = 1.0) -> CriterionResult:
         y = wb_normalize(raw_wb(_A, shape, labels, heights))
         vals = _all_split_values(gw, y, max_edges=shape.n_vertices)
         checked += 1
-        if len(vals) != 1:
-            bad.append(f"split-dependent value on {y!r}: {vals}")
+        if vals != {xi(gw)(y)}:
+            bad.append(f"xi differs from its split values on {y!r}: {vals}")
 
     # Constant loop deloops to the basepoint map.
     g0 = constant_loop(eta)

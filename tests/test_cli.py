@@ -214,6 +214,42 @@ def test_huge_grades_are_refused_before_counting(
     assert out == f'{{"error":"k {HUGE} exceeds budget 200000","k":{HUGE},"l":{l}}}\n'
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["cells", "--k", "3", "--l", "1000000000"], ""),
+        (["graph", "--k", "3", "--l", "1000000000"], ""),
+        (["reedy", "--k", "3", "--l", "1000000000"], ""),
+        (["export-dot", "--kind", "graph"], '{"k":3,"l":1000000000}'),
+    ],
+)
+def test_huge_l_is_refused_before_counting(capsys, monkeypatch, argv, stdin):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    for name in ("census_size", "class_count", "generate_classes", "graph_classes"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    code, out, err = run(capsys, monkeypatch, argv, stdin)
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"error":"l 1000000000 exceeds budget 200000: grade (3, 1000000000) '
+        'has at least 2**1000000000 - 2 classes","k":3,"l":1000000000}\n'
+    )
+
+
+def test_l_is_refused_exactly_when_its_bound_exceeds_the_budget(
+    capsys, monkeypatch
+):
+    # every grade has at least 2**l - 2 classes; a smaller bound passes on
+    # to the exact count
+    monkeypatch.setattr(cli, "census_size", lambda *args: 0)
+    monkeypatch.setattr(cli, "generate_classes", lambda *args: [])
+    for budget in (1, 2, 5, 6, 7, 14, 29, 30, 62, 200000):
+        for l in range(1, 20):
+            argv = ["--budget", str(budget), "cells", "--k", "1", "--l", str(l)]
+            code, out, _ = run(capsys, monkeypatch, argv)
+            assert code == (1 if 2**l - 2 > budget else 0)
+            assert json.loads(out)["l"] == l
+
+
 def _no_census(*args, **kwargs):
     raise AssertionError("the cell complex should be generated class by class")
 
@@ -340,10 +376,13 @@ def test_homotopy_h_hand_value(capsys, monkeypatch):
 def test_exit_code_2_on_bad_input(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, monkeypatch, ["normalize-bv"], "{not json")
     assert code == 2 and "JSON" in err
-    code, _, err = run(
-        capsys, monkeypatch, ["--operad", "nonsense", "normalize-bv"], "{}"
-    )
-    assert code == 2
+    # an unknown operad, a free generator named ``l`` (the leaf marker of
+    # the encoding), and one named twice
+    for name in ("nonsense", "free:l=2:3", "free:a=2,a=3:3"):
+        code, out, err = run(
+            capsys, monkeypatch, ["--operad", name, "normalize-bv"], "{}"
+        )
+        assert code == 2 and out == "" and err.startswith("operad-forge: ")
     w = raw_wb(A, corolla(2), (iota(A, (2, 1)),), (F(1, 2),))
     code, _, err = run(
         capsys,

@@ -1,5 +1,6 @@
-"""Every module in the package uses every name it imports (``__init__.py``
-is exempt: its imports are the package's re-exports), every private
+"""The package root binds only its layer modules and ``__version__``, every
+module in the package uses every name it imports (``__init__.py`` is
+exempt: it imports the layers to load them), every private
 module-level function, class and constant is reachable from the rest of
 the package, and every public module-level function and class is read by
 the package, a demo or the benchmark, or is named, with its reason, in the
@@ -26,6 +27,36 @@ def _unused_imports(path: Path) -> list[str]:
              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
     return [f"{path.name}:{line} {name}" for name, line in imported.items()
             if name not in used and name != "annotations"]
+
+
+LAYERS = ("bv", "cells", "mapping", "operads", "trees", "wb")
+
+
+def _root_bindings() -> list[str]:
+    """What each statement of ``__init__.py`` binds, apart from the
+    docstring: ``from . import x`` gives ``.x``, any other import gives its
+    module and name, and any other statement its name or its source."""
+    path = PACKAGE / "__init__.py"
+    text = path.read_text()
+    out = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            out += [f"{source}{'' if source == '.' else '.'}{a.name}"
+                    + (f" as {a.asname}" if a.asname else "") for a in node.names]
+        else:
+            out.append(_defined_name(node) or ast.get_source_segment(text, node))
+    return out
+
+
+def test_package_root_binds_only_the_layers():
+    # nothing reads a re-export from the package root; importing it loads
+    # every layer for the benchmark, which finds them in ``sys.modules``
+    assert sorted(_root_bindings()) == sorted(
+        [f".{m}" for m in LAYERS] + ["__version__"]
+    )
 
 
 def test_no_unused_imports():

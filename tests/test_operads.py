@@ -202,8 +202,14 @@ def test_operad_by_name_grammar():
     assert operad_by_name("end:2").name == "end:2"
     free = operad_by_name("free:a=2,b=3:4")
     assert isinstance(free, FreeTruncOperad)
-    with pytest.raises(ValueError):
-        operad_by_name("nonsense")
+    # ``l`` marks a leaf in the free operad's tree encoding, and a name
+    # given twice would keep only its last arity
+    for name in ("nonsense", "free:l=2:3", "free:a=2,l=3:4", "free:a=2,a=3:3",
+                 "free:b=2,a=2,b=2:4"):
+        with pytest.raises(ValueError):
+            operad_by_name(name)
+    with pytest.raises(ValueError, match="'l'"):
+        FreeTruncOperad({"l": 2}, 3)
 
 
 def test_identity_eta_validates():
