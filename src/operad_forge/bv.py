@@ -96,6 +96,15 @@ class BVPoint:
             ]
         )
 
+    @cached_property
+    def image(self) -> Any:
+        """``mu`` of the point, computed once per point: every edge
+        contracted by the operad composition, then the leaf word acted on.
+        Points are immutable and operad elements are ints or tuples, so the
+        value is safe to share."""
+        operad = self.operad
+        return operad.act(fold(_nodes(self), operad.compose), self.tree.labels)
+
     def __repr__(self) -> str:
         return (
             f"BVPoint({self.operad_name}, {self.tree.shape!r}, "
@@ -242,9 +251,9 @@ def bv_unit(operad: Operad) -> BVPoint:
 
 
 def mu(x: BVPoint) -> Any:
-    """Collapse all edge lengths to 0: the counit onto the operad."""
-    operad = x.operad
-    return operad.act(fold(_nodes(x), operad.compose), x.tree.labels)
+    """Collapse all edge lengths to 0: the counit onto the operad (cached on
+    the point, ``BVPoint.image``)."""
+    return x.image
 
 
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:

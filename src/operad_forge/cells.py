@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import chain, groupby, product
-from math import factorial
+from math import comb, factorial
 from operator import itemgetter, mul
 from typing import Optional, Union
 
@@ -191,6 +191,41 @@ def class_count(k: int, l: int, require_nontrivial_main: bool = False) -> int:
     edge map one-to-one to ``(k, l)`` by ``k - 1`` main leaves at the root.
     """
     return _count(k, l, require_nontrivial_main, unordered=True)
+
+
+def census_lower_bound(k: int, l: int, require_nontrivial_main: bool = False) -> int:
+    """A closed-form lower bound on ``census_size(k, l, ...)`` at ``l >= 2``,
+    exact at ``l = 2``, computed with no series (and 0 at ``l = 1``).
+
+    Both bounds count a sub-family of the trees of ``census_size``, whose
+    inner edges are each auxiliary or main (two colours); with the flag the
+    one all-auxiliary colouring of a tree is left out.
+
+    At ``l = 2`` the root holds main leaves and one child ``v``, whose edge
+    has two colours.  Either ``v`` is childless, with ``k - 1`` leaves at
+    the root and ``k`` places for ``v``: ``2k`` trees.  Or ``v`` holds
+    ``i >= 1`` main leaves and the root ``k - i``, with ``k - i + 1`` places
+    for ``v``: ``k(k + 1)`` trees over ``i = 1 .. k``.  These are all the
+    trees with two vertices, so the census is exactly ``k(k + 3)``, and
+    ``k(k + 3)/2`` with the flag (the main colour only).
+
+    At ``l >= 3`` the root holds ``j`` main leaves and one child ``v`` at
+    one of ``j + 1`` places; ``v`` holds ``i`` main leaves and a chain of
+    ``l - 2`` vertices at one of ``i + 1`` places; the top of the chain is
+    childless or holds one main leaf, so ``j + i + 1 = k``.  The sum of
+    ``(j + 1)(i + 1)`` over ``j + i = k - 1`` is ``C(k + 2, 3)``, and each
+    of the ``l - 1`` edges has two colours, so the family has
+    ``2**l C(k + 2, 3)`` trees, ``(2**l - 2) C(k + 2, 3)`` with the flag.
+    ``tests/test_cells.py::test_census_lower_bound`` checks both against
+    ``census_size`` on every ``k <= 40``, ``2 <= l <= 8``.
+    """
+    if l < 2:
+        return 0
+    if l == 2:
+        size = k * (k + 3)
+        return size // 2 if require_nontrivial_main else size
+    colourings = 2**l - 2 if require_nontrivial_main else 2**l
+    return colourings * comb(k + 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .bv import bv_compose, bv_is_prime, bv_normalize, bv_filtration, bv_prime_c
 from .cells import (
     TreeClass,
     build_graph,
+    census_lower_bound,
     census_size,
     class_count,
     generate_classes,
@@ -351,6 +352,15 @@ def _cmd_filtration(args) -> int:
 
 def _cmd_cells(args) -> int:
     budget = _grade_budget(args, args.k, args.l)
+    # The closed-form bound refuses a huge census before the exact count;
+    # at l = 2 it is the census itself.
+    bound = census_lower_bound(args.k, args.l, args.nontrivial)
+    if bound > budget:
+        at_least = "" if args.l == 2 else "at least "
+        raise CliValidationError(
+            f"census size {at_least}{bound} exceeds budget {budget}",
+            k=args.k, l=args.l,
+        )
     size = census_size(args.k, args.l, args.nontrivial)
     if size > budget:
         raise CliValidationError(

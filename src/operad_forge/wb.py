@@ -270,9 +270,21 @@ def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
 
 
 def mu_tilde(x: WBPoint) -> Any:
-    """Send all heights to 0: compose all labels along the main tree and take
-    the operad image."""
-    return x.operad.act(mu(fold(_nodes(x), bv_compose)), x.tree.labels)
+    """Send all heights to 0: the operad composite of the labels' images
+    along the main tree, acted on by the leaf word.
+
+    By definition this is the image of the labels composed in the
+    resolution, ``mu(fold(labels, bv_compose))``.  Folding the images is
+    exact because ``mu`` is a map of operads: it takes each ``bv_compose``
+    of the fold (the same slot, in the same order) to ``operad.compose``,
+    and it is unchanged by the normalization that ``bv_compose`` runs.
+    ``tests/test_bv.py::test_mu_is_an_operad_map`` checks both facts, and
+    ``tests/test_wb.py::test_mu_tilde_matches_the_resolution_fold`` checks
+    this function against the definition."""
+    operad = x.operad
+    images = [mu(a) for a in x.labels]
+    root = to_nodes(x.tree.shape, images, x.heights, x.tree.labels)
+    return operad.act(fold(root, operad.compose), x.tree.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,13 @@ from operad_forge.bv import (
     raw_bv,
     x_cell_membership,
 )
-from operad_forge.operads import AssocOperad, EndOperad, identity_perm
+from operad_forge.operads import (
+    AssocOperad,
+    EndOperad,
+    FreeTruncOperad,
+    identity_perm,
+    operad_by_name,
+)
 from operad_forge.sampling import random_bv, random_perm
 from operad_forge.trees import PlanarTree, corolla
 
@@ -100,16 +106,57 @@ def test_mu_iota_section_exhaustive():
             assert mu(iota(A, w)) == w
 
 
+def _random_raw(rng, op, **kwargs):
+    """A random raw point of ``op``.  A free operad has no arity-0 elements
+    and a bounded arity, so its points have no leafless vertex and at most
+    that many inputs (then every composite in them is within the bound)."""
+    if not isinstance(op, FreeTruncOperad):
+        return random_bv(rng, op, **kwargs)
+    while True:
+        x = random_bv(rng, op, min_arity=1, **kwargs)
+        if x.arity <= op.max_supported_arity:
+            return x
+
+
 def test_mu_is_an_operad_map():
-    rng = Random(8)
-    for _ in range(120):
-        x = bv_normalize(random_bv(rng, A))
-        y = bv_normalize(random_bv(rng, A, max_vertices=2))
-        sigma = random_perm(rng, x.arity)
-        assert mu(bv_act(x, sigma)) == A.act(mu(x), sigma)
-        if x.arity >= 1:
-            i = rng.randint(1, x.arity)
-            assert mu(bv_compose(x, i, y)) == A.compose(mu(x), i, mu(y))
+    # the facts that let mu_tilde fold the labels' images: mu is equivariant,
+    # multiplicative, and unchanged by normalization
+    for name in ("assoc", "com", "end:2", "free:a=2,b=3:4"):
+        op = operad_by_name(name)
+        bound = getattr(op, "max_supported_arity", None)
+        rng = Random(8)
+        for _ in range(120):
+            raw = _random_raw(rng, op)
+            x = bv_normalize(raw)
+            image = mu(x)  # cached on x before x is acted on
+            assert mu(raw) == image
+            y = bv_normalize(_random_raw(rng, op, max_vertices=2))
+            sigma = random_perm(rng, x.arity)
+            assert mu(bv_act(x, sigma)) == op.act(image, sigma)
+            assert mu(bv_act(raw, sigma)) == op.act(image, sigma)
+            if x.arity >= 1 and (bound is None or x.arity + y.arity - 1 <= bound):
+                i = rng.randint(1, x.arity)
+                assert mu(bv_compose(x, i, y)) == op.compose(image, i, mu(y))
+
+
+def test_mu_is_computed_once_per_point(monkeypatch):
+    calls = 0
+    original = AssocOperad.compose
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(AssocOperad, "compose", counted)
+    shape = PlanarTree((PlanarTree((None, None)), PlanarTree((None, None))))
+    raw = raw_bv(A, shape, ((2, 1), (1, 2), (2, 1)), (F(1, 3), F(1, 2)), (3, 1, 4, 2))
+    x = bv_normalize(raw)
+    for point in (raw, x):
+        before = calls
+        first = mu(point)
+        assert calls == before + 2  # one per inner edge
+        assert mu(point) == first and calls == before + 2
 
 
 def test_compose_unit_laws():

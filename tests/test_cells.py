@@ -26,6 +26,7 @@ from operad_forge.cells import (
     _key_vertex,
     _vertex_key,
     build_graph,
+    census_lower_bound,
     census_size,
     class_count,
     class_key,
@@ -317,6 +318,16 @@ def test_counts_are_at_least_two_to_the_l_minus_two():
             assert class_count(k, l) >= least
             assert census_size(k, l, True) >= least
             assert census_size(k, l) >= least
+
+
+def test_census_lower_bound():
+    # the CLI refuses a census over the budget on this bound before counting
+    for k in range(1, 41):
+        for flag in (False, True):
+            assert census_lower_bound(k, 1, flag) == 0
+            assert census_lower_bound(k, 2, flag) == census_size(k, 2, flag)
+            for l in range(3, 9):
+                assert census_lower_bound(k, l, flag) <= census_size(k, l, flag)
 
 
 def test_nontrivial_census_is_a_subset():

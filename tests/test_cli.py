@@ -215,6 +215,31 @@ def test_huge_grades_are_refused_before_counting(
 
 
 @pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (["cells", "--k", "200000", "--l", "2"], "census size 40000600000"),
+        (["cells", "--k", "8000", "--l", "2"], "census size 64024000"),
+        (["cells", "--k", "5000", "--l", "3"], "census size at least 166766680000"),
+        (
+            ["cells", "--k", "5000", "--l", "3", "--nontrivial"],
+            "census size at least 125075010000",
+        ),
+    ],
+)
+def test_huge_census_is_refused_before_counting(capsys, monkeypatch, argv, witness):
+    # k passes its own check, and the closed-form census bound refuses
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    for name in ("census_size", "generate_classes"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    start = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    k, l = int(argv[2]), int(argv[4])
+    assert out == f'{{"error":"{witness} exceeds budget 200000","k":{k},"l":{l}}}\n'
+
+
+@pytest.mark.parametrize(
     "argv, stdin",
     [
         (["cells", "--k", "3", "--l", "1000000000"], ""),
@@ -239,7 +264,8 @@ def test_l_is_refused_exactly_when_its_bound_exceeds_the_budget(
     capsys, monkeypatch
 ):
     # every grade has at least 2**l - 2 classes; a smaller bound passes on
-    # to the exact count
+    # to the census bound and the exact count, both stubbed to 0 here
+    monkeypatch.setattr(cli, "census_lower_bound", lambda *args: 0)
     monkeypatch.setattr(cli, "census_size", lambda *args: 0)
     monkeypatch.setattr(cli, "generate_classes", lambda *args: [])
     for budget in (1, 2, 5, 6, 7, 14, 29, 30, 62, 200000):

@@ -6,7 +6,15 @@ from random import Random
 
 import pytest
 
-from operad_forge.bv import bv_normalize, bv_unit, iota, raw_bv
+from operad_forge.bv import (
+    bv_compose,
+    bv_normalize,
+    bv_unit,
+    has_unit_bivalent,
+    iota,
+    mu,
+    raw_bv,
+)
 from operad_forge.operads import (
     AssocOperad,
     ComOperad,
@@ -15,7 +23,15 @@ from operad_forge.operads import (
     operad_by_name,
 )
 from operad_forge.sampling import random_perm, random_wb
-from operad_forge.trees import Node, PlanarTree, corolla, cut, from_nodes, to_nodes
+from operad_forge.trees import (
+    Node,
+    PlanarTree,
+    corolla,
+    cut,
+    fold,
+    from_nodes,
+    to_nodes,
+)
 from operad_forge.wb import (
     ONE,
     ZERO,
@@ -221,6 +237,39 @@ def test_unit_points_are_the_normalized_units(op):
     assert t == want and repr(t) == repr(want)
     assert t.canonical
     assert wb_normalize(t) == t
+
+
+def _mu_tilde_by_resolution(y):
+    """The definition of ``mu_tilde``: compose the labels along the main
+    tree in the resolution, then take the image of the composite."""
+    root = to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)
+    return y.operad.act(mu(fold(root, bv_compose)), y.tree.labels)
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_mu_tilde_matches_the_resolution_fold(op):
+    # a free operad has no arity-0 elements and a bounded arity: its points
+    # have no leafless vertex, and no more inputs than the bound
+    has_nullary = bool(op.elements(0))
+    bound = getattr(op, "max_supported_arity", None)
+    rng = Random(73)
+    seen = {"unit label": 0, "height 0": 0, "height 1": 0, "arity-0 label": 0}
+    checked = 0
+    while checked < 150:
+        raw = random_wb(rng, op, min_arity=0 if has_nullary else 1)
+        if bound is not None and raw.arity > bound:
+            continue
+        seen["unit label"] += any(has_unit_bivalent(lab) for lab in raw.labels)
+        seen["height 0"] += ZERO in raw.heights
+        seen["height 1"] += ONE in raw.heights
+        seen["arity-0 label"] += any(
+            sub.arity == 0 for lab in raw.labels for sub in lab.tree.shape.subtrees
+        )
+        for y in (raw, wb_normalize(raw)):
+            assert mu_tilde(y) == _mu_tilde_by_resolution(y)
+        checked += 1
+    assert seen["unit label"] and seen["height 0"] and seen["height 1"]
+    assert bool(seen["arity-0 label"]) == has_nullary
 
 
 def test_boundary_heights_make_points_composite():
