@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from random import Random
 from typing import Any, Optional
 
@@ -33,6 +33,7 @@ from .trees import (
     cut,
     fold,
     from_nodes,
+    lazy,
     leaf_slots,
     preorder,
     rewrite_fixpoint,
@@ -83,7 +84,7 @@ class BVPoint:
     def is_corolla(self) -> bool:
         return self.n_vertices == 1
 
-    @cached_property
+    @lazy
     def order_key(self) -> str:
         """The string that orders labels in the canonical presentation of a
         bimodule point, computed once per point."""
@@ -96,7 +97,7 @@ class BVPoint:
             ]
         )
 
-    @cached_property
+    @lazy
     def image(self) -> Any:
         """``mu`` of the point, computed once per point: every edge
         contracted by the operad composition, then the leaf word acted on.
@@ -149,8 +150,13 @@ def _validate_raw(p: BVPoint) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _nodes(p: BVPoint) -> Node:
-    return to_nodes(p.tree.shape, p.labels, (None,) + p.params, p.tree.labels)
+def _nodes(p: BVPoint, word: Optional[tuple[int, ...]] = None) -> Node:
+    """The working form of ``p``, with ``word`` (by default its own) read
+    along the leaves."""
+    return to_nodes(
+        p.tree.shape, p.labels, (None,) + p.params,
+        p.tree.labels if word is None else word,
+    )
 
 
 def _point(operad: Operad, root: Node, canonical: bool) -> BVPoint:
@@ -194,7 +200,7 @@ def _delete_unit_vertex(root: Node, node: Node, parent: Optional[Node], slot: in
     return root
 
 
-def _rewrite(operad: Operad, root: Node, redex) -> Node:
+def _apply(operad: Operad, root: Node, redex) -> Node:
     kind, node, parent, slot = redex
     if kind == "unit":
         return _delete_unit_vertex(root, node, parent, slot)
@@ -202,6 +208,11 @@ def _rewrite(operad: Operad, root: Node, redex) -> Node:
     # operad composition at the planar slot.
     contract(parent, slot, operad.compose)
     return root
+
+
+def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
+    """Relations (i) and (iii), rewritten until no redex is left."""
+    return rewrite_fixpoint(operad, root, _redexes, _apply, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +224,20 @@ def _label_key(operad: Operad, label) -> str:
     return json.dumps(operad.encode(label), sort_keys=True)
 
 
-def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
-    """Canonical form of raw point data; idempotent and (tested) independent
-    of the rewrite order, which ``rng`` randomizes.  The input is trusted:
-    it comes from ``raw_bv`` or from the engine."""
-    operad = raw.operad
-    root = rewrite_fixpoint(operad, _nodes(raw), _redexes, _rewrite, rng)
+def _present(operad: Operad, root: Node) -> BVPoint:
+    """The normal form of a rewritten working form: its minimal planar
+    presentation, the compensating action pushed into the labels."""
     canonicalize(root, operad.act, partial(_label_key, operad))
     return _point(operad, root, True)
+
+
+def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
+    """Canonical form of raw point data: rewrite, then present.  It is
+    idempotent and (tested) independent of the rewrite order, which ``rng``
+    randomizes.  The input is trusted: it comes from ``raw_bv`` or from the
+    engine."""
+    operad = raw.operad
+    return _present(operad, _rewrite(operad, _nodes(raw), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +274,9 @@ def mu(x: BVPoint) -> Any:
 
 
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
-    """The symmetric action: relabel the leaves, then re-canonicalize."""
-    return act_on_word(x, sigma, bv_normalize)
+    """The symmetric action: relabel the leaves, then re-canonicalize.
+    ``sigma`` must be a permutation of ``1..arity``."""
+    return act_on_word(x, sigma, _nodes, _rewrite, _present)
 
 
 def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import chain, groupby, product
 from math import comb, factorial
 from operator import itemgetter, mul
@@ -28,6 +28,7 @@ from .trees import (
     PlanarTree,
     graft,
     labeled_encoding,
+    lazy,
     planar_trees,
     slot_encodings,
 )
@@ -226,6 +227,24 @@ def census_lower_bound(k: int, l: int, require_nontrivial_main: bool = False) ->
         return size // 2 if require_nontrivial_main else size
     colourings = 2**l - 2 if require_nontrivial_main else 2**l
     return colourings * comb(k + 2, 3)
+
+
+def class_lower_bound(k: int, l: int) -> int:
+    """A closed-form lower bound on ``class_count(k, l, True)``, the classes
+    of the contraction graph, exact at ``l <= 2``.
+
+    At ``l = 2`` a key with a main edge has two auxiliary vertices: the root
+    and, across the main edge, the one vertex ``v`` of the child main
+    vertex.  Children are unordered, so the key is fixed by what ``v``
+    holds.  Either ``v`` is childless, a geometric input, and the root holds
+    the other ``k - 1`` main leaves; or ``v`` holds ``i >= 1`` of the ``k``
+    main leaves and the root the other ``k - i``.  So there are exactly
+    ``k + 1`` classes.  At every other ``l`` the bound is the ``2**l - 2``
+    of ``class_count`` (exact at ``l = 1``, where there is no main edge).
+    ``tests/test_cells.py::test_class_lower_bound`` checks it against
+    ``class_count`` on every ``k <= 40``.
+    """
+    return k + 1 if l == 2 else 2**l - 2
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +737,14 @@ class ReedyData:
     def objects(self) -> tuple[ReedyObject, ...]:
         return self.vertex_objects + self.pair_objects
 
-    @cached_property
+    @lazy
     def _degrees(self) -> dict[ReedyObject, int]:
         return {
             **dict.fromkeys(self.pair_objects, 0),
             **dict.fromkeys(self.vertex_objects, 1),
         }
 
-    @cached_property
+    @lazy
     def _latching(self) -> dict[ReedyObject, list[tuple[str, ReedyObject]]]:
         """Per vertex object, the faces into it in pair order, ``d0`` before
         ``d1``."""

@@ -23,6 +23,7 @@ from .cells import (
     census_lower_bound,
     census_size,
     class_count,
+    class_lower_bound,
     generate_classes,
     graph_classes,
     h_membership,
@@ -419,7 +420,12 @@ def _graph_classes(args, k: int, l: int) -> list[TreeClass]:
     """The classes of the contraction graph, refused over the budget on
     their count before any is generated."""
     budget = _grade_budget(args, k, l)
-    count = class_count(k, l, require_nontrivial_main=True)
+    # The closed-form bound refuses a huge grade before the exact count.
+    # At l = 2 it is the count itself; at other l it is 2**l - 2, which
+    # ``_grade_budget`` has already compared.
+    count = class_lower_bound(k, l)
+    if count <= budget:
+        count = class_count(k, l, require_nontrivial_main=True)
     if count > budget:
         raise CliValidationError(
             f"class count {count} exceeds budget {budget}", k=k, l=l,

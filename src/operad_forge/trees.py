@@ -5,7 +5,10 @@ A planar tree is a purely structural value: every vertex carries an ordered
 tuple of child slots, and each slot holds either another vertex (a
 ``PlanarTree``) or ``None``, which denotes a leaf half-edge.  Vertices are
 identified positionally by their preorder index (root = 0), so structural
-equality of trees is value equality.
+equality of trees is value equality.  A tree carries its leaf, vertex and
+univalent-vertex counts and its hash, read off its children when it is
+built, so a tree built from existing subtrees costs only its root; its
+preorder data is computed on first read (``lazy``).
 
 A ``Tree`` adds a leaf labeling: a permutation of ``{1..n}`` listing, in
 planar left-to-right order, the abstract input carried by each leaf.
@@ -27,8 +30,8 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby, permutations, product
 from typing import Iterator, Optional
 
@@ -40,45 +43,92 @@ from .operads import identity_perm, perm_compose, perm_inverse
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanarTree:
-    """A rooted planar tree; ``None`` children are leaf half-edges."""
+class lazy:
+    """A value computed on first read and kept in the instance's
+    ``__dict__``, where every later read finds it before this (non-data)
+    descriptor.  It is ``functools.cached_property`` without the lock that
+    Python 3.11 takes on every first read; the values are pure functions of
+    immutable instances, so two threads can at worst compute one twice."""
 
-    children: tuple[Optional["PlanarTree"], ...] = ()
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class PlanarTree:
+    """A rooted planar tree; ``None`` children are leaf half-edges.
+
+    A value: no attribute is assigned after construction.  The constructor
+    reads ``n_leaves``, ``n_vertices``, ``n_univalent`` and the hash off the
+    children, in O(arity) with no recursion, so building a tree from its
+    subtrees costs only its root.  Equality is equality of the children,
+    tried after identity and the cheap counts.  The preorder data
+    (``subtrees``, ``vertex_parents``, ``child_vertex``) is computed on first
+    read and kept."""
+
+    __slots__ = ("children", "n_leaves", "n_vertices", "n_univalent", "_hash", "__dict__")
+
+    def __init__(self, children: tuple[Optional["PlanarTree"], ...] = ()):
+        leaves = vertices = univalent = 0
+        for c in children:
+            if c is None:
+                leaves += 1
+            else:
+                leaves += c.n_leaves
+                vertices += c.n_vertices
+                univalent += c.n_univalent
+        self.children = children
+        self.n_leaves = leaves
+        self.n_vertices = vertices + 1
+        self.n_univalent = univalent if children else 1
+        self._hash = hash(children)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not PlanarTree:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.n_vertices == other.n_vertices
+            and self.n_leaves == other.n_leaves
+            and self.children == other.children
+        )
 
     @property
     def arity(self) -> int:
         """Number of input slots of the root vertex."""
         return len(self.children)
 
-    @cached_property
-    def n_leaves(self) -> int:
-        return sum(1 if c is None else c.n_leaves for c in self.children)
-
-    @cached_property
-    def n_vertices(self) -> int:
-        return 1 + sum(c.n_vertices for c in self.children if c is not None)
-
-    @cached_property
-    def n_univalent(self) -> int:
-        own = 1 if not self.children else 0
-        return own + sum(c.n_univalent for c in self.children if c is not None)
-
     @property
     def geometric_inputs(self) -> int:
         """Leaves plus univalent vertices."""
         return self.n_leaves + self.n_univalent
 
-    @cached_property
+    @lazy
     def subtrees(self) -> tuple["PlanarTree", ...]:
         """All vertices in preorder, each as the subtree it roots."""
-        out: list[PlanarTree] = [self]
-        for c in self.children:
-            if c is not None:
-                out.extend(c.subtrees)
+        out: list[PlanarTree] = []
+        stack = [self]
+        while stack:
+            sub = stack.pop()
+            out.append(sub)
+            stack.extend(c for c in reversed(sub.children) if c is not None)
         return tuple(out)
 
-    @cached_property
+    @lazy
     def vertex_parents(self) -> tuple[tuple[int, int], ...]:
         """Per preorder vertex index, ``(parent_index, slot)``; root is (-1, -1).
 
@@ -97,7 +147,7 @@ class PlanarTree:
         walk(self, 0)
         return tuple(out)
 
-    @cached_property
+    @lazy
     def child_vertex(self) -> dict[tuple[int, int], int]:
         """Map ``(vertex_index, slot)`` -> preorder index of the child vertex."""
         return {
@@ -406,14 +456,22 @@ def cut(node: Node, keep) -> tuple[Node, list]:
     return copy(node), dangling
 
 
-def act_on_word(x, sigma, normalize):
+def act_on_word(x, sigma, nodes, rewrite, present):
     """The symmetric action on a point of either resolution (``bv_act``,
-    ``wb_act``): relabel the leaves by ``sigma``, then ``normalize``.  A
-    normal form is a fixed point of the identity."""
-    if x.canonical and sigma == identity_perm(x.arity):
+    ``wb_act``): relabel the leaves by ``sigma``, then normalize, which is
+    ``present(operad, rewrite(operad, root))`` on the working form that
+    ``nodes(x, word)`` builds.  On a normal form only the presentation can
+    change: relabeling leaves makes no redex and the labels are already
+    canonical, so ``rewrite`` is skipped, and the identity fixes it."""
+    ident = identity_perm(x.arity)
+    if tuple(sorted(sigma)) != ident:
+        raise ValueError(f"sigma {tuple(sigma)} is not a permutation of 1..{x.arity}")
+    if x.canonical and sigma == ident:
         return x
-    tree = Tree(x.tree.shape, perm_compose(x.tree.labels, sigma))
-    return normalize(replace(x, tree=tree, canonical=False))
+    root = nodes(x, perm_compose(x.tree.labels, sigma))
+    if not x.canonical:
+        root = rewrite(x.operad, root)
+    return present(x.operad, root)
 
 
 def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:

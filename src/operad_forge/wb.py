@@ -144,8 +144,12 @@ def _validate_raw(p: WBPoint) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _nodes(p: WBPoint) -> Node:
-    return to_nodes(p.tree.shape, p.labels, p.heights, p.tree.labels)
+def _nodes(p: WBPoint, word: Optional[tuple[int, ...]] = None) -> Node:
+    """The working form of ``p``, with ``word`` (by default its own) read
+    along the leaves."""
+    return to_nodes(
+        p.tree.shape, p.labels, p.heights, p.tree.labels if word is None else word
+    )
 
 
 def _point(operad: Operad, root: Node, canonical: bool) -> WBPoint:
@@ -179,7 +183,7 @@ def _redexes(operad: Operad, root: Node):
     return out
 
 
-def _rewrite(operad: Operad, root: Node, redex) -> Node:
+def _apply(operad: Operad, root: Node, redex) -> Node:
     kind, node, parent, slot = redex
     if kind == "unit":
         # Relation (i): delete the unit vertex; its height is forgotten.
@@ -199,25 +203,35 @@ def _rewrite(operad: Operad, root: Node, redex) -> Node:
     return root
 
 
-def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
-    """Canonical form; idempotent and rewrite-order independent (tested).
-    The input is trusted: it comes from ``raw_wb`` or from the engine."""
-    operad = raw.operad
-    root = _nodes(raw)
+def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
+    """Relations (i), (iii) and (iv), rewritten until no redex is left."""
     # Rewriting reads the labels (unit detection, merges), so they must be
     # canonical resolution points first.
     for n, _, _ in preorder(root):
         if not n.label.canonical:
             n.label = bv_normalize(n.label)
-    root = rewrite_fixpoint(operad, root, _redexes, _rewrite, rng)
+    root = rewrite_fixpoint(operad, root, _redexes, _apply, rng)
     # The fully degenerate point: a single unit-labeled vertex.  Fix its
     # height at 0 as the canonical representative.
     if _is_unit_bv(operad, root.label) and not isinstance(root.kids[0], Node):
         root.t = ZERO
-    # Relation (ii): choose the minimal planar presentation bottom-up,
-    # compensating child reorderings through the labels' symmetric action.
+    return root
+
+
+def _present(operad: Operad, root: Node) -> WBPoint:
+    """Relation (ii): the minimal planar presentation, chosen bottom-up, the
+    compensating child reorderings pushed into the labels' symmetric
+    action."""
     canonicalize(root, bv_act, attrgetter("order_key"))
     return _point(operad, root, True)
+
+
+def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
+    """Canonical form: rewrite, then present.  It is idempotent and
+    rewrite-order independent (tested).  The input is trusted: it comes
+    from ``raw_wb`` or from the engine."""
+    operad = raw.operad
+    return _present(operad, _rewrite(operad, _nodes(raw), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +279,9 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
-    """Symmetric action on the main-tree leaf word, then re-canonicalize."""
-    return act_on_word(x, sigma, wb_normalize)
+    """Symmetric action on the main-tree leaf word, then re-canonicalize.
+    ``sigma`` must be a permutation of ``1..arity``."""
+    return act_on_word(x, sigma, _nodes, _rewrite, _present)
 
 
 def mu_tilde(x: WBPoint) -> Any:

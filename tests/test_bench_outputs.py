@@ -38,10 +38,11 @@ def test_in_process_outputs_match_the_digests(name):
 # ``bv_normalize`` calls over that ``laws`` slice: 4,310 while every
 # identity action and every ``iota`` re-normalized, 1,485 since normal forms
 # are trusted, 853 since ``mu_tilde`` folds its labels' images in the operad
-# instead of composing (and normalizing) the labels in the resolution.  Work
-# counts do not depend on the host, so losing a shortcut fails here
-# anywhere.  Tighten the bound when a change lowers the work.
-LAWS_BV_NORMALIZE_CALLS = 853
+# instead of composing (and normalizing) the labels in the resolution, 367
+# since acting on a normal form only presents the new word.  Work counts do
+# not depend on the host, so losing a shortcut fails here anywhere.
+# Tighten the bound when a change lowers the work.
+LAWS_BV_NORMALIZE_CALLS = 367
 
 
 def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
@@ -61,6 +62,31 @@ def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
     _replay(w)
     assert 0 < calls <= LAWS_BV_NORMALIZE_CALLS
+
+
+# Acts on normal forms over the same slice that present the new word with
+# no rewriting, per layer: a presentation (``_present``) with no rewriting
+# (``_rewrite``) before it.  In ``bv`` they are the 486 of the 853
+# normalizations above that became presentations; the bound keeps the work
+# moved out of ``bv_normalize`` from growing.
+LAWS_PRESENT_ONLY_ACTS = {"bv": 486, "wb": 152}
+
+
+def test_laws_slice_stays_within_its_present_only_bound(monkeypatch):
+    w = wl.IN_PROCESS["laws"]()
+    counts = dict.fromkeys(LAWS_PRESENT_ONLY_ACTS, 0)
+    for layer in LAWS_PRESENT_ONLY_ACTS:
+        module = sys.modules[f"operad_forge.{layer}"]
+        for step, sign in (("_present", 1), ("_rewrite", -1)):
+
+            def counted(*args, original=getattr(module, step), layer=layer, sign=sign):
+                counts[layer] += sign
+                return original(*args)
+
+            monkeypatch.setattr(module, step, counted)
+    _replay(w)
+    for layer, bound in LAWS_PRESENT_ONLY_ACTS.items():
+        assert 0 < counts[layer] <= bound, layer
 
 
 # ``_validate_raw`` calls (``bv`` and ``wb`` together) over the same slice:

@@ -1,11 +1,13 @@
 """Operad-resolution layer: relation-by-relation checks of the rewriting
 system, confluence, the counit, prime decomposition, and filtration."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
+from operad_forge import bv
 from operad_forge.bv import (
     bv_act,
     bv_compose,
@@ -27,9 +29,10 @@ from operad_forge.operads import (
     FreeTruncOperad,
     identity_perm,
     operad_by_name,
+    perm_compose,
 )
 from operad_forge.sampling import random_bv, random_perm
-from operad_forge.trees import PlanarTree, corolla
+from operad_forge.trees import PlanarTree, Tree, corolla
 
 A = AssocOperad()
 
@@ -244,3 +247,48 @@ def test_act_is_a_right_action():
         st = tuple(t[s[j] - 1] for j in range(n))
         assert bv_act(bv_act(x, s), t) == bv_act(x, st)
         assert bv_act(x, identity_perm(n)) == x
+
+
+def _act_by_normalizing(x, sigma):
+    """The definition of the action: relabel the leaf word, then normalize
+    the relabeled raw point."""
+    tree = Tree(x.tree.shape, perm_compose(x.tree.labels, sigma))
+    return bv_normalize(replace(x, tree=tree, canonical=False))
+
+
+@pytest.mark.parametrize("name", ["assoc", "com", "end:2", "free:a=2,b=3:4"])
+def test_act_on_a_normal_form_only_re_presents(name, monkeypatch):
+    # Relabeling the leaves of a normal form makes no redex, so the action
+    # presents the new word without rewriting, and equals the definition.
+    op = operad_by_name(name)
+    rng = Random(91)
+    cases = []
+    for _ in range(150):
+        raw = _random_raw(rng, op, max_vertices=6)
+        x = bv_normalize(raw)
+        sigma = random_perm(rng, x.arity)
+        assert bv_act(raw, sigma) == _act_by_normalizing(raw, sigma)
+        cases.append((x, sigma, _act_by_normalizing(x, sigma)))
+    assert sum(x.n_vertices > 1 for x, _, _ in cases) >= 20
+    assert sum(sigma != identity_perm(x.arity) for x, sigma, _ in cases) >= 40
+
+    def no_rewriting(*args):
+        raise AssertionError("a normal form was rewritten")
+
+    monkeypatch.setattr(bv, "_redexes", no_rewriting)
+    for x, sigma, want in cases:
+        got = bv_act(x, sigma)
+        assert got.canonical
+        assert got == want and repr(got) == repr(want)
+        assert got.order_key == want.order_key
+
+
+@pytest.mark.parametrize(
+    "sigma", [(2, 1, 3, 4), (2, 1), (2, 2, 1), (0, 1, 2), (1, 2, 4), ()]
+)
+def test_act_refuses_a_sigma_that_is_not_a_permutation(sigma):
+    x = iota(A, (2, 1, 3))
+    raw = raw_bv(A, corolla(3), ((2, 1, 3),), ())
+    for point in (x, raw):
+        with pytest.raises(ValueError, match="not a permutation of 1..3"):
+            bv_act(point, sigma)

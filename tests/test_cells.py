@@ -29,6 +29,7 @@ from operad_forge.cells import (
     census_lower_bound,
     census_size,
     class_count,
+    class_lower_bound,
     class_key,
     classify,
     contract_main_edge,
@@ -328,6 +329,17 @@ def test_census_lower_bound():
             assert census_lower_bound(k, 2, flag) == census_size(k, 2, flag)
             for l in range(3, 9):
                 assert census_lower_bound(k, l, flag) <= census_size(k, l, flag)
+
+
+def test_class_lower_bound():
+    # the CLI refuses a contraction graph over the budget on this bound
+    # before counting; at l = 2 it is the count
+    for k in range(1, 41):
+        assert class_lower_bound(k, 1) == class_count(k, 1, True) == 0
+        assert class_lower_bound(k, 2) == class_count(k, 2, True) == k + 1
+    for k in range(1, 13):
+        for l in range(3, 9):
+            assert class_lower_bound(k, l) <= class_count(k, l, True)
 
 
 def test_nontrivial_census_is_a_subset():

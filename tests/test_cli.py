@@ -242,6 +242,28 @@ def test_huge_census_is_refused_before_counting(capsys, monkeypatch, argv, witne
 @pytest.mark.parametrize(
     "argv, stdin",
     [
+        (["graph", "--k", "200000", "--l", "2"], ""),
+        (["reedy", "--k", "200000", "--l", "2"], ""),
+        (["export-dot", "--kind", "graph"], '{"k":200000,"l":2}'),
+    ],
+)
+def test_huge_class_count_is_refused_before_counting(capsys, monkeypatch, argv, stdin):
+    # k passes its own check, and at l = 2 the closed form k + 1 refuses
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    for name in ("class_count", "graph_classes", "build_graph"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    start = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch, argv, stdin)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"error":"class count 200001 exceeds budget 200000","k":200000,"l":2}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
         (["cells", "--k", "3", "--l", "1000000000"], ""),
         (["graph", "--k", "3", "--l", "1000000000"], ""),
         (["reedy", "--k", "3", "--l", "1000000000"], ""),

@@ -381,6 +381,66 @@ def test_vertex_accessors_consistent():
     assert t.geometric_inputs == t.n_leaves + t.n_univalent
 
 
+def _small_trees(max_size: int) -> list[PlanarTree]:
+    """Every planar tree with leaves plus vertices at most ``max_size``."""
+    return [
+        t for size in range(1, max_size + 1) for nv in range(1, size + 1)
+        for t in planar_trees(size - nv, nv)
+    ]
+
+
+def _recount(t: PlanarTree) -> tuple:
+    """Leaves, vertices, univalent vertices, the subtrees in preorder and
+    the text of ``t``, recounted recursively from the children alone."""
+    leaves, vertices, univalent = 0, 1, 0 if t.children else 1
+    subs, text = [t], ""
+    for c in t.children:
+        if c is None:
+            leaves += 1
+            text += "."
+            continue
+        c_leaves, c_vertices, c_univalent, c_subs, c_text = _recount(c)
+        leaves += c_leaves
+        vertices += c_vertices
+        univalent += c_univalent
+        subs += c_subs
+        text += c_text
+    return leaves, vertices, univalent, subs, f"({text})"
+
+
+def test_constructor_counts_match_a_recursive_recount():
+    trees = _small_trees(8)
+    assert len(trees) == 10879
+    for t in trees:
+        leaves, vertices, univalent, subs, text = _recount(t)
+        assert (t.n_leaves, t.n_vertices, t.n_univalent) == (leaves, vertices, univalent)
+        assert len(t.subtrees) == len(subs)
+        assert all(a is b for a, b in zip(t.subtrees, subs))
+        assert repr(t) == text
+    assert repr(PlanarTree()) == "()"
+    assert repr(PlanarTree((corolla(2), None, PlanarTree((None,))))) == "((..).(.))"
+    assert repr(PlanarTree((PlanarTree((corolla(0),)), corolla(3)))) == "((())(...))"
+
+
+def _rebuilt(t: PlanarTree) -> PlanarTree:
+    return PlanarTree(tuple(None if c is None else _rebuilt(c) for c in t.children))
+
+
+def test_trees_are_equal_exactly_when_their_children_are():
+    trees = _small_trees(6)
+    copies = [_rebuilt(t) for t in trees]
+    for t, u in zip(trees, copies):
+        assert t is not u and t == u and not t != u and hash(t) == hash(u)
+    # Distinct planar trees, many with equal counts, are never equal; repr
+    # spells out the children, so it is the oracle for their equality.
+    for t in trees:
+        for u in copies:
+            same = repr(t) == repr(u)
+            assert (t == u) is same and (t != u) is not same
+    assert len(set(trees) | set(copies)) == len(trees)
+    assert PlanarTree() != () and PlanarTree() != corolla(1)
+
+
 def test_working_form_kernel():
     for n in range(5):
         for v in range(1, 5):

@@ -1,11 +1,13 @@
 """Bimodule-resolution layer: rewriting relations, bimodule structure, the
 counit, prime decomposition, filtration, and cell-membership flags."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
+from operad_forge import bv, wb
 from operad_forge.bv import (
     bv_compose,
     bv_normalize,
@@ -21,11 +23,13 @@ from operad_forge.operads import (
     EndOperad,
     identity_perm,
     operad_by_name,
+    perm_compose,
 )
 from operad_forge.sampling import random_perm, random_wb
 from operad_forge.trees import (
     Node,
     PlanarTree,
+    Tree,
     corolla,
     cut,
     fold,
@@ -237,6 +241,56 @@ def test_unit_points_are_the_normalized_units(op):
     assert t == want and repr(t) == repr(want)
     assert t.canonical
     assert wb_normalize(t) == t
+
+
+def _act_by_normalizing(x, sigma):
+    """The definition of the action: relabel the main leaf word, then
+    normalize the relabeled raw point."""
+    tree = Tree(x.tree.shape, perm_compose(x.tree.labels, sigma))
+    return wb_normalize(replace(x, tree=tree, canonical=False))
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_act_on_a_normal_form_only_re_presents(op, monkeypatch):
+    # Relabeling the main leaves of a normal form makes no redex and its
+    # labels are canonical, so neither layer rewrites anything; the action
+    # equals the definition.
+    rng = Random(97)
+    cases = []
+    for y in _normal_points(op, 200, 89):
+        sigma = random_perm(rng, y.arity)
+        cases.append((y, sigma, _act_by_normalizing(y, sigma)))
+    assert sum(y.n_main_vertices > 1 for y, _, _ in cases) >= 40
+    assert sum(sigma != identity_perm(y.arity) for y, sigma, _ in cases) >= 60
+    assert sum(sigma != identity_perm(y.arity) for y, sigma, _ in cases) >= 40
+
+    def no_rewriting(*args):
+        raise AssertionError("a normal form was rewritten")
+
+    monkeypatch.setattr(bv, "_redexes", no_rewriting)
+    monkeypatch.setattr(wb, "_redexes", no_rewriting)
+    for y, sigma, want in cases:
+        got = wb_act(y, sigma)
+        assert got.canonical
+        assert got == want and repr(got) == repr(want)
+        assert [a.order_key for a in got.labels] == [a.order_key for a in want.labels]
+
+
+def test_act_on_a_raw_point_normalizes_it():
+    rng = Random(98)
+    for _ in range(60):
+        raw = random_wb(rng, A)
+        sigma = random_perm(rng, raw.arity)
+        assert wb_act(raw, sigma) == _act_by_normalizing(raw, sigma)
+
+
+@pytest.mark.parametrize("sigma", [(2, 1, 3), (2,), (2, 2), (1, 3), (0, 1)])
+def test_act_refuses_a_sigma_that_is_not_a_permutation(sigma):
+    x = _corolla_point((2, 1), F(1, 2))
+    raw = raw_wb(A, corolla(2), (iota(A, (2, 1)),), (F(1, 2),))
+    for point in (x, raw):
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            wb_act(point, sigma)
 
 
 def _mu_tilde_by_resolution(y):
