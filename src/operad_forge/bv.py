@@ -14,7 +14,6 @@ classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from random import Random
@@ -40,32 +39,42 @@ from .trees import (
     set_word,
     to_nodes,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class BVPoint:
+class BVPoint(Value):
     """A point of the resolution.
 
     ``labels[v]`` is the operad element at preorder vertex ``v`` of
     ``tree.shape``; ``params[v-1]`` is the length of the inner edge above
     non-root vertex ``v``.
 
-    The dataclass constructor checks nothing: caller data enters through
-    ``raw_bv``, which validates it once, and the engine builds only valid
-    points.
+    The constructor checks nothing: caller data enters through ``raw_bv``,
+    which validates it once, and the engine builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``bv_act`` by the identity returns it as it is.  Only
     ``bv_normalize`` and the direct builders of normal forms (``bv_unit``,
-    ``iota``) set it.
+    ``iota``) set it.  Equality reads neither ``operad`` nor ``canonical``.
     """
 
-    operad: Operad = field(compare=False, repr=False)
-    operad_name: str = field(default="")
-    tree: Tree = field(default=None)
-    labels: tuple = ()
-    params: tuple[Fraction, ...] = ()
-    canonical: bool = field(default=False, compare=False)
+    __slots__ = (
+        "operad", "operad_name", "tree", "labels", "params", "canonical", "__dict__"
+    )
+
+    def _key(self) -> tuple:
+        return (self.operad_name, self.tree, self.labels, self.params)
+
+    def __init__(
+        self, operad: Operad, operad_name: str = "", tree: Tree = None,
+        labels: tuple = (), params: tuple[Fraction, ...] = (), canonical: bool = False,
+    ):
+        self.operad = operad
+        self.operad_name = operad_name
+        self.tree = tree
+        self.labels = labels
+        self.params = params
+        self.canonical = canonical
 
     @property
     def arity(self) -> int:
@@ -307,14 +316,24 @@ def bv_is_prime(x: BVPoint) -> bool:
     return all(t < 1 for t in x.params)
 
 
-@dataclass(frozen=True)
-class BVDecomposition:
+class BVDecomposition(Value):
     """A cut tree: one prime component plus the grafting positions of the
-    sub-decompositions hanging below its cut leaves."""
+    sub-decompositions hanging below its cut leaves, and the leaf ``word``
+    of the original point (applied on reassembly)."""
 
-    component: BVPoint
-    children: tuple[tuple[int, "BVDecomposition"], ...]
-    word: Perm  # leaf word of the original point (applied on reassembly)
+    __slots__ = ("component", "children", "word")
+    _repr = __slots__
+
+    def _key(self) -> tuple:
+        return (self.component, self.children, self.word)
+
+    def __init__(
+        self, component: BVPoint, children: tuple[tuple[int, "BVDecomposition"], ...],
+        word: Perm,
+    ):
+        self.component = component
+        self.children = children
+        self.word = word
 
     def all_components(self) -> list[BVPoint]:
         out = [self.component]

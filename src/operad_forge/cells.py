@@ -15,7 +15,6 @@ two-stage straightening homotopy on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, groupby, product
@@ -32,6 +31,7 @@ from .trees import (
     planar_trees,
     slot_encodings,
 )
+from .values import Value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,27 +43,30 @@ HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpsilonIndex:
+class UpsilonIndex(Value):
     """A main planar tree together with one auxiliary planar tree per main
     vertex (in preorder); auxiliary tree ``aux[v]`` has one leaf per input
     slot of main vertex ``v``."""
 
-    main: PlanarTree
-    aux: tuple[PlanarTree, ...]
+    __slots__ = ("main", "aux")
+    _repr = __slots__
 
-    def __post_init__(self) -> None:
-        if len(self.aux) != self.main.n_vertices:
+    def _key(self) -> tuple:
+        return (self.main, self.aux)
+
+    def __init__(self, main: PlanarTree, aux: tuple[PlanarTree, ...]):
+        if len(aux) != main.n_vertices:
             raise ValueError(
-                f"expected {self.main.n_vertices} auxiliary trees, "
-                f"got {len(self.aux)}"
+                f"expected {main.n_vertices} auxiliary trees, got {len(aux)}"
             )
-        for v, a in enumerate(self.aux):
-            if a.n_leaves != self.main.arity_of(v):
+        for v, a in enumerate(aux):
+            if a.n_leaves != main.arity_of(v):
                 raise ValueError(
                     f"auxiliary tree at vertex {v} has {a.n_leaves} leaves, "
-                    f"vertex arity is {self.main.arity_of(v)}"
+                    f"vertex arity is {main.arity_of(v)}"
                 )
+        self.main = main
+        self.aux = aux
 
     @property
     def geometric_inputs(self) -> int:
@@ -303,15 +306,22 @@ def _presentations(enc: tuple) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(Value):
     """An isomorphism class of cell indices: its representative and the
     canonical key.  The representative is the least member in
     ``enumerate_upsilon`` order, which is the census's first-seen member.
-    ``size``, the number of planar members, is read off the key."""
+    ``size``, the number of planar members, is read off the key.  Equality
+    reads the representative only."""
 
-    representative: UpsilonIndex
-    key: tuple = field(compare=False, repr=False)
+    __slots__ = ("representative", "key")
+    _repr = ("representative",)
+
+    def _key(self) -> tuple:
+        return (self.representative,)
+
+    def __init__(self, representative: UpsilonIndex, key: tuple):
+        self.representative = representative
+        self.key = key
 
     @property
     def size(self) -> int:
@@ -364,25 +374,31 @@ def classify(indices: list[UpsilonIndex]) -> list[TreeClass]:
 # vertex, ``_least_order`` finds that order.
 
 
-@dataclass(eq=False)
-class _KeyVertex:
+class _KeyVertex(Value):
     """An auxiliary vertex of a class key with the subtree below it, its
     children in least order: ``kids`` holds ``(kind, vertex)`` pairs, kind
     0 a main leaf, 1 a child main vertex (as its auxiliary root), 2 an
     auxiliary child.  ``aux`` counts the auxiliary vertices of the subtree
     in its own tree, ``mains`` and ``main_leaves`` the main vertices and
-    main leaves below it."""
+    main leaves below it; ``e``, ``b``, ``o`` and ``x`` are its runs.  A
+    vertex is equal only to itself."""
 
-    key: tuple
-    kids: tuple
-    leaves: int
-    aux: int
-    mains: int
-    main_leaves: int
-    e: tuple
-    b: tuple
-    o: tuple
-    x: tuple
+    __slots__ = ("key", "kids", "leaves", "aux", "mains", "main_leaves", "e", "b", "o", "x")
+    _repr = __slots__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, key, kids, leaves, aux, mains, main_leaves, e, b, o, x):
+        self.key = key
+        self.kids = kids
+        self.leaves = leaves
+        self.aux = aux
+        self.mains = mains
+        self.main_leaves = main_leaves
+        self.e = e
+        self.b = b
+        self.o = o
+        self.x = x
 
 
 _MAIN_LEAF = (0, (0,))  # a main leaf's entry in a key
@@ -508,8 +524,8 @@ def _trusted_index(main: PlanarTree, aux: tuple[PlanarTree, ...]) -> UpsilonInde
     """An ``UpsilonIndex`` that the engine built itself, so it is not
     checked again: a decoded key or a contraction."""
     idx = object.__new__(UpsilonIndex)
-    object.__setattr__(idx, "main", main)
-    object.__setattr__(idx, "aux", aux)
+    idx.main = main
+    idx.aux = aux
     return idx
 
 
@@ -616,18 +632,28 @@ def contract_main_edge(
     )
 
 
-@dataclass(frozen=True)
-class ContractionGraph:
+class ContractionGraph(Value):
     """Classes of cell indices with non-corolla main trees, with a directed
     edge whenever contracting one inner main edge of a member lands in the
     target class."""
 
-    k: int
-    l: int
-    classes: tuple[TreeClass, ...]
-    edges: tuple[tuple[int, int], ...]
-    components: tuple[tuple[int, ...], ...]
-    initials: tuple[int, ...]
+    __slots__ = ("k", "l", "classes", "edges", "components", "initials")
+    _repr = __slots__
+
+    def _key(self) -> tuple:
+        return (self.k, self.l, self.classes, self.edges, self.components, self.initials)
+
+    def __init__(
+        self, k: int, l: int, classes: tuple[TreeClass, ...],
+        edges: tuple[tuple[int, int], ...], components: tuple[tuple[int, ...], ...],
+        initials: tuple[int, ...],
+    ):
+        self.k = k
+        self.l = l
+        self.classes = classes
+        self.edges = edges
+        self.components = components
+        self.initials = initials
 
 
 def _finish_graph(
@@ -724,14 +750,22 @@ def subgraph_i(g: ContractionGraph, i: int) -> ContractionGraph:
 ReedyObject = Union[tuple[str, int], tuple[str, int, int]]
 
 
-@dataclass(frozen=True)
-class ReedyData:
+class ReedyData(Value):
     """The Reedy-category index structure of a directed graph: one degree-1
     object per graph vertex, one degree-0 object per edge, and two
     degree-lowering morphisms per edge object (to its endpoints)."""
 
-    vertex_objects: tuple[ReedyObject, ...]
-    pair_objects: tuple[ReedyObject, ...]
+    __slots__ = ("vertex_objects", "pair_objects", "__dict__")
+    _repr = ("vertex_objects", "pair_objects")
+
+    def _key(self) -> tuple:
+        return (self.vertex_objects, self.pair_objects)
+
+    def __init__(
+        self, vertex_objects: tuple[ReedyObject, ...], pair_objects: tuple[ReedyObject, ...]
+    ):
+        self.vertex_objects = vertex_objects
+        self.pair_objects = pair_objects
 
     @property
     def objects(self) -> tuple[ReedyObject, ...]:

@@ -16,7 +16,6 @@ opaque computable functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -42,6 +41,7 @@ from .operads import (
     sort_to_increasing,
 )
 from .trees import fold, to_nodes
+from .values import Value
 from .wb import (
     ONE,
     ZERO,
@@ -70,15 +70,25 @@ class TruncationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoopElement:
+class LoopElement(Value):
     """A loop in the operad mapping space, given by a kernel evaluated on
-    canonical resolution points and a rational time coordinate."""
+    canonical resolution points and a rational time coordinate.  Equality
+    reads all but the kernel."""
 
-    eta: OperadMapEta
-    kernel: Callable[[BVPoint, Fraction], Any] = field(compare=False)
-    name: str = "loop"
-    truncation: Optional[int] = None
+    __slots__ = ("eta", "kernel", "name", "truncation")
+    _repr = __slots__
+
+    def _key(self) -> tuple:
+        return (self.eta, self.name, self.truncation)
+
+    def __init__(
+        self, eta: OperadMapEta, kernel: Callable[[BVPoint, Fraction], Any],
+        name: str = "loop", truncation: Optional[int] = None,
+    ):
+        self.eta = eta
+        self.kernel = kernel
+        self.name = name
+        self.truncation = truncation
 
     def __call__(self, x: BVPoint, t) -> Any:
         t = Fraction(t)
@@ -93,15 +103,24 @@ class LoopElement:
         return self.kernel(x, t)
 
 
-@dataclass(frozen=True)
-class BimodMapElement:
+class BimodMapElement(Value):
     """A bimodule map out of the bimodule resolution, given by a kernel
-    evaluated on canonical points."""
+    evaluated on canonical points.  Equality reads all but the kernel."""
 
-    eta: OperadMapEta
-    kernel: Callable[[WBPoint], Any] = field(compare=False)
-    name: str = "bimod-map"
-    truncation: Optional[int] = None
+    __slots__ = ("eta", "kernel", "name", "truncation")
+    _repr = __slots__
+
+    def _key(self) -> tuple:
+        return (self.eta, self.name, self.truncation)
+
+    def __init__(
+        self, eta: OperadMapEta, kernel: Callable[[WBPoint], Any],
+        name: str = "bimod-map", truncation: Optional[int] = None,
+    ):
+        self.eta = eta
+        self.kernel = kernel
+        self.name = name
+        self.truncation = truncation
 
     def __call__(self, y: WBPoint) -> Any:
         if not y.canonical:

@@ -11,9 +11,10 @@ action convention ``(x . sigma) . tau = x . (sigma tau)`` with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Optional
+
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +429,23 @@ def operad_by_name(name: str) -> Operad:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperadMapEta:
+class OperadMapEta(Value):
     """An operad map given by a per-element function; validated by
     ``validate_eta`` on enumerable instances."""
 
-    source: Operad
-    target: Operad
-    fn: Callable[[Any], Any]
-    name: str = "eta"
+    __slots__ = ("source", "target", "fn", "name")
+    _repr = __slots__
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.fn, self.name)
+
+    def __init__(
+        self, source: Operad, target: Operad, fn: Callable[[Any], Any], name: str = "eta"
+    ):
+        self.source = source
+        self.target = target
+        self.fn = fn
+        self.name = name
 
     def __call__(self, x):
         return self.fn(x)
@@ -451,17 +460,38 @@ def identity_eta(operad: Operad) -> OperadMapEta:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Violation:
-    law: str
-    witness: dict
+class Violation(Value):
+    """A broken law and its witness values (mutable, so unhashable)."""
+
+    __slots__ = ("law", "witness")
+    _repr = __slots__
+    __hash__ = None
+
+    def _key(self) -> tuple:
+        return (self.law, self.witness)
+
+    def __init__(self, law: str, witness: dict):
+        self.law = law
+        self.witness = witness
 
 
-@dataclass
-class ValidationReport:
-    subject: str
-    checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Value):
+    """What a validator checked and the violations it found (mutable, so
+    unhashable)."""
+
+    __slots__ = ("subject", "checked", "violations")
+    _repr = __slots__
+    __hash__ = None
+
+    def _key(self) -> tuple:
+        return (self.subject, self.checked, self.violations)
+
+    def __init__(
+        self, subject: str, checked: int = 0, violations: Optional[list[Violation]] = None
+    ):
+        self.subject = subject
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -630,23 +660,27 @@ def validate_eta(eta: OperadMapEta, max_arity: int = 3) -> ValidationReport:
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class CubeConfig:
+class CubeConfig(Value):
     """An ordered family of n affine subintervals of [0,1] with pairwise
     disjoint interiors — a point of the little 1-cubes space in arity n."""
 
-    intervals: tuple[Interval, ...]
+    __slots__ = ("intervals",)
+    _repr = __slots__
 
-    def __post_init__(self) -> None:
-        for a, b in self.intervals:
+    def _key(self) -> tuple:
+        return (self.intervals,)
+
+    def __init__(self, intervals: tuple[Interval, ...]):
+        for a, b in intervals:
             if not (0 <= a < b <= 1):
                 raise ValueError(f"interval [{a},{b}] not valid inside [0,1]")
-        by_start = sorted(self.intervals)
+        by_start = sorted(intervals)
         for (a1, b1), (a2, b2) in zip(by_start, by_start[1:]):
             if b1 > a2:
                 raise ValueError(
                     f"intervals [{a1},{b1}] and [{a2},{b2}] overlap"
                 )
+        self.intervals = intervals
 
     @property
     def n(self) -> int:

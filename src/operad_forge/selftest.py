@@ -11,7 +11,6 @@ closed form) — never from the function under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -92,6 +91,7 @@ from .trees import (
     preorder,
     to_nodes,
 )
+from .values import Value
 from .wb import (
     WBPoint,
     mu_tilde,
@@ -115,13 +115,24 @@ _A = AssocOperad()
 _COM = ComOperad()
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    checked: int
-    detail: str = ""
+class CriterionResult(Value):
+    """One criterion's verdict (mutable, so unhashable)."""
+
+    __slots__ = ("number", "name", "ok", "checked", "detail")
+    _repr = __slots__
+    __hash__ = None
+
+    def _key(self) -> tuple:
+        return (self.number, self.name, self.ok, self.checked, self.detail)
+
+    def __init__(
+        self, number: int, name: str, ok: bool, checked: int, detail: str = ""
+    ):
+        self.number = number
+        self.name = name
+        self.ok = ok
+        self.checked = checked
+        self.detail = detail
 
     @property
     def line(self) -> str:

@@ -30,12 +30,12 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, permutations, product
 from typing import Iterator, Optional
 
 from .operads import identity_perm, perm_compose, perm_inverse
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +248,22 @@ def enumerate_trees(k: int, l: int) -> list[PlanarTree]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Value):
     """A planar tree plus a leaf labeling: ``labels[p-1]`` is the abstract
     input carried by the leaf at planar position ``p``."""
 
-    shape: PlanarTree
-    labels: tuple[int, ...]
+    __slots__ = ("shape", "labels")
+    _repr = __slots__
 
-    def __post_init__(self) -> None:
-        n = self.shape.n_leaves
-        if sorted(self.labels) != list(range(1, n + 1)):
-            raise ValueError(f"labels {self.labels} are not a permutation of 1..{n}")
+    def _key(self) -> tuple:
+        return (self.shape, self.labels)
+
+    def __init__(self, shape: PlanarTree, labels: tuple[int, ...]):
+        n = shape.n_leaves
+        if sorted(labels) != list(range(1, n + 1)):
+            raise ValueError(f"labels {labels} are not a permutation of 1..{n}")
+        self.shape = shape
+        self.labels = labels
 
     @property
     def n(self) -> int:
@@ -270,8 +274,8 @@ def _trusted_tree(shape: PlanarTree, word: tuple[int, ...]) -> Tree:
     """A ``Tree`` whose word the engine built itself, so it is not checked
     again: the word of a cut, a graft or a normal form."""
     tree = object.__new__(Tree)
-    object.__setattr__(tree, "shape", shape)
-    object.__setattr__(tree, "labels", word)
+    tree.shape = shape
+    tree.labels = word
     return tree
 
 
@@ -502,15 +506,24 @@ def _fixes_block(act, first: tuple, seen: dict, start: int, size: int) -> bool:
     return True
 
 
-def canonicalize(n: Node, act, key):
+def canonicalize(n: Node, act, key) -> tuple:
     """Reorder kids bottom-up to the lexicographically minimal presentation,
     pushing the compensating symmetric action into the labels:
     ``act(label, sigma)`` acts and ``key(label)`` orders labels.  Returns the
-    encoding ``("N", t_key, child_encodings, label_key)`` of the subtree."""
+    encodings of the root's children in sorted order, each
+    ``("N", t_key, child_encodings, label_key)`` or ``("L", input)``.  No
+    parent sorts the root's own encoding, so its label key is computed
+    only to choose between two or more candidates."""
+    return _canonicalize(n, act, key, True)[2]
+
+
+def _canonicalize(n: Node, act, key, root: bool = False) -> tuple:
+    """``canonicalize`` on the subtree at ``n``, returning its encoding;
+    at the ``root`` with one candidate the label key is ``None``."""
     encs: list = []
     for c in n.kids:
         if isinstance(c, Node):
-            encs.append(canonicalize(c, act, key))
+            encs.append(_canonicalize(c, act, key))
         else:
             encs.append(("L", c))
     # Minimal presentation orders the child encodings first; the label only
@@ -524,10 +537,12 @@ def canonicalize(n: Node, act, key):
     # gives an equal label in every order, and the first candidate wins the
     # tie: the block keeps its sorted order.
     choices: list = []
+    single = True
     start = 0
     for blk in blocks:
         if len(blk) > 1 and not _fixes_block(act, first, seen, start, len(blk)):
             choices.append(permutations(blk))
+            single = False
         else:
             choices.append((tuple(blk),))
         start += len(blk)
@@ -535,7 +550,7 @@ def canonicalize(n: Node, act, key):
     for choice in product(*choices):
         pi = tuple(s for blk in choice for s in blk)
         label2 = seen[pi] if pi in seen else act(n.label, perm_inverse(pi))
-        label_key = key(label2)
+        label_key = None if root and single else key(label2)
         if best is None or label_key < best[0]:
             best = (label_key, pi, label2)
     label_key, pi, n.label = best

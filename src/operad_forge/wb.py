@@ -16,7 +16,6 @@ inverse.  Prime decomposition is that cut along the unit cube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from random import Random
@@ -52,32 +51,43 @@ from .trees import (
     set_word,
     to_nodes,
 )
+from .values import Value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class WBPoint:
+class WBPoint(Value):
     """A point of the bimodule resolution.  ``heights[v]`` and ``labels[v]``
     decorate preorder main-tree vertex ``v``; ``tree.labels`` is the leaf
     word of the main tree.
 
-    The dataclass constructor checks nothing: caller data enters through
-    ``raw_wb`` (or ``reassemble_bands``), which validates it once, and the
-    engine builds only valid points.
+    The constructor checks nothing: caller data enters through ``raw_wb``
+    (or ``reassemble_bands``), which validates it once, and the engine
+    builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``wb_act`` by the identity returns it as it is.  Only
-    ``wb_normalize`` and the direct builder ``wb_trivial`` set it.
+    ``wb_normalize`` and the direct builder ``wb_trivial`` set it.  Equality
+    reads neither ``operad`` nor ``canonical``.
     """
 
-    operad: Operad = field(compare=False, repr=False)
-    operad_name: str = field(default="")
-    tree: Tree = field(default=None)
-    heights: tuple[Fraction, ...] = ()
-    labels: tuple[BVPoint, ...] = ()
-    canonical: bool = field(default=False, compare=False)
+    __slots__ = ("operad", "operad_name", "tree", "heights", "labels", "canonical")
+
+    def _key(self) -> tuple:
+        return (self.operad_name, self.tree, self.heights, self.labels)
+
+    def __init__(
+        self, operad: Operad, operad_name: str = "", tree: Tree = None,
+        heights: tuple[Fraction, ...] = (), labels: tuple[BVPoint, ...] = (),
+        canonical: bool = False,
+    ):
+        self.operad = operad
+        self.operad_name = operad_name
+        self.tree = tree
+        self.heights = heights
+        self.labels = labels
+        self.canonical = canonical
 
     @property
     def arity(self) -> int:
@@ -424,8 +434,7 @@ def wb_is_prime(x: WBPoint) -> bool:
     return all(0 < t < 1 for t in x.heights)
 
 
-@dataclass(frozen=True)
-class WBDecomposition:
+class WBDecomposition(Value):
     """A point cut along the unit cube: ``gaps`` and ``cubes`` are the band
     lists of ``subdivide``, and ``word`` is the leaf word of the point.
 
@@ -433,13 +442,23 @@ class WBDecomposition:
     merged, so a point is an optional root at height 0, interior subtrees,
     and caps at height 1 with only leaves above them: the bands ``[0,0]``,
     ``]0,1[`` and ``[1,1]``.  The non-trivial sub-points of ``cubes[0]``
-    are the prime components.
+    are the prime components.  Equality reads all but ``operad``; the band
+    lists make a decomposition unhashable.
     """
 
-    operad: Operad = field(compare=False, repr=False)
-    gaps: Sequence = ()
-    cubes: Sequence = ()
-    word: Perm = ()
+    __slots__ = ("operad", "gaps", "cubes", "word")
+    _repr = ("gaps", "cubes", "word")
+
+    def _key(self) -> tuple:
+        return (self.gaps, self.cubes, self.word)
+
+    def __init__(
+        self, operad: Operad, gaps: Sequence = (), cubes: Sequence = (), word: Perm = ()
+    ):
+        self.operad = operad
+        self.gaps = gaps
+        self.cubes = cubes
+        self.word = word
 
 
 def wb_decompose(x: WBPoint) -> WBDecomposition:

@@ -1,7 +1,6 @@
 """Operad-resolution layer: relation-by-relation checks of the rewriting
 system, confluence, the counit, prime decomposition, and filtration."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
@@ -9,6 +8,7 @@ import pytest
 
 from operad_forge import bv
 from operad_forge.bv import (
+    BVPoint,
     bv_act,
     bv_compose,
     bv_decompose,
@@ -253,7 +253,7 @@ def _act_by_normalizing(x, sigma):
     """The definition of the action: relabel the leaf word, then normalize
     the relabeled raw point."""
     tree = Tree(x.tree.shape, perm_compose(x.tree.labels, sigma))
-    return bv_normalize(replace(x, tree=tree, canonical=False))
+    return bv_normalize(BVPoint(x.operad, x.operad_name, tree, x.labels, x.params, False))
 
 
 @pytest.mark.parametrize("name", ["assoc", "com", "end:2", "free:a=2,b=3:4"])

@@ -7,6 +7,9 @@ the package, a demo or the benchmark, or is named, with its reason, in the
 short list of public functions that only tests call."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,3 +174,19 @@ def test_no_dead_public_code():
 def test_test_only_allowlist_is_current():
     defined, read = _public_reads()
     assert sorted(n for n in TEST_ONLY_PUBLIC if n not in defined or n in read) == []
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # every ``operad-forge`` process pays for what ``import operad_forge.cli``
+    # loads; ``dataclasses`` and the ``inspect`` it pulls in were half of it.
+    # ``-S`` keeps the environment's site hooks out of the count.
+    code = (
+        "import sys, operad_forge.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

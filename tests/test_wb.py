@@ -1,7 +1,6 @@
 """Bimodule-resolution layer: rewriting relations, bimodule structure, the
 counit, prime decomposition, filtration, and cell-membership flags."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
@@ -39,6 +38,7 @@ from operad_forge.trees import (
 from operad_forge.wb import (
     ONE,
     ZERO,
+    WBPoint,
     mu_tilde,
     raw_wb,
     wb_act,
@@ -247,7 +247,7 @@ def _act_by_normalizing(x, sigma):
     """The definition of the action: relabel the main leaf word, then
     normalize the relabeled raw point."""
     tree = Tree(x.tree.shape, perm_compose(x.tree.labels, sigma))
-    return wb_normalize(replace(x, tree=tree, canonical=False))
+    return wb_normalize(WBPoint(x.operad, x.operad_name, tree, x.heights, x.labels, False))
 
 
 @pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
