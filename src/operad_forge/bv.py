@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from random import Random
 from typing import Any, Optional
 
-from .operads import AssocOperad, Operad, Perm, identity_perm
+from .operads import Operad, Perm, identity_perm
 from .trees import (
     Node,
     PlanarTree,
@@ -32,11 +31,10 @@ from .trees import (
     cut,
     fold,
     from_nodes,
+    graft_input,
     lazy,
-    leaf_slots,
     preorder,
     rewrite_fixpoint,
-    set_word,
     to_nodes,
 )
 from .values import Value
@@ -61,9 +59,7 @@ class BVPoint(Value):
     __slots__ = (
         "operad", "operad_name", "tree", "labels", "params", "canonical", "__dict__"
     )
-
-    def _key(self) -> tuple:
-        return (self.operad_name, self.tree, self.labels, self.params)
+    _compared = ("operad_name", "tree", "labels", "params")
 
     def __init__(
         self, operad: Operad, operad_name: str = "", tree: Tree = None,
@@ -112,8 +108,8 @@ class BVPoint(Value):
         contracted by the operad composition, then the leaf word acted on.
         Points are immutable and operad elements are ints or tuples, so the
         value is safe to share."""
-        operad = self.operad
-        return operad.act(fold(_nodes(self), operad.compose), self.tree.labels)
+        operad, tree = self.operad, self.tree
+        return operad.act(fold(tree.shape, self.labels, operad.compose), tree.labels)
 
     def __repr__(self) -> str:
         return (
@@ -229,14 +225,10 @@ def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _label_key(operad: Operad, label) -> str:
-    return json.dumps(operad.encode(label), sort_keys=True)
-
-
 def _present(operad: Operad, root: Node) -> BVPoint:
     """The normal form of a rewritten working form: its minimal planar
     presentation, the compensating action pushed into the labels."""
-    canonicalize(root, operad.act, partial(_label_key, operad))
+    canonicalize(root, operad.act, operad.key)
     return _point(operad, root, True)
 
 
@@ -291,18 +283,11 @@ def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
 def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:
     """Operadic composition: graft at the leaf carrying input ``i`` and give
     the new inner edge length 1, then normalize."""
-    if not 1 <= i <= x.arity:
-        raise IndexError(f"input {i} out of range 1..{x.arity}")
     if x.operad_name != y.operad_name:
         raise ValueError("operad mismatch")
-    pos = x.tree.labels.index(i)  # 0-based planar position of input i
     nx, ny = _nodes(x), _nodes(y)
-    # Graft ny at planar leaf position pos of nx.
     ny.t = Fraction(1)
-    node, slot = leaf_slots(nx)[pos]
-    node.kids[slot - 1] = ny
-    # Renumber leaf words: substitution inside the symmetric-groups operad.
-    set_word(nx, AssocOperad().compose(x.tree.labels, i, y.tree.labels))
+    graft_input(nx, x.tree.labels, i, ny, y.tree.labels)
     return bv_normalize(_point(x.operad, nx, False))
 
 
@@ -322,10 +307,6 @@ class BVDecomposition(Value):
     of the original point (applied on reassembly)."""
 
     __slots__ = ("component", "children", "word")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.component, self.children, self.word)
 
     def __init__(
         self, component: BVPoint, children: tuple[tuple[int, "BVDecomposition"], ...],

@@ -49,10 +49,6 @@ class UpsilonIndex(Value):
     slot of main vertex ``v``."""
 
     __slots__ = ("main", "aux")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.main, self.aux)
 
     def __init__(self, main: PlanarTree, aux: tuple[PlanarTree, ...]):
         if len(aux) != main.n_vertices:
@@ -316,9 +312,6 @@ class TreeClass(Value):
     __slots__ = ("representative", "key")
     _repr = ("representative",)
 
-    def _key(self) -> tuple:
-        return (self.representative,)
-
     def __init__(self, representative: UpsilonIndex, key: tuple):
         self.representative = representative
         self.key = key
@@ -384,7 +377,6 @@ class _KeyVertex(Value):
     vertex is equal only to itself."""
 
     __slots__ = ("key", "kids", "leaves", "aux", "mains", "main_leaves", "e", "b", "o", "x")
-    _repr = __slots__
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -638,10 +630,6 @@ class ContractionGraph(Value):
     target class."""
 
     __slots__ = ("k", "l", "classes", "edges", "components", "initials")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.k, self.l, self.classes, self.edges, self.components, self.initials)
 
     def __init__(
         self, k: int, l: int, classes: tuple[TreeClass, ...],
@@ -756,10 +744,6 @@ class ReedyData(Value):
     degree-lowering morphisms per edge object (to its endpoints)."""
 
     __slots__ = ("vertex_objects", "pair_objects", "__dict__")
-    _repr = ("vertex_objects", "pair_objects")
-
-    def _key(self) -> tuple:
-        return (self.vertex_objects, self.pair_objects)
 
     def __init__(
         self, vertex_objects: tuple[ReedyObject, ...], pair_objects: tuple[ReedyObject, ...]

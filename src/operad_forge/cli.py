@@ -175,10 +175,10 @@ def _load_kernel_spec(path: str) -> dict:
 
 def _kernel_table(path: str, raw: dict, operad: Operad) -> dict:
     """A kernel file's table, keyed as ``table_eta`` looks its elements up:
-    by ``json.dumps(encode(x), sort_keys=True)`` of each decoded key ``x``,
-    whatever spacing or presentation the file gave it.  A key or an image
-    that is not an element, an image of another arity than its key, and two
-    keys for one element with different images are refused."""
+    by ``operad.key(x)`` of each decoded key ``x``, whatever spacing or
+    presentation the file gave it.  A key or an image that is not an
+    element, an image of another arity than its key, and two keys for one
+    element with different images are refused."""
     table: dict = {}
     for text, image in raw.items():
         try:
@@ -191,7 +191,7 @@ def _kernel_table(path: str, raw: dict, operad: Operad) -> dict:
                 f"kernel file {path!r}: entry {text[:40]!r} has an image of arity "
                 f"{operad.arity(y)}, not {operad.arity(x)}"
             )
-        key, value = json.dumps(operad.encode(x), sort_keys=True), operad.encode(y)
+        key, value = operad.key(x), operad.encode(y)
         if table.setdefault(key, value) != value:
             raise CliInputError(f"kernel file {path!r}: two images for {key[:40]}")
     return table

@@ -15,7 +15,6 @@ opaque computable functions.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -40,7 +39,7 @@ from .operads import (
     ValidationReport,
     sort_to_increasing,
 )
-from .trees import fold, to_nodes
+from .trees import fold
 from .values import Value
 from .wb import (
     ONE,
@@ -70,66 +69,53 @@ class TruncationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class LoopElement(Value):
-    """A loop in the operad mapping space, given by a kernel evaluated on
-    canonical resolution points and a rational time coordinate.  Equality
-    reads all but the kernel."""
+class _MapElement(Value):
+    """A kernel with its basepoint data ``eta``, evaluated by ``__call__``
+    on canonical points, and only inside filtration stage ``truncation``
+    when one is given.  Equality reads all but the kernel."""
 
     __slots__ = ("eta", "kernel", "name", "truncation")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.eta, self.name, self.truncation)
+    _compared = ("eta", "name", "truncation")
 
     def __init__(
-        self, eta: OperadMapEta, kernel: Callable[[BVPoint, Fraction], Any],
-        name: str = "loop", truncation: Optional[int] = None,
+        self, eta: OperadMapEta, kernel: Callable, name: str,
+        truncation: Optional[int] = None,
     ):
         self.eta = eta
         self.kernel = kernel
         self.name = name
         self.truncation = truncation
+
+    def _in_stage(self, x, normalize, filtration):
+        """``x`` normalized, refused outside the truncation stage."""
+        if not x.canonical:
+            x = normalize(x)
+        if self.truncation is not None and not filtration(x, self.truncation):
+            raise TruncationError(f"point outside filtration stage {self.truncation}")
+        return x
+
+
+class LoopElement(_MapElement):
+    """A loop in the operad mapping space, given by a kernel evaluated on
+    canonical resolution points and a rational time coordinate."""
+
+    __slots__ = ()
 
     def __call__(self, x: BVPoint, t) -> Any:
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError(f"time {t} outside [0,1]")
-        if not x.canonical:
-            x = bv_normalize(x)
-        if self.truncation is not None and not bv_filtration(x, self.truncation):
-            raise TruncationError(
-                f"point outside filtration stage {self.truncation}"
-            )
-        return self.kernel(x, t)
+        return self.kernel(self._in_stage(x, bv_normalize, bv_filtration), t)
 
 
-class BimodMapElement(Value):
+class BimodMapElement(_MapElement):
     """A bimodule map out of the bimodule resolution, given by a kernel
-    evaluated on canonical points.  Equality reads all but the kernel."""
+    evaluated on canonical points."""
 
-    __slots__ = ("eta", "kernel", "name", "truncation")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.eta, self.name, self.truncation)
-
-    def __init__(
-        self, eta: OperadMapEta, kernel: Callable[[WBPoint], Any],
-        name: str = "bimod-map", truncation: Optional[int] = None,
-    ):
-        self.eta = eta
-        self.kernel = kernel
-        self.name = name
-        self.truncation = truncation
+    __slots__ = ()
 
     def __call__(self, y: WBPoint) -> Any:
-        if not y.canonical:
-            y = wb_normalize(y)
-        if self.truncation is not None and not wb_filtration(y, self.truncation):
-            raise TruncationError(
-                f"point outside filtration stage {self.truncation}"
-            )
-        return self.kernel(y)
+        return self.kernel(self._in_stage(y, wb_normalize, wb_filtration))
 
 
 def _same_eta(a: OperadMapEta, b: OperadMapEta) -> bool:
@@ -218,8 +204,7 @@ def table_eta(
     arities it will be evaluated at (use ``validate_eta``)."""
 
     def fn(x):
-        key = json.dumps(operad.encode(x), sort_keys=True)
-        hit = table.get(key)
+        hit = table.get(operad.key(x))
         return operad.decode(hit) if hit is not None else x
 
     return OperadMapEta(operad, operad, fn, name=name)
@@ -232,9 +217,7 @@ def reversal_table(max_arity: int) -> dict:
     out = {}
     for n in range(1, max_arity + 1):
         for w in A.elements(n):
-            out[json.dumps(A.encode(w), sort_keys=True)] = A.encode(
-                tuple(reversed(w))
-            )
+            out[A.key(w)] = A.encode(tuple(reversed(w)))
     return out
 
 
@@ -398,8 +381,7 @@ def xi(g: LoopElement) -> BimodMapElement:
 
     def kernel(y: WBPoint):
         values = [g(label, t) for label, t in zip(y.labels, y.heights)]
-        root = to_nodes(y.tree.shape, values, y.heights, y.tree.labels)
-        return target.act(fold(root, target.compose), y.tree.labels)
+        return target.act(fold(y.tree.shape, values, target.compose), y.tree.labels)
 
     return BimodMapElement(g.eta, kernel, name=f"xi({g.name})")
 

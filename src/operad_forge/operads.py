@@ -11,6 +11,7 @@ action convention ``(x . sigma) . tau = x . (sigma tau)`` with
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -93,6 +94,12 @@ class Operad:
         """The element that ``data`` encodes; ``ValueError`` when it encodes
         none.  This is where an element enters, so it is checked here."""
         raise NotImplementedError
+
+    def key(self, x: Any) -> str:
+        """The encoding of ``x`` as sorted JSON text: the key that orders
+        labels in a canonical presentation and looks ``x`` up in a kernel
+        table."""
+        return json.dumps(self.encode(x), sort_keys=True)
 
     def is_unit(self, x: Any) -> bool:
         return self.arity(x) == 1 and x == self.unit()
@@ -434,10 +441,6 @@ class OperadMapEta(Value):
     ``validate_eta`` on enumerable instances."""
 
     __slots__ = ("source", "target", "fn", "name")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.fn, self.name)
 
     def __init__(
         self, source: Operad, target: Operad, fn: Callable[[Any], Any], name: str = "eta"
@@ -464,11 +467,7 @@ class Violation(Value):
     """A broken law and its witness values (mutable, so unhashable)."""
 
     __slots__ = ("law", "witness")
-    _repr = __slots__
     __hash__ = None
-
-    def _key(self) -> tuple:
-        return (self.law, self.witness)
 
     def __init__(self, law: str, witness: dict):
         self.law = law
@@ -480,11 +479,7 @@ class ValidationReport(Value):
     unhashable)."""
 
     __slots__ = ("subject", "checked", "violations")
-    _repr = __slots__
     __hash__ = None
-
-    def _key(self) -> tuple:
-        return (self.subject, self.checked, self.violations)
 
     def __init__(
         self, subject: str, checked: int = 0, violations: Optional[list[Violation]] = None
@@ -665,10 +660,6 @@ class CubeConfig(Value):
     disjoint interiors — a point of the little 1-cubes space in arity n."""
 
     __slots__ = ("intervals",)
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.intervals,)
 
     def __init__(self, intervals: tuple[Interval, ...]):
         for a, b in intervals:

@@ -37,7 +37,6 @@ from .cells import (
     build_graph,
     census_size,
     enumerate_upsilon,
-    graph_classes,
     h_membership,
     homotopy_H,
     max_vertices,
@@ -119,11 +118,7 @@ class CriterionResult(Value):
     """One criterion's verdict (mutable, so unhashable)."""
 
     __slots__ = ("number", "name", "ok", "checked", "detail")
-    _repr = __slots__
     __hash__ = None
-
-    def _key(self) -> tuple:
-        return (self.number, self.name, self.ok, self.checked, self.detail)
 
     def __init__(
         self, number: int, name: str, ok: bool, checked: int, detail: str = ""
@@ -920,9 +915,10 @@ def criterion_cells(rng: Random, scale: float = 1.0) -> CriterionResult:
                 bad.append(f"({k},{l}) initial element not all-corolla")
         if k == 3 and l == 2 and g.edges:
             bad.append("the (3,2) graph should have no edges")
+        if (k, l) == (4, 3):
+            shapes = [c.representative for c in g.classes]
 
     # Homotopy endpoints and image membership.
-    shapes = [c.representative for c in graph_classes(4, 3)]
     per_shape = _scaled(500, scale)
     for idx in shapes:
         mx = max_vertices(idx.main)

@@ -21,11 +21,15 @@ encodings (``slot_encodings``), an iterated product of symmetric groups
 (Polya 1937).  The engine reads these blocks and never lists the
 isomorphisms themselves.
 
-``Node`` is the one mutable working form for tree surgery.  ``bv`` and
-``wb`` rewrite their points on it (unit deletion, edge contraction,
-canonical reordering through the symmetric action) and ``mapping`` cuts
-bands and splits edges on it, all through the shared helpers at the end of
-this module.
+Evaluation folds the planar tree: ``fold`` composes per-vertex values
+along its edges, which is how ``bv`` computes ``mu``, ``wb`` computes
+``mu_tilde`` and ``mapping`` computes ``xi``.
+
+``Node`` is the one mutable working form, and it is only for rewriting.
+``bv`` and ``wb`` rewrite their points on it (unit deletion, edge
+contraction, grafting, canonical reordering through the symmetric action,
+and the cuts of prime decomposition and band subdivision), all through the
+shared helpers at the end of this module.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 from itertools import groupby, permutations, product
 from typing import Iterator, Optional
 
-from .operads import identity_perm, perm_compose, perm_inverse
+from .operads import AssocOperad, identity_perm, perm_compose, perm_inverse
 from .values import Value
 
 
@@ -134,17 +138,17 @@ class PlanarTree:
 
         Slots are 1-based positions in the parent's ordered child tuple.
         """
-        out: list[tuple[int, int]] = [(-1, -1)]
-
-        def walk(sub: PlanarTree, my_idx: int) -> int:
-            next_idx = my_idx + 1
-            for slot, c in enumerate(sub.children, start=1):
-                if c is not None:
-                    out.append((my_idx, slot))
-                    next_idx = walk(c, next_idx)
-            return next_idx
-
-        walk(self, 0)
+        out: list[tuple[int, int]] = []
+        stack = [(self, -1, -1)]
+        while stack:
+            sub, parent, slot = stack.pop()
+            me = len(out)
+            out.append((parent, slot))
+            kids = sub.children
+            stack.extend(
+                (kids[s - 1], me, s) for s in range(len(kids), 0, -1)
+                if kids[s - 1] is not None
+            )
         return tuple(out)
 
     @lazy
@@ -182,6 +186,20 @@ def graft(base: PlanarTree, i: int, scion: PlanarTree) -> PlanarTree:
             kids[s] = scion if c is None else graft(c, i, scion)
             return PlanarTree(tuple(kids))
         i -= n
+
+
+def fold(shape: PlanarTree, values, compose):
+    """The value of ``shape`` with ``values[v]`` at preorder vertex ``v`` and
+    every inner edge contracted by ``compose(parent_value, slot, value)``.
+    In reverse preorder each vertex is composed into its parent: its own
+    subtree is folded before it, and a parent's slots are filled last first,
+    so the slot numbers still to come stay valid."""
+    values = list(values)
+    parents = shape.vertex_parents
+    for v in range(len(values) - 1, 0, -1):
+        parent, slot = parents[v]
+        values[parent] = compose(values[parent], slot, values[v])
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +271,6 @@ class Tree(Value):
     input carried by the leaf at planar position ``p``."""
 
     __slots__ = ("shape", "labels")
-    _repr = __slots__
-
-    def _key(self) -> tuple:
-        return (self.shape, self.labels)
 
     def __init__(self, shape: PlanarTree, labels: tuple[int, ...]):
         n = shape.n_leaves
@@ -318,12 +332,12 @@ def canonical_form(a: Tree) -> Tree:
 # Mutable working form
 # ---------------------------------------------------------------------------
 #
-# Both resolutions (``bv``, ``wb``) and the band and delooping code of
-# ``mapping`` rewrite decorated trees in place: unit deletion, edge
-# contraction by composition, and canonical reordering through the
-# symmetric action.  They share the ``Node`` form and the helpers below;
-# each caller supplies only its own rules (redexes, composition, action,
-# label key).
+# Both resolutions (``bv``, ``wb``) rewrite decorated trees in place: unit
+# deletion, edge contraction by composition, grafting, cutting, and
+# canonical reordering through the symmetric action.  They share the
+# ``Node`` form and the helpers below; each caller supplies only its own
+# rules (redexes, composition, action, label key).  Nothing that only
+# evaluates a tree needs this form: it folds the ``PlanarTree``.
 
 
 class Node:
@@ -421,23 +435,23 @@ def set_word(root: Node, word) -> None:
         n.kids[s - 1] = w
 
 
+def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> None:
+    """Put ``scion`` at the leaf of ``root`` that carries input ``i`` of its
+    leaf ``word``, and write along the leaves ``scion_word`` substituted
+    into ``word`` at ``i`` (composition in the symmetric-groups operad)."""
+    if not 1 <= i <= len(word):
+        raise IndexError(f"input {i} out of range 1..{len(word)}")
+    node, slot = leaf_slots(root)[word.index(i)]
+    node.kids[slot - 1] = scion
+    set_word(root, AssocOperad().compose(word, i, scion_word))
+
+
 def contract(parent: Node, slot: int, compose) -> None:
     """Contract the edge to the child vertex at ``parent``'s ``slot``: the
     labels are composed there and the child's kids replace the slot."""
     child = parent.kids[slot - 1]
     parent.label = compose(parent.label, slot, child.label)
     parent.kids[slot - 1 : slot] = child.kids
-
-
-def fold(n: Node, compose):
-    """The label of the subtree at ``n`` with every edge contracted,
-    composing at the last slot first so earlier slot numbers stay valid."""
-    v = n.label
-    for slot in range(len(n.kids), 0, -1):
-        c = n.kids[slot - 1]
-        if isinstance(c, Node):
-            v = compose(v, slot, fold(c, compose))
-    return v
 
 
 def cut(node: Node, keep) -> tuple[Node, list]:

@@ -32,7 +32,7 @@ from .bv import (
     iota,
     mu,
 )
-from .operads import AssocOperad, CubeConfig, Operad, Perm, gaps, unit_cube
+from .operads import CubeConfig, Operad, Perm, gaps, identity_perm, unit_cube
 from .trees import (
     Node,
     PlanarTree,
@@ -45,6 +45,7 @@ from .trees import (
     cut,
     fold,
     from_nodes,
+    graft_input,
     leaf_slots,
     preorder,
     rewrite_fixpoint,
@@ -73,9 +74,7 @@ class WBPoint(Value):
     """
 
     __slots__ = ("operad", "operad_name", "tree", "heights", "labels", "canonical")
-
-    def _key(self) -> tuple:
-        return (self.operad_name, self.tree, self.heights, self.labels)
+    _compared = ("operad_name", "tree", "heights", "labels")
 
     def __init__(
         self, operad: Operad, operad_name: str = "", tree: Tree = None,
@@ -134,6 +133,8 @@ def _validate_raw(p: WBPoint) -> None:
     if len(p.labels) != shape.n_vertices or len(p.heights) != shape.n_vertices:
         raise ValueError("one label and one height per main vertex required")
     for v, sub in enumerate(shape.subtrees):
+        if p.labels[v].operad_name != p.operad_name:
+            raise ValueError("operad mismatch")
         if p.labels[v].arity != sub.arity:
             raise ValueError(
                 f"label arity {p.labels[v].arity} != vertex arity {sub.arity}"
@@ -258,15 +259,11 @@ def wb_gamma0(operad: Operad, a0) -> WBPoint:
 
 def wb_right(x: WBPoint, i: int, a) -> WBPoint:
     """Right action: graft the corolla (iota(a); 1) above input ``i``."""
-    if not 1 <= i <= x.arity:
-        raise IndexError(f"input {i} out of range 1..{x.arity}")
     operad = x.operad
     m = operad.arity(a)
-    pos = x.tree.labels.index(i)
     root = _nodes(x)
-    node, slot = leaf_slots(root)[pos]
-    node.kids[slot - 1] = Node(iota(operad, a), ONE, [0] * m)
-    set_word(root, AssocOperad().compose(x.tree.labels, i, tuple(range(1, m + 1))))
+    scion = Node(iota(operad, a), ONE, [0] * m)
+    graft_input(root, x.tree.labels, i, scion, identity_perm(m))
     return wb_normalize(_point(operad, root, False))
 
 
@@ -278,6 +275,8 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
     m = operad.arity(a)
     if len(xs) != m:
         raise ValueError(f"need {m} arguments, got {len(xs)}")
+    if any(x.operad_name != operad.name for x in xs):
+        raise ValueError("operad mismatch")
     root = Node(iota(operad, a), ZERO, [_nodes(x) for x in xs])
     word: list[int] = []
     offset = 0
@@ -306,10 +305,9 @@ def mu_tilde(x: WBPoint) -> Any:
     ``tests/test_bv.py::test_mu_is_an_operad_map`` checks both facts, and
     ``tests/test_wb.py::test_mu_tilde_matches_the_resolution_fold`` checks
     this function against the definition."""
-    operad = x.operad
+    operad, tree = x.operad, x.tree
     images = [mu(a) for a in x.labels]
-    root = to_nodes(x.tree.shape, images, x.heights, x.tree.labels)
-    return operad.act(fold(root, operad.compose), x.tree.labels)
+    return operad.act(fold(tree.shape, images, operad.compose), tree.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +446,6 @@ class WBDecomposition(Value):
 
     __slots__ = ("operad", "gaps", "cubes", "word")
     _repr = ("gaps", "cubes", "word")
-
-    def _key(self) -> tuple:
-        return (self.gaps, self.cubes, self.word)
 
     def __init__(
         self, operad: Operad, gaps: Sequence = (), cubes: Sequence = (), word: Perm = ()

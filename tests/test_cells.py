@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from operad_forge import cells
+from operad_forge import cells, selftest
 from operad_forge.cells import (
     ContractionGraph,
     TreeClass,
@@ -823,3 +823,19 @@ def test_contract_main_edge_hand_example():
     with pytest.raises(ValueError):
         contract_main_edge(idx, 1, 2)  # slot 2 of vertex 1 is a leaf
 
+
+def test_criterion_cells_builds_each_contraction_graph_once(monkeypatch):
+    grades = []
+    generate = cells.generate_classes
+
+    def counted(k, l, *args, **kwargs):
+        grades.append((k, l))
+        return generate(k, l, *args, **kwargs)
+
+    monkeypatch.setattr(cells, "generate_classes", counted)
+    rng = Random(0)
+    result = selftest.criterion_cells(rng, 0.02)
+    assert sorted(grades) == [(3, 2), (4, 3), (5, 4)]
+    # the same checks as before, and the generator left where it was
+    assert (result.ok, result.checked) == (True, 829)
+    assert rng.random() == 0.2785607541117041

@@ -190,3 +190,22 @@ def test_cli_starts_without_dataclasses_or_inspect():
         text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# The mutable working form of ``trees`` is for rewriting: only the two
+# resolutions rewrite, and ``selftest``'s ``xi_by_splitting`` oracle splits
+# trees on it.  Evaluation folds the immutable ``PlanarTree`` instead.
+WORKING_FORM = {"Node", "to_nodes", "from_nodes", "preorder", "leaf_slots",
+                "set_word", "cut", "contract", "graft_input"}
+WORKING_FORM_USERS = {"trees", "bv", "wb", "selftest"}
+
+
+def test_only_the_rewriters_import_the_working_form():
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem not in WORKING_FORM_USERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in WORKING_FORM
+    ]
+    assert found == []

@@ -35,12 +35,20 @@ from operad_forge.operads import (
     act_cubes,
     compose_cubes,
     identity_eta,
+    operad_by_name,
     unit_cube,
     validate_eta,
 )
-from operad_forge.sampling import random_bv, random_cubes, random_perm, random_wb
+from operad_forge.sampling import (
+    random_bv,
+    random_cubes,
+    random_element,
+    random_fraction,
+    random_perm,
+    random_wb,
+)
 from operad_forge.selftest import xi_by_splitting
-from operad_forge.trees import PlanarTree, corolla
+from operad_forge.trees import Node, PlanarTree, corolla, planar_trees, to_nodes
 from operad_forge.wb import (
     is_trivial_subpoint,
     mu_tilde,
@@ -278,3 +286,63 @@ def test_interval_action_closed_form_with_trivial_factor():
     for fa, fb in ((f0, f0), (f1, f2)):
         assert alpha(cfg, [fa, fb])(y) == hand_value(fa, fb)
         assert fb(wb_trivial(A)) == unit
+
+
+def _node_fold(n, compose):
+    """The recursive fold on the working form that ``trees.fold`` replaced:
+    the label of the subtree at ``n`` with every edge contracted, the last
+    slot first."""
+    v = n.label
+    for slot in range(len(n.kids), 0, -1):
+        c = n.kids[slot - 1]
+        if isinstance(c, Node):
+            v = compose(v, slot, _node_fold(c, compose))
+    return v
+
+
+def _recorded(op, run):
+    """``run()`` and the ``op.compose`` calls it makes, in order."""
+    calls = []
+    compose = op.compose
+
+    def recording(x, i, y):
+        calls.append((x, i, y))
+        return compose(x, i, y)
+
+    op.compose = recording
+    try:
+        return run(), calls
+    finally:
+        del op.compose
+
+
+@pytest.mark.parametrize("name", ["assoc", "end:2", "free:a=2,b=3:4"])
+def test_mu_mu_tilde_and_xi_compose_as_the_node_fold(name):
+    # every planar tree with at most 4 vertices and 5 leaves that the
+    # operad can label (the free operad has no arity-0 elements and a
+    # bounded arity), with random labels, edge lengths, heights and word
+    op = operad_by_name(name)
+    bound = op.max_supported_arity
+    rng = Random(29)
+    g = constant_loop(identity_eta(op))
+    shapes = [t for p in range(6) for v in range(1, 5) for t in planar_trees(p, v)
+              if bound is None or p <= bound
+              and all(0 < s.arity <= bound for s in t.subtrees)]
+    assert len(shapes) == {"assoc": 4526, "end:2": 4526, "free:a=2,b=3:4": 337}[name]
+    for shape in shapes:
+        word = random_perm(rng, shape.n_leaves)
+        labels = [random_element(rng, op, s.arity) for s in shape.subtrees]
+        params = [random_fraction(rng) for _ in labels[1:]]
+        x = raw_bv(op, shape, labels, params, word)
+        want = _recorded(op, lambda: op.act(_node_fold(
+            to_nodes(shape, labels, [None] + params, word), op.compose), word))
+        assert _recorded(op, lambda: mu(x)) == want
+
+        points = [iota(op, a) for a in labels]
+        images = [mu(a) for a in points]
+        heights = [F(1, 2)] * len(points)
+        y = raw_wb(op, shape, points, heights, word)
+        want = _recorded(op, lambda: op.act(_node_fold(
+            to_nodes(shape, images, heights, word), op.compose), word))
+        assert _recorded(op, lambda: mu_tilde(y)) == want
+        assert _recorded(op, lambda: xi(g).kernel(y)) == want

@@ -270,3 +270,16 @@ def test_sort_to_increasing():
     inc, perm = sort_to_increasing(c)
     assert inc.intervals[0][0] <= inc.intervals[1][0]
     assert tuple(c.intervals[perm[j] - 1] for j in range(2)) == inc.intervals
+
+
+@pytest.mark.parametrize("name, x, key", [
+    ("assoc", (2, 3, 1), "[2, 3, 1]"),
+    ("com", 3, "3"),
+    ("end:2", (1, (1, 0)), "[1, [1, 0]]"),
+    ("free:a=2,b=3:4", ("a", ("a", ("l", 1), ("l", 3)), ("l", 2)),
+     '["a", ["a", ["l", 1], ["l", 3]], ["l", 2]]'),
+])
+def test_element_key_is_the_sorted_json_of_the_encoding(name, x, key):
+    # canonical presentations order labels by this key and kernel tables
+    # are keyed by it, so its bytes must not change
+    assert operad_by_name(name).key(x) == key

@@ -27,6 +27,7 @@ from operad_forge.trees import (
     corolla,
     cut,
     enumerate_trees,
+    fold,
     from_nodes,
     graft,
     labeled_encoding,
@@ -611,3 +612,16 @@ def test_label_key_of_a_root_with_one_candidate_is_not_computed():
     canonicalize(root, assoc.act, key)
     assert keyed == [(), (), (2, 1), (1, 2)]
     assert root.label == (1, 2)
+
+
+def test_vertex_parents_and_fold_work_at_any_depth():
+    # a unary chain 5,000 deep, built with the constructor: neither walk
+    # recurses, so neither meets the interpreter's recursion limit
+    chain = PlanarTree((None,))
+    for _ in range(4999):
+        chain = PlanarTree((chain,))
+    assert chain.n_vertices == 5000
+    assert chain.vertex_parents == ((-1, -1),) + tuple((v, 1) for v in range(4999))
+    # each vertex is composed into its parent after its own subtree
+    values = [(v,) for v in range(5000)]
+    assert fold(chain, values, lambda x, slot, y: x + y) == tuple(range(5000))

@@ -170,7 +170,7 @@ def _equal_pairs() -> list[tuple]:
         (build_graph(3, 2), build_graph(3, 2)),
         (reedy_of(build_graph(3, 2)), reedy_of(build_graph(3, 2))),
         (LoopElement(eta, max, "g", 2), LoopElement(eta, min, "g", 2)),
-        (BimodMapElement(eta, max), BimodMapElement(eta, min)),
+        (BimodMapElement(eta, max, "f"), BimodMapElement(eta, min, "f")),
         (OperadMapEta(A, A, _reverse, "rev"), OperadMapEta(A, A, _reverse, "rev")),
         (CubeConfig(((F(0), F(1, 2)),)), CubeConfig(((F(0), F(2, 4)),))),
     ]

@@ -296,8 +296,7 @@ def test_act_refuses_a_sigma_that_is_not_a_permutation(sigma):
 def _mu_tilde_by_resolution(y):
     """The definition of ``mu_tilde``: compose the labels along the main
     tree in the resolution, then take the image of the composite."""
-    root = to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)
-    return y.operad.act(mu(fold(root, bv_compose)), y.tree.labels)
+    return y.operad.act(mu(fold(y.tree.shape, y.labels, bv_compose)), y.tree.labels)
 
 
 @pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
@@ -382,3 +381,14 @@ def test_validation_errors():
         raw_wb(A, corolla(2), (iota(A, (1, 2)),), (F(3, 2),))
     with pytest.raises(IndexError):
         wb_right(_corolla_point((1, 2), F(1, 2)), 5, (1,))
+
+
+def test_a_bimodule_point_refuses_labels_over_another_operad():
+    end2 = EndOperad(2)
+    x = raw_wb(A, corolla(1), (iota(A, (1,)),), (F(1, 2),))
+    y = raw_wb(end2, corolla(1), (iota(end2, (1, (1, 0))),), (F(1, 2),))
+    with pytest.raises(ValueError, match="operad mismatch"):
+        wb_left((1, 2), [x, y])
+    with pytest.raises(ValueError, match="operad mismatch"):
+        raw_wb(A, corolla(1), (iota(end2, (1, (1, 0))),), (F(1, 2),))
+    assert wb_left((1, 2), [x, x]).operad_name == "assoc"
