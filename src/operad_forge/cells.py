@@ -230,20 +230,27 @@ def census_lower_bound(k: int, l: int, require_nontrivial_main: bool = False) ->
 
 def class_lower_bound(k: int, l: int) -> int:
     """A closed-form lower bound on ``class_count(k, l, True)``, the classes
-    of the contraction graph, exact at ``l <= 2``.
+    of the contraction graph, exact at ``l <= 2`` (0 at ``l = 1``, where
+    there is no main edge).
 
-    At ``l = 2`` a key with a main edge has two auxiliary vertices: the root
-    and, across the main edge, the one vertex ``v`` of the child main
-    vertex.  Children are unordered, so the key is fixed by what ``v``
-    holds.  Either ``v`` is childless, a geometric input, and the root holds
-    the other ``k - 1`` main leaves; or ``v`` holds ``i >= 1`` of the ``k``
-    main leaves and the root the other ``k - i``.  So there are exactly
-    ``k + 1`` classes.  At every other ``l`` the bound is the ``2**l - 2``
-    of ``class_count`` (exact at ``l = 1``, where there is no main edge).
-    ``tests/test_cells.py::test_class_lower_bound`` checks it against
-    ``class_count`` on every ``k <= 40``.
+    At ``l >= 2`` it counts a family of paths.  Take auxiliary vertices
+    ``u1 .. ul``, each the child of the one before; the edge ``u1 -> u2`` is
+    a main edge, and each of the other ``l - 2`` edges is auxiliary or main.
+    Each ``ui`` holds ``ai`` main leaves.  Only ``ul`` can be childless (when
+    ``al = 0``), a geometric input, so ``k = a1 + ... + al + [al = 0]``.
+    With ``al >= 1`` there are ``C(k + l - 2, l - 1)`` such words ``a``, and
+    with ``al = 0`` there are ``C(k + l - 3, l - 2)``.  Each key is a path,
+    so distinct choices give distinct classes: ``2**(l - 2)`` times the sum
+    in all, which is ``k + 1`` at ``l = 2``, and every class there (the root
+    and, across the main edge, one vertex that is childless or holds
+    ``i >= 1`` of the main leaves).  The bound is also at least the
+    ``2**l - 2`` of ``class_count``.  ``tests/test_cells.py::
+    test_class_lower_bound`` checks it against ``class_count``.
     """
-    return k + 1 if l == 2 else 2**l - 2
+    if l < 2:
+        return 0
+    paths = comb(k + l - 2, l - 1) + comb(k + l - 3, l - 2)
+    return max(2 ** (l - 2) * paths, 2**l - 2)
 
 
 # ---------------------------------------------------------------------------

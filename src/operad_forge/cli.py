@@ -5,6 +5,14 @@ Exit codes: 0 success, 1 validation failure (a JSON witness object is
 printed on standard output), 2 command-grammar or input-parse errors,
 including input nested too deeply to process and grading parameters
 below 1.
+
+Every command takes one request path.  ``_operad`` resolves ``--operad``
+first (an ``end:N`` with ``N`` over the budget is refused there), then the
+command resolves its kernel, then reads stdin.  ``_refused`` is the one
+place that turns bad input into an exit-1 witness or an exit-2 message.
+The point commands read either resolution through ``_resolution``, and the
+grade commands (``cells``, ``graph``, ``reedy`` and ``export-dot --kind
+graph``) pass ``_within_budget`` before anything is built.
 """
 
 from __future__ import annotations
@@ -14,11 +22,11 @@ import json
 import math
 import os
 import sys
-from typing import Any, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Optional
 
 from .bv import bv_compose, bv_is_prime, bv_normalize, bv_filtration, bv_prime_components, mu
 from .cells import (
-    TreeClass,
     build_graph,
     census_lower_bound,
     census_size,
@@ -42,7 +50,7 @@ from .mapping import (
     window_loop,
     xi,
 )
-from .operads import Operad, identity_eta, operad_by_name
+from .operads import EndOperad, Operad, identity_eta, operad_by_name
 from .serialize import (
     bv_from_json,
     bv_to_json,
@@ -87,6 +95,19 @@ class CliValidationError(Exception):
 
 
 DEFAULT_BUDGET = 200000
+_BAD_INPUT = (ValueError, KeyError, IndexError, TypeError)
+
+
+def _refused(error: type, prefix: str, fn: Callable[[], Any], **witness: Any) -> Any:
+    """``fn()``, with bad input refused: a ``ValueError``, ``KeyError``,
+    ``IndexError`` or ``TypeError`` it raises becomes ``error`` with the
+    message ``prefix`` and the exception's, either ``CliValidationError``
+    (exit 1, a witness with the fields ``witness``) or ``CliInputError``
+    (exit 2)."""
+    try:
+        return fn()
+    except _BAD_INPUT as exc:
+        raise error(f"{prefix}{exc}", **witness) from exc
 
 
 def _budget(args) -> int:
@@ -101,11 +122,16 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _grade_budget(args, k: int, l: int) -> int:
-    """The budget for grade ``(k, l)``, checked before anything is counted:
-    an index has ``k`` geometric inputs, and the census and class counts are
-    at least ``k`` (at ``l >= 2``) and ``2**l - 2`` (``cells.class_count``),
-    which exceeds the budget exactly when ``l >= (budget + 2).bit_length()``."""
+def _within_budget(args, k: int, l: int, noun: str, bound: Callable[[], int],
+                   count: Callable[[], int]) -> int:
+    """The count of grade ``(k, l)``, refused over the budget before
+    anything is built, in one order of checks.  First ``k``: an index has
+    ``k`` geometric inputs, and at ``l >= 2`` the census and class counts
+    are at least ``k``.  Then ``l``: every grade has at least ``2**l - 2``
+    classes (``cells.class_count``), which exceeds the budget exactly when
+    ``l >= (budget + 2).bit_length()``.  Then ``bound()``, a closed-form
+    lower bound on the count, exact at ``l = 2`` and worded "at least"
+    otherwise.  Last ``count()``, the exact count."""
     budget = _budget(args)
     if k < 1 or l < 1:
         raise CliInputError(f"--k and --l must be >= 1, got --k {k} --l {l}")
@@ -116,7 +142,12 @@ def _grade_budget(args, k: int, l: int) -> int:
             f"l {l} exceeds budget {budget}: grade ({k}, {l}) has at least "
             f"2**{l} - 2 classes", k=k, l=l,
         )
-    return budget
+    n, at_least = bound(), "" if l == 2 else "at least "
+    if n <= budget:
+        n, at_least = count(), ""
+    if n > budget:
+        raise CliValidationError(f"{noun} {at_least}{n} exceeds budget {budget}", k=k, l=l)
+    return n
 
 
 def _read_json(stream) -> Any:
@@ -128,10 +159,38 @@ def _read_json(stream) -> Any:
 
 
 def _operad(args) -> Operad:
-    try:
-        return operad_by_name(args.operad)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    """The operad that ``--operad`` names.  An ``end:N`` with ``N`` over the
+    budget is refused before anything is built: its unit alone lists ``N``
+    values, and every cut of a bimodule point by height builds the unit."""
+    op = _refused(CliInputError, "", lambda: operad_by_name(args.operad))
+    if isinstance(op, EndOperad) and op.size > (budget := _budget(args)):
+        raise CliValidationError(
+            f"operad size {op.size} exceeds budget {budget}", operad=op.name,
+        )
+    return op
+
+
+def _resolution(kind: str) -> SimpleNamespace:
+    """What the point commands use of one resolution: ``bv``, the operad
+    resolution, or ``wb``, the bimodule resolution.  It is built when a
+    command runs, so each function is the module's binding at that moment,
+    which a test or the benchmark's tracer may have rebound."""
+    if kind == "bv":
+        return SimpleNamespace(
+            noun="resolution point", decode=bv_from_json, normalize=bv_normalize,
+            encode=bv_to_json, dot=dot_bv, image=mu, components=bv_prime_components,
+            is_prime=bv_is_prime, filtration=bv_filtration,
+        )
+    return SimpleNamespace(
+        noun="bimodule point", decode=wb_from_json, normalize=wb_normalize,
+        encode=wb_to_json, dot=dot_wb, image=mu_tilde, components=wb_prime_components,
+        is_prime=wb_is_prime, filtration=wb_filtration,
+    )
+
+
+def _point(r: SimpleNamespace, op: Operad, data: Any) -> Any:
+    """The normal form of the point of resolution ``r`` that ``data`` spells."""
+    return r.normalize(r.decode(data, op))
 
 
 def _write(text: str) -> None:
@@ -181,11 +240,10 @@ def _kernel_table(path: str, raw: dict, operad: Operad) -> dict:
     element with different images are refused."""
     table: dict = {}
     for text, image in raw.items():
-        try:
-            x = operad.decode(json.loads(text))
-            y = operad.decode(image)
-        except ValueError as exc:  # a JSONDecodeError is a ValueError
-            raise CliInputError(f"kernel file {path!r}: entry {text[:40]!r}: {exc}") from exc
+        x, y = _refused(  # a JSONDecodeError is a ValueError
+            CliInputError, f"kernel file {path!r}: entry {text[:40]!r}: ",
+            lambda: (operad.decode(json.loads(text)), operad.decode(image)),
+        )
         if operad.arity(y) != operad.arity(x):
             raise CliInputError(
                 f"kernel file {path!r}: entry {text[:40]!r} has an image of arity "
@@ -228,152 +286,93 @@ def _bimod_kernel(name: str, operad: Operad) -> BimodMapElement:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_normalize_bv(args) -> int:
-    op = _operad(args)
-    try:
-        p = bv_normalize(bv_from_json(_read_json(sys.stdin), op))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid resolution point: {exc}")
+def _cmd_normalize(args) -> int:
+    op, r = _operad(args), _resolution(args.kind)
+    p = _refused(CliValidationError, f"invalid {r.noun}: ",
+                 lambda: _point(r, op, _read_json(sys.stdin)))
     if args.format == "dot":
-        _write(dot_bv(p))
+        _write(r.dot(p))
     else:
-        _emit(bv_to_json(p))
-    return 0
-
-
-def _cmd_normalize_wb(args) -> int:
-    op = _operad(args)
-    try:
-        p = wb_normalize(wb_from_json(_read_json(sys.stdin), op))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid bimodule point: {exc}")
-    if args.format == "dot":
-        _write(dot_wb(p))
-    else:
-        _emit(wb_to_json(p))
+        _emit(r.encode(p))
     return 0
 
 
 def _cmd_compose_bv(args) -> int:
     op = _operad(args)
     data = _read_json(sys.stdin)
-    try:
-        x = bv_from_json(data["x"], op)
-        y = bv_from_json(data["y"], op)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliInputError(f"payload must be {{'x': point, 'y': point}}: {exc}")
-    try:
-        _emit(bv_to_json(bv_compose(bv_normalize(x), args.slot, bv_normalize(y))))
-    except (ValueError, IndexError) as exc:
-        raise CliValidationError(str(exc), slot=args.slot)
+    x, y = _refused(CliInputError, "payload must be {'x': point, 'y': point}: ",
+                    lambda: (bv_from_json(data["x"], op), bv_from_json(data["y"], op)))
+    _emit(_refused(
+        CliValidationError, "",
+        lambda: bv_to_json(bv_compose(bv_normalize(x), args.slot, bv_normalize(y))),
+        slot=args.slot,
+    ))
     return 0
 
 
 def _cmd_bimod_left(args) -> int:
     op = _operad(args)
     data = _read_json(sys.stdin)
-    try:
-        a = op.decode(data["a"])
-        xs = [wb_normalize(wb_from_json(d, op)) for d in data["args"]]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliInputError(f"payload must be {{'a': element, 'args': [point,...]}}: {exc}")
-    try:
-        _emit(wb_to_json(wb_left(a, xs)))
-    except (ValueError, IndexError) as exc:
-        raise CliValidationError(str(exc))
+    a, xs = _refused(
+        CliInputError, "payload must be {'a': element, 'args': [point,...]}: ",
+        lambda: (op.decode(data["a"]),
+                 [wb_normalize(wb_from_json(d, op)) for d in data["args"]]),
+    )
+    _emit(_refused(CliValidationError, "", lambda: wb_to_json(wb_left(a, xs))))
     return 0
 
 
 def _cmd_bimod_right(args) -> int:
     op = _operad(args)
     data = _read_json(sys.stdin)
-    try:
-        x = wb_normalize(wb_from_json(data["x"], op))
-        a = op.decode(data["a"])
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliInputError(f"payload must be {{'x': point, 'a': element}}: {exc}")
-    try:
-        _emit(wb_to_json(wb_right(x, args.slot, a)))
-    except (ValueError, IndexError) as exc:
-        raise CliValidationError(str(exc), slot=args.slot)
+    x, a = _refused(
+        CliInputError, "payload must be {'x': point, 'a': element}: ",
+        lambda: (wb_normalize(wb_from_json(data["x"], op)), op.decode(data["a"])),
+    )
+    _emit(_refused(CliValidationError, "", lambda: wb_to_json(wb_right(x, args.slot, a)),
+                   slot=args.slot))
     return 0
 
 
-def _cmd_mu(args) -> int:
-    op = _operad(args)
-    try:
-        x = bv_normalize(bv_from_json(_read_json(sys.stdin), op))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid resolution point: {exc}")
-    _emit({"value": op.encode(mu(x))})
-    return 0
-
-
-def _cmd_mu_tilde(args) -> int:
-    op = _operad(args)
-    try:
-        x = wb_normalize(wb_from_json(_read_json(sys.stdin), op))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid bimodule point: {exc}")
-    _emit({"value": op.encode(mu_tilde(x))})
+def _cmd_image(args) -> int:
+    op, r = _operad(args), _resolution(args.kind)
+    x = _refused(CliValidationError, f"invalid {r.noun}: ",
+                 lambda: _point(r, op, _read_json(sys.stdin)))
+    _emit({"value": op.encode(_refused(CliValidationError, "", lambda: r.image(x)))})
     return 0
 
 
 def _cmd_prime(args) -> int:
-    op = _operad(args)
+    op, r = _operad(args), _resolution(args.kind)
     data = _read_json(sys.stdin)
-    try:
-        if args.kind == "bv":
-            x = bv_normalize(bv_from_json(data, op))
-            comps = [bv_to_json(c) for c in bv_prime_components(x)]
-            prime = bv_is_prime(x)
-        else:
-            x = wb_normalize(wb_from_json(data, op))
-            comps = [wb_to_json(c) for c in wb_prime_components(x)]
-            prime = wb_is_prime(x)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid point: {exc}")
-    _emit({"prime": prime, "components": comps})
+
+    def answer() -> dict:
+        x = _point(r, op, data)
+        return {"components": [r.encode(c) for c in r.components(x)],
+                "prime": r.is_prime(x)}
+
+    _emit(_refused(CliValidationError, "invalid point: ", answer))
     return 0
 
 
 def _cmd_filtration(args) -> int:
-    op = _operad(args)
+    op, r = _operad(args), _resolution(args.kind)
     data = _read_json(sys.stdin)
-    try:
-        if args.kind == "bv":
-            member = bv_filtration(bv_from_json(data, op), args.k, args.l)
-        else:
-            member = wb_filtration(wb_from_json(data, op), args.k, args.l)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid point: {exc}")
+    member = _refused(CliValidationError, "invalid point: ",
+                      lambda: r.filtration(r.decode(data, op), args.k, args.l))
     _emit({"k": args.k, "l": args.l, "member": member})
     return 0
 
 
 def _cmd_cells(args) -> int:
-    budget = _grade_budget(args, args.k, args.l)
-    # The closed-form bound refuses a huge census before the exact count;
-    # at l = 2 it is the census itself.
-    bound = census_lower_bound(args.k, args.l, args.nontrivial)
-    if bound > budget:
-        at_least = "" if args.l == 2 else "at least "
-        raise CliValidationError(
-            f"census size {at_least}{bound} exceeds budget {budget}",
-            k=args.k, l=args.l,
-        )
-    size = census_size(args.k, args.l, args.nontrivial)
-    if size > budget:
-        raise CliValidationError(
-            f"census size {size} exceeds budget {budget}",
-            k=args.k, l=args.l,
-        )
-    classes = generate_classes(args.k, args.l, args.nontrivial)
+    k, l, flag = args.k, args.l, args.nontrivial
+    size = _within_budget(args, k, l, "census size", lambda: census_lower_bound(k, l, flag),
+                          lambda: census_size(k, l, flag))
     _emit({
-        "k": args.k,
-        "l": args.l,
+        "k": k,
+        "l": l,
         "census": size,
-        "classes": [class_to_json(c) for c in classes],
+        "classes": [class_to_json(c) for c in generate_classes(k, l, flag)],
     })
     return 0
 
@@ -381,13 +380,10 @@ def _cmd_cells(args) -> int:
 def _cmd_act(args) -> int:
     op = _operad(args)
     data = _read_json(sys.stdin)
-    try:
-        c = cubes_from_json(data)
-        y = wb_normalize(wb_from_json(data["point"], op))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliInputError(
-            f"payload must be {{'cubes': [[a,b],...], 'point': point}}: {exc}"
-        )
+    c, y = _refused(
+        CliInputError, "payload must be {'cubes': [[a,b],...], 'point': point}: ",
+        lambda: (cubes_from_json(data), wb_normalize(wb_from_json(data["point"], op))),
+    )
     kernels = args.kernel or ["constant"]
     if len(kernels) == 1 and c.n > 1:
         kernels = kernels * c.n
@@ -396,50 +392,32 @@ def _cmd_act(args) -> int:
             f"{c.n} cubes need {c.n} kernels, got {len(kernels)}"
         )
     fs = [_bimod_kernel(k, op) for k in kernels]
-    try:
-        value = alpha(c, fs)(y)
-    except (ValueError, IndexError) as exc:
-        raise CliValidationError(str(exc))
-    _emit({"value": op.encode(value)})
+    _emit({"value": op.encode(_refused(CliValidationError, "", lambda: alpha(c, fs)(y)))})
     return 0
 
 
 def _cmd_deloop(args) -> int:
     op = _operad(args)
     f = _bimod_kernel(args.kernel, op)
-    try:
-        y = wb_normalize(wb_from_json(_read_json(sys.stdin), op))
-        value = f(y)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid bimodule point: {exc}")
+    value = _refused(CliValidationError, "invalid bimodule point: ",
+                     lambda: f(wb_normalize(wb_from_json(_read_json(sys.stdin), op))))
     _emit({"value": op.encode(value)})
     return 0
 
 
-def _graph_classes(args, k: int, l: int) -> list[TreeClass]:
-    """The classes of the contraction graph, refused over the budget on
-    their count before any is generated."""
-    budget = _grade_budget(args, k, l)
-    # The closed-form bound refuses a huge grade before the exact count.
-    # At l = 2 it is the count itself; at other l it is 2**l - 2, which
-    # ``_grade_budget`` has already compared.
-    count = class_lower_bound(k, l)
-    if count <= budget:
-        count = class_count(k, l, require_nontrivial_main=True)
-    if count > budget:
-        raise CliValidationError(
-            f"class count {count} exceeds budget {budget}", k=k, l=l,
-        )
-    return graph_classes(k, l)
+def _graph(args, k: int, l: int):
+    """The contraction graph of grade ``(k, l)``, refused over the budget on
+    its class count before any class is generated."""
+    _within_budget(args, k, l, "class count", lambda: class_lower_bound(k, l),
+                   lambda: class_count(k, l, require_nontrivial_main=True))
+    return build_graph(k, l, graph_classes(k, l))
 
 
 def _cmd_graph(args) -> int:
-    g = build_graph(args.k, args.l, _graph_classes(args, args.k, args.l))
+    g = _graph(args, args.k, args.l)
     if args.level is not None:
-        try:
-            g = subgraph_i(g, args.level)
-        except ValueError as exc:
-            raise CliValidationError(str(exc), level=args.level)
+        g = _refused(CliValidationError, "", lambda: subgraph_i(g, args.level),
+                     level=args.level)
     if args.format == "dot":
         _write(dot_graph(g))
     else:
@@ -448,7 +426,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_reedy(args) -> int:
-    r = reedy_of(build_graph(args.k, args.l, _graph_classes(args, args.k, args.l)))
+    r = reedy_of(_graph(args, args.k, args.l))
     out = reedy_to_json(r)
     out["latching"] = [
         {
@@ -463,22 +441,18 @@ def _cmd_reedy(args) -> int:
 
 def _cmd_homotopy_h(args) -> int:
     data = _read_json(sys.stdin)
-    try:
-        idx = upsilon_from_json(data["index"])
-        heights = tuple(parse_frac(t) for t in data["heights"])
-        aux = tuple(
-            tuple(parse_frac(p) for p in row) for row in data["auxParams"]
-        )
-        u = parse_frac(args.u)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliInputError(
-            "payload must be {'index': cell, 'heights': [...], "
-            f"'auxParams': [[...],...]}}: {exc}"
-        )
-    try:
-        new_h, new_aux = homotopy_H(idx, heights, aux, u)
-    except (ValueError, IndexError) as exc:
-        raise CliValidationError(str(exc), u=frac_str(u))
+    idx, heights, aux, u = _refused(
+        CliInputError,
+        "payload must be {'index': cell, 'heights': [...], 'auxParams': [[...],...]}: ",
+        lambda: (
+            upsilon_from_json(data["index"]),
+            tuple(parse_frac(t) for t in data["heights"]),
+            tuple(tuple(parse_frac(p) for p in row) for row in data["auxParams"]),
+            parse_frac(args.u),
+        ),
+    )
+    new_h, new_aux = _refused(CliValidationError, "",
+                              lambda: homotopy_H(idx, heights, aux, u), u=frac_str(u))
     _emit({
         "heights": [frac_str(t) for t in new_h],
         "auxParams": [[frac_str(p) for p in row] for row in new_aux],
@@ -490,22 +464,21 @@ def _cmd_homotopy_h(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    op = _operad(args)
+    op, kind = _operad(args), args.kind
     data = _read_json(sys.stdin)
-    try:
-        if args.kind == "tree":
-            _write(dot_tree(tree_from_json(data)))
-        elif args.kind == "bv":
-            _write(dot_bv(bv_normalize(bv_from_json(data, op))))
-        elif args.kind == "wb":
-            _write(dot_wb(wb_normalize(wb_from_json(data, op))))
-        else:  # graph: rebuild from the (k,l) recorded in the payload
+
+    def render() -> str:
+        if kind == "tree":
+            return dot_tree(tree_from_json(data))
+        if kind == "graph":  # rebuild from the (k,l) recorded in the payload
             k, l = data["k"], data["l"]
             if type(k) is not int or type(l) is not int:
                 raise ValueError(f"k and l must be integers, got {k!r:.40}, {l!r:.40}")
-            _write(dot_graph(build_graph(k, l, _graph_classes(args, k, l))))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise CliValidationError(f"invalid payload for kind {args.kind!r}: {exc}")
+            return dot_graph(_graph(args, k, l))
+        r = _resolution(kind)
+        return r.dot(_point(r, op, data))
+
+    _write(_refused(CliValidationError, f"invalid payload for kind {kind!r}: ", render))
     return 0
 
 
@@ -550,22 +523,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("json", "dot"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, **defaults):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, **defaults)
         return p
 
-    add("normalize-bv", _cmd_normalize_bv,
-        "canonical form of an operad-resolution point (stdin JSON)")
-    add("normalize-wb", _cmd_normalize_wb,
-        "canonical form of a bimodule-resolution point (stdin JSON)")
+    add("normalize-bv", _cmd_normalize,
+        "canonical form of an operad-resolution point (stdin JSON)", kind="bv")
+    add("normalize-wb", _cmd_normalize,
+        "canonical form of a bimodule-resolution point (stdin JSON)", kind="wb")
     p = add("compose-bv", _cmd_compose_bv, "operadic composition of two points")
     p.add_argument("--slot", type=int, required=True)
     add("bimod-left", _cmd_bimod_left, "left action of an operad element")
     p = add("bimod-right", _cmd_bimod_right, "right action of an operad element")
     p.add_argument("--slot", type=int, required=True)
-    add("mu", _cmd_mu, "structure map to the base operad")
-    add("mu-tilde", _cmd_mu_tilde, "bimodule structure map to the base operad")
+    add("mu", _cmd_image, "structure map to the base operad", kind="bv")
+    add("mu-tilde", _cmd_image, "bimodule structure map to the base operad", kind="wb")
     p = add("prime", _cmd_prime, "primality and prime components")
     p.add_argument("--kind", choices=("bv", "wb"), default="bv")
     p = add("filtration", _cmd_filtration, "filtration-stage membership")

@@ -337,9 +337,11 @@ def test_class_lower_bound():
     for k in range(1, 41):
         assert class_lower_bound(k, 1) == class_count(k, 1, True) == 0
         assert class_lower_bound(k, 2) == class_count(k, 2, True) == k + 1
-    for k in range(1, 13):
         for l in range(3, 9):
-            assert class_lower_bound(k, l) <= class_count(k, l, True)
+            assert 2**l - 2 <= class_lower_bound(k, l) <= class_count(k, l, True)
+    # 2**(l-2) (C(k+l-2, l-1) + C(k+l-3, l-2)) paths, or 2**l - 2 when more
+    assert [class_lower_bound(k, 3) for k in (1, 2, 4, 4000)] == [6, 10, 28, 16012000]
+    assert class_lower_bound(500, 4) == 84335000
 
 
 def test_nontrivial_census_is_a_subset():

@@ -17,7 +17,7 @@ from operad_forge.cells import UpsilonIndex, build_graph
 from operad_forge import cells, cli
 from operad_forge.cli import main
 from operad_forge.mapping import assoc_reversal_eta, window_loop, xi
-from operad_forge.operads import AssocOperad, identity_eta
+from operad_forge.operads import AssocOperad, EndOperad, identity_eta, operad_by_name
 from operad_forge.serialize import (
     bv_to_json,
     dumps,
@@ -167,7 +167,7 @@ def test_graph_budget_is_checked_before_contracting(
         capsys, monkeypatch, ["--budget", "10", command, "--k", "4", "--l", "3"]
     )
     assert code == 1
-    assert out == '{"error":"class count 63 exceeds budget 10","k":4,"l":3}\n'
+    assert out == '{"error":"class count at least 28 exceeds budget 10","k":4,"l":3}\n'
 
 
 def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
@@ -177,7 +177,7 @@ def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
     argv = ["export-dot", "--kind", "graph"]
     code, out, _ = run(capsys, monkeypatch, ["--budget", "10", *argv], '{"k":4,"l":3}')
     assert code == 1
-    assert out == '{"error":"class count 63 exceeds budget 10","k":4,"l":3}\n'
+    assert out == '{"error":"class count at least 28 exceeds budget 10","k":4,"l":3}\n'
     code, out, err = run(capsys, monkeypatch, argv, '{"k":0,"l":3}')
     assert code == 2 and out == ""
     assert err.startswith("operad-forge: --k and --l must be >= 1")
@@ -258,6 +258,34 @@ def test_huge_class_count_is_refused_before_counting(capsys, monkeypatch, argv, 
     assert (code, err) == (1, "")
     assert out == (
         '{"error":"class count 200001 exceeds budget 200000","k":200000,"l":2}\n'
+    )
+
+
+@pytest.mark.parametrize("k, l, bound", [(4000, 3, 16012000), (500, 4, 84335000)])
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["graph"], ""),
+        (["reedy"], ""),
+        (["export-dot", "--kind", "graph"], '{{"k":{k},"l":{l}}}'),
+    ],
+)
+def test_class_bound_refuses_before_counting_at_l_3_and_above(
+    capsys, monkeypatch, argv, stdin, k, l, bound
+):
+    # the exact count at (4000, 3) took seconds; the path bound refuses first
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    for name in ("class_count", "graph_classes", "build_graph"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    if not stdin:
+        argv = [*argv, "--k", str(k), "--l", str(l)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch, argv, stdin.format(k=k, l=l))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert out == (
+        f'{{"error":"class count at least {bound} exceeds budget 200000",'
+        f'"k":{k},"l":{l}}}\n'
     )
 
 
@@ -585,3 +613,91 @@ def test_selftest_scaled_down(capsys, monkeypatch):
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
     assert len(lines) == 9 and all(ln.startswith("[PASS]") for ln in lines)
+
+
+def test_point_commands_call_the_module_bindings(capsys, monkeypatch):
+    # the benchmark's tracer rebinds module attributes by identity, so each
+    # point command looks its functions up on ``cli`` when it runs
+    calls = []
+    for name in ("bv_normalize", "wb_normalize", "mu", "mu_tilde"):
+        def counted(*args, _name=name, _original=getattr(cli, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    bv = dumps(bv_to_json(iota(A, (2, 1))))
+    wb = dumps(wb_to_json(raw_wb(A, corolla(2), (iota(A, (2, 1)),), (F(1, 2),))))
+    for argv, stdin, want in [
+        (["normalize-bv"], bv, ["bv_normalize"]),
+        (["normalize-wb"], wb, ["wb_normalize"]),
+        (["mu"], bv, ["bv_normalize", "mu"]),
+        (["mu-tilde"], wb, ["wb_normalize", "mu_tilde"]),
+    ]:
+        calls.clear()
+        assert run(capsys, monkeypatch, argv, stdin)[0] == 0
+        assert calls == want
+
+
+def test_an_image_over_the_truncation_is_refused(capsys, monkeypatch):
+    # a valid point of the free operad truncated at arity 4 with 5 inputs:
+    # its image does not exist, and the command exits 1 with a witness
+    op = operad_by_name("free:a=2,b=3:4")
+    a, b = (op.decode(["a", ["l", 1], ["l", 2]]),
+            op.decode(["b", ["l", 1], ["l", 2], ["l", 3]]))
+    shape = PlanarTree((PlanarTree((None, None)), None, PlanarTree((None, None))))
+    x = raw_bv(op, shape, (b, a, a), (F(1, 2), F(1, 2)))
+    w = raw_wb(op, corolla(5), (x,), (F(1, 2),))
+    for argv, payload in ((["mu"], bv_to_json(x)), (["mu-tilde"], wb_to_json(w))):
+        code, out, err = run(
+            capsys, monkeypatch, ["--operad", op.name, *argv], dumps(payload)
+        )
+        assert (code, err) == (1, "")
+        assert out == '{"error":"composition arity 5 exceeds bound 4"}\n'
+
+
+def _end_point(size: int) -> dict:
+    """A bimodule point over ``end:size`` whose one label is a constant."""
+    op = operad_by_name(f"end:{size}")
+    x = raw_bv(op, corolla(0), ((0, (size - 1,)),), ())
+    return wb_to_json(raw_wb(op, corolla(0), (x,), (F(1, 2),)))
+
+
+END_COMMANDS = [
+    (["act"], lambda p: {"cubes": [["0", "1/2"]], "point": p}),
+    (["prime", "--kind", "wb"], lambda p: p),
+    (["filtration", "--kind", "wb", "--k", "1"], lambda p: p),
+]
+
+
+@pytest.mark.parametrize("argv, payload", END_COMMANDS)
+def test_end_operad_over_the_budget_is_refused_before_it_is_built(
+    capsys, monkeypatch, argv, payload
+):
+    # end:N's unit lists N values; N is compared with the budget first
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    monkeypatch.setattr(EndOperad, "unit", _refuse_to_run)
+    name = "end:1000000000000"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, monkeypatch, ["--operad", name, *argv], dumps(payload(_end_point(2)))
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"error":"operad size 1000000000000 exceeds budget 200000",'
+        f'"operad":"{name}"}}\n'
+    )
+    monkeypatch.setenv("OPERAD_FORGE_BUDGET", "bogus")
+    code, out, err = run(capsys, monkeypatch, ["--operad", "end:2", *argv], "{}")
+    assert (code, out) == (2, "") and "OPERAD_FORGE_BUDGET" in err
+
+
+@pytest.mark.parametrize("argv, payload", END_COMMANDS)
+@pytest.mark.parametrize("size", [2, 200000])
+def test_end_operad_within_the_budget_runs(capsys, monkeypatch, argv, payload, size):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    code, out, err = run(
+        capsys, monkeypatch, ["--operad", f"end:{size}", *argv],
+        dumps(payload(_end_point(size))),
+    )
+    assert (code, err) == (0, "") and json.loads(out)

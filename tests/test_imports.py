@@ -209,3 +209,19 @@ def test_only_the_rewriters_import_the_working_form():
         for alias in node.names if alias.name in WORKING_FORM
     ]
     assert found == []
+
+
+def test_cli_commands_refuse_only_through_one_helper():
+    # every command turns bad input into an exit code through
+    # ``cli._refused``, the only handler of the bad-input tuple
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    commands = [f.name for f in functions if f.name.startswith("_cmd_")]
+    assert len(commands) >= 15
+    assert [f.name for f in functions if f.name.startswith("_cmd_")
+            and any(isinstance(n, ast.Try) for n in ast.walk(f))] == []
+    bad_input = {"_BAD_INPUT", "(ValueError, KeyError, IndexError, TypeError)"}
+    catchers = [f.name for f in functions for n in ast.walk(f)
+                if isinstance(n, ast.ExceptHandler) and n.type is not None
+                and ast.unparse(n.type) in bad_input]
+    assert catchers == ["_refused"]
