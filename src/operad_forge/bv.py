@@ -51,9 +51,11 @@ class BVPoint(Value):
     which validates it once, and the engine builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
-    trusts it: ``bv_act`` by the identity returns it as it is.  Only
-    ``bv_normalize`` and the direct builders of normal forms (``bv_unit``,
-    ``iota``) set it.  Equality reads neither ``operad`` nor ``canonical``.
+    trusts it: ``bv_act`` by the identity returns it as it is.  Only the
+    canonical presentation ``_present``, where every normalization and
+    every action ends, and the direct builders of normal forms
+    (``bv_unit``, ``iota``) set it.  Equality reads neither ``operad``
+    nor ``canonical``.
     """
 
     __slots__ = (
@@ -164,13 +166,6 @@ def _nodes(p: BVPoint, word: Optional[tuple[int, ...]] = None) -> Node:
     )
 
 
-def _point(operad: Operad, root: Node, canonical: bool) -> BVPoint:
-    shape, labels, ts, word = from_nodes(root)
-    return BVPoint(
-        operad, operad.name, _trusted_tree(shape, word), labels, ts[1:], canonical
-    )
-
-
 def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node], int]]:
     """All applicable rewrites, every unit redex before every zero one:
     ("unit", v, parent, slot) deletes a unit-labeled vertex; ("zero", v,
@@ -229,7 +224,15 @@ def _present(operad: Operad, root: Node) -> BVPoint:
     """The normal form of a rewritten working form: its minimal planar
     presentation, the compensating action pushed into the labels."""
     canonicalize(root, operad.act, operad.key)
-    return _point(operad, root, True)
+    shape, labels, ts, word = from_nodes(root)
+    return BVPoint(operad, operad.name, _trusted_tree(shape, word), labels, ts[1:], True)
+
+
+def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> BVPoint:
+    """The normal form of the working form ``root`` (its root edge has no
+    length, ``t`` is ``None``), which is rewritten in place: a graft or a
+    cut normalizes the fresh copy it just built."""
+    return _present(operad, _rewrite(operad, root, rng))
 
 
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
@@ -237,8 +240,7 @@ def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
     idempotent and (tested) independent of the rewrite order, which ``rng``
     randomizes.  The input is trusted: it comes from ``raw_bv`` or from the
     engine."""
-    operad = raw.operad
-    return _present(operad, _rewrite(operad, _nodes(raw), rng))
+    return _normal(raw.operad, _nodes(raw), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,7 @@ def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:
     nx, ny = _nodes(x), _nodes(y)
     ny.t = Fraction(1)
     graft_input(nx, x.tree.labels, i, ny, y.tree.labels)
-    return bv_normalize(_point(x.operad, nx, False))
+    return _normal(x.operad, nx)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def _split(operad: Operad, n: Node) -> BVDecomposition:
         for pos, c in enumerate(dangling, start=1)
         if isinstance(c, Node)
     )
-    return BVDecomposition(bv_normalize(_point(operad, comp, False)), children, ())
+    return BVDecomposition(_normal(operad, comp), children, ())
 
 
 def bv_reassemble(d: BVDecomposition) -> BVPoint:

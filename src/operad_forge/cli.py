@@ -151,10 +151,13 @@ def _within_budget(args, k: int, l: int, noun: str, bound: Callable[[], int],
 
 
 def _read_json(stream) -> Any:
+    """The JSON document on ``stream``.  Anything ``json.loads`` refuses
+    exits 2: a ``JSONDecodeError``, and the plain ``ValueError`` of an
+    integer literal longer than the interpreter's integer-string limit."""
     text = stream.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliInputError(f"stdin is not valid JSON: {exc}") from exc
 
 

@@ -525,9 +525,13 @@ def canonicalize(n: Node, act, key) -> tuple:
     pushing the compensating symmetric action into the labels:
     ``act(label, sigma)`` acts and ``key(label)`` orders labels.  Returns the
     encodings of the root's children in sorted order, each
-    ``("N", t_key, child_encodings, label_key)`` or ``("L", input)``.  No
-    parent sorts the root's own encoding, so its label key is computed
-    only to choose between two or more candidates."""
+    ``("N", t_key, child_encodings, label_key)`` or ``("L", input)``.
+
+    A vertex whose child encodings are all distinct, which leaf numbering
+    makes the usual case, has one candidate, the sorted order: its label is
+    acted on once and no block or candidate is searched.  No parent sorts
+    the root's own encoding, so its label key is computed only to choose
+    between two or more candidates."""
     return _canonicalize(n, act, key, True)[2]
 
 
@@ -542,11 +546,19 @@ def _canonicalize(n: Node, act, key, root: bool = False) -> tuple:
             encs.append(("L", c))
     # Minimal presentation orders the child encodings first; the label only
     # breaks ties, so the candidates vary only inside blocks of equal
-    # children.  Leaf numbering keeps encodings almost always distinct, so
-    # the search is linear in practice instead of factorial.
+    # children.  Leaf numbering keeps encodings almost always distinct, and
+    # with no two equal the sorted order is the only candidate: its label is
+    # acted on once, and keyed only for a parent to sort.
     first = tuple(sorted(range(1, len(encs) + 1), key=lambda s: encs[s - 1]))
+    child_encs = tuple(encs[p - 1] for p in first)
+    t_key = "" if n.t is None else str(n.t)
+    label = act(n.label, perm_inverse(first))
+    if all(a != b for a, b in zip(child_encs, child_encs[1:])):
+        n.label = label
+        n.kids = [n.kids[p - 1] for p in first]
+        return ("N", t_key, child_encs, None if root else key(label))
     blocks = [list(b) for _, b in groupby(first, key=lambda s: encs[s - 1])]
-    seen = {first: act(n.label, perm_inverse(first))}
+    seen = {first: label}
     # A block whose positions the first candidate's label cannot tell apart
     # gives an equal label in every order, and the first candidate wins the
     # tie: the block keeps its sorted order.
@@ -569,5 +581,4 @@ def _canonicalize(n: Node, act, key, root: bool = False) -> tuple:
             best = (label_key, pi, label2)
     label_key, pi, n.label = best
     n.kids = [n.kids[p - 1] for p in pi]
-    child_encs = tuple(encs[p - 1] for p in first)
-    return ("N", "" if n.t is None else str(n.t), child_encs, label_key)
+    return ("N", t_key, child_encs, label_key)

@@ -68,9 +68,10 @@ class WBPoint(Value):
     builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
-    trusts it: ``wb_act`` by the identity returns it as it is.  Only
-    ``wb_normalize`` and the direct builder ``wb_trivial`` set it.  Equality
-    reads neither ``operad`` nor ``canonical``.
+    trusts it: ``wb_act`` by the identity returns it as it is.  Only the
+    canonical presentation ``_present``, where every normalization and
+    every action ends, and the direct builder ``wb_trivial`` set it.
+    Equality reads neither ``operad`` nor ``canonical``.
     """
 
     __slots__ = ("operad", "operad_name", "tree", "heights", "labels", "canonical")
@@ -237,12 +238,17 @@ def _present(operad: Operad, root: Node) -> WBPoint:
     return _point(operad, root, True)
 
 
+def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> WBPoint:
+    """The normal form of the working form ``root``, which is rewritten in
+    place: a graft normalizes the fresh copy it just built."""
+    return _present(operad, _rewrite(operad, root, rng))
+
+
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
     """Canonical form: rewrite, then present.  It is idempotent and
     rewrite-order independent (tested).  The input is trusted: it comes
     from ``raw_wb`` or from the engine."""
-    operad = raw.operad
-    return _present(operad, _rewrite(operad, _nodes(raw), rng))
+    return _normal(raw.operad, _nodes(raw), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +270,7 @@ def wb_right(x: WBPoint, i: int, a) -> WBPoint:
     root = _nodes(x)
     scion = Node(iota(operad, a), ONE, [0] * m)
     graft_input(root, x.tree.labels, i, scion, identity_perm(m))
-    return wb_normalize(_point(operad, root, False))
+    return _normal(operad, root)
 
 
 def wb_left(a, xs: list[WBPoint]) -> WBPoint:
@@ -284,7 +290,7 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
         word.extend(w + offset for w in x.tree.labels)
         offset += x.arity
     set_word(root, word)
-    return wb_normalize(_point(operad, root, False))
+    return _normal(operad, root)
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:

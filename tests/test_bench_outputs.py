@@ -1,9 +1,10 @@
 """The benchmark's recorded outputs still hold: a slice of each in-process
 workload's catalog and one pass over the ``cells`` requests, checked
 against ``bench/data`` exactly as ``bench/run.py`` checks them, the
-``laws`` slice stays within pinned counts of normalizations and
-validations, and every name the benchmark's tracer rebinds still exists.
-The ``bench`` modules are imported, never changed."""
+``laws`` slice stays within pinned counts of normalizations, working-form
+conversions and validations, and every name the benchmark's tracer
+rebinds still exists.  The ``bench`` modules are imported, never
+changed."""
 
 import importlib
 import sys
@@ -35,9 +36,28 @@ def test_in_process_outputs_match_the_digests(name):
     _replay(wl.IN_PROCESS[name]())
 
 
-# ``bv_normalize`` calls over that ``laws`` slice: 4,310 while every
-# identity action and every ``iota`` re-normalized, 1,485 since normal forms
-# are trusted, 853 since ``mu_tilde`` folds its labels' images in the operad
+def _count_calls(monkeypatch, original) -> dict:
+    """Rebind ``original`` wherever a module of the package binds it to a
+    wrapper that counts its calls in the returned ``{"calls": n}``."""
+    counter = {"calls": 0}
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "operad_forge":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counter
+
+
+# Normalizations in ``bv`` over that ``laws`` slice, counted where every one
+# of them enters, ``bv._normal`` (``bv_normalize`` and the grafts and cuts
+# that normalize the working form they built): 4,310 while every identity
+# action and every ``iota`` re-normalized, 1,485 since normal forms are
+# trusted, 853 since ``mu_tilde`` folds its labels' images in the operad
 # instead of composing (and normalizing) the labels in the resolution, 367
 # since acting on a normal form only presents the new word.  Work counts do
 # not depend on the host, so losing a shortcut fails here anywhere.
@@ -47,21 +67,29 @@ LAWS_BV_NORMALIZE_CALLS = 367
 
 def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
     w = wl.IN_PROCESS["laws"]()
-    original = sys.modules["operad_forge.bv"].bv_normalize
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if module is not None and name.split(".")[0] == "operad_forge":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    normal = _count_calls(monkeypatch, sys.modules["operad_forge.bv"]._normal)
     _replay(w)
-    assert 0 < calls <= LAWS_BV_NORMALIZE_CALLS
+    assert 0 < normal["calls"] <= LAWS_BV_NORMALIZE_CALLS
+
+
+# Conversions between the immutable points and the mutable ``Node`` working
+# form over the same slice: 3,371 ``to_nodes`` and 2,813 ``from_nodes``
+# calls while a graft or a cut packed its working form into a point for
+# the normalizer to unpack again, 2,404 and 1,846 since it normalizes the
+# working form in hand.  Tighten the bounds when a change lowers the work.
+LAWS_WORKING_FORM_CALLS = {"to_nodes": 2404, "from_nodes": 1846}
+
+
+def test_laws_slice_stays_within_its_working_form_bound(monkeypatch):
+    w = wl.IN_PROCESS["laws"]()
+    trees = sys.modules["operad_forge.trees"]
+    counts = {
+        name: _count_calls(monkeypatch, getattr(trees, name))
+        for name in LAWS_WORKING_FORM_CALLS
+    }
+    _replay(w)
+    for name, bound in LAWS_WORKING_FORM_CALLS.items():
+        assert 0 < counts[name]["calls"] <= bound, name
 
 
 # Acts on normal forms over the same slice that present the new word with

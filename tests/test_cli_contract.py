@@ -170,3 +170,16 @@ def test_mutated_payloads_keep_the_contract(name, argv, payload, data):
         assert isinstance(json.loads(out), dict) and err == ""
     else:
         assert code == 2 and out == "" and err.startswith("operad-forge: ")
+
+
+STDIN_COMMANDS = [argv for argv, _ in _bases("assoc", 0)]
+
+
+@pytest.mark.parametrize("argv", STDIN_COMMANDS, ids=" ".join)
+def test_an_integer_past_the_string_limit_is_unreadable_json(argv):
+    # ``json.loads`` refuses an integer literal longer than the interpreter's
+    # integer-string limit (4,300 digits) with a plain ``ValueError``, not a
+    # ``JSONDecodeError``; every command reads it as unreadable stdin
+    code, out, err = _run(argv, "1" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("operad-forge: stdin is not valid JSON: ")

@@ -211,6 +211,27 @@ def test_only_the_rewriters_import_the_working_form():
     assert found == []
 
 
+def _called(node: ast.AST) -> str:
+    """The last name of what a call calls, ``""`` if it is no call."""
+    if not isinstance(node, ast.Call):
+        return ""
+    return ast.unparse(node.func).rsplit(".", 1)[-1]
+
+
+def test_normalizers_take_the_working_form_in_hand():
+    # a graft or a cut normalizes the working form it built with its
+    # layer's ``_normal``; packing it into a point (``_point``) only for
+    # ``bv_normalize`` or ``wb_normalize`` to unpack it again is a round trip
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _called(node) in {"bv_normalize", "wb_normalize"}
+        and any(_called(arg) == "_point" for arg in node.args)
+    ]
+    assert found == []
+
+
 def test_cli_commands_refuse_only_through_one_helper():
     # every command turns bad input into an exit code through
     # ``cli._refused``, the only handler of the bad-input tuple

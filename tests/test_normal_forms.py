@@ -1,8 +1,8 @@
 """The engine trusts a point flagged canonical: it is a normal form.  Here
 every normal form is checked again through the raw constructors, and every
 shortcut that trusts one is checked against the slow path it skips.  Only
-the raw constructors validate, so every point the engine hands to a
-normalizer is checked here too."""
+the raw constructors validate, so every point and every working form the
+engine hands to a normalizer is checked here too."""
 
 import sys
 from fractions import Fraction as F
@@ -12,6 +12,7 @@ import pytest
 
 from operad_forge import selftest
 from operad_forge.bv import BVPoint, bv_act, bv_normalize, iota, raw_bv
+from operad_forge.bv import _normal as bv_normal
 from operad_forge.operads import (
     AssocOperad,
     ComOperad,
@@ -20,7 +21,7 @@ from operad_forge.operads import (
     operad_by_name,
 )
 from operad_forge.sampling import random_bv, random_wb
-from operad_forge.trees import corolla, graft
+from operad_forge.trees import corolla, from_nodes, graft
 from operad_forge.wb import (
     WBPoint,
     raw_wb,
@@ -30,6 +31,7 @@ from operad_forge.wb import (
     wb_normalize,
     wb_trivial,
 )
+from operad_forge.wb import _normal as wb_normal
 
 FREE = operad_by_name("free:a=2,b=3:4")
 OPERADS = [AssocOperad(), ComOperad(), EndOperad(2), FREE]
@@ -150,31 +152,55 @@ def test_reassemble_bands_refuses_bands_out_of_height_order():
 
 
 def _revalidating(monkeypatch):
-    """Wrap ``bv_normalize`` and ``wb_normalize`` wherever a module of the
-    package binds them, so that each input (and, for a bimodule point,
-    each of its labels) is rebuilt through the raw constructors first."""
-    bv_original, wb_original = bv_normalize, wb_normalize
-    seen = {"bv": 0, "wb": 0}
+    """Wrap ``bv_normalize`` and ``wb_normalize``, and the working-form
+    normalizers ``bv._normal`` and ``wb._normal`` that the grafts and cuts
+    call, wherever a module of the package binds them, so that each input
+    (and, for a bimodule point, each of its labels) is rebuilt through the
+    raw constructors first; a working form is read back with
+    ``from_nodes``."""
+    seen = {"bv": 0, "wb": 0, "bv root": 0, "wb root": 0}
+
+    def bv_check(x):
+        raw_bv(x.operad, x.tree.shape, x.labels, x.params, x.tree.labels)
+
+    def wb_check(op, shape, labels, heights, word):
+        raw_wb(op, shape, labels, heights, word)
+        for x in labels:
+            bv_check(x)
 
     def bv_checked(x, *args, **kwargs):
         seen["bv"] += 1
-        raw_bv(x.operad, x.tree.shape, x.labels, x.params, x.tree.labels)
-        return bv_original(x, *args, **kwargs)
+        bv_check(x)
+        return bv_normalize(x, *args, **kwargs)
 
     def wb_checked(y, *args, **kwargs):
         seen["wb"] += 1
-        raw_wb(y.operad, y.tree.shape, y.labels, y.heights, y.tree.labels)
-        for x in y.labels:
-            raw_bv(x.operad, x.tree.shape, x.labels, x.params, x.tree.labels)
-        return wb_original(y, *args, **kwargs)
+        wb_check(y.operad, y.tree.shape, y.labels, y.heights, y.tree.labels)
+        return wb_normalize(y, *args, **kwargs)
 
+    def bv_root_checked(op, root, *args, **kwargs):
+        seen["bv root"] += 1
+        shape, labels, ts, word = from_nodes(root)
+        assert ts[0] is None
+        raw_bv(op, shape, labels, ts[1:], word)
+        return bv_normal(op, root, *args, **kwargs)
+
+    def wb_root_checked(op, root, *args, **kwargs):
+        seen["wb root"] += 1
+        shape, labels, heights, word = from_nodes(root)
+        wb_check(op, shape, labels, heights, word)
+        return wb_normal(op, root, *args, **kwargs)
+
+    wrappers = (
+        (bv_normalize, bv_checked), (wb_normalize, wb_checked),
+        (bv_normal, bv_root_checked), (wb_normal, wb_root_checked),
+    )
     for name, module in list(sys.modules.items()):
         if module is not None and name.split(".")[0] == "operad_forge":
             for attr, value in list(vars(module).items()):
-                if value is bv_original:
-                    monkeypatch.setattr(module, attr, bv_checked)
-                elif value is wb_original:
-                    monkeypatch.setattr(module, attr, wb_checked)
+                for original, wrapper in wrappers:
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
     return seen
 
 
@@ -185,10 +211,14 @@ def _revalidating(monkeypatch):
     selftest.criterion_deloop,
 ], ids=lambda c: c.__name__)
 def test_engine_built_points_revalidate(monkeypatch, criterion):
-    """The points that ``bv_compose``, ``bv_act``, ``wb_left``,
-    ``wb_right``, ``wb_act``, the band cuts and ``reassemble_bands`` build
-    pass the raw constructors' checks."""
+    """The points and working forms that ``bv_compose``, ``bv_act``, the
+    cuts of ``bv_decompose``, ``wb_left``, ``wb_right``, ``wb_act``, the
+    band cuts and ``reassemble_bands`` build pass the raw constructors'
+    checks; under ``criterion_laws`` the grafts hand their working forms to
+    both normalizers."""
     seen = _revalidating(monkeypatch)
     result = criterion(Random(13), scale=0.05)
     assert result.ok, result.line
     assert seen["bv"] > 0 and seen["wb"] > 0
+    if criterion is selftest.criterion_laws:
+        assert seen["bv root"] > 0 and seen["wb root"] > 0

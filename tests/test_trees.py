@@ -547,21 +547,82 @@ def _tie_break_cases(name):
     return cases
 
 
+def _tied_blocks(encs: tuple) -> int:
+    """The number of blocks of two or more equal sorted child encodings."""
+    return sum(len(list(block)) > 1 for _, block in groupby(encs))
+
+
+def _matches_the_brute_force(shape, labels, ts, word, act, key) -> tuple:
+    """``canonicalize``'s root child encodings, checked against the brute
+    force on the same working form: the encodings and the presentation."""
+    fast = to_nodes(shape, labels, ts, word)
+    slow = to_nodes(shape, labels, ts, word)
+    encs = canonicalize(fast, act, key)
+    assert encs == _brute_canonicalize(slow, act, key)[2]
+    assert from_nodes(fast) == from_nodes(slow)
+    return encs
+
+
 @pytest.mark.parametrize("name", ["com", "assoc", "end:2"])
 def test_tie_break_matches_the_brute_force(name):
+    # every non-root vertex of these points has distinct children (the
+    # one-candidate path); roots with and without ties are both common
     rng = Random(71)
-    tied = 0
+    tied = untied = 0
     for act, key, root_label, leafless, unary in _tie_break_cases(name):
         for _ in range(80):
             width = rng.randint(2, 6)
-            shape, labels, ts, word = _wide_point(rng, width, root_label, leafless, unary)
-            fast = to_nodes(shape, labels, ts, word)
-            slow = to_nodes(shape, labels, ts, word)
-            encs = canonicalize(fast, act, key)
-            assert encs == _brute_canonicalize(slow, act, key)[2]
-            assert from_nodes(fast) == from_nodes(slow)
-            tied += len(set(encs)) < len(encs)
-    assert tied >= 20
+            point = _wide_point(rng, width, root_label, leafless, unary)
+            encs = _matches_the_brute_force(*point, act, key)
+            tied += _tied_blocks(encs) > 0
+            untied += _tied_blocks(encs) == 0
+    assert tied >= 20 and untied >= 20
+
+
+# Root children by pattern: a leaf, leafless vertices ``A`` and ``B`` (equal
+# labels, different lengths), and ``P``, a vertex over two ``A``s, so tied
+# itself (every ``P`` of a point has the same label).  Each pattern is listed with its number of tied root blocks.
+TIE_PATTERNS = [
+    ("..A", 0), ("AB.", 0), ("P.A", 0),
+    ("AA.", 1), (".BBB", 1), ("PPA", 1),
+    ("AABB", 2), ("PP.AA", 2), ("AABBPP", 3),
+]
+
+
+def _patterned_point(rng: Random, pattern: str, root_label, leafless):
+    """``(shape, labels, ts, word)`` of a root over the children that
+    ``pattern`` spells, with a random leaf word."""
+    a_leaf = PlanarTree(())
+    kids, labels, ts = [], [root_label(rng, len(pattern))], [None]
+    p_label = root_label(rng, 2)
+    for c in pattern:
+        if c == ".":
+            kids.append(None)
+        elif c == "P":
+            kids.append(PlanarTree((a_leaf, a_leaf)))
+            labels += [p_label, leafless[0], leafless[0]]
+            ts += [F(1, 2), F(1, 2), F(1, 2)]
+        else:
+            kids.append(a_leaf)
+            labels.append(leafless[0])
+            ts.append(F(1, 2) if c == "A" else F(1))
+    shape = PlanarTree(tuple(kids))
+    word = tuple(rng.sample(range(1, shape.n_leaves + 1), shape.n_leaves))
+    return shape, tuple(labels), tuple(ts), word
+
+
+@pytest.mark.parametrize("name", ["com", "assoc", "end:2"])
+@pytest.mark.parametrize("pattern, blocks", TIE_PATTERNS, ids=[p for p, _ in TIE_PATTERNS])
+def test_tie_break_matches_the_brute_force_on_every_tie_pattern(name, pattern, blocks):
+    # no ties, one tied block and several, at the root and, under ``P``,
+    # below it: the one-candidate path and the search agree with the brute
+    # force, and each pattern has the ties it names
+    rng = Random(73)
+    for act, key, root_label, leafless, _ in _tie_break_cases(name):
+        for _ in range(6):
+            point = _patterned_point(rng, pattern, root_label, leafless)
+            encs = _matches_the_brute_force(*point, act, key)
+            assert _tied_blocks(encs) == blocks
 
 
 def test_symmetric_label_fixes_a_tied_block():
