@@ -6,9 +6,12 @@ relations: unit-labeled bivalent vertices are deleted (adjacent inner-edge
 lengths merge to their maximum), vertex labels absorb the symmetric action by
 reordering subtrees, and length-0 inner edges are contracted using the
 operad's composition.  ``bv_normalize`` orients these relations into a
-terminating rewriting system and finishes with a canonical choice of planar
-presentation, so structural equality of normal forms decides equality of
-classes.
+terminating, confluent rewriting system, rewrites in one bottom-up pass
+(each child settled, then resolved against its parent), and finishes with a
+canonical choice of planar presentation, so structural equality of normal
+forms decides equality of classes.  Given an ``rng``, it rewrites in a
+random order instead, one redex at a time; the tests check the pass
+against that order.
 """
 
 from __future__ import annotations
@@ -166,53 +169,91 @@ def _nodes(p: BVPoint, word: Optional[tuple[int, ...]] = None) -> Node:
     )
 
 
+def _deletable(operad: Operad, n: Node) -> bool:
+    """Whether relation (i) deletes ``n``: a unit-labeled vertex, unless it
+    is the root over a leaf (the whole point being the unit corolla, which
+    is irreducible).  Only the root's edge has no length."""
+    return operad.is_unit(n.label) and (n.t is not None or isinstance(n.kids[0], Node))
+
+
+def _delete_unit_vertex(node: Node):
+    """Relation (i): the kid that takes the place of a deleted unit
+    bivalent vertex.  Deleting it between two inner edges merges their
+    lengths to the MAXIMUM; next to a leaf the vertex is simply deleted, and
+    at the root its child's edge becomes the root edge.  (Kept in one place
+    so the merge convention can be swapped out.)"""
+    child = node.kids[0]
+    if isinstance(child, Node):
+        child.t = None if node.t is None else max(node.t, child.t)
+    return child
+
+
+def _settle(operad: Operad, n: Node):
+    """The normal form under relations (i) and (iii) of the subtree at
+    ``n``, rewritten in place in one bottom-up pass; returns the vertex or
+    leaf that takes the place of ``n``.  Unit vertices on top are deleted
+    first, so nothing is composed into a unit; then each kid is settled
+    and, on a length-0 edge, contracted into ``n``, its kids spliced into
+    the slot already irreducible; last, ``n`` is deleted if an arity-0 kid
+    made its label the unit.  It recurses one frame per level, as
+    ``to_nodes`` does, so the depth a point can have is unchanged."""
+    while _deletable(operad, n):
+        n = _delete_unit_vertex(n)
+        if not isinstance(n, Node):
+            return n
+    kids = n.kids
+    s = 0
+    while s < len(kids):
+        c = kids[s]
+        if isinstance(c, Node):
+            c = kids[s] = _settle(operad, c)
+            if isinstance(c, Node) and c.t == 0:
+                # Relation (iii): splice a length-0 vertex into its parent
+                # via the operad composition at the planar slot.
+                contract(n, s + 1, operad.compose)
+                s += len(c.kids)
+                continue
+        s += 1
+    return _delete_unit_vertex(n) if _deletable(operad, n) else n
+
+
 def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node], int]]:
-    """All applicable rewrites, every unit redex before every zero one:
+    """All applicable rewrites, for the random-order oracle
+    ``rewrite_fixpoint``, every unit redex before every zero one:
     ("unit", v, parent, slot) deletes a unit-labeled vertex; ("zero", v,
     parent, slot) contracts a length-0 inner edge.  Slot is the 1-based
     position of v in parent.kids."""
     units: list[tuple[str, Node, Optional[Node], int]] = []
     zeros: list[tuple[str, Node, Optional[Node], int]] = []
     for n, parent, slot in preorder(root):
-        # The whole point being the unit corolla is irreducible.
-        if operad.is_unit(n.label) and (
-            parent is not None or isinstance(n.kids[0], Node)
-        ):
+        if _deletable(operad, n):
             units.append(("unit", n, parent, slot))
         if n.t is not None and n.t == 0:
             zeros.append(("zero", n, parent, slot))
     return units + zeros
 
 
-def _delete_unit_vertex(root: Node, node: Node, parent: Optional[Node], slot: int) -> Node:
-    """Relation (i).  Deleting a unit bivalent vertex between two inner edges
-    merges their lengths to the MAXIMUM; next to a leaf or the root edge the
-    vertex is simply deleted.  (Kept in one place so the merge convention can
-    be swapped out.)"""
-    child = node.kids[0]
+def _apply(operad: Operad, root: Node, redex) -> Node:
+    """Apply one redex of ``_redexes`` for the random-order oracle."""
+    kind, node, parent, slot = redex
+    if kind == "zero":
+        contract(parent, slot, operad.compose)
+        return root
+    child = _delete_unit_vertex(node)
     if parent is None:
-        assert isinstance(child, Node)
-        child.t = None
         return child
-    if isinstance(child, Node):
-        child.t = max(node.t, child.t)
     parent.kids[slot - 1] = child
     return root
 
 
-def _apply(operad: Operad, root: Node, redex) -> Node:
-    kind, node, parent, slot = redex
-    if kind == "unit":
-        return _delete_unit_vertex(root, node, parent, slot)
-    # Relation (iii): splice a length-0 vertex into its parent via the
-    # operad composition at the planar slot.
-    contract(parent, slot, operad.compose)
-    return root
-
-
 def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
-    """Relations (i) and (iii), rewritten until no redex is left."""
-    return rewrite_fixpoint(operad, root, _redexes, _apply, rng)
+    """Relations (i) and (iii), rewritten to the normal form in one
+    bottom-up pass, or in a random order that ``rng`` draws (the oracle
+    the pass is tested against; the system is confluent, so both end at
+    the same form)."""
+    if rng is not None:
+        return rewrite_fixpoint(operad, root, _redexes, _apply, rng)
+    return _settle(operad, root)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +277,11 @@ def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> BVPoint
 
 
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
-    """Canonical form of raw point data: rewrite, then present.  It is
-    idempotent and (tested) independent of the rewrite order, which ``rng``
-    randomizes.  The input is trusted: it comes from ``raw_bv`` or from the
-    engine."""
+    """Canonical form of raw point data: rewrite, then present.  The
+    rewriting is one bottom-up pass, or, when ``rng`` is given, a random
+    order of single redexes, which the tests check the pass against: the
+    result is idempotent and independent of the order.  The input is
+    trusted: it comes from ``raw_bv`` or from the engine."""
     return _normal(raw.operad, _nodes(raw), rng)
 
 

@@ -488,11 +488,13 @@ def validate_bimodule_map(
         except TruncationError:
             continue
 
-    for x in samples:
+    # f of each sample, kept for the left-action pairs below.
+    images: dict[int, Any] = {}
+    for j, x in enumerate(samples):
         if not x.canonical:
             x = wb_normalize(x)
         try:
-            fx = f(x)
+            fx = images[j] = f(x)
         except TruncationError:
             continue
         if x.arity >= 2:
@@ -513,7 +515,12 @@ def validate_bimodule_map(
                 except (TruncationError, ValueError):
                     report.checked -= 1
 
-    for x, y in zip(samples, samples[1:]):
+    def image(j: int) -> Any:
+        """f of sample ``j``; evaluated again, to raise again, only where
+        the loop above hit ``TruncationError``."""
+        return images[j] if j in images else f(samples[j])
+
+    for j, (x, y) in enumerate(zip(samples, samples[1:])):
         pool = op.elements(2)
         if not pool:
             continue
@@ -521,7 +528,7 @@ def validate_bimodule_map(
         report.checked += 1
         try:
             lhs = f(wb_left(a, [x, y]))
-            rhs = multi_compose(target, eta(a), [f(x), f(y)])
+            rhs = multi_compose(target, eta(a), [image(j), image(j + 1)])
         except (TruncationError, ValueError):
             report.checked -= 1
             continue

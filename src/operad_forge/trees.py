@@ -29,7 +29,9 @@ along its edges, which is how ``bv`` computes ``mu``, ``wb`` computes
 ``bv`` and ``wb`` rewrite their points on it (unit deletion, edge
 contraction, grafting, canonical reordering through the symmetric action,
 and the cuts of prime decomposition and band subdivision), all through the
-shared helpers at the end of this module.
+shared helpers at the end of this module.  Each resolution rewrites in one
+bottom-up pass of its own; ``rewrite_fixpoint`` rewrites in a random order
+instead, as the oracle the pass is tested against.
 """
 
 from __future__ import annotations
@@ -493,15 +495,16 @@ def act_on_word(x, sigma, nodes, rewrite, present):
 
 
 def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:
-    """Rewrite until no redex is left: ``redexes(ctx, root)`` lists them and
-    ``apply(ctx, root, redex)`` rewrites one and returns the new root.  The
-    first redex is taken, or a random one when ``rng`` is given."""
+    """Rewrite in a random order until no redex is left:
+    ``redexes(ctx, root)`` lists them, ``rng`` picks one, and
+    ``apply(ctx, root, redex)`` rewrites it and returns the new root.  Each
+    step walks the whole tree, so this is the oracle that the one-pass
+    rewriting of ``bv`` and ``wb`` is checked against, not a fast path."""
     while True:
         found = redexes(ctx, root)
         if not found:
             return root
-        redex = rng.choice(found) if rng is not None else found[0]
-        root = apply(ctx, root, redex)
+        root = apply(ctx, root, rng.choice(found))
 
 
 def _fixes_block(act, first: tuple, seen: dict, start: int, size: int) -> bool:

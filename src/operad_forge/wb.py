@@ -7,7 +7,10 @@ Relations oriented into a rewriting system by ``wb_normalize``:
 action is pushed into child reorderings (canonical presentation); (iii)
 adjacent main vertices with equal heights are merged by composing their
 labels; (iv) a label at height 0 or 1 is collapsed to the corolla on its
-operad image.
+operad image.  The relations are confluent, and the default order rewrites
+in one bottom-up pass, settling each child and then resolving it against
+its parent; ``rng`` picks a random order of single redexes instead, which
+the tests check the pass against.
 
 Points are cut by height in one way, ``subdivide``: along the gap and cube
 bands of an interval configuration, with ``reassemble_bands`` as its
@@ -180,14 +183,59 @@ def _is_unit_bv(operad: Operad, x: BVPoint) -> bool:
     return x.is_corolla and operad.is_unit(x.labels[0])
 
 
+def _deletable(operad: Operad, n: Node, root: bool) -> bool:
+    """Whether relation (i) deletes ``n``: a vertex labeled by the unit
+    point, unless it is the ``root`` over a leaf (the degenerate point)."""
+    return _is_unit_bv(operad, n.label) and (not root or isinstance(n.kids[0], Node))
+
+
+def _settle(operad: Operad, n: Node, root: bool = False):
+    """The normal form under relations (i), (iii) and (iv) of the subtree
+    at ``n``, rewritten in place in one bottom-up pass; returns the vertex
+    or leaf that takes the place of ``n``.  Each label is normalized when
+    the pass reaches it, since the rules read it.  Unit vertices on top are
+    deleted first (a height is forgotten with its vertex), so nothing is
+    merged into a unit; then each kid is settled and, at the height of
+    ``n``, merged into it, its kids spliced into the slot already
+    irreducible; then a label at height 0 or 1 is collapsed, and ``n`` is
+    deleted if that made it the unit.  It recurses one frame per level, as
+    ``to_nodes`` does."""
+    while True:
+        if not n.label.canonical:
+            n.label = bv_normalize(n.label)
+        if not _deletable(operad, n, root):
+            break
+        n = n.kids[0]
+        if not isinstance(n, Node):
+            return n
+    kids = n.kids
+    s = 0
+    while s < len(kids):
+        c = kids[s]
+        if isinstance(c, Node):
+            c = kids[s] = _settle(operad, c)
+            if isinstance(c, Node) and c.t == n.t:
+                # Relation (iii): contract the main edge using the
+                # resolution's operadic composition on the labels.
+                contract(n, s + 1, bv_compose)
+                s += len(c.kids)
+                continue
+        s += 1
+    if n.t in (ZERO, ONE) and n.label.n_vertices > 1:
+        # Relation (iv): at heights 0/1 only the operad image of the label
+        # matters.
+        n.label = iota(operad, mu(n.label))
+    return n.kids[0] if _deletable(operad, n, root) else n
+
+
 def _redexes(operad: Operad, root: Node):
     """(kind, node, parent, slot) with kind in unit / merge / collapse, in
-    that order at each vertex, vertices in preorder."""
+    that order at each vertex, vertices in preorder: the redexes for the
+    random-order oracle ``rewrite_fixpoint``."""
     out = []
     for n, parent, slot in preorder(root):
-        if _is_unit_bv(operad, n.label):
-            if parent is not None or isinstance(n.kids[0], Node):
-                out.append(("unit", n, parent, slot))
+        if _deletable(operad, n, parent is None):
+            out.append(("unit", n, parent, slot))
         if parent is not None and n.t == parent.t:
             out.append(("merge", n, parent, slot))
         if n.t in (ZERO, ONE) and n.label.n_vertices > 1:
@@ -196,33 +244,35 @@ def _redexes(operad: Operad, root: Node):
 
 
 def _apply(operad: Operad, root: Node, redex) -> Node:
+    """Apply one redex of ``_redexes`` for the random-order oracle."""
     kind, node, parent, slot = redex
     if kind == "unit":
-        # Relation (i): delete the unit vertex; its height is forgotten.
         child = node.kids[0]
         if parent is None:
-            assert isinstance(child, Node)
             return child
         parent.kids[slot - 1] = child
         return root
     if kind == "merge":
-        # Relation (iii): contract the main edge using the resolution's
-        # operadic composition on the labels.
         contract(parent, slot, bv_compose)
         return root
-    # Relation (iv): at heights 0/1 only the operad image of the label matters.
     node.label = iota(operad, mu(node.label))
     return root
 
 
 def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
-    """Relations (i), (iii) and (iv), rewritten until no redex is left."""
-    # Rewriting reads the labels (unit detection, merges), so they must be
-    # canonical resolution points first.
-    for n, _, _ in preorder(root):
-        if not n.label.canonical:
-            n.label = bv_normalize(n.label)
-    root = rewrite_fixpoint(operad, root, _redexes, _apply, rng)
+    """Relations (i), (iii) and (iv), rewritten to the normal form in one
+    bottom-up pass, or in a random order that ``rng`` draws (the oracle
+    the pass is tested against; the system is confluent, so both end at
+    the same form)."""
+    if rng is None:
+        root = _settle(operad, root, True)
+    else:
+        # The oracle's rules read the labels (unit detection, merges), so
+        # they must be canonical resolution points first.
+        for n, _, _ in preorder(root):
+            if not n.label.canonical:
+                n.label = bv_normalize(n.label)
+        root = rewrite_fixpoint(operad, root, _redexes, _apply, rng)
     # The fully degenerate point: a single unit-labeled vertex.  Fix its
     # height at 0 as the canonical representative.
     if _is_unit_bv(operad, root.label) and not isinstance(root.kids[0], Node):
@@ -245,9 +295,11 @@ def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> WBPoint
 
 
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
-    """Canonical form: rewrite, then present.  It is idempotent and
-    rewrite-order independent (tested).  The input is trusted: it comes
-    from ``raw_wb`` or from the engine."""
+    """Canonical form: rewrite, then present.  The rewriting is one
+    bottom-up pass, or, when ``rng`` is given, a random order of single
+    redexes, which the tests check the pass against: the result is
+    idempotent and independent of the order.  The input is trusted: it
+    comes from ``raw_wb`` or from the engine."""
     return _normal(raw.operad, _nodes(raw), rng)
 
 

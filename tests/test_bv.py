@@ -275,7 +275,7 @@ def test_act_on_a_normal_form_only_re_presents(name, monkeypatch):
     def no_rewriting(*args):
         raise AssertionError("a normal form was rewritten")
 
-    monkeypatch.setattr(bv, "_redexes", no_rewriting)
+    monkeypatch.setattr(bv, "_rewrite", no_rewriting)
     for x, sigma, want in cases:
         got = bv_act(x, sigma)
         assert got.canonical

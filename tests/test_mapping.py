@@ -8,8 +8,10 @@ from random import Random
 
 import pytest
 
+from operad_forge import mapping
 from operad_forge.bv import bv_compose, bv_normalize, iota, mu, raw_bv
 from operad_forge.mapping import (
+    BimodMapElement,
     TruncationError,
     alpha,
     assoc_reversal_eta,
@@ -55,6 +57,7 @@ from operad_forge.wb import (
     raw_wb,
     reassemble_bands,
     subdivide,
+    wb_filtration,
     wb_normalize,
     wb_trivial,
 )
@@ -111,6 +114,35 @@ def test_mutants_are_flagged_with_witnesses(samples):
         mutant_bimod(ETA_A, assoc_reversal_eta()), samples["wb"] + interior
     )
     assert not r.ok and r.violations[0].witness
+
+
+@pytest.mark.parametrize("truncation", [None, 2])
+def test_bimodule_validator_reuses_the_sample_images(samples, truncation, monkeypatch):
+    # The left-action pairs, checked last, reuse the images of the samples
+    # from the first loop, so the kernel sees no sample once the first
+    # ``wb_left`` is built.  A sample outside the truncation never reaches
+    # the kernel: it is refused again in each pair, which is not counted.
+    points = samples["wb"]
+    left = {"on": False}
+    late = []
+
+    def kernel(y):
+        if left["on"] and any(y is x for x in points):
+            late.append(y)
+        return ETA_A(mu_tilde(y))
+
+    def marked(*args, original=mapping.wb_left):
+        left["on"] = True
+        return original(*args)
+
+    monkeypatch.setattr(mapping, "wb_left", marked)
+    report = validate_bimodule_map(BimodMapElement(ETA_A, kernel, "f", truncation), points)
+    assert report.ok and left["on"] and late == []
+    if truncation is not None:
+        outside = [not wb_filtration(y, truncation) for y in points]
+        assert any(a or b for a, b in zip(outside, outside[1:]))
+        genuine = validate_bimodule_map(eta_mu_tilde(ETA_A), points)
+        assert report.checked < genuine.checked
 
 
 def test_subdivide_partitions_and_reassembles():

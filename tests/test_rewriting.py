@@ -1,0 +1,187 @@
+"""The default rewriting of both resolutions is one bottom-up pass, and
+the random order of ``trees.rewrite_fixpoint`` is its oracle.  Hand-built
+points where the rules meet each other in an order-sensitive way are
+checked against several random orders on every stock operad, and the work
+of the pass on long chains is pinned by call counts, not timings."""
+
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+
+from operad_forge import bv, wb
+from operad_forge.bv import bv_compose, bv_normalize, bv_unit, iota, mu, raw_bv
+from operad_forge.operads import operad_by_name
+from operad_forge.trees import PlanarTree
+from operad_forge.wb import raw_wb, wb_normalize
+
+OPERADS = [operad_by_name(n) for n in ("assoc", "com", "end:2", "free:a=2,b=3:4")]
+SEEDS = (1, 7, 19, 42, 1001)
+
+
+def V(label, t, *kids):
+    """A vertex: its label, its edge length (``bv``) or height (``wb``),
+    and its kids, each a vertex or ``None`` for a leaf."""
+    return (label, t, kids)
+
+
+def _flatten(spec):
+    """``(shape, labels, ts)`` of a vertex spec, labels and ts in preorder."""
+    labels, ts = [], []
+
+    def build(s):
+        label, t, kids = s
+        labels.append(label)
+        ts.append(t)
+        return PlanarTree(tuple(None if k is None else build(k) for k in kids))
+
+    return build(spec), tuple(labels), tuple(ts)
+
+
+def _raw_bv(op, spec):
+    shape, labels, ts = _flatten(spec)
+    return raw_bv(op, shape, labels, ts[1:])
+
+
+def _raw_wb(op, spec):
+    shape, labels, ts = _flatten(spec)
+    return raw_wb(op, shape, labels, ts)
+
+
+def _bv_cases(op):
+    u, a2, a3 = op.unit(), op.elements(2)[-1], op.elements(3)[-1]
+    cases = {
+        "unit on a zero edge": V(a2, None, V(u, F(0), V(a2, F(1, 2), None, None)), None),
+        "unit over a zero edge": V(a2, None, V(u, F(1, 3), V(a2, F(0), None, None)), None),
+        "unit root over a vertex": V(u, None, V(a2, F(1, 3), None, V(a2, F(0), None, None))),
+        "chain of units": V(
+            a2, None, V(u, F(1, 4), V(u, F(0), V(u, F(3, 4), V(a2, F(1, 2), None, None)))),
+            None,
+        ),
+        "chain of zero edges": V(a2, None, V(a2, F(0), V(a2, F(0), None, None), None), None),
+        "zero edges under a unit root": V(
+            u, None, V(a2, F(0), V(a2, F(0), None, None), None)
+        ),
+    }
+    if op.elements(0):
+        a0 = op.elements(0)[0]
+        cases.update({
+            "arity-0 kid at the root": V(a2, None, V(a0, F(0)), None),
+            "arity-0 kid leaves a root over a vertex": V(
+                a2, None, V(a0, F(0)), V(a2, F(1, 2), None, None)
+            ),
+            "arity-0 kid in the middle": V(
+                a3, None, None,
+                V(a2, F(1, 2), V(a0, F(0)), V(a2, F(1, 3), None, None)), None,
+            ),
+        })
+    return cases
+
+
+def _wb_cases(op):
+    u, p2 = bv_unit(op), iota(op, op.elements(2)[-1])
+    big = bv_compose(p2, 1, p2)  # not a corolla: collapsed at heights 0 and 1
+    raw_unit = raw_bv(op, PlanarTree((PlanarTree((None,)),)), (op.unit(),) * 2, (F(1, 2),))
+    h, k = F(1, 2), F(1, 4)
+    cases = {
+        "unit between two equal heights": V(p2, h, V(u, h, V(p2, h, None, None)), None),
+        "merge into a unit root": V(u, k, V(p2, k, None, None)),
+        "merge into a unit label": V(p2, k, V(u, h, V(p2, h, None, None)), None),
+        "merge then collapse at height 0": V(
+            big, F(0), V(p2, F(0), None, None), None, None
+        ),
+        "merge then collapse at height 1": V(
+            p2, h, V(big, F(1), V(p2, F(1), None, None), None, None), None
+        ),
+        "degenerate unit root over a leaf": V(u, h, None),
+        "raw unit labels over a leaf": V(raw_unit, k, V(u, h, None)),
+        "raw unit label between equal heights": V(
+            p2, h, V(raw_unit, h, V(big, h, None, None, None)), None
+        ),
+    }
+    if op.elements(0):
+        p0 = iota(op, op.elements(0)[0])
+        cases.update({
+            "collapse to arity 1 at height 0": V(p2, F(0), V(p0, F(0)), None),
+            "collapse to arity 1 at height 1": V(
+                p2, k, V(p2, F(1), V(p0, F(1)), None), V(p2, h, None, None)
+            ),
+        })
+    return cases
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_order_sensitive_bv_patterns_match_random_orders(op):
+    for name, spec in _bv_cases(op).items():
+        raw = _raw_bv(op, spec)
+        x = bv_normalize(raw)
+        assert bv_normalize(x) == x, name
+        for s in SEEDS:
+            assert repr(bv_normalize(raw, Random(s))) == repr(x), (name, s)
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_order_sensitive_wb_patterns_match_random_orders(op):
+    for name, spec in _wb_cases(op).items():
+        raw = _raw_wb(op, spec)
+        y = wb_normalize(raw)
+        assert wb_normalize(y) == y, name
+        for s in SEEDS:
+            assert repr(wb_normalize(raw, Random(s))) == repr(y), (name, s)
+
+
+def test_the_patterns_reach_the_cases_they_name():
+    op = operad_by_name("assoc")
+    unit_root = _raw_bv(op, _bv_cases(op)["arity-0 kid leaves a root over a vertex"])
+    assert bv_normalize(unit_root) == iota(op, op.elements(2)[-1])
+    middle = bv_normalize(_raw_bv(op, _bv_cases(op)["arity-0 kid in the middle"]))
+    assert middle.n_vertices == 2 and middle.params == (F(1, 2),)
+    degenerate = wb_normalize(_raw_wb(op, _wb_cases(op)["collapse to arity 1 at height 0"]))
+    assert degenerate.n_main_vertices == 1 and degenerate.heights == (F(0),)
+    assert degenerate.labels == (bv_unit(op),)
+
+
+def _counter(monkeypatch, module, name) -> dict:
+    """Rebind ``module.name`` to a wrapper that counts its calls."""
+    calls = {"n": 0}
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls["n"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["com", "assoc"])
+def test_a_zero_length_comb_contracts_in_one_pass(name, monkeypatch):
+    # Each vertex of the comb is contracted once, bottom up, with no walk
+    # of the whole tree: the random order lists the redexes n times.
+    op, n = operad_by_name(name), 800
+    shape = PlanarTree((None, None))
+    for _ in range(n - 1):
+        shape = PlanarTree((None, shape))
+    raw = raw_bv(op, shape, (op.elements(2)[0],) * n, (F(0),) * (n - 1))
+    want = mu(raw)
+    redexes = _counter(monkeypatch, bv, "_redexes")
+    composes = _counter(monkeypatch, type(op), "compose")
+    x = bv_normalize(raw)
+    assert x.is_corolla and x.labels == (want,) and x.arity == n + 1
+    assert redexes["n"] == 0
+    assert composes["n"] == n - 1
+
+
+def test_a_chain_of_equal_heights_merges_once_per_edge(monkeypatch):
+    op, n = operad_by_name("assoc"), 30
+    p2 = iota(op, (2, 1))
+    spec = V(p2, F(1, 2), None, None)
+    for _ in range(n - 1):
+        spec = V(p2, F(1, 2), spec, None)
+    raw = _raw_wb(op, spec)
+    redexes = [_counter(monkeypatch, m, "_redexes") for m in (bv, wb)]
+    composes = _counter(monkeypatch, wb, "bv_compose")
+    y = wb_normalize(raw)
+    assert y.n_main_vertices == 1 and y.labels[0].n_vertices == n
+    assert [c["n"] for c in redexes] == [0, 0]
+    assert composes["n"] == n - 1

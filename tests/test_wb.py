@@ -267,8 +267,8 @@ def test_act_on_a_normal_form_only_re_presents(op, monkeypatch):
     def no_rewriting(*args):
         raise AssertionError("a normal form was rewritten")
 
-    monkeypatch.setattr(bv, "_redexes", no_rewriting)
-    monkeypatch.setattr(wb, "_redexes", no_rewriting)
+    monkeypatch.setattr(bv, "_rewrite", no_rewriting)
+    monkeypatch.setattr(wb, "_rewrite", no_rewriting)
     for y, sigma, want in cases:
         got = wb_act(y, sigma)
         assert got.canonical
