@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from itertools import chain, groupby, product
 from math import comb, factorial
 from operator import itemgetter, mul
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .operads import Perm, all_perms, compositions
 from .trees import (
@@ -309,19 +309,61 @@ def _presentations(enc: tuple) -> int:
     return count
 
 
+def _excess(enc: tuple) -> int:
+    """The auxiliary vertices less the child main vertices reachable from an
+    encoding's vertex through the key, the vertex included: a key's level
+    (auxiliary vertices less main vertices) is one less, as its root main
+    vertex is not a child."""
+    excess = 1
+    for kid in enc[1]:
+        if kid[0] == 1:  # an auxiliary vertex
+            excess += _excess(kid)
+        elif kid[1][0] == 1:  # a leaf carrying a child vertex's key
+            excess += _excess(kid[1][1]) - 1
+    return excess
+
+
 class TreeClass(Value):
     """An isomorphism class of cell indices: its representative and the
     canonical key.  The representative is the least member in
     ``enumerate_upsilon`` order, which is the census's first-seen member.
-    ``size``, the number of planar members, is read off the key.  Equality
-    reads the representative only."""
+    ``size``, the number of planar members, and ``level`` are read off the
+    key.  Equality reads the representative only.
 
-    __slots__ = ("representative", "key")
+    A class holds one of two sides: ``classify`` gives the representative,
+    ``generate_classes`` the key vertex it generated (see ``_KeyVertex``).
+    Each side is derived from the other when it is read, so the contraction
+    graph, which walks the vertex, decodes no generated class, and only a
+    class whose representative is written is decoded.  A decoded class
+    lets its key vertex go, so that the key vertices need not outlive the
+    writing of the classes."""
+
+    __slots__ = ("key", "_representative", "_vertex")
     _repr = ("representative",)
 
-    def __init__(self, representative: UpsilonIndex, key: tuple):
-        self.representative = representative
+    def __init__(self, representative: Optional[UpsilonIndex], key: tuple,
+                 vertex: Optional[_KeyVertex] = None):
+        self._representative = representative
         self.key = key
+        self._vertex = vertex
+
+    @property
+    def representative(self) -> UpsilonIndex:
+        if self._representative is None:
+            main, aux = _decode(self._vertex)
+            self._representative = _trusted_index(main, tuple(aux))
+            self._vertex = None
+        return self._representative
+
+    @property
+    def vertex(self):
+        """The auxiliary root of the representative glued along its main
+        edges, children in the representative's planar order: the
+        generated ``_KeyVertex``, or a ``_Glued`` read off the
+        representative."""
+        if self._vertex is None:
+            self._vertex = _glued(self._representative)
+        return self._vertex
 
     @property
     def size(self) -> int:
@@ -329,7 +371,7 @@ class TreeClass(Value):
 
     @property
     def level(self) -> int:
-        return self.representative.level
+        return _excess(self.key) - 1
 
 
 def classify(indices: list[UpsilonIndex]) -> list[TreeClass]:
@@ -353,7 +395,8 @@ def classify(indices: list[UpsilonIndex]) -> list[TreeClass]:
 # ``generate_classes`` builds the keys of each grade bottom-up as multisets
 # over the keys of lower grades, so each class comes out once (an orderly
 # generation: McKay, "Isomorph-free exhaustive generation", J. Algorithms
-# 26, 1998), and decodes each key to its least member in census order.
+# 26, 1998).  ``_decode`` reads a key vertex as its class's least member in
+# census order, the representative, when that is first read.
 #
 # That order is lexicographic in (main vertex count, main leaf count, main
 # tree, composition, auxiliary trees).  A planar tree's position in
@@ -535,7 +578,9 @@ def generate_classes(
     generated from the class keys with no index of the census built: the
     same classes, keys and representatives (each class's least member in
     ``enumerate_upsilon`` order), in the same order.  The work follows the
-    class count of the grade and of the lower grades it is built from."""
+    class count of the grade and of the lower grades it is built from.
+    Each class holds its key vertex, and decodes its representative from
+    it only when that is first read."""
     if k < 1 or l < 1:
         raise ValueError("both grading parameters must be >= 1")
     lower: list[tuple[int, int, list[tuple]]] = []
@@ -553,11 +598,7 @@ def generate_classes(
     top.sort(key=lambda v: (
         v.mains, v.main_leaves, v.e, (v.aux,) + v.b, (v.o,) + v.x
     ))
-    out = []
-    for v in top:
-        main, aux = _decode(v)
-        out.append(TreeClass(_trusted_index(main, tuple(aux)), v.key))
-    return out
+    return [TreeClass(None, v.key, v) for v in top]
 
 
 def stab(
@@ -631,6 +672,92 @@ def contract_main_edge(
     )
 
 
+class _Glued(Value):
+    """An auxiliary vertex of a cell index glued along its main edges, read
+    off a planar index: ``key`` and ``kids`` as in ``_KeyVertex``, the
+    children in the index's planar order."""
+
+    __slots__ = ("key", "kids")
+
+    def __init__(self, key: tuple, kids: tuple):
+        self.key = key
+        self.kids = kids
+
+
+def _glued(idx: UpsilonIndex, v: int = 0) -> _Glued:
+    """Main vertex ``v`` of ``idx`` as the auxiliary root of its glued
+    subtree; its key is ``_vertex_key(idx, v)``."""
+    entries: list[tuple] = []
+    w = v + 1  # the preorder index of the next child vertex
+    for c in idx.main.subtrees[v].children:
+        if c is None:
+            entries.append((0, None))
+        else:
+            entries.append((1, _glued(idx, w)))
+            w += c.n_vertices
+    slots = iter(entries)
+
+    def vertex(sub: PlanarTree) -> _Glued:
+        kids = tuple(next(slots) if c is None else (2, vertex(c)) for c in sub.children)
+        encs = sorted(
+            _MAIN_LEAF if kind == 0 else (0, (1, u.key)) if kind == 1 else u.key
+            for kind, u in kids
+        )
+        return _Glued((1, tuple(encs)), kids)
+
+    return vertex(idx.aux[v])
+
+
+def _replaced(key: tuple, old: tuple, new: tuple) -> tuple:
+    """``key`` with the child encoding ``old`` replaced by ``new``, sorted."""
+    kids = list(key[1])
+    kids.remove(old)
+    kids.append(new)
+    kids.sort()
+    return (1, tuple(kids))
+
+
+def _contractions(v) -> Iterator[tuple]:
+    """For each main edge below the key vertex ``v``, in the order that
+    ``_decode`` meets its child vertex, the key of ``v``'s subtree with that
+    edge contracted.  From a class's vertex these are the class keys of
+    ``contract_main_edge`` on its representative, in ``main.child_vertex``
+    order, with no index decoded or contracted.
+
+    The keys are right.  Glued along its main edges, a cell index is one
+    tree of auxiliary vertices (``census_size``), and a key vertex encodes
+    its children sorted: ``(0, (0,))`` for a main leaf, ``(0, (1, K))`` for
+    a child main vertex whose auxiliary root has key ``K``, and its own key
+    for an auxiliary child.  ``contract_main_edge`` grafts the child's
+    auxiliary tree at the parent's leaf that carried it and keeps every
+    other slot and auxiliary tree, so in the glued tree it only recolours
+    that edge from main to auxiliary: the vertex ``u`` above it has the
+    auxiliary child ``K`` where it had the entry ``(0, (1, K))``.  An
+    encoding is a function of the multiset of the encodings below it, so
+    the encodings off the path from ``u`` to the root are unchanged, and
+    each vertex on the path takes its changed child's new encoding in place
+    of the old, sorted again (``_replaced``).  The result is the key of the
+    contracted index, which ``class_key`` computes from it.
+
+    The order is right.  This walk reads each vertex's children in ``kids``
+    order, meets a child main vertex where ``_decode`` appends its slot,
+    and walks into it at once, as ``_decode`` does before its next child.
+    So it meets the child main vertices in the order ``_decode`` numbers
+    them, the representative's main preorder, and ``child_vertex`` lists
+    the edges by the preorder index of their child.  A vertex read off a
+    planar index (``_glued``) keeps that index's planar order, so the same
+    holds for any member."""
+    for kind, w in v.kids:
+        if kind == 1:
+            entry = (0, (1, w.key))
+            yield _replaced(v.key, entry, w.key)
+            for sub in _contractions(w):
+                yield _replaced(v.key, entry, (0, (1, sub)))
+        elif kind == 2:
+            for sub in _contractions(w):
+                yield _replaced(v.key, w.key, sub)
+
+
 class ContractionGraph(Value):
     """Classes of cell indices with non-corolla main trees, with a directed
     edge whenever contracting one inner main edge of a member lands in the
@@ -689,25 +816,23 @@ def build_graph(
     k: int, l: int, classes: Optional[list[TreeClass]] = None
 ) -> ContractionGraph:
     """The contraction graph over ``graph_classes(k, l)``; a caller that
-    already holds those classes passes them in."""
+    already holds those classes passes them in.
+
+    A family of isomorphisms carries inner edges to inner edges and their
+    contractions to isomorphic indices, so every member of a class reaches
+    the same target classes: the representative's edges are all of them.
+    They are computed on the keys (``_contractions``), in the
+    representative's ``main.child_vertex`` order, each target as first met,
+    with no index decoded or contracted.  A class with one main edge
+    contracts to a corolla main tree, outside the graph."""
     if classes is None:
         classes = graph_classes(k, l)
     key_to_idx = {c.key: i for i, c in enumerate(classes)}
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    # A family of isomorphisms carries inner edges to inner edges and their
-    # contractions to isomorphic indices, so every member of a class reaches
-    # the same target classes: the representative's edges are all of them.
     for ci, cls in enumerate(classes):
-        rep = cls.representative
-        for (parent, slot) in rep.main.child_vertex:
-            target = contract_main_edge(rep, parent, slot)
-            if target.main.n_vertices == 1:
-                continue  # corolla main trees are outside the graph
-            tj = key_to_idx[class_key(target)]
-            if (ci, tj) not in seen:
-                seen.add((ci, tj))
-                edges.append((ci, tj))
+        targets = list(_contractions(cls.vertex))
+        if len(targets) > 1:
+            edges.extend((ci, tj) for tj in dict.fromkeys(key_to_idx[t] for t in targets))
     return _finish_graph(k, l, classes, edges)
 
 

@@ -36,8 +36,6 @@ from .cells import (
     graph_classes,
     h_membership,
     homotopy_H,
-    latching_index,
-    reedy_of,
     subgraph_i,
 )
 from .mapping import (
@@ -64,7 +62,7 @@ from .serialize import (
     frac_str,
     graph_to_json,
     parse_frac,
-    reedy_to_json,
+    reedy_text,
     tree_from_json,
     upsilon_from_json,
     wb_from_json,
@@ -196,12 +194,12 @@ def _point(r: SimpleNamespace, op: Operad, data: Any) -> Any:
     return r.normalize(r.decode(data, op))
 
 
-def _write(text: str) -> None:
-    """Write ``text`` to standard output in full.  A signal that interrupts
-    a blocked pipe write makes the binary layer take only part of the bytes,
-    and the text layer drops the rest, so the bytes go to the binary layer
-    in a loop until all are taken."""
-    out = sys.stdout
+def _write(text: str, stream=None) -> None:
+    """Write ``text`` in full to ``stream``, standard output by default.  A
+    signal that interrupts a blocked pipe write makes the binary layer take
+    only part of the bytes, and the text layer drops the rest, so the bytes
+    go to the binary layer in a loop until all are taken."""
+    out = sys.stdout if stream is None else stream
     buffer = getattr(out, "buffer", None)
     if buffer is None:  # an in-memory text stream
         out.write(text)
@@ -429,16 +427,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_reedy(args) -> int:
-    r = reedy_of(_graph(args, args.k, args.l))
-    out = reedy_to_json(r)
-    out["latching"] = [
-        {
-            "object": list(o),
-            "index": [[face, list(src)] for face, src in latching_index(r, o)],
-        }
-        for o in r.objects
-    ]
-    _emit(out)
+    _write(reedy_text(_graph(args, args.k, args.l)) + "\n")
     return 0
 
 
@@ -588,13 +577,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except CliInputError as exc:
-        print(f"operad-forge: {exc}", file=sys.stderr)
+        _write(f"operad-forge: {exc}\n", sys.stderr)
         return 2
     except CliValidationError as exc:
         _emit(exc.witness)
         return 1
     except RecursionError:
-        print("operad-forge: input nested too deeply", file=sys.stderr)
+        _write("operad-forge: input nested too deeply\n", sys.stderr)
         return 2
 
 

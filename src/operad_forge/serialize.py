@@ -216,6 +216,35 @@ def reedy_to_json(r: ReedyData) -> dict:
     }
 
 
+def reedy_text(g: ContractionGraph) -> str:
+    """The ``reedy`` command's document for ``reedy_of(g)``: its
+    ``reedy_to_json`` with, under ``latching``, each object's
+    ``latching_index`` as ``{"index": [[face, edge object], ...],
+    "object": object}``, in object order.  The text is written straight
+    from the edge list, with no object tuple or dict built, in the bytes of
+    ``dumps`` of that document: keys sorted, no spaces.  A vertex object
+    ``["vertex",i]`` has degree 1 and a latching index of the faces into
+    it in pair order, ``d0`` before ``d1``; a pair object
+    ``["pair",a,b]`` has degree 0, no latching index, and faces ``d0`` to
+    ``["vertex",a]`` and ``d1`` to ``["vertex",b]``."""
+    n = len(g.classes)
+    pairs = [f'["pair",{a},{b}]' for a, b in g.edges]
+    faces: list[list[str]] = [[] for _ in range(n)]
+    morphisms = []
+    for (a, b), pair in zip(g.edges, pairs):
+        faces[a].append(f'["d0",{pair}]')
+        faces[b].append(f'["d1",{pair}]')
+        morphisms.append(f'{{"name":"d0","source":{pair},"target":["vertex",{a}]}}')
+        morphisms.append(f'{{"name":"d1","source":{pair},"target":["vertex",{b}]}}')
+    latching = [f'{{"index":[{",".join(into)}],"object":["vertex",{i}]}}'
+                for i, into in enumerate(faces)]
+    latching += [f'{{"index":[],"object":{pair}}}' for pair in pairs]
+    objects = [f'{{"degree":1,"object":["vertex",{i}]}}' for i in range(n)]
+    objects += [f'{{"degree":0,"object":{pair}}}' for pair in pairs]
+    return (f'{{"latching":[{",".join(latching)}],"morphisms":[{",".join(morphisms)}],'
+            f'"objects":[{",".join(objects)}]}}')
+
+
 # ---------------------------------------------------------------------------
 # Canonical text
 # ---------------------------------------------------------------------------

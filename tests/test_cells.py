@@ -23,6 +23,7 @@ from operad_forge.cells import (
     UpsilonIndex,
     _child,
     _decode,
+    _glued,
     _key_vertex,
     _vertex_key,
     build_graph,
@@ -461,13 +462,11 @@ def test_classify_matches_slot_permutation_search(k, l, nontrivial):
     assert [c.size for c in classes] == [len(g) for g in want]
 
 
-def _oracle_graph(classes, census):
+def _closure(classes, members):
     """Brute-force closure: contract every main edge of every member of
-    every class, in class and member order, the members taken from the
-    census; the edge list, each edge as first found."""
+    every class, in class and member order (``members[i]`` for class
+    ``i``); the edge list, each edge as first found."""
     key2i = {c.key: i for i, c in enumerate(classes)}
-    members = _partition(census, class_key)
-    assert [c.representative for c in classes] == [g[0] for g in members]
     edges, seen = [], set()
     for ci, c in enumerate(classes):
         for m in members[ci]:
@@ -480,6 +479,13 @@ def _oracle_graph(classes, census):
                     seen.add((ci, tj))
                     edges.append((ci, tj))
     return edges
+
+
+def _oracle_graph(classes, census):
+    """The closure over every member, the members taken from the census."""
+    members = _partition(census, class_key)
+    assert [c.representative for c in classes] == [g[0] for g in members]
+    return _closure(classes, members)
 
 
 def test_build_graph_small_cases(g43):
@@ -510,6 +516,54 @@ def test_build_graph_matches_all_members_pass(k, l):
     classes = classify(census)
     g = build_graph(k, l, classes)
     assert list(g.edges) == _oracle_graph(classes, census)
+
+
+def _representative_pass(classes):
+    """The closure over the representatives alone: ``contract_main_edge``
+    and ``class_key`` on each, in ``child_vertex`` order."""
+    return _closure(classes, [[c.representative] for c in classes])
+
+
+@pytest.mark.parametrize("k,l", [(5, 5), (3, 6), (12, 3)])
+def test_build_graph_on_the_keys_is_the_representative_pass(k, l):
+    classes = graph_classes(k, l)
+    g = build_graph(k, l, classes)
+    assert list(g.edges) == _representative_pass(classes)
+    assert [c.level for c in g.classes] == [c.representative.level for c in classes]
+
+
+def test_glued_index_keeps_its_key_and_planar_order():
+    # read off any planar member, not only the least one, the glued tree
+    # has the member's class key, and its contractions come in the
+    # member's main preorder
+    rng = Random(7)
+    census = enumerate_upsilon(5, 4, True)
+    for idx in rng.sample(census, 150):
+        v = _glued(idx)
+        assert v.key == class_key(idx)
+        want = [
+            class_key(contract_main_edge(idx, p, s)) for (p, s) in idx.main.child_vertex
+        ]
+        assert list(cells._contractions(v)) == want
+
+
+def test_generated_classes_decode_only_when_read(monkeypatch):
+    calls = []
+    decode = cells._decode
+
+    def counted(v):
+        calls.append(v)
+        return decode(v)
+
+    monkeypatch.setattr(cells, "_decode", counted)
+    g = build_graph(4, 4)
+    assert (len(g.classes), len(g.edges), len(g.initials)) == (516, 644, 78) and calls == []
+    cls = g.classes[5]
+    rep = cls.representative
+    assert calls and cls.representative is rep and class_key(rep) == cls.key
+    # the decoded class let its key vertex go, and reads it off the
+    # representative again
+    assert cls.vertex.key == cls.key and list(cells._contractions(cls.vertex))
 
 
 def test_build_graph_regression_counts():

@@ -146,10 +146,49 @@ def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the budget check should have refused first")
 
 
+# The counting and building functions that each grade command's path calls,
+# by the names that the refusal tests patch in ``cli``, and a request of
+# each command under the budget.
+GRADE_WORK = {
+    "cells": {"census_size", "generate_classes"},
+    "graph": {"class_count", "graph_classes", "build_graph"},
+    "reedy": {"class_count", "graph_classes", "build_graph"},
+    "export-dot": {"class_count", "graph_classes", "build_graph"},
+}
+UNDER_BUDGET = {
+    "cells": (["cells", "--k", "3", "--l", "2"], ""),
+    "graph": (["graph", "--k", "3", "--l", "3"], ""),
+    "reedy": (["reedy", "--k", "3", "--l", "3"], ""),
+    "export-dot": (["export-dot", "--kind", "graph"], '{"k":3,"l":3}'),
+}
+
+
+def _refuse_to_run_in(capsys, monkeypatch, argv, names):
+    """Patch each of ``names`` in ``cli`` to fail if called, after a positive
+    control: the command of ``argv`` at a grade under the budget calls every
+    one of them that its path uses, and there is one.  So a refusal test
+    cannot pass because the grade path stopped calling what it patches."""
+    command = next(a for a in argv if a in GRADE_WORK)
+    used = GRADE_WORK[command] & set(names)
+    reached = set()
+    for name in names:
+        def recorded(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            reached.add(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    small, stdin = UNDER_BUDGET[command]
+    code, _, _ = run(capsys, monkeypatch, ["--budget", "1000", *small], stdin)
+    assert code == 0 and used and reached == used
+    for name in names:
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+
+
 def test_cells_budget_is_checked_before_enumerating(capsys, monkeypatch):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    monkeypatch.setattr(cli, "generate_classes", _refuse_to_run)
-    code, out, _ = run(capsys, monkeypatch, ["cells", "--k", "8", "--l", "8"])
+    argv = ["cells", "--k", "8", "--l", "8"]
+    _refuse_to_run_in(capsys, monkeypatch, argv, ["generate_classes"])
+    code, out, _ = run(capsys, monkeypatch, argv)
     assert code == 1
     assert out == (
         '{"error":"census size 1998586240 exceeds budget 200000",'
@@ -161,20 +200,17 @@ def test_cells_budget_is_checked_before_enumerating(capsys, monkeypatch):
 def test_graph_budget_is_checked_before_contracting(
     capsys, monkeypatch, command
 ):
-    monkeypatch.setattr(cli, "build_graph", _refuse_to_run)
-    monkeypatch.setattr(cli, "graph_classes", _refuse_to_run)
-    code, out, _ = run(
-        capsys, monkeypatch, ["--budget", "10", command, "--k", "4", "--l", "3"]
-    )
+    argv = ["--budget", "10", command, "--k", "4", "--l", "3"]
+    _refuse_to_run_in(capsys, monkeypatch, argv, ["build_graph", "graph_classes"])
+    code, out, _ = run(capsys, monkeypatch, argv)
     assert code == 1
     assert out == '{"error":"class count at least 28 exceeds budget 10","k":4,"l":3}\n'
 
 
 def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    monkeypatch.setattr(cli, "build_graph", _refuse_to_run)
-    monkeypatch.setattr(cli, "graph_classes", _refuse_to_run)
     argv = ["export-dot", "--kind", "graph"]
+    _refuse_to_run_in(capsys, monkeypatch, argv, ["build_graph", "graph_classes"])
     code, out, _ = run(capsys, monkeypatch, ["--budget", "10", *argv], '{"k":4,"l":3}')
     assert code == 1
     assert out == '{"error":"class count at least 28 exceeds budget 10","k":4,"l":3}\n'
@@ -205,8 +241,8 @@ def test_huge_grades_are_refused_before_counting(
     capsys, monkeypatch, argv, stdin, l
 ):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    for name in ("census_size", "class_count", "generate_classes", "graph_classes"):
-        monkeypatch.setattr(cli, name, _refuse_to_run)
+    _refuse_to_run_in(capsys, monkeypatch, argv,
+                      ["census_size", "class_count", "generate_classes", "graph_classes"])
     start = time.perf_counter()
     code, out, err = run(capsys, monkeypatch, argv, stdin)
     assert time.perf_counter() - start < 1
@@ -229,8 +265,7 @@ def test_huge_grades_are_refused_before_counting(
 def test_huge_census_is_refused_before_counting(capsys, monkeypatch, argv, witness):
     # k passes its own check, and the closed-form census bound refuses
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    for name in ("census_size", "generate_classes"):
-        monkeypatch.setattr(cli, name, _refuse_to_run)
+    _refuse_to_run_in(capsys, monkeypatch, argv, ["census_size", "generate_classes"])
     start = time.perf_counter()
     code, out, err = run(capsys, monkeypatch, argv)
     assert time.perf_counter() - start < 1
@@ -250,8 +285,7 @@ def test_huge_census_is_refused_before_counting(capsys, monkeypatch, argv, witne
 def test_huge_class_count_is_refused_before_counting(capsys, monkeypatch, argv, stdin):
     # k passes its own check, and at l = 2 the closed form k + 1 refuses
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    for name in ("class_count", "graph_classes", "build_graph"):
-        monkeypatch.setattr(cli, name, _refuse_to_run)
+    _refuse_to_run_in(capsys, monkeypatch, argv, ["class_count", "graph_classes", "build_graph"])
     start = time.perf_counter()
     code, out, err = run(capsys, monkeypatch, argv, stdin)
     assert time.perf_counter() - start < 1
@@ -275,8 +309,7 @@ def test_class_bound_refuses_before_counting_at_l_3_and_above(
 ):
     # the exact count at (4000, 3) took seconds; the path bound refuses first
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    for name in ("class_count", "graph_classes", "build_graph"):
-        monkeypatch.setattr(cli, name, _refuse_to_run)
+    _refuse_to_run_in(capsys, monkeypatch, argv, ["class_count", "graph_classes", "build_graph"])
     if not stdin:
         argv = [*argv, "--k", str(k), "--l", str(l)]
     start = time.perf_counter()
@@ -300,8 +333,8 @@ def test_class_bound_refuses_before_counting_at_l_3_and_above(
 )
 def test_huge_l_is_refused_before_counting(capsys, monkeypatch, argv, stdin):
     monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    for name in ("census_size", "class_count", "generate_classes", "graph_classes"):
-        monkeypatch.setattr(cli, name, _refuse_to_run)
+    _refuse_to_run_in(capsys, monkeypatch, argv,
+                      ["census_size", "class_count", "generate_classes", "graph_classes"])
     code, out, err = run(capsys, monkeypatch, argv, stdin)
     assert (code, err) == (1, "")
     assert out == (
@@ -397,17 +430,18 @@ def test_exit_code_2_on_non_positive_grading(capsys, monkeypatch, argv):
 
 
 class _ShortWrites(io.RawIOBase):
-    """A binary stream that takes at most 4,096 bytes per write, as a pipe
-    write interrupted by a signal may."""
+    """A binary stream that takes at most ``limit`` bytes per write, as a
+    pipe write interrupted by a signal may."""
 
-    def __init__(self):
+    def __init__(self, limit=4096):
         self.data = bytearray()
+        self.limit = limit
 
     def writable(self):
         return True
 
     def write(self, b):
-        n = min(len(b), 4096)
+        n = min(len(b), self.limit)
         self.data += bytes(b[:n])
         return n
 
@@ -417,6 +451,27 @@ def test_stdout_is_written_in_full_through_short_writes(monkeypatch):
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
     assert main(["graph", "--k", "4", "--l", "3"]) == 0
     assert raw.data.decode() == dumps(graph_to_json(build_graph(4, 3))) + "\n"
+
+
+def _nested_too_deeply(*args):
+    raise RecursionError
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graph", "--k", "0", "--l", "2"],
+         "operad-forge: --k and --l must be >= 1, got --k 0 --l 2\n"),
+        (["cells", "--k", "3", "--l", "2"], "operad-forge: input nested too deeply\n"),
+    ],
+)
+def test_stderr_is_written_in_full_through_one_byte_writes(monkeypatch, argv, message):
+    # the exit-2 messages take the same full-write loop as stdout
+    monkeypatch.setattr(cli, "census_size", _nested_too_deeply)
+    raw = _ShortWrites(limit=1)
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(raw, encoding="utf-8"))
+    assert main(argv) == 2
+    assert raw.data.decode() == message
 
 
 def test_homotopy_h_hand_value(capsys, monkeypatch):

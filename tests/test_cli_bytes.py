@@ -5,7 +5,9 @@ small grades.  The exit codes, stdout and stderr of each command's requests
 fold into one SHA-256, compared with the digest recorded when the corpus was
 made, so a change to the CLI that moves a byte fails here and names the
 command.  Refusals that depend on the class bound at ``l >= 3`` or on the
-size of an ``end`` operad are pinned by their own tests in ``test_cli.py``."""
+size of an ``end`` operad are pinned by their own tests in ``test_cli.py``.
+The benchmark's grade requests have their own stdout SHA-256s, and
+``reedy`` a count of the indices it decodes and contracts: none."""
 
 import hashlib
 import io
@@ -13,7 +15,10 @@ import json
 import sys
 from random import Random
 
-from operad_forge.cells import UpsilonIndex
+import pytest
+
+from operad_forge import cells
+from operad_forge.cells import UpsilonIndex, build_graph
 from operad_forge.cli import main
 from operad_forge.mapping import assoc_reversal_eta
 from operad_forge.operads import operad_by_name
@@ -273,3 +278,52 @@ def test_cli_bytes_match_the_recorded_digests(monkeypatch, tmp_path):
     got = _digests(requests)
     changed = sorted(g for g in got.keys() | RECORDED.keys() if got.get(g) != RECORDED.get(g))
     assert changed == []
+
+
+def _stdout(argv) -> str:
+    out, saved = io.StringIO(), sys.stdout
+    sys.stdout = out
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.stdout = saved
+    return out.getvalue()
+
+
+# The stdout SHA-256 of the benchmark's three grade requests and of
+# ``reedy --k 5 --l 4``, recorded before the contraction graph was computed
+# on the class keys.
+GRADE_PINS = {
+    "graph --k 5 --l 3": "33d22616168ac121b257257b357a8b5a2fb8f0b4fed598176374b0163374ce31",
+    "cells --k 6 --l 3 --nontrivial":
+        "700563fa3efe4ff65511d87c563e784310981c84e3571f53e4f36c44cf3779c9",
+    "reedy --k 4 --l 4": "9b06101ee7501a44762cc9e83cb35c0e9468b3a62d0ef95a40b23854850ced31",
+    "reedy --k 5 --l 4": "ce4efb4ce4b79c5366469dc58b41cdecb80cc7f062332d7a60dd45bb4c9995c2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRADE_PINS))
+def test_grade_outputs_keep_their_bytes(monkeypatch, command):
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    got = hashlib.sha256(_stdout(command.split()).encode()).hexdigest()
+    assert got == GRADE_PINS[command]
+
+
+def test_reedy_decodes_and_contracts_no_index(monkeypatch):
+    # the graph is built on the class keys, and reedy writes no
+    # representative; cells, which writes every one, is the control
+    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
+    calls = {"_decode": 0, "contract_main_edge": 0}
+    for name in calls:
+        original = getattr(cells, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cells, name, counted)
+    _stdout(["reedy", "--k", "4", "--l", "4"])
+    assert len(build_graph(5, 4).edges) == 1111
+    assert calls == {"_decode": 0, "contract_main_edge": 0}
+    _stdout(["cells", "--k", "4", "--l", "3", "--nontrivial"])
+    assert calls["_decode"] > 0

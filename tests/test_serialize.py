@@ -6,7 +6,13 @@ from fractions import Fraction as F
 from random import Random
 
 from operad_forge.bv import bv_normalize, iota, raw_bv
-from operad_forge.cells import build_graph, enumerate_upsilon, reedy_of
+from operad_forge.cells import (
+    ContractionGraph,
+    build_graph,
+    enumerate_upsilon,
+    latching_index,
+    reedy_of,
+)
 from operad_forge.operads import AssocOperad, EndOperad, operad_by_name
 from operad_forge.sampling import random_bv, random_cubes, random_wb
 from operad_forge.serialize import (
@@ -20,6 +26,7 @@ from operad_forge.serialize import (
     dot_wb,
     dumps,
     graph_to_json,
+    reedy_text,
     reedy_to_json,
     upsilon_from_json,
     upsilon_to_json,
@@ -80,6 +87,25 @@ def test_graph_and_category_exports():
     s = dot_graph(g)
     assert s.count("->") == 41
     assert s.count("doublecircle") == len(g.initials)
+
+
+def _reedy_document(g):
+    """The ``reedy`` document built as a dict: ``reedy_to_json`` and each
+    object's ``latching_index``."""
+    r = reedy_of(g)
+    out = reedy_to_json(r)
+    out["latching"] = [
+        {"object": list(o), "index": [[face, list(src)] for face, src in latching_index(r, o)]}
+        for o in r.objects
+    ]
+    return out
+
+
+def test_reedy_text_is_the_dumped_document():
+    star = ContractionGraph(0, 0, (None,) * 4, ((0, 1), (0, 2), (3, 0)), ((0, 1, 2, 3),), (0,))
+    empty = ContractionGraph(0, 0, (), (), (), ())
+    for g in (build_graph(3, 2), build_graph(4, 3), build_graph(4, 4), star, empty):
+        assert reedy_text(g) == dumps(_reedy_document(g))
 
 
 # Exact DOT text of fixed points, recorded before the emitters shared one
