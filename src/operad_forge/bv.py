@@ -32,12 +32,14 @@ from .trees import (
     contract,
     corolla,
     cut,
+    deletable,
     fold,
     from_nodes,
     graft_input,
     lazy,
     preorder,
     rewrite_fixpoint,
+    settle,
     to_nodes,
 )
 from .values import Value
@@ -169,13 +171,6 @@ def _nodes(p: BVPoint, word: Optional[tuple[int, ...]] = None) -> Node:
     )
 
 
-def _deletable(operad: Operad, n: Node) -> bool:
-    """Whether relation (i) deletes ``n``: a unit-labeled vertex, unless it
-    is the root over a leaf (the whole point being the unit corolla, which
-    is irreducible).  Only the root's edge has no length."""
-    return operad.is_unit(n.label) and (n.t is not None or isinstance(n.kids[0], Node))
-
-
 def _delete_unit_vertex(node: Node):
     """Relation (i): the kid that takes the place of a deleted unit
     bivalent vertex.  Deleting it between two inner edges merges their
@@ -188,33 +183,9 @@ def _delete_unit_vertex(node: Node):
     return child
 
 
-def _settle(operad: Operad, n: Node):
-    """The normal form under relations (i) and (iii) of the subtree at
-    ``n``, rewritten in place in one bottom-up pass; returns the vertex or
-    leaf that takes the place of ``n``.  Unit vertices on top are deleted
-    first, so nothing is composed into a unit; then each kid is settled
-    and, on a length-0 edge, contracted into ``n``, its kids spliced into
-    the slot already irreducible; last, ``n`` is deleted if an arity-0 kid
-    made its label the unit.  It recurses one frame per level, as
-    ``to_nodes`` does, so the depth a point can have is unchanged."""
-    while _deletable(operad, n):
-        n = _delete_unit_vertex(n)
-        if not isinstance(n, Node):
-            return n
-    kids = n.kids
-    s = 0
-    while s < len(kids):
-        c = kids[s]
-        if isinstance(c, Node):
-            c = kids[s] = _settle(operad, c)
-            if isinstance(c, Node) and c.t == 0:
-                # Relation (iii): splice a length-0 vertex into its parent
-                # via the operad composition at the planar slot.
-                contract(n, s + 1, operad.compose)
-                s += len(c.kids)
-                continue
-        s += 1
-    return _delete_unit_vertex(n) if _deletable(operad, n) else n
+def _zero_length(parent: Node, child: Node) -> bool:
+    """Relation (iii): a length-0 edge is contracted."""
+    return child.t == 0
 
 
 def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node], int]]:
@@ -226,7 +197,7 @@ def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node]
     units: list[tuple[str, Node, Optional[Node], int]] = []
     zeros: list[tuple[str, Node, Optional[Node], int]] = []
     for n, parent, slot in preorder(root):
-        if _deletable(operad, n):
+        if deletable(type(operad).is_unit, operad, n, parent is None):
             units.append(("unit", n, parent, slot))
         if n.t is not None and n.t == 0:
             zeros.append(("zero", n, parent, slot))
@@ -247,13 +218,14 @@ def _apply(operad: Operad, root: Node, redex) -> Node:
 
 
 def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
-    """Relations (i) and (iii), rewritten to the normal form in one
-    bottom-up pass, or in a random order that ``rng`` draws (the oracle
-    the pass is tested against; the system is confluent, so both end at
-    the same form)."""
+    """Relations (i) and (iii), rewritten to the normal form by ``settle``,
+    or in a random order that ``rng`` draws (the oracle; the system is
+    confluent, so both end at the same form)."""
     if rng is not None:
         return rewrite_fixpoint(operad, root, _redexes, _apply, rng)
-    return _settle(operad, root)
+    rules = (None, type(operad).is_unit, _delete_unit_vertex, _zero_length,
+             operad.compose, None)
+    return settle(operad, root, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +249,9 @@ def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> BVPoint
 
 
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
-    """Canonical form of raw point data: rewrite, then present.  The
-    rewriting is one bottom-up pass, or, when ``rng`` is given, a random
-    order of single redexes, which the tests check the pass against: the
-    result is idempotent and independent of the order.  The input is
-    trusted: it comes from ``raw_bv`` or from the engine."""
+    """Canonical form of raw point data: rewrite (``_rewrite``: one
+    bottom-up pass, or a random order when ``rng`` is given), then present.
+    The input is trusted: it comes from ``raw_bv`` or from the engine."""
     return _normal(raw.operad, _nodes(raw), rng)
 
 

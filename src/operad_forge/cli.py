@@ -501,8 +501,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes usage, grammar errors and help in full through ``_write`` (its
+    subparsers share its class); as argparse, ignores a missing or failing stream."""
+
+    def _print_message(self, message, file=None):
+        try:
+            _write(message, file or sys.stderr)
+        except (AttributeError, OSError):
+            pass
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="operad-forge",
         description="Exact engine for operadic tree resolutions: "
         "normal forms, bimodule actions, deloopings, and cell complexes.",

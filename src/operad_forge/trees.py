@@ -29,9 +29,11 @@ along its edges, which is how ``bv`` computes ``mu``, ``wb`` computes
 ``bv`` and ``wb`` rewrite their points on it (unit deletion, edge
 contraction, grafting, canonical reordering through the symmetric action,
 and the cuts of prime decomposition and band subdivision), all through the
-shared helpers at the end of this module.  Each resolution rewrites in one
-bottom-up pass of its own; ``rewrite_fixpoint`` rewrites in a random order
-instead, as the oracle the pass is tested against.
+shared helpers at the end of this module.  Both resolutions rewrite in one
+bottom-up pass, ``settle``, each under its own rules; ``rewrite_fixpoint``
+rewrites in a random order instead, as the oracle the pass is tested
+against.  No walk between a working form and a point recurses: each keeps
+its own stack, so a tree may be as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -164,8 +166,15 @@ class PlanarTree:
         return self.subtrees[v].arity
 
     def __repr__(self) -> str:  # compact, e.g. (..) for a 2-corolla
-        inner = "".join("." if c is None else repr(c) for c in self.children)
-        return f"({inner})"
+        out, stack = [], [self]
+        while stack:
+            c = stack.pop()
+            if isinstance(c, PlanarTree):
+                out.append("(")
+                stack += (")", *reversed(c.children))
+            else:
+                out.append("." if c is None else c)
+        return "".join(out)
 
 
 def corolla(n: int) -> PlanarTree:
@@ -334,12 +343,10 @@ def canonical_form(a: Tree) -> Tree:
 # Mutable working form
 # ---------------------------------------------------------------------------
 #
-# Both resolutions (``bv``, ``wb``) rewrite decorated trees in place: unit
-# deletion, edge contraction by composition, grafting, cutting, and
-# canonical reordering through the symmetric action.  They share the
-# ``Node`` form and the helpers below; each caller supplies only its own
-# rules (redexes, composition, action, label key).  Nothing that only
-# evaluates a tree needs this form: it folds the ``PlanarTree``.
+# Both resolutions (``bv``, ``wb``) rewrite decorated trees in place on the
+# ``Node`` form through the helpers below, each supplying only its own rules
+# (redexes, composition, action, label key).  Nothing that only evaluates a
+# tree needs this form: it folds the ``PlanarTree``.
 
 
 class Node:
@@ -359,82 +366,74 @@ class Node:
 def to_nodes(shape: PlanarTree, labels, ts, word) -> Node:
     """The working form of ``shape`` with ``labels[v]`` and ``ts[v]`` at
     preorder vertex ``v`` and ``word`` read along the leaves."""
-    v = leaf = -1
-
-    def build(sub: PlanarTree) -> Node:
-        nonlocal v, leaf
-        v += 1
-        kids: list = []
-        n = Node(labels[v], ts[v], kids)
-        for c in sub.children:
+    root = Node(labels[0], ts[0], [])
+    v, leaves = 0, iter(word)
+    stack = [(iter(shape.children), root.kids)]
+    while stack:
+        children, kids = stack[-1]
+        for c in children:
             if c is None:
-                leaf += 1
-                kids.append(word[leaf])
+                kids.append(next(leaves))
             else:
-                kids.append(build(c))
-        return n
-
-    return build(shape)
+                v += 1
+                kids.append(Node(labels[v], ts[v], []))
+                stack.append((iter(c.children), kids[-1].kids))
+                break
+        else:
+            stack.pop()
+    return root
 
 
 def from_nodes(root: Node) -> tuple[PlanarTree, tuple, tuple, tuple[int, ...]]:
     """Inverse of ``to_nodes``: ``(shape, labels, ts, word)``."""
-    labels: list = []
-    ts: list = []
-    word: list[int] = []
-
-    def walk(n: Node) -> PlanarTree:
-        labels.append(n.label)
-        ts.append(n.t)
-        kids: list[Optional[PlanarTree]] = []
-        for c in n.kids:
+    labels, ts, word = [root.label], [root.t], []
+    stack = [(iter(root.kids), [])]
+    while True:
+        kids, shape_kids = stack[-1]
+        for c in kids:
             if isinstance(c, Node):
-                kids.append(walk(c))
-            else:
-                word.append(c)
-                kids.append(None)
-        return PlanarTree(tuple(kids))
-
-    shape = walk(root)
-    return shape, tuple(labels), tuple(ts), tuple(word)
+                labels.append(c.label)
+                ts.append(c.t)
+                stack.append((iter(c.kids), []))
+                break
+            word.append(c)
+            shape_kids.append(None)
+        else:
+            stack.pop()
+            shape = PlanarTree(tuple(shape_kids))
+            if not stack:
+                return shape, tuple(labels), tuple(ts), tuple(word)
+            stack[-1][1].append(shape)
 
 
 def preorder(root: Node) -> list[tuple[Node, Optional[Node], int]]:
     """Every vertex as ``(node, parent, slot)`` in preorder; ``slot`` is the
     1-based position of ``node`` in ``parent.kids`` (the root gives
     ``(root, None, 0)``)."""
-    out: list[tuple[Node, Optional[Node], int]] = []
-
-    def walk(n: Node, parent: Optional[Node], slot: int) -> None:
+    out, stack = [], [(root, None, 0)]
+    while stack:
+        n, parent, slot = stack.pop()
         out.append((n, parent, slot))
-        for s, c in enumerate(n.kids, start=1):
-            if isinstance(c, Node):
-                walk(c, n, s)
-
-    walk(root, None, 0)
+        kids = n.kids
+        stack += ((kids[s - 1], n, s) for s in range(len(kids), 0, -1)
+                  if isinstance(kids[s - 1], Node))
     return out
 
 
 def leaf_slots(root: Node) -> list[tuple[Node, int]]:
     """The leaves in planar order, each as ``(node, slot)`` with
     ``node.kids[slot - 1]`` the leaf."""
-    out: list[tuple[Node, int]] = []
-
-    def walk(n: Node) -> None:
-        for s, c in enumerate(n.kids, start=1):
+    out, stack = [], [(root, enumerate(root.kids, 1))]
+    while stack:
+        n, slots = stack[-1]
+        for s, c in slots:
             if isinstance(c, Node):
-                walk(c)
-            else:
-                out.append((n, s))
-
-    walk(root)
+                stack.append((c, enumerate(c.kids, 1)))
+                break
+            out.append((n, s))
+        else:
+            stack.pop()
     return out
-
-
-def set_word(root: Node, word) -> None:
-    """Write ``word`` onto the leaves in planar order."""
-    for (n, s), w in zip(leaf_slots(root), word):
-        n.kids[s - 1] = w
 
 
 def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> None:
@@ -443,9 +442,13 @@ def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> None:
     into ``word`` at ``i`` (composition in the symmetric-groups operad)."""
     if not 1 <= i <= len(word):
         raise IndexError(f"input {i} out of range 1..{len(word)}")
-    node, slot = leaf_slots(root)[word.index(i)]
+    slots = leaf_slots(root)
+    k = word.index(i)
+    node, slot = slots[k]
     node.kids[slot - 1] = scion
-    set_word(root, AssocOperad().compose(word, i, scion_word))
+    slots[k : k + 1] = leaf_slots(scion)  # the leaves after the graft
+    for (n, s), w in zip(slots, AssocOperad().compose(word, i, scion_word)):
+        n.kids[s - 1] = w
 
 
 def contract(parent: Node, slot: int, compose) -> None:
@@ -454,6 +457,59 @@ def contract(parent: Node, slot: int, compose) -> None:
     child = parent.kids[slot - 1]
     parent.label = compose(parent.label, slot, child.label)
     parent.kids[slot - 1 : slot] = child.kids
+
+
+def deletable(is_unit, ctx, n: Node, root: bool) -> bool:
+    """Whether relation (i) deletes ``n``: a unit label, unless the root over a leaf."""
+    return is_unit(ctx, n.label) and (not root or isinstance(n.kids[0], Node))
+
+
+def settle(ctx, root: Node, rules):
+    """The working form at ``root`` rewritten in place to its normal form
+    under a resolution's ``rules``, ``(prepare, is_unit, delete, merges,
+    compose, finish)``; returns what takes the place of ``root``.  Unit
+    vertices on top are deleted first (``deletable``, then ``delete(n)`` is
+    the kid in its place), so nothing is merged into a unit; then each kid,
+    left to right, is settled, and contracted by ``compose`` if
+    ``merges(n, kid)``, before the next is visited; last ``finish(ctx, n)``
+    rewrites the vertex, which is deleted if it became the unit.  Spliced
+    kids are already irreducible, so no vertex is visited twice, and the
+    order fixes which composition a truncated operad refuses first.
+    ``prepare(ctx, n)`` readies each label the pass reaches; a ``None``
+    ``prepare`` or ``finish`` is skipped."""
+    prepare, is_unit, delete, merges, compose, finish = rules
+    stack, n, s = [], root, 0
+    while True:
+        while True:
+            if prepare is not None:
+                prepare(ctx, n)
+            if not deletable(is_unit, ctx, n, not stack):
+                break
+            n = delete(n)
+            if not isinstance(n, Node):
+                break
+        while True:
+            if isinstance(n, Node):
+                kids = n.kids
+                while s < len(kids) and not isinstance(kids[s], Node):
+                    s += 1
+                if s < len(kids):  # settle this kid first
+                    stack.append((n, s))
+                    n, s = kids[s], 0
+                    break
+                if finish is not None:
+                    finish(ctx, n)
+                if deletable(is_unit, ctx, n, not stack):
+                    n = delete(n)
+            if not stack:
+                return n
+            parent, s = stack.pop()
+            parent.kids[s] = n
+            merged = isinstance(n, Node) and merges(parent, n)
+            if merged:
+                contract(parent, s + 1, compose)
+            s += len(n.kids) if merged else 1
+            n = parent
 
 
 def cut(node: Node, keep) -> tuple[Node, list]:
@@ -507,73 +563,64 @@ def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:
         root = apply(ctx, root, rng.choice(found))
 
 
-def _fixes_block(act, first: tuple, seen: dict, start: int, size: int) -> bool:
-    """Whether the label of candidate ``first`` is fixed by each adjacent
-    transposition of the positions ``start+1 .. start+size``, and so by the
-    symmetric group they generate.  Each transposed label is the label of
-    the candidate with those two slots swapped; it is kept in ``seen``."""
-    label = seen[first]
-    for j in range(start, start + size - 1):
-        swap = list(range(1, len(first) + 1))
-        swap[j], swap[j + 1] = swap[j + 1], swap[j]
-        swapped = act(label, tuple(swap))
-        seen[first[:j] + (first[j + 1], first[j]) + first[j + 2 :]] = swapped
-        if swapped != label:
-            return False
-    return True
-
-
-def canonicalize(n: Node, act, key) -> tuple:
+def canonicalize(root: Node, act, key) -> tuple:
     """Reorder kids bottom-up to the lexicographically minimal presentation,
     pushing the compensating symmetric action into the labels:
     ``act(label, sigma)`` acts and ``key(label)`` orders labels.  Returns the
     encodings of the root's children in sorted order, each
     ``("N", t_key, child_encodings, label_key)`` or ``("L", input)``.
 
-    A vertex whose child encodings are all distinct, which leaf numbering
-    makes the usual case, has one candidate, the sorted order: its label is
-    acted on once and no block or candidate is searched.  No parent sorts
-    the root's own encoding, so its label key is computed only to choose
-    between two or more candidates."""
-    return _canonicalize(n, act, key, True)[2]
-
-
-def _canonicalize(n: Node, act, key, root: bool = False) -> tuple:
-    """``canonicalize`` on the subtree at ``n``, returning its encoding;
-    at the ``root`` with one candidate the label key is ``None``."""
-    encs: list = []
-    for c in n.kids:
-        if isinstance(c, Node):
-            encs.append(_canonicalize(c, act, key))
-        else:
+    The child encodings order the kids first; the label only breaks ties.
+    Leaf numbering makes them almost always distinct, and then the sorted
+    order is the one candidate: its label is acted on once, and keyed only
+    for a parent to sort (no parent sorts the root)."""
+    stack = [(root, iter(root.kids), [])]
+    while True:
+        n, kids, encs = stack[-1]
+        for c in kids:
+            if isinstance(c, Node):
+                stack.append((c, iter(c.kids), []))
+                break
             encs.append(("L", c))
-    # Minimal presentation orders the child encodings first; the label only
-    # breaks ties, so the candidates vary only inside blocks of equal
-    # children.  Leaf numbering keeps encodings almost always distinct, and
-    # with no two equal the sorted order is the only candidate: its label is
-    # acted on once, and keyed only for a parent to sort.
-    first = tuple(sorted(range(1, len(encs) + 1), key=lambda s: encs[s - 1]))
-    child_encs = tuple(encs[p - 1] for p in first)
-    t_key = "" if n.t is None else str(n.t)
-    label = act(n.label, perm_inverse(first))
-    if all(a != b for a, b in zip(child_encs, child_encs[1:])):
-        n.label = label
-        n.kids = [n.kids[p - 1] for p in first]
-        return ("N", t_key, child_encs, None if root else key(label))
-    blocks = [list(b) for _, b in groupby(first, key=lambda s: encs[s - 1])]
-    seen = {first: label}
-    # A block whose positions the first candidate's label cannot tell apart
-    # gives an equal label in every order, and the first candidate wins the
-    # tie: the block keeps its sorted order.
-    choices: list = []
-    single = True
-    start = 0
-    for blk in blocks:
-        if len(blk) > 1 and not _fixes_block(act, first, seen, start, len(blk)):
-            choices.append(permutations(blk))
-            single = False
         else:
-            choices.append((tuple(blk),))
+            stack.pop()
+            first = tuple(sorted(range(1, len(encs) + 1), key=lambda s: encs[s - 1]))
+            child_encs = tuple(encs[p - 1] for p in first)
+            label = act(n.label, perm_inverse(first))
+            if all(a != b for a, b in zip(child_encs, child_encs[1:])):
+                pi, n.label, label_key = first, label, key(label) if stack else None
+            else:
+                pi, n.label, label_key = _tie_break(
+                    n, encs, first, label, act, key, not stack)
+            n.kids = [n.kids[p - 1] for p in pi]
+            if not stack:
+                return child_encs
+            t_key = "" if n.t is None else str(n.t)
+            stack[-1][2].append(("N", t_key, child_encs, label_key))
+
+
+def _tie_break(n: Node, encs: list, first: tuple, label, act, key, root: bool) -> tuple:
+    """``(order, label, label_key)`` of the least presentation of ``n``, its
+    kids' ``encs`` sorted to ``first`` with ``label``.  Candidates vary only
+    inside blocks of equal encodings.  A block keeps its sorted order, as
+    every order ties, when ``label`` is fixed by each adjacent transposition
+    there (each transposed label is a candidate's, kept in ``seen``)."""
+    seen = {first: label}
+    choices: list = []
+    single, start = True, 0
+    for _, blk in groupby(first, key=lambda s: encs[s - 1]):
+        blk = tuple(blk)
+        for j in range(start, start + len(blk) - 1):
+            swap = list(range(1, len(first) + 1))
+            swap[j], swap[j + 1] = swap[j + 1], swap[j]
+            swapped = act(label, tuple(swap))
+            seen[first[:j] + (first[j + 1], first[j]) + first[j + 2 :]] = swapped
+            if swapped != label:
+                choices.append(permutations(blk))
+                single = False
+                break
+        else:
+            choices.append((blk,))
         start += len(blk)
     best = None
     for choice in product(*choices):
@@ -582,6 +629,4 @@ def _canonicalize(n: Node, act, key, root: bool = False) -> tuple:
         label_key = None if root and single else key(label2)
         if best is None or label_key < best[0]:
             best = (label_key, pi, label2)
-    label_key, pi, n.label = best
-    n.kids = [n.kids[p - 1] for p in pi]
-    return ("N", t_key, child_encs, label_key)
+    return best[1], best[2], best[0]

@@ -46,13 +46,14 @@ from .trees import (
     contract,
     corolla,
     cut,
+    deletable,
     fold,
     from_nodes,
     graft_input,
     leaf_slots,
     preorder,
     rewrite_fixpoint,
-    set_word,
+    settle,
     to_nodes,
 )
 from .values import Value
@@ -183,49 +184,25 @@ def _is_unit_bv(operad: Operad, x: BVPoint) -> bool:
     return x.is_corolla and operad.is_unit(x.labels[0])
 
 
-def _deletable(operad: Operad, n: Node, root: bool) -> bool:
-    """Whether relation (i) deletes ``n``: a vertex labeled by the unit
-    point, unless it is the ``root`` over a leaf (the degenerate point)."""
-    return _is_unit_bv(operad, n.label) and (not root or isinstance(n.kids[0], Node))
+# The rules of ``trees.settle``: a label is normalized when the pass reaches
+# it, as the rules read it; (i) deletes a vertex with its height; (iii) merges
+# equal heights; (iv) keeps only a label's operad image at heights 0 and 1.
+def _normalize_label(operad: Operad, n: Node) -> None:
+    if not n.label.canonical:
+        n.label = bv_normalize(n.label)
 
 
-def _settle(operad: Operad, n: Node, root: bool = False):
-    """The normal form under relations (i), (iii) and (iv) of the subtree
-    at ``n``, rewritten in place in one bottom-up pass; returns the vertex
-    or leaf that takes the place of ``n``.  Each label is normalized when
-    the pass reaches it, since the rules read it.  Unit vertices on top are
-    deleted first (a height is forgotten with its vertex), so nothing is
-    merged into a unit; then each kid is settled and, at the height of
-    ``n``, merged into it, its kids spliced into the slot already
-    irreducible; then a label at height 0 or 1 is collapsed, and ``n`` is
-    deleted if that made it the unit.  It recurses one frame per level, as
-    ``to_nodes`` does."""
-    while True:
-        if not n.label.canonical:
-            n.label = bv_normalize(n.label)
-        if not _deletable(operad, n, root):
-            break
-        n = n.kids[0]
-        if not isinstance(n, Node):
-            return n
-    kids = n.kids
-    s = 0
-    while s < len(kids):
-        c = kids[s]
-        if isinstance(c, Node):
-            c = kids[s] = _settle(operad, c)
-            if isinstance(c, Node) and c.t == n.t:
-                # Relation (iii): contract the main edge using the
-                # resolution's operadic composition on the labels.
-                contract(n, s + 1, bv_compose)
-                s += len(c.kids)
-                continue
-        s += 1
+def _unit_kid(n: Node):
+    return n.kids[0]
+
+
+def _equal_heights(parent: Node, child: Node) -> bool:
+    return child.t == parent.t
+
+
+def _collapse(operad: Operad, n: Node) -> None:
     if n.t in (ZERO, ONE) and n.label.n_vertices > 1:
-        # Relation (iv): at heights 0/1 only the operad image of the label
-        # matters.
         n.label = iota(operad, mu(n.label))
-    return n.kids[0] if _deletable(operad, n, root) else n
 
 
 def _redexes(operad: Operad, root: Node):
@@ -234,7 +211,7 @@ def _redexes(operad: Operad, root: Node):
     random-order oracle ``rewrite_fixpoint``."""
     out = []
     for n, parent, slot in preorder(root):
-        if _deletable(operad, n, parent is None):
+        if deletable(_is_unit_bv, operad, n, parent is None):
             out.append(("unit", n, parent, slot))
         if parent is not None and n.t == parent.t:
             out.append(("merge", n, parent, slot))
@@ -260,18 +237,16 @@ def _apply(operad: Operad, root: Node, redex) -> Node:
 
 
 def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
-    """Relations (i), (iii) and (iv), rewritten to the normal form in one
-    bottom-up pass, or in a random order that ``rng`` draws (the oracle
-    the pass is tested against; the system is confluent, so both end at
-    the same form)."""
+    """Relations (i), (iii) and (iv), rewritten to the normal form by
+    ``settle``, or in a random order that ``rng`` draws (the oracle; the
+    system is confluent, so both end at the same form)."""
     if rng is None:
-        root = _settle(operad, root, True)
+        rules = (_normalize_label, _is_unit_bv, _unit_kid, _equal_heights,
+                 bv_compose, _collapse)
+        root = settle(operad, root, rules)
     else:
-        # The oracle's rules read the labels (unit detection, merges), so
-        # they must be canonical resolution points first.
         for n, _, _ in preorder(root):
-            if not n.label.canonical:
-                n.label = bv_normalize(n.label)
+            _normalize_label(operad, n)
         root = rewrite_fixpoint(operad, root, _redexes, _apply, rng)
     # The fully degenerate point: a single unit-labeled vertex.  Fix its
     # height at 0 as the canonical representative.
@@ -295,11 +270,9 @@ def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> WBPoint
 
 
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
-    """Canonical form: rewrite, then present.  The rewriting is one
-    bottom-up pass, or, when ``rng`` is given, a random order of single
-    redexes, which the tests check the pass against: the result is
-    idempotent and independent of the order.  The input is trusted: it
-    comes from ``raw_wb`` or from the engine."""
+    """Canonical form: rewrite (``_rewrite``: one bottom-up pass, or a
+    random order when ``rng`` is given), then present.  The input is
+    trusted: it comes from ``raw_wb`` or from the engine."""
     return _normal(raw.operad, _nodes(raw), rng)
 
 
@@ -335,14 +308,11 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
         raise ValueError(f"need {m} arguments, got {len(xs)}")
     if any(x.operad_name != operad.name for x in xs):
         raise ValueError("operad mismatch")
-    root = Node(iota(operad, a), ZERO, [_nodes(x) for x in xs])
-    word: list[int] = []
-    offset = 0
-    for x in xs:
-        word.extend(w + offset for w in x.tree.labels)
+    kids, offset = [], 0
+    for x in xs:  # each word shifted past the inputs of the points before it
+        kids.append(_nodes(x, tuple(w + offset for w in x.tree.labels)))
         offset += x.arity
-    set_word(root, word)
-    return _normal(operad, root)
+    return _normal(operad, Node(iota(operad, a), ZERO, kids))
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:

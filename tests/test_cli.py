@@ -474,6 +474,27 @@ def test_stderr_is_written_in_full_through_one_byte_writes(monkeypatch, argv, me
     assert raw.data.decode() == message
 
 
+@pytest.mark.parametrize(
+    "argv, stream, code",
+    [(["--help"], "stdout", 0), (["graph", "--k"], "stderr", 2)],
+)
+def test_argparse_output_is_written_in_full_through_one_byte_writes(
+    monkeypatch, argv, stream, code
+):
+    # argparse's help, usage and grammar errors take the full-write loop
+    # too; an in-memory stream takes each write whole and gives the text
+    whole = io.StringIO()
+    monkeypatch.setattr(sys, stream, whole)
+    assert main(argv) == code
+    raw = _ShortWrites(limit=1)
+    monkeypatch.setattr(sys, stream, io.TextIOWrapper(raw, encoding="utf-8"))
+    assert main(argv) == code
+    getattr(sys, stream).flush()
+    assert raw.data.decode() == whole.getvalue()
+    assert whole.getvalue().startswith("usage: operad-forge")
+    assert len(whole.getvalue()) > (1000 if code == 0 else 100)
+
+
 def test_homotopy_h_hand_value(capsys, monkeypatch):
     # single corolla main trees are rejected: the deformation needs a
     # non-corolla index

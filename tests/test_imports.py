@@ -196,7 +196,7 @@ def test_cli_starts_without_dataclasses_or_inspect():
 # resolutions rewrite, and ``selftest``'s ``xi_by_splitting`` oracle splits
 # trees on it.  Evaluation folds the immutable ``PlanarTree`` instead.
 WORKING_FORM = {"Node", "to_nodes", "from_nodes", "preorder", "leaf_slots",
-                "set_word", "cut", "contract", "graft_input"}
+                "cut", "contract", "graft_input", "deletable", "settle"}
 WORKING_FORM_USERS = {"trees", "bv", "wb", "selftest"}
 
 
@@ -209,6 +209,45 @@ def test_only_the_rewriters_import_the_working_form():
         for alias in node.names if alias.name in WORKING_FORM
     ]
     assert found == []
+
+
+def test_one_settle_body_for_both_resolutions():
+    # ``bv`` and ``wb`` pass their rules to ``trees.settle``; neither keeps
+    # a rewriting pass of its own
+    settles = sorted(
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("settle")
+    )
+    assert settles == ["trees.settle"]
+
+
+# The walks between a working form and a point, and the ``repr`` that
+# orders a bimodule point's labels: each keeps its own stack, so the depth
+# of a tree is not bounded by the interpreter's recursion limit.
+ITERATIVE_WALKS = {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
+                   "_tie_break", "settle", "__repr__"}
+
+
+def test_the_working_form_walks_do_not_recurse():
+    found, recursive = set(), []
+    tree = ast.parse((PACKAGE / "trees.py").read_text())
+    for top in tree.body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for walk in members:
+            if not isinstance(walk, ast.FunctionDef) or walk.name not in ITERATIVE_WALKS:
+                continue
+            found.add(walk.name)
+            # the walk and any function defined inside it
+            for f in ast.walk(walk):
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                own = {f.name, "repr"} if f.name == "__repr__" else {f.name}
+                recursive += [f"{walk.name}: {f.name} line {n.lineno}"
+                              for n in ast.walk(f) if _called(n) in own]
+    assert found == ITERATIVE_WALKS
+    assert recursive == []
 
 
 def _called(node: ast.AST) -> str:

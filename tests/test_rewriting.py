@@ -1,9 +1,12 @@
 """The default rewriting of both resolutions is one bottom-up pass, and
 the random order of ``trees.rewrite_fixpoint`` is its oracle.  Hand-built
 points where the rules meet each other in an order-sensitive way are
-checked against several random orders on every stock operad, and the work
-of the pass on long chains is pinned by call counts, not timings."""
+checked against several random orders on every stock operad, the work of
+the pass on long chains is pinned by call counts, not timings, and points
+5,000 vertices deep normalize at the default recursion limit."""
 
+import json
+import sys
 from fractions import Fraction as F
 from random import Random
 
@@ -185,3 +188,86 @@ def test_a_chain_of_equal_heights_merges_once_per_edge(monkeypatch):
     assert y.n_main_vertices == 1 and y.labels[0].n_vertices == n
     assert [c["n"] for c in redexes] == [0, 0]
     assert composes["n"] == n - 1
+
+
+# No walk from a working form to a normal form recurses, so the depth of a
+# point is bounded by memory, not by the interpreter's recursion limit.
+DEEP = 5000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at the interpreter's default recursion limit (1,000),
+    whatever the runner set it to."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def _comb(n: int) -> PlanarTree:
+    """The binary comb with ``n`` vertices: each vertex has a leaf, then the
+    next vertex, and the last has two leaves."""
+    shape = PlanarTree((None, None))
+    for _ in range(n - 1):
+        shape = PlanarTree((None, shape))
+    return shape
+
+
+def _deep_com_point(n: int):
+    op = operad_by_name("com")
+    return raw_bv(op, _comb(n), (2,) * n, (F(1, 2),) * (n - 1))
+
+
+def test_a_deep_comb_normalizes_in_bv(default_recursion_limit):
+    raw = _deep_com_point(DEEP)
+    x = bv_normalize(raw)
+    assert x.canonical and x.n_vertices == DEEP and x.arity == DEEP + 1
+    assert x.params == (F(1, 2),) * (DEEP - 1) and x.labels == (2,) * DEEP
+    assert repr(x.tree.shape) == repr(raw.tree.shape)
+    # the random-order oracle finds no redex and presents the same point
+    assert repr(bv_normalize(raw, Random(3))) == repr(x)
+    assert repr(bv_normalize(x)) == repr(x)
+
+
+def test_a_deep_comb_normalizes_as_a_main_chain_in_wb(default_recursion_limit):
+    op = operad_by_name("com")
+    heights = tuple(F(v, DEEP) for v in range(DEEP))  # rising, from 0
+    raw = raw_wb(op, _comb(DEEP), (iota(op, 2),) * DEEP, heights)
+    y = wb_normalize(raw)
+    assert y.canonical and y.n_main_vertices == DEEP and y.heights == heights
+    assert y.arity == DEEP + 1 and repr(wb_normalize(y)) == repr(y)
+
+
+def test_a_corolla_composes_onto_a_deep_comb(default_recursion_limit):
+    op = operad_by_name("com")
+    x = bv_normalize(_deep_com_point(DEEP))
+    deepest = x.tree.labels[-1]  # the last leaf, on the last vertex
+    z = bv_compose(x, deepest, iota(op, 3))
+    assert z.n_vertices == DEEP + 1 and z.arity == DEEP + 3
+    assert sorted(z.params) == [F(1, 2)] * (DEEP - 1) + [F(1)]
+
+
+def test_a_deep_zero_length_comb_contracts_to_a_corolla(
+    default_recursion_limit, monkeypatch
+):
+    op = operad_by_name("assoc")
+    raw = raw_bv(op, _comb(DEEP), ((1, 2),) * DEEP, (F(0),) * (DEEP - 1))
+    composes = _counter(monkeypatch, type(op), "compose")
+    x = bv_normalize(raw)
+    assert composes["n"] == DEEP - 1
+    assert x.is_corolla and x.labels == (tuple(range(1, DEEP + 2)),)
+
+
+def test_a_deep_label_is_keyed_below_the_main_root(default_recursion_limit):
+    # a non-root main vertex's label is ordered by ``BVPoint.order_key``,
+    # which reads the label tree's ``repr``
+    op = operad_by_name("com")
+    label = _deep_com_point(3000)
+    main = PlanarTree((PlanarTree((None,) * label.arity), None))
+    raw = raw_wb(op, main, (iota(op, 2), label), (F(1, 3), F(2, 3)))
+    y = wb_normalize(raw)
+    assert y.n_main_vertices == 2 and y.heights == (F(1, 3), F(2, 3))
+    deep = next(a for a in y.labels if a.n_vertices > 1)
+    assert deep.n_vertices == 3000 and deep.arity == 3001
+    assert json.loads(deep.order_key)[0] == repr(label.tree.shape)

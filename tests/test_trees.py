@@ -6,6 +6,7 @@ encoding-free backtracking of ``iso_search``, itself checked against a
 recursive product formula for the automorphism count."""
 
 import json
+import sys
 from fractions import Fraction as F
 from itertools import groupby, permutations, product
 from operator import attrgetter
@@ -421,6 +422,20 @@ def test_constructor_counts_match_a_recursive_recount():
     assert repr(PlanarTree()) == "()"
     assert repr(PlanarTree((corolla(2), None, PlanarTree((None,))))) == "((..).(.))"
     assert repr(PlanarTree((PlanarTree((corolla(0),)), corolla(3)))) == "((())(...))"
+
+
+def test_repr_of_a_deep_chain_needs_no_recursion():
+    # ``repr`` orders the labels of a bimodule point (``BVPoint.order_key``)
+    limit = sys.getrecursionlimit()
+    chain = PlanarTree((None,))
+    for _ in range(4999):
+        chain = PlanarTree((chain,))
+    try:
+        sys.setrecursionlimit(1000)
+        text = repr(chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "(" * 5000 + "." + ")" * 5000
 
 
 def _rebuilt(t: PlanarTree) -> PlanarTree:
