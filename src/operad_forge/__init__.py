@@ -4,10 +4,9 @@ actions, and an explicit delooping of operad-map loops into bimodule maps.
 Layers, bottom up:
 
 - :mod:`operad_forge.trees` — planar rooted trees, grafting, enumeration,
-  the labeled encoding and canonical forms of non-planar isomorphism
-  classes, and the mutable working form ``Node`` on which ``bv``, ``wb``
-  and ``mapping`` work (it needs only the permutation helpers of
-  ``operads``).
+  canonical forms of non-planar isomorphism classes, and the mutable
+  working form ``Node`` on which ``bv``, ``wb`` and ``mapping`` work (it
+  needs only the permutation helpers of ``operads``).
 - :mod:`operad_forge.operads` — finite-data operads (one-operation,
   symmetric-groups, endomorphism, free truncated), interval configurations,
   law validators.

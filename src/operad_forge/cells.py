@@ -23,14 +23,7 @@ from operator import itemgetter, mul
 from typing import Iterator, Optional, Union
 
 from .operads import Perm, all_perms, compositions
-from .trees import (
-    PlanarTree,
-    graft,
-    labeled_encoding,
-    lazy,
-    planar_trees,
-    slot_encodings,
-)
+from .trees import PlanarTree, graft, lazy, planar_trees
 from .values import Value
 
 ZERO = Fraction(0)
@@ -263,39 +256,74 @@ def class_lower_bound(k: int, l: int) -> int:
 # the slot permutation that f induces at v.  So two main vertices match
 # exactly when their auxiliary trees are isomorphic as unordered trees whose
 # leaf s carries slot s's entry (a main leaf, or the class of the child
-# vertex at s).  The class key is ``trees.labeled_encoding`` of that labeled
-# auxiliary tree, where an entry is ``(0,)`` for a main leaf or
-# ``(1, child key)`` for a child vertex.
+# vertex at s).  Glued along its main edges, an index is one tree of
+# auxiliary vertices (``census_size``), and the class key is its bottom-up
+# encoding (Aho, Hopcroft & Ullman): an auxiliary vertex encodes as
+# ``(1, sorted child encodings)``, each child as ``_encoding`` gives it.
+# ``_glued`` reads that tree off a planar index.
 
 
-def _slot_entries(idx: UpsilonIndex, v: int) -> list[tuple]:
-    """The class-key entry of each input slot of main vertex ``v``, in slot
-    order: ``(0,)`` for a main leaf, ``(1, key)`` for a child vertex."""
-    entries = []
+def _encoding(kind: int, key: Optional[tuple]) -> tuple:
+    """A child's encoding in its auxiliary parent's key, from its kind and
+    its own ``key``: ``(0, (0,))`` for a main leaf (kind 0, no key),
+    ``(0, (1, K))`` for a child main vertex (kind 1) whose auxiliary root
+    has key ``K``, and its own key for an auxiliary child (kind 2)."""
+    return (0, (0,)) if kind == 0 else (0, (1, key)) if kind == 1 else key
+
+
+def _encodings(kids: tuple) -> list[tuple]:
+    """The encodings of an auxiliary vertex's ``(kind, vertex)`` kids in
+    their order; the vertex's key is ``(1, sorted encodings)``."""
+    return [_encoding(kind, u.key if kind else None) for kind, u in kids]
+
+
+class _Glued(Value):
+    """An auxiliary vertex of a cell index glued along its main edges, read
+    off a planar index: ``key`` and ``kids`` as in ``_KeyVertex``, the
+    children in the index's planar order."""
+
+    __slots__ = ("key", "kids")
+
+    def __init__(self, key: tuple, kids: tuple):
+        self.key = key
+        self.kids = kids
+
+
+def _glued(idx: UpsilonIndex, v: int = 0) -> _Glued:
+    """Main vertex ``v`` of ``idx`` as the auxiliary root of its glued
+    subtree: each auxiliary vertex's kids are its slots in order, a main
+    leaf ``(0, None)``, the glued root of the child main vertex there
+    ``(1, vertex)`` or an auxiliary child ``(2, vertex)``.  At ``v = 0``
+    the key is the class key."""
+    entries: list[tuple] = []
     w = v + 1  # the preorder index of the next child vertex
     for c in idx.main.subtrees[v].children:
         if c is None:
-            entries.append((0,))
+            entries.append((0, None))
         else:
-            entries.append((1, _vertex_key(idx, w)))
+            entries.append((1, _glued(idx, w)))
             w += c.n_vertices
-    return entries
+    return _glued_aux(idx.aux[v], iter(entries))
 
 
-def _vertex_key(idx: UpsilonIndex, v: int) -> tuple:
-    return labeled_encoding(idx.aux[v], iter(_slot_entries(idx, v)))
+def _glued_aux(sub: PlanarTree, slots: Iterator[tuple]) -> _Glued:
+    """The auxiliary subtree ``sub`` glued, its leaves taking ``slots`` in
+    planar order.  Not a closure in ``_glued``: a recursive closure is a
+    reference cycle, which only the collector frees, one per index."""
+    kids = tuple(next(slots) if c is None else (2, _glued_aux(c, slots)) for c in sub.children)
+    return _Glued((1, tuple(sorted(_encodings(kids)))), kids)
 
 
 def class_key(idx: UpsilonIndex):
     """A canonical hashable key equal for two indices exactly when they are
     related by a family of non-planar isomorphisms."""
-    return _vertex_key(idx, 0)
+    return _glued(idx).key
 
 
 def _presentations(enc: tuple) -> int:
-    """The planar presentations of an auxiliary tree's encoding whose leaves
-    carry class-key entries: at every vertex reachable through the key
-    (entries included), the multinomial ``n! / prod(m_i!)`` of the
+    """The planar presentations of a key vertex's encoding: at every
+    auxiliary vertex reachable through the key (the keys of child main
+    vertices included), the multinomial ``n! / prod(m_i!)`` of the
     multiplicities of its equal child encodings."""
     kids = enc[1]
     count = factorial(len(kids))
@@ -304,7 +332,7 @@ def _presentations(enc: tuple) -> int:
     for kid in kids:
         if kid[0] == 1:  # an auxiliary vertex
             count *= _presentations(kid)
-        elif kid[1][0] == 1:  # a leaf carrying a child vertex's key
+        elif kid[1][0] == 1:  # a child main vertex, (0, (1, K))
             count *= _presentations(kid[1][1])
     return count
 
@@ -318,7 +346,7 @@ def _excess(enc: tuple) -> int:
     for kid in enc[1]:
         if kid[0] == 1:  # an auxiliary vertex
             excess += _excess(kid)
-        elif kid[1][0] == 1:  # a leaf carrying a child vertex's key
+        elif kid[1][0] == 1:  # a child main vertex, (0, (1, K))
             excess += _excess(kid[1][1]) - 1
     return excess
 
@@ -443,7 +471,6 @@ class _KeyVertex(Value):
         self.x = x
 
 
-_MAIN_LEAF = (0, (0,))  # a main leaf's entry in a key
 _LEAF_TOKEN = (0,)
 
 
@@ -496,12 +523,11 @@ def _key_vertex(n_leaves: int, children: list[tuple]) -> _KeyVertex:
     """The vertex with ``n_leaves`` main leaves and ``children``, as
     ``_child`` gives them, in least order."""
     order = _least_order(children)
-    encs = sorted((0, (1, c[5].key)) if c[4] == 1 else c[5].key for c in order)
     kids = ((0, None),) * n_leaves + tuple((c[4], c[5]) for c in order)
     subs = [c[5] for c in order if c[4] == 2]
     mains = [c[5] for c in order if c[4] == 1]
     return _KeyVertex(
-        (1, (_MAIN_LEAF,) * n_leaves + tuple(encs)),
+        (1, tuple(sorted(_encodings(kids)))),
         kids,
         n_leaves + len(mains) + sum(v.leaves for v in subs),
         1 + sum(v.aux for v in subs),
@@ -610,25 +636,22 @@ def stab(
     lexicographic order, so the identity comes first and represents the
     class of induced automorphisms.
 
-    With the auxiliary leaves labeled by their slot entries, as in the class
-    key, the induced permutations are every permutation inside each block of
-    slots of the auxiliary vertex with equal encodings.  So the least
-    member of each coset is the one that increases on every block."""
+    In the glued tree of the main vertex (``_glued``), the induced
+    permutations are every permutation inside each block of slots of the
+    auxiliary vertex whose kids have equal encodings.  So the least member
+    of each coset is the one that increases on every block."""
     rep = cls.representative
     if not 0 <= main_vertex < rep.main.n_vertices:
         raise ValueError(f"no main vertex {main_vertex}")
-    a = rep.aux[main_vertex]
-    if not 0 <= aux_vertex < a.n_vertices:
+    if not 0 <= aux_vertex < rep.aux[main_vertex].n_vertices:
         raise ValueError(
             f"no auxiliary vertex {aux_vertex} at main vertex {main_vertex}"
         )
-    skip = 0  # the auxiliary leaves before aux_vertex, in planar order
-    v = aux_vertex
-    while v:
-        v, slot = a.vertex_parents[v]
-        skip += PlanarTree(a.subtrees[v].children[: slot - 1]).n_leaves
-    entries = iter(_slot_entries(rep, main_vertex)[skip:])
-    encs = slot_encodings(a.subtrees[aux_vertex], entries)
+    stack = [_glued(rep, main_vertex)]  # its auxiliary vertices in preorder
+    for _ in range(aux_vertex):
+        u = stack.pop()
+        stack += (w for kind, w in reversed(u.kids) if kind == 2)
+    encs = _encodings(stack.pop().kids)
     blocks: dict[tuple, list[int]] = {}
     for s, enc in enumerate(encs):
         blocks.setdefault(enc, []).append(s)
@@ -672,42 +695,6 @@ def contract_main_edge(
     )
 
 
-class _Glued(Value):
-    """An auxiliary vertex of a cell index glued along its main edges, read
-    off a planar index: ``key`` and ``kids`` as in ``_KeyVertex``, the
-    children in the index's planar order."""
-
-    __slots__ = ("key", "kids")
-
-    def __init__(self, key: tuple, kids: tuple):
-        self.key = key
-        self.kids = kids
-
-
-def _glued(idx: UpsilonIndex, v: int = 0) -> _Glued:
-    """Main vertex ``v`` of ``idx`` as the auxiliary root of its glued
-    subtree; its key is ``_vertex_key(idx, v)``."""
-    entries: list[tuple] = []
-    w = v + 1  # the preorder index of the next child vertex
-    for c in idx.main.subtrees[v].children:
-        if c is None:
-            entries.append((0, None))
-        else:
-            entries.append((1, _glued(idx, w)))
-            w += c.n_vertices
-    slots = iter(entries)
-
-    def vertex(sub: PlanarTree) -> _Glued:
-        kids = tuple(next(slots) if c is None else (2, vertex(c)) for c in sub.children)
-        encs = sorted(
-            _MAIN_LEAF if kind == 0 else (0, (1, u.key)) if kind == 1 else u.key
-            for kind, u in kids
-        )
-        return _Glued((1, tuple(encs)), kids)
-
-    return vertex(idx.aux[v])
-
-
 def _replaced(key: tuple, old: tuple, new: tuple) -> tuple:
     """``key`` with the child encoding ``old`` replaced by ``new``, sorted."""
     kids = list(key[1])
@@ -726,18 +713,17 @@ def _contractions(v) -> Iterator[tuple]:
 
     The keys are right.  Glued along its main edges, a cell index is one
     tree of auxiliary vertices (``census_size``), and a key vertex encodes
-    its children sorted: ``(0, (0,))`` for a main leaf, ``(0, (1, K))`` for
-    a child main vertex whose auxiliary root has key ``K``, and its own key
-    for an auxiliary child.  ``contract_main_edge`` grafts the child's
-    auxiliary tree at the parent's leaf that carried it and keeps every
-    other slot and auxiliary tree, so in the glued tree it only recolours
-    that edge from main to auxiliary: the vertex ``u`` above it has the
-    auxiliary child ``K`` where it had the entry ``(0, (1, K))``.  An
-    encoding is a function of the multiset of the encodings below it, so
-    the encodings off the path from ``u`` to the root are unchanged, and
-    each vertex on the path takes its changed child's new encoding in place
-    of the old, sorted again (``_replaced``).  The result is the key of the
-    contracted index, which ``class_key`` computes from it.
+    its children sorted, each as ``_encoding`` gives it.
+    ``contract_main_edge`` grafts the child's auxiliary tree at the
+    parent's leaf that carried it and keeps every other slot and auxiliary
+    tree, so in the glued tree it only recolours that edge from main to
+    auxiliary: the vertex ``u`` above it has the auxiliary child ``K`` where
+    it had the entry ``(0, (1, K))``.  An encoding is a function of the
+    multiset of the encodings below it, so the encodings off the path from
+    ``u`` to the root are unchanged, and each vertex on the path takes its
+    changed child's new encoding in place of the old, sorted again
+    (``_replaced``).  The result is the key of the contracted index, which
+    ``class_key`` computes from it.
 
     The order is right.  This walk reads each vertex's children in ``kids``
     order, meets a child main vertex where ``_decode`` appends its slot,
@@ -748,14 +734,12 @@ def _contractions(v) -> Iterator[tuple]:
     planar index (``_glued``) keeps that index's planar order, so the same
     holds for any member."""
     for kind, w in v.kids:
-        if kind == 1:
-            entry = (0, (1, w.key))
-            yield _replaced(v.key, entry, w.key)
+        if kind:
+            old = _encoding(kind, w.key)
+            if kind == 1:  # this main edge, recoloured auxiliary
+                yield _replaced(v.key, old, _encoding(2, w.key))
             for sub in _contractions(w):
-                yield _replaced(v.key, entry, (0, (1, sub)))
-        elif kind == 2:
-            for sub in _contractions(w):
-                yield _replaced(v.key, w.key, sub)
+                yield _replaced(v.key, old, _encoding(kind, sub))
 
 
 class ContractionGraph(Value):

@@ -55,19 +55,24 @@ def parse_frac(s: str) -> Fraction:
 
 
 def shape_to_json(t: PlanarTree) -> dict:
-    counter = {"leaf": 0}
-
-    def go(sub: PlanarTree) -> dict:
-        kids = []
-        for c in sub.children:
+    """``{"node": {"children": [...]}}`` per vertex and ``{"leaf": i}`` per
+    leaf, numbered from 1 in planar order; written with its own stack."""
+    leaf = 0
+    out: dict = {"node": {"children": []}}
+    stack = [(iter(t.children), out["node"]["children"])]
+    while stack:
+        children, kids = stack[-1]
+        for c in children:
             if c is None:
-                counter["leaf"] += 1
-                kids.append({"leaf": counter["leaf"]})
+                leaf += 1
+                kids.append({"leaf": leaf})
             else:
-                kids.append(go(c))
-        return {"node": {"children": kids}}
-
-    return go(t)
+                kids.append({"node": {"children": []}})
+                stack.append((iter(c.children), kids[-1]["node"]["children"]))
+                break
+        else:
+            stack.pop()
+    return out
 
 
 def shape_from_json(data: dict) -> PlanarTree:
@@ -268,29 +273,27 @@ def _dot_walk(name: str, t: Tree, prefix: str, vertex, edge) -> str:
     """The DOT text of a tree drawn bottom-up: ``vertex(v)`` gives the
     attributes of preorder vertex ``v``, ``edge(v)`` the attribute suffix of
     the inner edge below non-root vertex ``v``; leaves are numbered stubs
-    showing the leaf word."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    counter = {"leaf": 0, "v": 0}
-
-    def go(sub: PlanarTree) -> str:
-        v = counter["v"]
-        me = f"{prefix}{v}"
-        counter["v"] += 1
-        lines.append(f"  {me} [{vertex(v)}];")
-        for c in sub.children:
+    showing the leaf word.  A vertex's line comes before its subtree's and
+    its edge to its parent after, written with its own stack."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;", f"  {prefix}0 [{vertex(0)}];"]
+    leaf = v = 0
+    stack = [(0, iter(t.shape.children))]
+    while stack:
+        me, children = stack[-1]
+        for c in children:
             if c is None:
-                counter["leaf"] += 1
-                lid = f"l{counter['leaf']}"
-                word = t.labels[counter["leaf"] - 1]
-                lines.append(f'  {lid} [shape=plaintext, label="{word}"];')
-                lines.append(f"  {lid} -> {me};")
+                leaf += 1
+                lines.append(f'  l{leaf} [shape=plaintext, label="{t.labels[leaf - 1]}"];')
+                lines.append(f"  l{leaf} -> {prefix}{me};")
             else:
-                cv = counter["v"]
-                child = go(c)
-                lines.append(f"  {child} -> {me}{edge(cv)};")
-        return me
-
-    go(t.shape)
+                v += 1
+                lines.append(f"  {prefix}{v} [{vertex(v)}];")
+                stack.append((v, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                lines.append(f"  {prefix}{me} -> {prefix}{stack[-1][0]}{edge(me)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -13,13 +13,14 @@ preorder data is computed on first read (``lazy``).
 A ``Tree`` adds a leaf labeling: a permutation of ``{1..n}`` listing, in
 planar left-to-right order, the abstract input carried by each leaf.
 
-Symmetry reads one structure, the bottom-up ``labeled_encoding``: two
-labeled trees are isomorphic (non-planarly, leaf labels respected) exactly
-when their encodings agree, and their isomorphisms are then, vertex by
-vertex, every bijection inside each block of sibling slots with equal
-encodings (``slot_encodings``), an iterated product of symmetric groups
-(Polya 1937).  The engine reads these blocks and never lists the
-isomorphisms themselves.
+Symmetry reads one structure, a bottom-up encoding (Aho, Hopcroft &
+Ullman) in which a vertex encodes as its kind and the sorted encodings of
+its children: two trees are isomorphic (non-planarly, leaf labels
+respected) exactly when their encodings agree, and their isomorphisms are
+then, vertex by vertex, every bijection inside each block of sibling slots
+with equal encodings, an iterated product of symmetric groups (Polya 1937).
+``canonicalize`` sorts by it, and ``cells`` keys its classes by it on the
+glued tree of a cell index; neither lists the isomorphisms themselves.
 
 Evaluation folds the planar tree: ``fold`` composes per-vertex values
 along its edges, which is how ``bv`` computes ``mu``, ``wb`` computes
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby, permutations, product
-from typing import Iterator, Optional
+from typing import Optional
 
 from .operads import AssocOperad, identity_perm, perm_compose, perm_inverse
 from .values import Value
@@ -79,7 +80,8 @@ class PlanarTree:
     reads ``n_leaves``, ``n_vertices``, ``n_univalent`` and the hash off the
     children, in O(arity) with no recursion, so building a tree from its
     subtrees costs only its root.  Equality is equality of the children,
-    tried after identity and the cheap counts.  The preorder data
+    compared pair by pair on a stack, each pair after identity, the hash and
+    the cheap counts, so it needs no recursion.  The preorder data
     (``subtrees``, ``vertex_parents``, ``child_vertex``) is computed on first
     read and kept."""
 
@@ -108,12 +110,18 @@ class PlanarTree:
             return True
         if other.__class__ is not PlanarTree:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.n_vertices == other.n_vertices
-            and self.n_leaves == other.n_leaves
-            and self.children == other.children
-        )
+        stack = [(self, other)]  # pairs of equal place, not yet compared
+        while stack:
+            a, b = stack.pop()
+            if (a._hash != b._hash or a.n_vertices != b.n_vertices
+                    or a.n_leaves != b.n_leaves or len(a.children) != len(b.children)):
+                return False
+            for c, d in zip(a.children, b.children):
+                if c is not d:
+                    if c is None or d is None:
+                        return False
+                    stack.append((c, d))
+        return True
 
     @property
     def arity(self) -> int:
@@ -309,29 +317,13 @@ def _trusted_tree(shape: PlanarTree, word: tuple[int, ...]) -> Tree:
 # ---------------------------------------------------------------------------
 
 
-def labeled_encoding(sub: PlanarTree, labels: Iterator) -> tuple:
-    """The bottom-up canonical encoding (Aho, Hopcroft & Ullman) of ``sub``
-    with its leaves, in planar order, labeled by ``labels``: a leaf encodes
-    as ``(0, label)`` and a vertex as ``(1, sorted child encodings)``.  Two
-    labeled trees are isomorphic exactly when their encodings are equal."""
-    return (1, tuple(sorted(slot_encodings(sub, labels))))
-
-
-def slot_encodings(sub: PlanarTree, labels: Iterator) -> list:
-    """The encodings that ``labeled_encoding(sub, labels)`` sorts, in slot
-    order: one per slot of the root, the leaf's or the child vertex's."""
-    return [
-        (0, next(labels)) if c is None else labeled_encoding(c, labels)
-        for c in sub.children
-    ]
-
-
 def canonical_form(a: Tree) -> Tree:
     """The canonical representative of the non-planar isomorphism class of a
     labeled tree: the lexicographically minimal planar presentation obtained
     by sorting children bottom-up (labels travel with their leaves).  It is
-    ``canonicalize`` with the trivial action, whose order on children is
-    that of ``labeled_encoding``."""
+    ``canonicalize`` with the trivial action, which orders children by
+    their encodings: a leaf ``("L", label)``, a vertex ``("N", "",
+    sorted child encodings, "")``."""
     nv = a.shape.n_vertices
     root = to_nodes(a.shape, (None,) * nv, (None,) * nv, a.labels)
     canonicalize(root, lambda label, sigma: label, lambda label: "")
@@ -518,18 +510,20 @@ def cut(node: Node, keep) -> tuple[Node, list]:
     a leaf of the copy; the copy's leaves are numbered 1..n in planar order
     and the kids they replace are returned in that order."""
     dangling: list = []
-
-    def copy(m: Node) -> Node:
-        kids: list = []
-        for c in m.kids:
+    root = Node(node.label, node.t, [])
+    stack = [(iter(node.kids), root.kids)]
+    while stack:
+        kids, copy = stack[-1]
+        for c in kids:
             if isinstance(c, Node) and keep(c):
-                kids.append(copy(c))
-            else:
-                dangling.append(c)
-                kids.append(len(dangling))
-        return Node(m.label, m.t, kids)
-
-    return copy(node), dangling
+                copy.append(Node(c.label, c.t, []))
+                stack.append((iter(c.kids), copy[-1].kids))
+                break
+            dangling.append(c)
+            copy.append(len(dangling))
+        else:
+            stack.pop()
+    return root, dangling
 
 
 def act_on_word(x, sigma, nodes, rewrite, present):

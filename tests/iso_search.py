@@ -1,14 +1,60 @@
-"""The test oracle for non-planar isomorphisms: a backtracking search over
-injective slot assignments, vertex by vertex, that reads no encoding.  The
-engine decides isomorphism through ``trees.labeled_encoding`` alone, so the
-tests that check it (isomorphism classes, canonical forms, stabilizers)
-list the isomorphisms here, from the definition."""
+"""The test oracles for non-planar isomorphisms.
+
+The engine decides isomorphism through encodings alone: ``canonicalize``
+sorts a tree's children by theirs, and ``cells`` keys a cell index by the
+encoding of its glued tree (``cells._glued``).  The tests that check them
+(isomorphism classes, canonical forms, stabilizers) read two oracles here.
+One is a backtracking search over injective slot assignments, vertex by
+vertex, that reads no encoding and lists the isomorphisms from the
+definition.  The other is the reference class key, built as the class key
+was first written: each auxiliary tree encoded on its own
+(``labeled_encoding``), its leaves labeled by their slots' entries, a
+child main vertex's entry holding that vertex's key."""
 
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
 from operad_forge.operads import identity_perm
 from operad_forge.trees import PlanarTree, Tree
+
+
+def labeled_encoding(sub: PlanarTree, labels: Iterator) -> tuple:
+    """The bottom-up canonical encoding (Aho, Hopcroft & Ullman) of ``sub``
+    with its leaves, in planar order, labeled by ``labels``: a leaf encodes
+    as ``(0, label)`` and a vertex as ``(1, sorted child encodings)``.  Two
+    labeled trees are isomorphic exactly when their encodings are equal."""
+    return (1, tuple(sorted(slot_encodings(sub, labels))))
+
+
+def slot_encodings(sub: PlanarTree, labels: Iterator) -> list:
+    """The encodings that ``labeled_encoding(sub, labels)`` sorts, in slot
+    order: one per slot of the root, the leaf's or the child vertex's."""
+    return [
+        (0, next(labels)) if c is None else labeled_encoding(c, labels)
+        for c in sub.children
+    ]
+
+
+def slot_entries(idx, v: int) -> list[tuple]:
+    """The reference entry of each input slot of main vertex ``v`` of a
+    cell index, in slot order: ``(0,)`` for a main leaf, ``(1, key)`` for a
+    child vertex."""
+    entries = []
+    w = v + 1  # the preorder index of the next child vertex
+    for c in idx.main.subtrees[v].children:
+        if c is None:
+            entries.append((0,))
+        else:
+            entries.append((1, reference_key(idx, w)))
+            w += c.n_vertices
+    return entries
+
+
+def reference_key(idx, v: int = 0) -> tuple:
+    """The reference class key of main vertex ``v``'s subtree: the labeled
+    encoding of its auxiliary tree, leaves labeled by ``slot_entries``.  At
+    ``v = 0`` it equals ``cells.class_key``."""
+    return labeled_encoding(idx.aux[v], iter(slot_entries(idx, v)))
 
 
 class Iso(NamedTuple):

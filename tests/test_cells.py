@@ -25,7 +25,6 @@ from operad_forge.cells import (
     _decode,
     _glued,
     _key_vertex,
-    _vertex_key,
     build_graph,
     census_lower_bound,
     census_size,
@@ -52,10 +51,14 @@ from operad_forge.trees import (
     canonical_form,
     corolla,
     planar_trees,
-    slot_encodings,
 )
 
-from iso_search import automorphism_families, isomorphisms
+from iso_search import (
+    automorphism_families,
+    isomorphisms,
+    reference_key,
+    slot_encodings,
+)
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +406,14 @@ def test_displayed_trio_classification():
     assert class_key(e1) != class_key(e3)
 
 
+def test_class_key_is_the_reference_key_on_a_whole_census():
+    # ``class_key`` reads the glued tree; the reference encodes each
+    # auxiliary tree on its own, with its slots' entries on its leaves
+    census = enumerate_upsilon(5, 5)
+    assert len(census) == 86704
+    assert all(class_key(idx) == reference_key(idx) for idx in census)
+
+
 def _bruteforce_vertex_key(idx: UpsilonIndex, v: int):
     sub = idx.main.subtrees[v]
     m = sub.arity
@@ -534,15 +545,16 @@ def test_build_graph_on_the_keys_is_the_representative_pass(k, l):
 
 def test_glued_index_keeps_its_key_and_planar_order():
     # read off any planar member, not only the least one, the glued tree
-    # has the member's class key, and its contractions come in the
-    # member's main preorder
+    # has the member's reference key, and its contractions come in the
+    # member's main preorder, each the reference key of the contraction
     rng = Random(7)
     census = enumerate_upsilon(5, 4, True)
     for idx in rng.sample(census, 150):
         v = _glued(idx)
-        assert v.key == class_key(idx)
+        assert v.key == reference_key(idx)
         want = [
-            class_key(contract_main_edge(idx, p, s)) for (p, s) in idx.main.child_vertex
+            reference_key(contract_main_edge(idx, p, s))
+            for (p, s) in idx.main.child_vertex
         ]
         assert list(cells._contractions(v)) == want
 
@@ -662,7 +674,7 @@ def _block_scan_stab(cls, main_vertex: int, aux_vertex: int) -> list:
     m = a.arity_of(aux_vertex)
     entries = [
         (0,) if c is None
-        else (1, _vertex_key(rep, main.child_vertex[(main_vertex, s)]))
+        else (1, reference_key(rep, main.child_vertex[(main_vertex, s)]))
         for s, c in enumerate(main.subtrees[main_vertex].children, start=1)
     ]
     skip = 0  # the auxiliary leaves before aux_vertex, in planar order

@@ -223,31 +223,50 @@ def test_one_settle_body_for_both_resolutions():
     assert settles == ["trees.settle"]
 
 
-# The walks between a working form and a point, and the ``repr`` that
-# orders a bimodule point's labels: each keeps its own stack, so the depth
-# of a tree is not bounded by the interpreter's recursion limit.
-ITERATIVE_WALKS = {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
-                   "_tie_break", "settle", "__repr__"}
+# Per module, the walks between a working form and a point, the cut of
+# both decompositions, the ``repr`` that orders a bimodule point's labels,
+# and the tree writers: each keeps its own stack, so the depth of a tree is
+# not bounded by the interpreter's recursion limit.
+ITERATIVE_WALKS = {
+    "trees": {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
+              "_tie_break", "settle", "cut", "__repr__"},
+    "serialize": {"shape_to_json", "_dot_walk"},
+}
 
 
 def test_the_working_form_walks_do_not_recurse():
-    found, recursive = set(), []
-    tree = ast.parse((PACKAGE / "trees.py").read_text())
-    for top in tree.body:
-        members = top.body if isinstance(top, ast.ClassDef) else [top]
-        for walk in members:
-            if not isinstance(walk, ast.FunctionDef) or walk.name not in ITERATIVE_WALKS:
-                continue
-            found.add(walk.name)
-            # the walk and any function defined inside it
-            for f in ast.walk(walk):
-                if not isinstance(f, ast.FunctionDef):
+    found, recursive = {}, []
+    for module, walks in ITERATIVE_WALKS.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for walk in members:
+                if not isinstance(walk, ast.FunctionDef) or walk.name not in walks:
                     continue
-                own = {f.name, "repr"} if f.name == "__repr__" else {f.name}
-                recursive += [f"{walk.name}: {f.name} line {n.lineno}"
-                              for n in ast.walk(f) if _called(n) in own]
+                found.setdefault(module, set()).add(walk.name)
+                # the walk and any function defined inside it
+                for f in ast.walk(walk):
+                    if not isinstance(f, ast.FunctionDef):
+                        continue
+                    own = {f.name, "repr"} if f.name == "__repr__" else {f.name}
+                    recursive += [f"{module}.{walk.name}: {f.name} line {n.lineno}"
+                                  for n in ast.walk(f) if _called(n) in own]
     assert found == ITERATIVE_WALKS
     assert recursive == []
+
+
+def test_one_reading_of_a_cell_index():
+    # a class key is read off the glued tree (``cells._glued``) only; the
+    # per-auxiliary-tree encoding it replaced is the tests' reference key
+    # (``iso_search.reference_key``)
+    gone = {"labeled_encoding", "slot_encodings", "_slot_entries", "_vertex_key"}
+    found = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, DEFINITIONS) and node.name in gone
+    )
+    assert found == []
 
 
 def _called(node: ast.AST) -> str:

@@ -2,8 +2,9 @@
 the random order of ``trees.rewrite_fixpoint`` is its oracle.  Hand-built
 points where the rules meet each other in an order-sensitive way are
 checked against several random orders on every stock operad, the work of
-the pass on long chains is pinned by call counts, not timings, and points
-5,000 vertices deep normalize at the default recursion limit."""
+the pass on long chains is pinned by call counts, not timings, points
+5,000 vertices deep normalize at the default recursion limit, and points
+1,200 deep compare, decompose and write there."""
 
 import json
 import sys
@@ -13,10 +14,19 @@ from random import Random
 import pytest
 
 from operad_forge import bv, wb
-from operad_forge.bv import bv_compose, bv_normalize, bv_unit, iota, mu, raw_bv
+from operad_forge.bv import (
+    bv_compose,
+    bv_normalize,
+    bv_prime_components,
+    bv_unit,
+    iota,
+    mu,
+    raw_bv,
+)
 from operad_forge.operads import operad_by_name
 from operad_forge.trees import PlanarTree
-from operad_forge.wb import raw_wb, wb_normalize
+from operad_forge.serialize import bv_to_json, dot_bv
+from operad_forge.wb import raw_wb, wb_normalize, wb_prime_components
 
 OPERADS = [operad_by_name(n) for n in ("assoc", "com", "end:2", "free:a=2,b=3:4")]
 SEEDS = (1, 7, 19, 42, 1001)
@@ -271,3 +281,57 @@ def test_a_deep_label_is_keyed_below_the_main_root(default_recursion_limit):
     deep = next(a for a in y.labels if a.n_vertices > 1)
     assert deep.n_vertices == 3000 and deep.arity == 3001
     assert json.loads(deep.order_key)[0] == repr(label.tree.shape)
+
+
+# Past the recursion limit but well short of ``DEEP``: the walks off the
+# normalize path (equality, the cuts of both decompositions, the writers)
+# keep their own stacks too.
+CUT = 1200
+
+
+def test_two_equal_deep_combs_compare_equal(default_recursion_limit):
+    x, y = bv_normalize(_deep_com_point(CUT)), bv_normalize(_deep_com_point(CUT))
+    assert x.tree.shape is not y.tree.shape
+    assert x == y and x.tree.shape == _comb(CUT)
+    longer = PlanarTree((None, PlanarTree((None, None, None))))
+    for _ in range(CUT - 2):
+        longer = PlanarTree((None, longer))
+    assert longer != x.tree.shape and _comb(CUT + 1) != x.tree.shape
+
+
+def test_a_deep_comb_decomposes_in_bv(default_recursion_limit):
+    # no edge has length 1, so the point is its one prime component
+    x = bv_normalize(_deep_com_point(CUT))
+    assert bv_prime_components(x) == [x]
+
+
+def test_a_deep_comb_decomposes_in_wb(default_recursion_limit):
+    # every height inside (0, 1), so the whole main chain is one band
+    op = operad_by_name("com")
+    heights = tuple(F(v + 1, CUT + 1) for v in range(CUT))  # strictly rising
+    y = wb_normalize(raw_wb(op, _comb(CUT), (iota(op, 2),) * CUT, heights))
+    comps = wb_prime_components(y)
+    assert len(comps) == 1 and comps[0].n_main_vertices == CUT
+    assert comps[0].heights == heights and comps[0] == y
+
+
+def test_a_deep_comb_writes_as_json(default_recursion_limit):
+    x = bv_normalize(_deep_com_point(CUT))
+    doc = bv_to_json(x)
+    assert doc["tree"]["sigma"] == list(x.tree.labels)
+    node, leaves, vertices = doc["tree"], [], 0
+    while node is not None:  # down the comb: a leaf, then the next vertex
+        kids = node["node"]["children"]
+        leaves += [c["leaf"] for c in kids if "leaf" in c]
+        node = next((c for c in kids if "node" in c), None)
+        vertices += 1
+    assert vertices == CUT and leaves == list(range(1, CUT + 2))
+
+
+def test_a_deep_comb_writes_as_dot(default_recursion_limit):
+    x = bv_normalize(_deep_com_point(CUT))
+    lines = dot_bv(x).splitlines()
+    assert lines[:3] == ["digraph bv {", "  rankdir=BT;", '  v0 [shape=circle, label="2"];']
+    assert len(lines) == 3 + (CUT - 1) * 2 + (CUT + 1) * 2 + 1
+    assert lines[-2:] == ['  v1 -> v0 [label="1/2"];', "}"]
+    assert sum(line.endswith(' [label="1/2"];') for line in lines) == CUT - 1

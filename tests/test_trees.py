@@ -1,9 +1,9 @@
 """Tree layer: enumeration against generate-and-filter oracles, grafting
 arithmetic, canonical forms against pairwise isomorphism search and against
-the decoded labeled encoding, and the tie-break of ``canonicalize`` against
-its brute force.  ``trees`` lists no isomorphisms: the search here is the
-encoding-free backtracking of ``iso_search``, itself checked against a
-recursive product formula for the automorphism count."""
+the decoded reference encoding of ``iso_search``, and the tie-break of
+``canonicalize`` against its brute force.  ``trees`` lists no isomorphisms:
+the search here is the encoding-free backtracking of ``iso_search``, itself
+checked against a recursive product formula for the automorphism count."""
 
 import json
 import sys
@@ -31,15 +31,20 @@ from operad_forge.trees import (
     fold,
     from_nodes,
     graft,
-    labeled_encoding,
     leaf_slots,
     planar_trees,
     preorder,
-    slot_encodings,
     to_nodes,
 )
 
-from iso_search import Iso, automorphisms, isomorphisms, nonplanar_iso
+from iso_search import (
+    Iso,
+    automorphisms,
+    isomorphisms,
+    labeled_encoding,
+    nonplanar_iso,
+    slot_encodings,
+)
 
 
 def _oracle_trees(max_vertices: int) -> list[PlanarTree]:
