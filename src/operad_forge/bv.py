@@ -133,10 +133,15 @@ def raw_bv(
     params: tuple[Fraction, ...],
     word: Optional[tuple[int, ...]] = None,
 ) -> BVPoint:
-    """Package un-normalized data: validated, once, but not rewritten."""
+    """Package un-normalized data: validated, once, but not rewritten.
+    Caller data enters here, so each label is stored as its operad's
+    canonical representative, acted on by the identity as in ``iota``: the
+    canonical presentation relies on every label being fixed by the
+    identity (``Operad``)."""
     tree = Tree(shape, word if word is not None else tuple(range(1, shape.n_leaves + 1)))
     point = BVPoint(operad, operad.name, tree, tuple(labels), tuple(params), False)
     _validate_raw(point)
+    point.labels = tuple(operad.act(a, identity_perm(operad.arity(a))) for a in point.labels)
     return point
 
 
@@ -262,8 +267,8 @@ def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
 
 def iota(operad: Operad, a) -> BVPoint:
     """The corolla labeled by a single operad element, built directly as
-    the canonical point that normalization gives: its one candidate acts on
-    ``a`` by the identity, which canonicalizes ``a`` where the operad
+    the canonical point that normalization gives: ``a`` is acted on by the
+    identity, as ``raw_bv`` does, which canonicalizes it where the operad
     needs it."""
     n = operad.arity(a)
     ident = identity_perm(n)
@@ -331,9 +336,13 @@ class BVDecomposition(Value):
         self.word = word
 
     def all_components(self) -> list[BVPoint]:
-        out = [self.component]
-        for _, d in self.children:
-            out.extend(d.all_components())
+        """The components in preorder (this one, then each child's in turn),
+        listed with their own stack."""
+        out, stack = [], [self]
+        while stack:
+            d = stack.pop()
+            out.append(d.component)
+            stack += (child for _, child in reversed(d.children))
         return out
 
 
@@ -349,28 +358,52 @@ def bv_decompose(x: BVPoint) -> BVDecomposition:
 
 def _split(operad: Operad, n: Node) -> BVDecomposition:
     """Cut the component rooted at ``n`` below its length-1 edges and split
-    the pieces above them in turn; components carry identity words."""
-    comp, dangling = cut(n, lambda c: c.t < 1)
-    comp.t = None
-    children = tuple(
-        (pos, _split(operad, c))
-        for pos, c in enumerate(dangling, start=1)
-        if isinstance(c, Node)
-    )
-    return BVDecomposition(_normal(operad, comp), children, ())
+    the pieces above them in turn, each normalized after the pieces above
+    it; components carry identity words.  The pieces wait on a stack, each
+    as ``(pos, component, pieces above, their decompositions)``."""
+
+    def piece(pos: int, top: Node) -> tuple:
+        comp, dangling = cut(top, lambda c: c.t < 1)
+        comp.t = None
+        above = ((p, c) for p, c in enumerate(dangling, start=1) if isinstance(c, Node))
+        return pos, comp, above, []
+
+    stack = [piece(0, n)]
+    while True:
+        pos, comp, above, children = stack[-1]
+        for p, c in above:
+            stack.append(piece(p, c))
+            break
+        else:
+            stack.pop()
+            d = BVDecomposition(_normal(operad, comp), tuple(children), ())
+            if not stack:
+                return d
+            stack[-1][3].append((pos, d))
 
 
 def bv_reassemble(d: BVDecomposition) -> BVPoint:
     """Graft the components back along the cut pattern (edges at length 1)
-    and re-apply the leaf word."""
+    and re-apply the leaf word.  Each node's children are grafted from the
+    last position back, each reassembled first; the nodes wait on a stack,
+    each as ``[pos, point so far, children left]``."""
 
-    def build(node: BVDecomposition) -> BVPoint:
-        point = node.component
-        for pos, child in sorted(node.children, reverse=True):
-            point = bv_compose(point, pos, build(child))
-        return point
+    def frame(pos: int, node: BVDecomposition) -> list:
+        return [pos, node.component, iter(sorted(node.children, reverse=True))]
 
-    planar = build(d)
+    stack = [frame(0, d)]
+    while True:
+        top = stack[-1]
+        for pos, child in top[2]:
+            stack.append(frame(pos, child))
+            break
+        else:
+            stack.pop()
+            if not stack:
+                break
+            below = stack[-1]
+            below[1] = bv_compose(below[1], top[0], top[1])
+    planar = top[1]
     if d.word:
         planar = bv_act(planar, d.word)
     return planar

@@ -64,7 +64,15 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 class Operad:
     """Uniform interface: decidable element equality per arity, a unit in
-    arity 1, partial compositions, and the symmetric action."""
+    arity 1, partial compositions, and the symmetric action.
+
+    Contract: ``decode``, ``elements``, ``unit``, ``compose`` and ``act``
+    return canonical representatives, which the identity action fixes
+    (``act(x, identity_perm(arity(x))) == x``).  The canonical presentation
+    of a resolution point relies on it to leave a vertex whose kids are
+    already in order, and its label, as they are (``trees.canonicalize``);
+    a hand-built element is made canonical where it enters, by ``raw_bv``
+    and ``bv.iota``."""
 
     name: str = "operad"
     #: largest arity the operad supports, or None when unbounded

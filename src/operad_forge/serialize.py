@@ -76,18 +76,30 @@ def shape_to_json(t: PlanarTree) -> dict:
 
 
 def shape_from_json(data: dict) -> PlanarTree:
-    def go(d: dict) -> PlanarTree:
+    """The tree that ``shape_to_json`` writes, read with its own stack.  Each
+    node is checked as it is entered, in the order a recursive reader would
+    meet it, so a malformed node at any depth fails the same way."""
+
+    def enter(d: dict):
         if "node" not in d:
             raise ValueError(f"expected a node object, got {d!r}")
-        kids = []
-        for c in d["node"]["children"]:
+        return iter(d["node"]["children"])
+
+    stack = [(enter(data), [])]
+    while True:
+        children, kids = stack[-1]
+        for c in children:
             if "leaf" in c:
                 kids.append(None)
             else:
-                kids.append(go(c))
-        return PlanarTree(tuple(kids))
-
-    return go(data)
+                stack.append((enter(c), []))
+                break
+        else:
+            stack.pop()
+            shape = PlanarTree(tuple(kids))
+            if not stack:
+                return shape
+            stack[-1][1].append(shape)
 
 
 def tree_to_json(t: Tree) -> dict:

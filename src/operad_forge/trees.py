@@ -323,7 +323,8 @@ def canonical_form(a: Tree) -> Tree:
     by sorting children bottom-up (labels travel with their leaves).  It is
     ``canonicalize`` with the trivial action, which orders children by
     their encodings: a leaf ``("L", label)``, a vertex ``("N", "",
-    sorted child encodings, "")``."""
+    sorted child encodings, key)``, its key ``""`` when no leaf is below it
+    and ``None`` otherwise."""
     nv = a.shape.n_vertices
     root = to_nodes(a.shape, (None,) * nv, (None,) * nv, a.labels)
     canonicalize(root, lambda label, sigma: label, lambda label: "")
@@ -566,31 +567,65 @@ def canonicalize(root: Node, act, key) -> tuple:
 
     The child encodings order the kids first; the label only breaks ties.
     Leaf numbering makes them almost always distinct, and then the sorted
-    order is the one candidate: its label is acted on once, and keyed only
-    for a parent to sort (no parent sorts the root)."""
-    stack = [(root, iter(root.kids), [])]
+    order is the one candidate.  Only work that can change the presentation
+    is done, and two arguments make the shortcuts exact:
+
+    - A vertex whose child encodings already increase strictly keeps its
+      kids and its label, with no action.  The identity fixes every label
+      the pass sees: an operad label is its operad's canonical
+      representative (the ``Operad`` contract; ``raw_bv`` acts on caller
+      data by the identity once), and a bimodule label is a normal form,
+      which ``bv_act`` returns unchanged under the identity.
+    - Only a leafless subtree's label is keyed; a subtree that holds a leaf
+      has ``label_key`` ``None``.  Leaf inputs are distinct, so such a
+      subtree differs from each of its siblings in its child encodings
+      before the key is read: only leafless siblings can tie on all but
+      the key.  No parent sorts the root, so the root is keyed only to
+      break its own ties (``_tie_break``)."""
+    # frames are [node, kids left, kid encodings, whether a leaf is below]
+    stack = [[root, iter(root.kids), [], False]]
     while True:
-        n, kids, encs = stack[-1]
+        frame = stack[-1]
+        n, kids, encs, _ = frame
         for c in kids:
             if isinstance(c, Node):
-                stack.append((c, iter(c.kids), []))
+                stack.append([c, iter(c.kids), [], False])
                 break
             encs.append(("L", c))
+            frame[3] = True
         else:
             stack.pop()
-            first = tuple(sorted(range(1, len(encs) + 1), key=lambda s: encs[s - 1]))
-            child_encs = tuple(encs[p - 1] for p in first)
-            label = act(n.label, perm_inverse(first))
-            if all(a != b for a, b in zip(child_encs, child_encs[1:])):
-                pi, n.label, label_key = first, label, key(label) if stack else None
-            else:
-                pi, n.label, label_key = _tie_break(
-                    n, encs, first, label, act, key, not stack)
-            n.kids = [n.kids[p - 1] for p in pi]
+            keyed = bool(stack) and not frame[3]
+            for a, b in zip(encs, encs[1:]):
+                if not a < b:
+                    child_encs, label_key = _reorder(n, encs, act, key, keyed, not stack)
+                    break
+            else:  # already in order: the identity fixes the label
+                child_encs = tuple(encs)
+                label_key = key(n.label) if keyed else None
             if not stack:
                 return child_encs
             t_key = "" if n.t is None else str(n.t)
-            stack[-1][2].append(("N", t_key, child_encs, label_key))
+            parent = stack[-1]
+            parent[2].append(("N", t_key, child_encs, label_key))
+            parent[3] |= frame[3]
+
+
+def _reorder(n: Node, encs: list, act, key, keyed: bool, root: bool) -> tuple:
+    """``(child_encs, label_key)`` of ``n`` once its kids, whose ``encs`` are
+    out of order or tied, are sorted and its label acted on; the
+    ``label_key`` is ``None`` unless ``keyed``.  Sorting ``(encoding,
+    slot)`` pairs keeps tied kids in slot order, the first candidate."""
+    pairs = sorted(zip(encs, range(1, len(encs) + 1)))
+    first = tuple(s for _, s in pairs)
+    child_encs = tuple(e for e, _ in pairs)
+    label = act(n.label, perm_inverse(first))
+    if all(a != b for a, b in zip(child_encs, child_encs[1:])):
+        pi, n.label, label_key = first, label, key(label) if keyed else None
+    else:
+        pi, n.label, label_key = _tie_break(n, encs, first, label, act, key, root)
+    n.kids = [n.kids[p - 1] for p in pi]
+    return child_encs, label_key if keyed else None
 
 
 def _tie_break(n: Node, encs: list, first: tuple, label, act, key, root: bool) -> tuple:

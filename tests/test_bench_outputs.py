@@ -2,9 +2,9 @@
 workload's catalog and one pass over the ``cells`` requests, checked
 against ``bench/data`` exactly as ``bench/run.py`` checks them, the
 ``laws`` slice stays within pinned counts of normalizations, working-form
-conversions and validations, and every name the benchmark's tracer
-rebinds still exists.  The ``bench`` modules are imported, never
-changed."""
+conversions, validations and canonicalization's actions and keys, and
+every name the benchmark's tracer rebinds still exists.  The ``bench``
+modules are imported, never changed."""
 
 import importlib
 import sys
@@ -138,6 +138,41 @@ def test_laws_slice_stays_within_its_validation_bound(monkeypatch):
         monkeypatch.setattr(module, "_validate_raw", counted)
     _replay(w)
     assert 0 < calls <= LAWS_VALIDATE_RAW_CALLS
+
+
+# Symmetric actions and label keys that ``trees.canonicalize`` makes over
+# the same slice, per layer (``bv`` acts on and keys operad labels, ``wb``
+# its ``bv`` labels): 1,616 actions and 757 keys in ``bv`` and 2,317 and
+# 1,481 in ``wb`` while every vertex acted on its label and every vertex
+# below the root was keyed; 623 and 322 in ``bv`` and 384 and 386 in ``wb``
+# since a vertex whose kids are already in order keeps its label with no
+# action and only leafless subtrees are keyed.  Tighten the bounds when a
+# change lowers the work.
+LAWS_CANONICALIZE_WORK = {"bv": {"act": 623, "key": 322}, "wb": {"act": 384, "key": 386}}
+
+
+def test_laws_slice_stays_within_its_canonicalize_bound(monkeypatch):
+    w = wl.IN_PROCESS["laws"]()
+    counts = {layer: {"act": 0, "key": 0} for layer in LAWS_CANONICALIZE_WORK}
+    for layer, count in counts.items():
+
+        def counted(root, act, key, count=count,
+                    original=sys.modules["operad_forge.trees"].canonicalize):
+            def counted_act(label, sigma):
+                count["act"] += 1
+                return act(label, sigma)
+
+            def counted_key(label):
+                count["key"] += 1
+                return key(label)
+
+            return original(root, counted_act, counted_key)
+
+        monkeypatch.setattr(sys.modules[f"operad_forge.{layer}"], "canonicalize", counted)
+    _replay(w)
+    for layer, bounds in LAWS_CANONICALIZE_WORK.items():
+        for work, bound in bounds.items():
+            assert 0 < counts[layer][work] <= bound, (layer, work)
 
 
 def test_cells_outputs_match_the_digests():

@@ -224,13 +224,15 @@ def test_one_settle_body_for_both_resolutions():
 
 
 # Per module, the walks between a working form and a point, the cut of
-# both decompositions, the ``repr`` that orders a bimodule point's labels,
-# and the tree writers: each keeps its own stack, so the depth of a tree is
-# not bounded by the interpreter's recursion limit.
+# both decompositions, the walks over a ``bv`` decomposition tree, the
+# ``repr`` that orders a bimodule point's labels, and the tree writers and
+# reader: each keeps its own stack, so the depth of a tree is not bounded
+# by the interpreter's recursion limit.
 ITERATIVE_WALKS = {
     "trees": {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
               "_tie_break", "settle", "cut", "__repr__"},
-    "serialize": {"shape_to_json", "_dot_walk"},
+    "bv": {"_split", "all_components", "bv_reassemble"},
+    "serialize": {"shape_to_json", "shape_from_json", "_dot_walk"},
 }
 
 

@@ -107,6 +107,15 @@ def test_iota_canonicalizes_a_free_element():
     assert got.labels == (FREE.decode(FREE.encode(a)),)
 
 
+def test_raw_bv_stores_a_free_label_in_canonical_form():
+    # caller data enters through ``raw_bv``, which acts on each label by the
+    # identity once, so every label the presentation sees is canonical
+    a = ("a", ("l", 3), ("a", ("l", 2), ("l", 1)))
+    x = raw_bv(FREE, corolla(3), (a,), ())
+    assert x.labels == (FREE.decode(FREE.encode(a)),) != (a,)
+    assert not x.canonical and bv_normalize(x).labels == x.labels
+
+
 def test_reassemble_bands_checks_a_given_word():
     _, wbs = _normal_forms(AssocOperad(), 83)
     y = next(y for y in wbs if y.arity >= 2 and y.n_main_vertices >= 2)

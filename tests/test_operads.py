@@ -14,6 +14,7 @@ from operad_forge.operads import (
     EndOperad,
     FreeTruncOperad,
     act_cubes,
+    all_perms,
     compose_cubes,
     compositions,
     gaps,
@@ -88,6 +89,36 @@ def test_decoders_accept_every_encoded_element(name):
             assert op.decode(op.encode(x)) == x
     # end:1 has one table entry at every arity
     assert EndOperad(1).decode([10**18, [0]]) == (10**18, (0,))
+
+
+def _children_reversed(t):
+    """A free tree with each generator's children in reverse order: the
+    same element, mostly out of its canonical order."""
+    if t[0] == "l":
+        return t
+    return (t[0],) + tuple(_children_reversed(c) for c in reversed(t[1:]))
+
+
+@pytest.mark.parametrize("name", ["com", "assoc", "end:2", "free:a=2,b=3:4"])
+def test_every_returned_element_is_fixed_by_the_identity(name):
+    # the ``Operad`` contract that lets ``trees.canonicalize`` leave a vertex
+    # already in order as it is: ``unit``, ``elements``, ``decode``
+    # (of free trees out of order too), ``act`` and ``compose`` (every
+    # slot, arities up to 3) return canonical representatives
+    op = operad_by_name(name)
+    pool = {n: op.elements(n) or [] for n in range(4)}
+    returned = [op.unit()]
+    for n, xs in pool.items():
+        for x in xs:
+            returned += [x, op.decode(op.encode(x))]
+            if name.startswith("free") and x != op.UNIT:
+                returned.append(op.decode(op.encode(_children_reversed(x))))
+            returned += (op.act(x, sigma) for sigma in all_perms(n))
+            for m, ys in pool.items():
+                if n >= 1 and n + m - 1 <= 3:
+                    returned += (op.compose(x, i, y) for y in ys for i in range(1, n + 1))
+    for y in returned:
+        assert op.act(y, identity_perm(op.arity(y))) == y
 
 
 class _LeftActionAssoc(AssocOperad):

@@ -4,9 +4,10 @@ points where the rules meet each other in an order-sensitive way are
 checked against several random orders on every stock operad, the work of
 the pass on long chains is pinned by call counts, not timings, points
 5,000 vertices deep normalize at the default recursion limit, and points
-1,200 deep compare, decompose and write there."""
+1,200 deep compare, decompose, write and read back there."""
 
 import json
+import re
 import sys
 from fractions import Fraction as F
 from random import Random
@@ -16,8 +17,10 @@ import pytest
 from operad_forge import bv, wb
 from operad_forge.bv import (
     bv_compose,
+    bv_decompose,
     bv_normalize,
     bv_prime_components,
+    bv_reassemble,
     bv_unit,
     iota,
     mu,
@@ -25,7 +28,7 @@ from operad_forge.bv import (
 )
 from operad_forge.operads import operad_by_name
 from operad_forge.trees import PlanarTree
-from operad_forge.serialize import bv_to_json, dot_bv
+from operad_forge.serialize import bv_to_json, dot_bv, shape_from_json, shape_to_json
 from operad_forge.wb import raw_wb, wb_normalize, wb_prime_components
 
 OPERADS = [operad_by_name(n) for n in ("assoc", "com", "end:2", "free:a=2,b=3:4")]
@@ -335,3 +338,43 @@ def test_a_deep_comb_writes_as_dot(default_recursion_limit):
     assert len(lines) == 3 + (CUT - 1) * 2 + (CUT + 1) * 2 + 1
     assert lines[-2:] == ['  v1 -> v0 [label="1/2"];', "}"]
     assert sum(line.endswith(' [label="1/2"];') for line in lines) == CUT - 1
+
+
+def test_a_deep_comb_reads_back_from_json(default_recursion_limit):
+    shape = _comb(CUT)
+    doc = shape_to_json(shape)
+    assert shape_from_json(doc) == shape
+    # a malformed node at the bottom fails as it does near the top
+    node = doc
+    while "node" in node["node"]["children"][1]:
+        node = node["node"]["children"][1]
+    node["node"]["children"][1] = {"lea": 1}
+    malformed = re.escape("expected a node object, got {'lea': 1}")
+    with pytest.raises(ValueError, match=malformed):
+        shape_from_json(doc)
+
+
+# Reassembling a comb grafts one component per vertex, each graft
+# normalizing the point built so far, so the walks over a decomposition
+# tree are checked below a lowered limit, on a shorter comb.
+LOW = 400
+
+
+@pytest.fixture
+def lowered_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(LOW)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_a_deep_comb_of_unit_lengths_decomposes_and_reassembles(lowered_recursion_limit):
+    # every edge has length 1, so each vertex is a prime component of its
+    # own, nested one below the other in the decomposition tree
+    n = LOW * 3 // 2
+    op = operad_by_name("com")
+    x = bv_normalize(raw_bv(op, _comb(n), (2,) * n, (F(1),) * (n - 1)))
+    d = bv_decompose(x)
+    comps = d.all_components()
+    assert len(comps) == n and all(c == iota(op, 2) for c in comps)
+    assert bv_reassemble(d) == x

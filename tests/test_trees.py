@@ -18,7 +18,7 @@ import pytest
 from operad_forge.bv import bv_act, bv_normalize, iota, raw_bv
 from operad_forge.cells import census_size
 from operad_forge.operads import ComOperad, operad_by_name, perm_inverse
-from operad_forge.sampling import random_bv_of_arity, random_element
+from operad_forge.sampling import random_bv, random_bv_of_arity, random_element
 from operad_forge.trees import (
     Node,
     PlanarTree,
@@ -509,6 +509,40 @@ def _brute_canonicalize(n: Node, act, key):
     return ("N", "" if n.t is None else str(n.t), child_encs, label_key)
 
 
+def _leafy_keys_erased(encs: tuple) -> tuple:
+    """Brute-force encodings as ``canonicalize`` writes them: the label key
+    of a subtree that holds a leaf is ``None``."""
+    out = []
+    for e in encs:
+        if e[0] == "N":
+            kids = _leafy_keys_erased(e[2])
+            leafy = any(k[0] == "L" or k[3] is None for k in kids)
+            e = ("N", e[1], kids, None if leafy else e[3])
+        out.append(e)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["com", "assoc", "end:2", "free:a=2,b=3:4"])
+def test_canonicalize_matches_the_brute_force_on_random_points(name):
+    # random points hold leaves at every depth and many vertices already in
+    # order: ``canonicalize`` leaves those as they are and keys only
+    # leafless subtrees, and still presents each point as the brute force
+    # does, which acts on and keys every label
+    op = operad_by_name(name)
+    rng, min_arity = Random(79), 2 if name.startswith("free") else 0
+    erased = 0
+    for _ in range(300):
+        x = random_bv(rng, op, max_vertices=6, min_arity=min_arity)
+        data = (x.tree.shape, x.labels, (None,) + x.params, x.tree.labels)
+        fast, slow = to_nodes(*data), to_nodes(*data)
+        encs = canonicalize(fast, op.act, op.key)
+        brute = _brute_canonicalize(slow, op.act, op.key)[2]
+        assert encs == _leafy_keys_erased(brute)
+        assert from_nodes(fast) == from_nodes(slow)
+        erased += encs != brute
+    assert erased >= 30
+
+
 def _symmetric_end_label(rng: Random, op, n: int):
     """An ``end`` element of arity ``n`` that depends only on how many of
     its inputs are 1: fixed by every permutation."""
@@ -646,9 +680,9 @@ def test_tie_break_matches_the_brute_force_on_every_tie_pattern(name, pattern, b
 
 
 def test_symmetric_label_fixes_a_tied_block():
-    """A ``com`` root over 8 equal leafless children acts once per child,
-    once for its first candidate and once per adjacent transposition, not
-    8! times."""
+    """A ``com`` root over 8 equal leafless children acts once for its first
+    candidate and once per adjacent transposition, not 8! times; the
+    children, with no kids to reorder, do not act."""
     op = ComOperad()
     calls = []
 
@@ -660,13 +694,14 @@ def test_symmetric_label_fixes_a_tied_block():
         PlanarTree((PlanarTree(()),) * 8), (8,) + (0,) * 8, (None,) + (F(1, 2),) * 8, ()
     )
     canonicalize(root, act, str)
-    assert len(calls) == 8 + 1 + 7
+    assert len(calls) == 1 + 7
 
 
 def test_label_key_of_a_root_with_one_candidate_is_not_computed():
-    """No parent sorts the root's encoding, so a root whose children are
-    all distinct keys only its vertex children's labels; a tied block that
-    its label tells apart is still decided by keys."""
+    """No parent sorts the root's encoding, and a child that holds a leaf
+    ties with no sibling, so a root whose children are all distinct keys
+    only its leafless vertex children's labels; a tied block that its label
+    tells apart is still decided by keys."""
     op = ComOperad()
     keyed = []
 
@@ -678,8 +713,8 @@ def test_label_key_of_a_root_with_one_candidate_is_not_computed():
     shape = PlanarTree((None, None, corolla(2)))
     root = to_nodes(shape, (3, 2), (None, F(1, 2)), (2, 1, 3, 4))
     encs = canonicalize(root, op.act, key)
-    assert keyed == [2]
-    assert encs == (("L", 1), ("L", 2), ("N", "1/2", (("L", 3), ("L", 4)), "2"))
+    assert keyed == []
+    assert encs == (("L", 1), ("L", 2), ("N", "1/2", (("L", 3), ("L", 4)), None))
     assert from_nodes(root) == (shape, (3, 2), (None, F(1, 2)), (1, 2, 3, 4))
 
     # two equal leafless children under an ``assoc`` label that tells their
