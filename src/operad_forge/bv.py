@@ -9,9 +9,9 @@ operad's composition.  ``bv_normalize`` orients these relations into a
 terminating, confluent rewriting system, rewrites in one bottom-up pass
 (each child settled, then resolved against its parent), and finishes with a
 canonical choice of planar presentation, so structural equality of normal
-forms decides equality of classes.  Given an ``rng``, it rewrites in a
-random order instead, one redex at a time; the tests check the pass
-against that order.
+forms decides equality of classes.  Given an ``rng``, it rewrites by the
+same rules in a random order instead, one redex at a time; the tests check
+the pass against that order.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ from .trees import (
     _trusted_tree,
     act_on_word,
     canonicalize,
-    contract,
     corolla,
     cut,
-    deletable,
     fold,
     from_nodes,
     graft_input,
     lazy,
-    preorder,
     rewrite_fixpoint,
     settle,
     to_nodes,
@@ -56,11 +53,11 @@ class BVPoint(Value):
     which validates it once, and the engine builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
-    trusts it: ``bv_act`` by the identity returns it as it is.  Only the
-    canonical presentation ``_present``, where every normalization and
-    every action ends, and the direct builders of normal forms
-    (``bv_unit``, ``iota``) set it.  Equality reads neither ``operad``
-    nor ``canonical``.
+    trusts it: ``bv_normalize`` and ``bv_act`` by the identity return it as
+    it is.  Only the canonical presentation ``_present``, where every
+    normalization and every action ends, and the direct builders of normal
+    forms (``bv_unit``, ``iota``) set it.  Equality reads neither
+    ``operad`` nor ``canonical``.
     """
 
     __slots__ = (
@@ -193,44 +190,15 @@ def _zero_length(parent: Node, child: Node) -> bool:
     return child.t == 0
 
 
-def _redexes(operad: Operad, root: Node) -> list[tuple[str, Node, Optional[Node], int]]:
-    """All applicable rewrites, for the random-order oracle
-    ``rewrite_fixpoint``, every unit redex before every zero one:
-    ("unit", v, parent, slot) deletes a unit-labeled vertex; ("zero", v,
-    parent, slot) contracts a length-0 inner edge.  Slot is the 1-based
-    position of v in parent.kids."""
-    units: list[tuple[str, Node, Optional[Node], int]] = []
-    zeros: list[tuple[str, Node, Optional[Node], int]] = []
-    for n, parent, slot in preorder(root):
-        if deletable(type(operad).is_unit, operad, n, parent is None):
-            units.append(("unit", n, parent, slot))
-        if n.t is not None and n.t == 0:
-            zeros.append(("zero", n, parent, slot))
-    return units + zeros
-
-
-def _apply(operad: Operad, root: Node, redex) -> Node:
-    """Apply one redex of ``_redexes`` for the random-order oracle."""
-    kind, node, parent, slot = redex
-    if kind == "zero":
-        contract(parent, slot, operad.compose)
-        return root
-    child = _delete_unit_vertex(node)
-    if parent is None:
-        return child
-    parent.kids[slot - 1] = child
-    return root
-
-
 def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
     """Relations (i) and (iii), rewritten to the normal form by ``settle``,
-    or in a random order that ``rng`` draws (the oracle; the system is
-    confluent, so both end at the same form)."""
-    if rng is not None:
-        return rewrite_fixpoint(operad, root, _redexes, _apply, rng)
+    or by the same rules in a random order that ``rng`` draws (the oracle;
+    the system is confluent, so both end at the same form)."""
     rules = (None, type(operad).is_unit, _delete_unit_vertex, _zero_length,
-             operad.compose, None)
-    return settle(operad, root, rules)
+             operad.compose, None, None)
+    if rng is None:
+        return settle(operad, root, rules)
+    return rewrite_fixpoint(operad, root, rules, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +223,11 @@ def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> BVPoint
 
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
     """Canonical form of raw point data: rewrite (``_rewrite``: one
-    bottom-up pass, or a random order when ``rng`` is given), then present.
-    The input is trusted: it comes from ``raw_bv`` or from the engine."""
+    bottom-up pass, or a random order when ``rng`` is given), then present;
+    a normal form is returned as it is.  The input is trusted: it comes
+    from ``raw_bv`` or from the engine."""
+    if raw.canonical:
+        return raw
     return _normal(raw.operad, _nodes(raw), rng)
 
 
@@ -350,8 +321,7 @@ def bv_decompose(x: BVPoint) -> BVDecomposition:
     """Cut every length-1 edge of the canonical planar representative; the
     non-planar case is handled by cutting the planar representative and
     re-applying the leaf word on reassembly."""
-    if not x.canonical:
-        x = bv_normalize(x)
+    x = bv_normalize(x)
     top = _split(x.operad, _nodes(x))
     return BVDecomposition(top.component, top.children, x.tree.labels)
 

@@ -547,45 +547,51 @@ def _key_vertices(g: int, c: int, lower: list) -> list[_KeyVertex]:
     multiset of those children is taken once, in non-decreasing list
     order, and main leaves make up the rest of ``g``."""
     out = [_key_vertex(0, [])] if (g, c) == (1, 1) else []
-
-    def extend(start: int, first: int, g: int, c: int, chosen: list) -> None:
-        if c == 0:
-            if chosen or g:
-                out.append(_key_vertex(g, chosen))
-            return
-        for i in range(start, len(lower)):
-            ci, gi, kids = lower[i]
-            if ci > c:
-                break
-            if gi > g or (gi == g and ci < c):  # a child needs an input
-                continue
-            for j in range(first if i == start else 0, len(kids)):
-                extend(i, j, g - gi, c - ci, chosen + [kids[j]])
-
-    extend(0, 0, g, c - 1, [])
+    _extend_key_vertices(lower, out, 0, 0, g, c - 1, [])
     return out
+
+
+def _extend_key_vertices(lower: list, out: list, start: int, first: int,
+                         g: int, c: int, chosen: list) -> None:
+    """Append to ``out`` each key vertex with the children ``chosen`` and
+    more from ``lower`` at or after ``lower[start][2][first]``, with ``g``
+    inputs and ``c`` auxiliary vertices left to place."""
+    if c == 0:
+        if chosen or g:
+            out.append(_key_vertex(g, chosen))
+        return
+    for i in range(start, len(lower)):
+        ci, gi, kids = lower[i]
+        if ci > c:
+            break
+        if gi > g or (gi == g and ci < c):  # a child needs an input
+            continue
+        for j in range(first if i == start else 0, len(kids)):
+            _extend_key_vertices(lower, out, i, j, g - gi, c - ci, chosen + [kids[j]])
 
 
 def _decode(v: _KeyVertex) -> tuple[PlanarTree, list[PlanarTree]]:
     """The main subtree of a main vertex's auxiliary root ``v`` and its
     auxiliary trees in main preorder, in the least order of ``v``."""
-    aux: list[PlanarTree] = []
     slots: list[Optional[PlanarTree]] = []
-
-    def shape(u: _KeyVertex) -> PlanarTree:
-        kids: list[Optional[PlanarTree]] = []
-        for kind, w in u.kids:
-            kids.append(shape(w) if kind == 2 else None)
-            if kind == 0:
-                slots.append(None)
-            elif kind == 1:
-                sub, sub_aux = _decode(w)
-                slots.append(sub)
-                aux.extend(sub_aux)
-        return PlanarTree(tuple(kids))
-
-    root = shape(v)
+    aux: list[PlanarTree] = []
+    root = _decode_aux(v, slots, aux)
     return PlanarTree(tuple(slots)), [root] + aux
+
+
+def _decode_aux(u: _KeyVertex, slots: list, aux: list) -> PlanarTree:
+    """The auxiliary tree at ``u``; the main slots it meets, and the
+    auxiliary trees above them, are appended to ``slots`` and ``aux``."""
+    kids: list[Optional[PlanarTree]] = []
+    for kind, w in u.kids:
+        kids.append(_decode_aux(w, slots, aux) if kind == 2 else None)
+        if kind == 0:
+            slots.append(None)
+        elif kind == 1:
+            sub, sub_aux = _decode(w)
+            slots.append(sub)
+            aux.extend(sub_aux)
+    return PlanarTree(tuple(kids))
 
 
 def _trusted_index(main: PlanarTree, aux: tuple[PlanarTree, ...]) -> UpsilonIndex:

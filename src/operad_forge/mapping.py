@@ -88,8 +88,7 @@ class _MapElement(Value):
 
     def _in_stage(self, x, normalize, filtration):
         """``x`` normalized, refused outside the truncation stage."""
-        if not x.canonical:
-            x = normalize(x)
+        x = normalize(x)
         if self.truncation is not None and not filtration(x, self.truncation):
             raise TruncationError(f"point outside filtration stage {self.truncation}")
         return x
@@ -435,8 +434,7 @@ def validate_loop(
             report.add("unit", point=unit_pt, t=t, got=v)
 
     for x in samples:
-        if not x.canonical:
-            x = bv_normalize(x)
+        x = bv_normalize(x)
         try:
             base = eta(mu(x))
             for t in (ZERO, ONE):
@@ -491,8 +489,7 @@ def validate_bimodule_map(
     # f of each sample, kept for the left-action pairs below.
     images: dict[int, Any] = {}
     for j, x in enumerate(samples):
-        if not x.canonical:
-            x = wb_normalize(x)
+        x = wb_normalize(x)
         try:
             fx = images[j] = f(x)
         except TruncationError:

@@ -331,20 +331,20 @@ class FreeTruncOperad(Operad):
         n, m, bound = self.arity(x), self.arity(y), self.max_supported_arity
         if n + m - 1 > bound:
             raise ValueError(f"composition arity {n + m - 1} exceeds bound {bound}")
-        # Renumber x's leaves above i and y's leaves into the slot.
-        def subst(t):
-            if t[0] == "l":
-                k = t[1]
-                if k < i:
-                    return t
-                if k > i:
-                    return ("l", k + m - 1)
-                if y == self.UNIT:
-                    return ("l", i)
-                return self._relabel(y, {j: j + i - 1 for j in range(1, m + 1)})
-            return (t[0],) + tuple(subst(c) for c in t[1:])
+        return self._canon(self._subst(x, i, y, m))
 
-        return self._canon(subst(x))
+    def _subst(self, t, i, y, m):
+        """``t`` with ``y``, of arity ``m``, put at leaf ``i``, all renumbered."""
+        if t[0] == "l":
+            k = t[1]
+            if k < i:
+                return t
+            if k > i:
+                return ("l", k + m - 1)
+            if y == self.UNIT:
+                return ("l", i)
+            return self._relabel(y, {j: j + i - 1 for j in range(1, m + 1)})
+        return (t[0],) + tuple(self._subst(c, i, y, m) for c in t[1:])
 
     def act(self, x, sigma):
         if x == self.UNIT:
@@ -381,12 +381,12 @@ class FreeTruncOperad(Operad):
                     yield (g,) + tuple(kids)
 
     def encode(self, x):
-        def enc(t):
-            if t[0] == "l":
-                return ["l", t[1]]
-            return [t[0]] + [enc(c) for c in t[1:]]
+        return self._enc(x) if x != self.UNIT else ["unit"]
 
-        return enc(x) if x != self.UNIT else ["unit"]
+    def _enc(self, t):
+        if t[0] == "l":
+            return ["l", t[1]]
+        return [t[0]] + [self._enc(c) for c in t[1:]]
 
     def decode(self, data):
         """A generator tree with leaves labeled 1..n, each once, and each
@@ -394,28 +394,28 @@ class FreeTruncOperad(Operad):
         if isinstance(data, (list, tuple)) and list(data) == ["unit"]:
             return self.UNIT
         leaves: list[int] = []
-
-        def dec(d):
-            if not isinstance(d, (list, tuple)) or not d:
-                raise ValueError(f"free tree node must be a non-empty list, got {d!r:.60}")
-            if d[0] == "l":
-                if len(d) != 2 or type(d[1]) is not int:
-                    raise ValueError(f"free leaf must be ['l', k], got {d!r:.60}")
-                leaves.append(d[1])
-                return ("l", d[1])
-            if not isinstance(d[0], str) or self.generators.get(d[0]) != len(d) - 1:
-                raise ValueError(
-                    f"not a generator of {self.name} with its arity: {d!r:.60}"
-                )
-            return (d[0],) + tuple(dec(c) for c in d[1:])
-
-        x = dec(data)
+        x = self._dec(data, leaves)
         if x[0] == "l" or sorted(leaves) != list(range(1, len(leaves) + 1)):
             raise ValueError(
                 f"free element must label its leaves 1..n, each once, below "
                 f"a generator, got {data!r:.60}"
             )
         return self._canon(x)
+
+    def _dec(self, d, leaves: list[int]):
+        """The tree of document ``d``; its leaf inputs go to ``leaves``."""
+        if not isinstance(d, (list, tuple)) or not d:
+            raise ValueError(f"free tree node must be a non-empty list, got {d!r:.60}")
+        if d[0] == "l":
+            if len(d) != 2 or type(d[1]) is not int:
+                raise ValueError(f"free leaf must be ['l', k], got {d!r:.60}")
+            leaves.append(d[1])
+            return ("l", d[1])
+        if not isinstance(d[0], str) or self.generators.get(d[0]) != len(d) - 1:
+            raise ValueError(
+                f"not a generator of {self.name} with its arity: {d!r:.60}"
+            )
+        return (d[0],) + tuple(self._dec(c, leaves) for c in d[1:])
 
 
 def operad_by_name(name: str) -> Operad:

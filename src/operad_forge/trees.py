@@ -31,10 +31,11 @@ along its edges, which is how ``bv`` computes ``mu``, ``wb`` computes
 contraction, grafting, canonical reordering through the symmetric action,
 and the cuts of prime decomposition and band subdivision), all through the
 shared helpers at the end of this module.  Both resolutions rewrite in one
-bottom-up pass, ``settle``, each under its own rules; ``rewrite_fixpoint``
-rewrites in a random order instead, as the oracle the pass is tested
-against.  No walk between a working form and a point recurses: each keeps
-its own stack, so a tree may be as deep as memory allows.
+bottom-up pass, ``settle``, each under its one table of rules;
+``rewrite_fixpoint``, the oracle the pass is tested against, rewrites by the
+same table in a random order.  No walk between a working form and a point
+recurses: each keeps its own stack, so a tree may be as deep as memory
+allows.
 """
 
 from __future__ import annotations
@@ -338,8 +339,8 @@ def canonical_form(a: Tree) -> Tree:
 #
 # Both resolutions (``bv``, ``wb``) rewrite decorated trees in place on the
 # ``Node`` form through the helpers below, each supplying only its own rules
-# (redexes, composition, action, label key).  Nothing that only evaluates a
-# tree needs this form: it folds the ``PlanarTree``.
+# table, action and label key.  Nothing that only evaluates a tree needs
+# this form: it folds the ``PlanarTree``.
 
 
 class Node:
@@ -459,18 +460,21 @@ def deletable(is_unit, ctx, n: Node, root: bool) -> bool:
 
 def settle(ctx, root: Node, rules):
     """The working form at ``root`` rewritten in place to its normal form
-    under a resolution's ``rules``, ``(prepare, is_unit, delete, merges,
-    compose, finish)``; returns what takes the place of ``root``.  Unit
-    vertices on top are deleted first (``deletable``, then ``delete(n)`` is
-    the kid in its place), so nothing is merged into a unit; then each kid,
-    left to right, is settled, and contracted by ``compose`` if
-    ``merges(n, kid)``, before the next is visited; last ``finish(ctx, n)``
-    rewrites the vertex, which is deleted if it became the unit.  Spliced
-    kids are already irreducible, so no vertex is visited twice, and the
-    order fixes which composition a truncated operad refuses first.
-    ``prepare(ctx, n)`` readies each label the pass reaches; a ``None``
-    ``prepare`` or ``finish`` is skipped."""
-    prepare, is_unit, delete, merges, compose, finish = rules
+    under a resolution's ``rules``; returns what takes the place of
+    ``root``.  The rules are seven slots, which ``rewrite_fixpoint`` reads
+    too: ``prepare(ctx, n)`` readies a label before a rule reads it;
+    relation (i) is ``is_unit(ctx, label)`` (``deletable``) and
+    ``delete(n)``, the kid put in the vertex's place; (iii) is
+    ``merges(parent, kid)`` and ``compose(label, slot, label)``, which
+    contracts the edge; (iv) is ``collapses(n)`` and ``collapse(ctx, n)``,
+    which rewrites the label in place.  A ``None`` ``prepare`` or
+    ``collapses`` is skipped.  Unit vertices on top are deleted first, so
+    nothing is merged into a unit; then each kid, left to right, is settled
+    and contracted if it merges, before the next is visited; last the
+    vertex collapses, and is deleted if it became the unit.  Spliced kids
+    are already irreducible, so no vertex is visited twice, and the order
+    fixes which composition a truncated operad refuses first."""
+    prepare, is_unit, delete, merges, compose, collapses, collapse = rules
     stack, n, s = [], root, 0
     while True:
         while True:
@@ -490,8 +494,8 @@ def settle(ctx, root: Node, rules):
                     stack.append((n, s))
                     n, s = kids[s], 0
                     break
-                if finish is not None:
-                    finish(ctx, n)
+                if collapses is not None and collapses(n):
+                    collapse(ctx, n)
                 if deletable(is_unit, ctx, n, not stack):
                     n = delete(n)
             if not stack:
@@ -545,17 +549,36 @@ def act_on_word(x, sigma, nodes, rewrite, present):
     return present(x.operad, root)
 
 
-def rewrite_fixpoint(ctx, root: Node, redexes, apply, rng) -> Node:
-    """Rewrite in a random order until no redex is left:
-    ``redexes(ctx, root)`` lists them, ``rng`` picks one, and
-    ``apply(ctx, root, redex)`` rewrites it and returns the new root.  Each
-    step walks the whole tree, so this is the oracle that the one-pass
-    rewriting of ``bv`` and ``wb`` is checked against, not a fast path."""
+def rewrite_fixpoint(ctx, root: Node, rules, rng) -> Node:
+    """The oracle that ``settle`` is checked against: each label prepared,
+    then the same ``rules`` applied one redex at a time until none is left,
+    each the one ``rng`` picks of all the tree's redexes (in preorder, and
+    at a vertex unit, merge, collapse).  Each step walks the whole tree, so
+    this is not a fast path."""
+    prepare, is_unit, delete, merges, compose, collapses, collapse = rules
+    if prepare is not None:
+        for n, _, _ in preorder(root):
+            prepare(ctx, n)
     while True:
-        found = redexes(ctx, root)
+        found = []
+        for n, parent, slot in preorder(root):
+            if deletable(is_unit, ctx, n, parent is None):
+                found.append(("unit", n, parent, slot))
+            if parent is not None and merges(parent, n):
+                found.append(("merge", n, parent, slot))
+            if collapses is not None and collapses(n):
+                found.append(("collapse", n, parent, slot))
         if not found:
             return root
-        root = apply(ctx, root, rng.choice(found))
+        kind, n, parent, slot = rng.choice(found)
+        if kind == "merge":
+            contract(parent, slot, compose)
+        elif kind == "collapse":
+            collapse(ctx, n)
+        elif parent is None:
+            root = delete(n)
+        else:
+            parent.kids[slot - 1] = delete(n)
 
 
 def canonicalize(root: Node, act, key) -> tuple:
@@ -615,11 +638,14 @@ def _reorder(n: Node, encs: list, act, key, keyed: bool, root: bool) -> tuple:
     """``(child_encs, label_key)`` of ``n`` once its kids, whose ``encs`` are
     out of order or tied, are sorted and its label acted on; the
     ``label_key`` is ``None`` unless ``keyed``.  Sorting ``(encoding,
-    slot)`` pairs keeps tied kids in slot order, the first candidate."""
+    slot)`` pairs keeps tied kids in slot order, the first candidate; where
+    that is the slot order itself, the identity fixes the label (as in
+    ``canonicalize``) and it is not acted on."""
     pairs = sorted(zip(encs, range(1, len(encs) + 1)))
     first = tuple(s for _, s in pairs)
     child_encs = tuple(e for e, _ in pairs)
-    label = act(n.label, perm_inverse(first))
+    ident = first == identity_perm(len(first))
+    label = n.label if ident else act(n.label, perm_inverse(first))
     if all(a != b for a, b in zip(child_encs, child_encs[1:])):
         pi, n.label, label_key = first, label, key(label) if keyed else None
     else:

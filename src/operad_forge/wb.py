@@ -9,8 +9,8 @@ adjacent main vertices with equal heights are merged by composing their
 labels; (iv) a label at height 0 or 1 is collapsed to the corolla on its
 operad image.  The relations are confluent, and the default order rewrites
 in one bottom-up pass, settling each child and then resolving it against
-its parent; ``rng`` picks a random order of single redexes instead, which
-the tests check the pass against.
+its parent; ``rng`` picks a random order of single redexes under the same
+rules instead, which the tests check the pass against.
 
 Points are cut by height in one way, ``subdivide``: along the gap and cube
 bands of an interval configuration, with ``reassemble_bands`` as its
@@ -43,15 +43,12 @@ from .trees import (
     _trusted_tree,
     act_on_word,
     canonicalize,
-    contract,
     corolla,
     cut,
-    deletable,
     fold,
     from_nodes,
     graft_input,
     leaf_slots,
-    preorder,
     rewrite_fixpoint,
     settle,
     to_nodes,
@@ -72,10 +69,11 @@ class WBPoint(Value):
     builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
-    trusts it: ``wb_act`` by the identity returns it as it is.  Only the
-    canonical presentation ``_present``, where every normalization and
-    every action ends, and the direct builder ``wb_trivial`` set it.
-    Equality reads neither ``operad`` nor ``canonical``.
+    trusts it: ``wb_normalize`` and ``wb_act`` by the identity return it as
+    it is.  Only the canonical presentation ``_present``, where every
+    normalization and every action ends, and the direct builder
+    ``wb_trivial`` set it.  Equality reads neither ``operad`` nor
+    ``canonical``.
     """
 
     __slots__ = ("operad", "operad_name", "tree", "heights", "labels", "canonical")
@@ -184,12 +182,12 @@ def _is_unit_bv(operad: Operad, x: BVPoint) -> bool:
     return x.is_corolla and operad.is_unit(x.labels[0])
 
 
-# The rules of ``trees.settle``: a label is normalized when the pass reaches
-# it, as the rules read it; (i) deletes a vertex with its height; (iii) merges
-# equal heights; (iv) keeps only a label's operad image at heights 0 and 1.
+# The rules of ``trees.settle`` and ``trees.rewrite_fixpoint``: a label is
+# normalized before the rules read it; (i) deletes a vertex with its height;
+# (iii) merges equal heights; (iv) keeps only a label's operad image at
+# heights 0 and 1.
 def _normalize_label(operad: Operad, n: Node) -> None:
-    if not n.label.canonical:
-        n.label = bv_normalize(n.label)
+    n.label = bv_normalize(n.label)
 
 
 def _unit_kid(n: Node):
@@ -200,54 +198,24 @@ def _equal_heights(parent: Node, child: Node) -> bool:
     return child.t == parent.t
 
 
+def _collapses(n: Node) -> bool:
+    return n.t in (ZERO, ONE) and n.label.n_vertices > 1
+
+
 def _collapse(operad: Operad, n: Node) -> None:
-    if n.t in (ZERO, ONE) and n.label.n_vertices > 1:
-        n.label = iota(operad, mu(n.label))
-
-
-def _redexes(operad: Operad, root: Node):
-    """(kind, node, parent, slot) with kind in unit / merge / collapse, in
-    that order at each vertex, vertices in preorder: the redexes for the
-    random-order oracle ``rewrite_fixpoint``."""
-    out = []
-    for n, parent, slot in preorder(root):
-        if deletable(_is_unit_bv, operad, n, parent is None):
-            out.append(("unit", n, parent, slot))
-        if parent is not None and n.t == parent.t:
-            out.append(("merge", n, parent, slot))
-        if n.t in (ZERO, ONE) and n.label.n_vertices > 1:
-            out.append(("collapse", n, parent, slot))
-    return out
-
-
-def _apply(operad: Operad, root: Node, redex) -> Node:
-    """Apply one redex of ``_redexes`` for the random-order oracle."""
-    kind, node, parent, slot = redex
-    if kind == "unit":
-        child = node.kids[0]
-        if parent is None:
-            return child
-        parent.kids[slot - 1] = child
-        return root
-    if kind == "merge":
-        contract(parent, slot, bv_compose)
-        return root
-    node.label = iota(operad, mu(node.label))
-    return root
+    n.label = iota(operad, mu(n.label))
 
 
 def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
     """Relations (i), (iii) and (iv), rewritten to the normal form by
-    ``settle``, or in a random order that ``rng`` draws (the oracle; the
-    system is confluent, so both end at the same form)."""
+    ``settle``, or by the same rules in a random order that ``rng`` draws
+    (the oracle; the system is confluent, so both end at the same form)."""
+    rules = (_normalize_label, _is_unit_bv, _unit_kid, _equal_heights,
+             bv_compose, _collapses, _collapse)
     if rng is None:
-        rules = (_normalize_label, _is_unit_bv, _unit_kid, _equal_heights,
-                 bv_compose, _collapse)
         root = settle(operad, root, rules)
     else:
-        for n, _, _ in preorder(root):
-            _normalize_label(operad, n)
-        root = rewrite_fixpoint(operad, root, _redexes, _apply, rng)
+        root = rewrite_fixpoint(operad, root, rules, rng)
     # The fully degenerate point: a single unit-labeled vertex.  Fix its
     # height at 0 as the canonical representative.
     if _is_unit_bv(operad, root.label) and not isinstance(root.kids[0], Node):
@@ -271,8 +239,11 @@ def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> WBPoint
 
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
     """Canonical form: rewrite (``_rewrite``: one bottom-up pass, or a
-    random order when ``rng`` is given), then present.  The input is
-    trusted: it comes from ``raw_wb`` or from the engine."""
+    random order when ``rng`` is given), then present; a normal form is
+    returned as it is.  The input is trusted: it comes from ``raw_wb`` or
+    from the engine."""
+    if raw.canonical:
+        return raw
     return _normal(raw.operad, _nodes(raw), rng)
 
 
@@ -370,8 +341,7 @@ def subdivide(
     Returns ``(gap_lists, cube_lists)`` of raw planar sub-points (identity
     leaf words); together they partition the main vertices of ``y``.
     """
-    if not y.canonical:
-        y = wb_normalize(y)
+    y = wb_normalize(y)
     bands = _interleave(gaps(c), c.intervals)  # gaps refuses an unsorted c
     operad = y.operad
     trivial = wb_trivial(operad)
@@ -485,8 +455,7 @@ class WBDecomposition(Value):
 
 
 def wb_decompose(x: WBPoint) -> WBDecomposition:
-    if not x.canonical:
-        x = wb_normalize(x)
+    x = wb_normalize(x)
     gap_lists, cube_lists = subdivide(x, _UNIT_CUBE)
     return WBDecomposition(x.operad, gap_lists, cube_lists, x.tree.labels)
 

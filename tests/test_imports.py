@@ -223,6 +223,44 @@ def test_one_settle_body_for_both_resolutions():
     assert settles == ["trees.settle"]
 
 
+def test_one_rule_table_per_resolution():
+    # each resolution writes its relations once, as the rules tuple that
+    # ``trees.settle`` and its random-order oracle ``trees.rewrite_fixpoint``
+    # both read; no other module lists or applies redexes of its own
+    found = sorted(
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "trees"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in {"_redexes", "_apply"}
+    )
+    assert found == []
+
+
+# A nested function that calls itself holds itself in its closure, a
+# reference cycle that only the cyclic collector frees; the engine recurses
+# through module-level functions and methods instead.  The recursive
+# oracles of ``selftest`` and ``sampling`` keep their closures.
+RECURSIVE_CLOSURES_ALLOWED = {"selftest", "sampling"}
+
+
+def test_no_nested_function_calls_itself():
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in RECURSIVE_CLOSURES_ALLOWED:
+            continue
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, functions) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == inner.name for n in ast.walk(inner)
+                ):
+                    found.add(f"{path.stem}.{outer.name}: {inner.name} line {inner.lineno}")
+    assert sorted(found) == []
+
+
 # Per module, the walks between a working form and a point, the cut of
 # both decompositions, the walks over a ``bv`` decomposition tree, the
 # ``repr`` that orders a bimodule point's labels, and the tree writers and

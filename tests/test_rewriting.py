@@ -173,14 +173,15 @@ def _counter(monkeypatch, module, name) -> dict:
 @pytest.mark.parametrize("name", ["com", "assoc"])
 def test_a_zero_length_comb_contracts_in_one_pass(name, monkeypatch):
     # Each vertex of the comb is contracted once, bottom up, with no walk
-    # of the whole tree: the random order lists the redexes n times.
+    # of the whole tree: the random order (``rewrite_fixpoint``) lists the
+    # redexes n times.
     op, n = operad_by_name(name), 800
     shape = PlanarTree((None, None))
     for _ in range(n - 1):
         shape = PlanarTree((None, shape))
     raw = raw_bv(op, shape, (op.elements(2)[0],) * n, (F(0),) * (n - 1))
     want = mu(raw)
-    redexes = _counter(monkeypatch, bv, "_redexes")
+    redexes = _counter(monkeypatch, bv, "rewrite_fixpoint")
     composes = _counter(monkeypatch, type(op), "compose")
     x = bv_normalize(raw)
     assert x.is_corolla and x.labels == (want,) and x.arity == n + 1
@@ -195,7 +196,7 @@ def test_a_chain_of_equal_heights_merges_once_per_edge(monkeypatch):
     for _ in range(n - 1):
         spec = V(p2, F(1, 2), spec, None)
     raw = _raw_wb(op, spec)
-    redexes = [_counter(monkeypatch, m, "_redexes") for m in (bv, wb)]
+    redexes = [_counter(monkeypatch, m, "rewrite_fixpoint") for m in (bv, wb)]
     composes = _counter(monkeypatch, wb, "bv_compose")
     y = wb_normalize(raw)
     assert y.n_main_vertices == 1 and y.labels[0].n_vertices == n
