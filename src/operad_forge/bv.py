@@ -132,28 +132,34 @@ def raw_bv(
 ) -> BVPoint:
     """Package un-normalized data: validated, once, but not rewritten.
     Caller data enters here, so each label is stored as its operad's
-    canonical representative, acted on by the identity as in ``iota``: the
+    canonical representative (``Operad.canonical``), as in ``iota``: the
     canonical presentation relies on every label being fixed by the
     identity (``Operad``)."""
     tree = Tree(shape, word if word is not None else tuple(range(1, shape.n_leaves + 1)))
     point = BVPoint(operad, operad.name, tree, tuple(labels), tuple(params), False)
     _validate_raw(point)
-    point.labels = tuple(operad.act(a, identity_perm(operad.arity(a))) for a in point.labels)
+    point.labels = tuple(map(operad.canonical, point.labels))
     return point
 
 
 def _validate_raw(p: BVPoint) -> None:
-    shape = p.tree.shape
-    if len(p.labels) != shape.n_vertices:
+    """Counts first, then each vertex's label arity in preorder, in one
+    walk of the children with its own stack, then the edge lengths."""
+    shape, labels, arity = p.tree.shape, p.labels, p.operad.arity
+    if len(labels) != shape.n_vertices:
         raise ValueError("one label per vertex required")
     if len(p.params) != shape.n_vertices - 1:
         raise ValueError("one parameter per inner edge required")
-    for v, sub in enumerate(shape.subtrees):
-        if p.operad.arity(p.labels[v]) != sub.arity:
+    v, stack = 0, [shape.children]
+    while stack:
+        children = stack.pop()
+        n = arity(labels[v])
+        if n != len(children):
             raise ValueError(
-                f"label arity {p.operad.arity(p.labels[v])} != vertex arity "
-                f"{sub.arity} at vertex {v}"
+                f"label arity {n} != vertex arity {len(children)} at vertex {v}"
             )
+        v += 1
+        stack += (c.children for c in reversed(children) if c is not None)
     for t in p.params:
         if not 0 <= t <= 1:
             raise ValueError(f"edge parameter {t} outside [0,1]")
@@ -238,14 +244,12 @@ def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
 
 def iota(operad: Operad, a) -> BVPoint:
     """The corolla labeled by a single operad element, built directly as
-    the canonical point that normalization gives: ``a`` is acted on by the
-    identity, as ``raw_bv`` does, which canonicalizes it where the operad
-    needs it."""
+    the canonical point that normalization gives: ``a`` is stored as its
+    canonical representative (``Operad.canonical``), as ``raw_bv`` does."""
     n = operad.arity(a)
-    ident = identity_perm(n)
     return BVPoint(
-        operad, operad.name, _trusted_tree(corolla(n), ident),
-        (operad.act(a, ident),), (), True,
+        operad, operad.name, _trusted_tree(corolla(n), identity_perm(n)),
+        (operad.canonical(a),), (), True,
     )
 
 

@@ -10,9 +10,11 @@ Every command takes one request path.  ``_operad`` resolves ``--operad``
 first (an ``end:N`` with ``N`` over the budget is refused there), then the
 command resolves its kernel, then reads stdin.  ``_refused`` is the one
 place that turns bad input into an exit-1 witness or an exit-2 message.
-The point commands read either resolution through ``_resolution``, and the
-grade commands (``cells``, ``graph``, ``reedy`` and ``export-dot --kind
-graph``) pass ``_within_budget`` before anything is built.
+The point commands read either resolution through ``_resolution`` and
+write their documents with its text writer (``serialize.bv_text`` or
+``serialize.wb_text``), which keeps its own stack.  The grade commands
+(``cells``, ``graph``, ``reedy`` and ``export-dot --kind graph``) pass
+``_within_budget`` before anything is built.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .mapping import (
 from .operads import EndOperad, Operad, identity_eta, operad_by_name
 from .serialize import (
     bv_from_json,
-    bv_to_json,
+    bv_text,
     class_to_json,
     cubes_from_json,
     dot_bv,
@@ -66,7 +68,7 @@ from .serialize import (
     tree_from_json,
     upsilon_from_json,
     wb_from_json,
-    wb_to_json,
+    wb_text,
 )
 from .wb import (
     mu_tilde,
@@ -179,12 +181,12 @@ def _resolution(kind: str) -> SimpleNamespace:
     if kind == "bv":
         return SimpleNamespace(
             noun="resolution point", decode=bv_from_json, normalize=bv_normalize,
-            encode=bv_to_json, dot=dot_bv, image=mu, components=bv_prime_components,
+            text=bv_text, dot=dot_bv, image=mu, components=bv_prime_components,
             is_prime=bv_is_prime, filtration=bv_filtration,
         )
     return SimpleNamespace(
         noun="bimodule point", decode=wb_from_json, normalize=wb_normalize,
-        encode=wb_to_json, dot=dot_wb, image=mu_tilde, components=wb_prime_components,
+        text=wb_text, dot=dot_wb, image=mu_tilde, components=wb_prime_components,
         is_prime=wb_is_prime, filtration=wb_filtration,
     )
 
@@ -294,7 +296,7 @@ def _cmd_normalize(args) -> int:
     if args.format == "dot":
         _write(r.dot(p))
     else:
-        _emit(r.encode(p))
+        _write(r.text(p) + "\n")
     return 0
 
 
@@ -303,11 +305,11 @@ def _cmd_compose_bv(args) -> int:
     data = _read_json(sys.stdin)
     x, y = _refused(CliInputError, "payload must be {'x': point, 'y': point}: ",
                     lambda: (bv_from_json(data["x"], op), bv_from_json(data["y"], op)))
-    _emit(_refused(
+    _write(_refused(
         CliValidationError, "",
-        lambda: bv_to_json(bv_compose(bv_normalize(x), args.slot, bv_normalize(y))),
+        lambda: bv_text(bv_compose(bv_normalize(x), args.slot, bv_normalize(y))),
         slot=args.slot,
-    ))
+    ) + "\n")
     return 0
 
 
@@ -319,7 +321,7 @@ def _cmd_bimod_left(args) -> int:
         lambda: (op.decode(data["a"]),
                  [wb_normalize(wb_from_json(d, op)) for d in data["args"]]),
     )
-    _emit(_refused(CliValidationError, "", lambda: wb_to_json(wb_left(a, xs))))
+    _write(_refused(CliValidationError, "", lambda: wb_text(wb_left(a, xs))) + "\n")
     return 0
 
 
@@ -330,8 +332,8 @@ def _cmd_bimod_right(args) -> int:
         CliInputError, "payload must be {'x': point, 'a': element}: ",
         lambda: (wb_normalize(wb_from_json(data["x"], op)), op.decode(data["a"])),
     )
-    _emit(_refused(CliValidationError, "", lambda: wb_to_json(wb_right(x, args.slot, a)),
-                   slot=args.slot))
+    _write(_refused(CliValidationError, "", lambda: wb_text(wb_right(x, args.slot, a)),
+                    slot=args.slot) + "\n")
     return 0
 
 
@@ -347,12 +349,13 @@ def _cmd_prime(args) -> int:
     op, r = _operad(args), _resolution(args.kind)
     data = _read_json(sys.stdin)
 
-    def answer() -> dict:
+    def answer() -> str:
         x = _point(r, op, data)
-        return {"components": [r.encode(c) for c in r.components(x)],
-                "prime": r.is_prime(x)}
+        components = ",".join(r.text(c) for c in r.components(x))
+        prime = "true" if r.is_prime(x) else "false"
+        return f'{{"components":[{components}],"prime":{prime}}}'
 
-    _emit(_refused(CliValidationError, "invalid point: ", answer))
+    _write(_refused(CliValidationError, "invalid point: ", answer) + "\n")
     return 0
 
 

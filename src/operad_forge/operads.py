@@ -71,8 +71,8 @@ class Operad:
     (``act(x, identity_perm(arity(x))) == x``).  The canonical presentation
     of a resolution point relies on it to leave a vertex whose kids are
     already in order, and its label, as they are (``trees.canonicalize``);
-    a hand-built element is made canonical where it enters, by ``raw_bv``
-    and ``bv.iota``."""
+    an element a caller hands in is made canonical where it enters, by
+    ``canonical``, which ``raw_bv`` and ``bv.iota`` call."""
 
     name: str = "operad"
     #: largest arity the operad supports, or None when unbounded
@@ -89,6 +89,13 @@ class Operad:
 
     def act(self, x: Any, sigma: Perm) -> Any:
         raise NotImplementedError
+
+    def canonical(self, x: Any) -> Any:
+        """The canonical representative of ``x``, an element a caller handed
+        in: its identity action, ``act(x, identity_perm(arity(x)))``.  An
+        operad whose elements have one presentation overrides it with no
+        action."""
+        return self.act(x, identity_perm(self.arity(x)))
 
     def elements(self, n: int) -> Optional[list]:
         """Finite per-arity enumerator, or ``None`` when unavailable."""
@@ -136,6 +143,9 @@ class ComOperad(Operad):
     def act(self, x, sigma):
         return x
 
+    def canonical(self, x):
+        return x
+
     def elements(self, n):
         return [n]
 
@@ -176,6 +186,9 @@ class AssocOperad(Operad):
 
     def act(self, x, sigma):
         return tuple(sigma[w - 1] for w in x)
+
+    def canonical(self, x):
+        return tuple(x)
 
     def elements(self, n):
         return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
@@ -238,6 +251,9 @@ class EndOperad(Operad):
         for args in self._inputs(n):
             out.append(tx[self._index(tuple(args[s - 1] for s in sigma))])
         return (n, tuple(out))
+
+    def canonical(self, x):
+        return (x[0], tuple(x[1]))
 
     def elements(self, n):
         return [

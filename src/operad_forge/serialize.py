@@ -4,7 +4,8 @@ configurations, cell indices, contraction graphs, and Reedy data.
 Conventions: rationals are strings ``"p/q"`` in lowest terms (plain integer
 strings when the denominator is 1); JSON is emitted with sorted keys so the
 byte output is stable; every ``*_from_json`` inverts the matching
-``*_to_json``.
+``*_to_json``, and every ``*_text`` writes the bytes of ``dumps`` of its
+``*_to_json`` straight from the value, with its own stack.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .bv import BVPoint, raw_bv
@@ -167,6 +169,53 @@ def wb_from_json(data: dict, operad: Optional[Operad] = None) -> WBPoint:
     return raw_wb(operad, tree.shape, labels, heights, tree.labels)
 
 
+def _tree_text(t: Tree) -> str:
+    """``dumps(tree_to_json(t))``, written with its own stack: ``sep`` is
+    the comma due before the next item, none after an opening bracket."""
+    out, leaf, sep = ['{"node":{"children":['], 0, ""
+    stack = [iter(t.shape.children)]
+    while stack:
+        for c in stack[-1]:
+            if c is None:
+                leaf += 1
+                out.append(f'{sep}{{"leaf":{leaf}}}')
+                sep = ","
+            else:
+                out.append(f'{sep}{{"node":{{"children":[')
+                sep = ""
+                stack.append(iter(c.children))
+                break
+        else:
+            stack.pop()
+            out.append("]}}" if stack else "]}")
+            sep = ","
+    out.append(f',"sigma":[{",".join(map(str, t.labels))}]}}')
+    return "".join(out)
+
+
+def bv_text(p: BVPoint) -> str:
+    """``dumps(bv_to_json(p))``, written straight from the point, so a point
+    of any depth can be written: the keys in sorted order, the edge lengths
+    in the string order of their keys (``"10"`` before ``"2"``), and the
+    labels in one encoding of their list."""
+    params = p.params
+    edges = ",".join(f'"{v}":"{frac_str(params[v - 1])}"'
+                     for v in sorted(range(1, p.n_vertices), key=str))
+    labels = _encode([p.operad.encode(x) for x in p.labels])
+    return (f'{{"edgeParams":{{{edges}}},"labels":{labels},'
+            f'"operad":{encode_basestring_ascii(p.operad_name)},'
+            f'"tree":{_tree_text(p.tree)}}}')
+
+
+def wb_text(p: WBPoint) -> str:
+    """``dumps(wb_to_json(p))``, written straight from the point as
+    ``bv_text`` writes its labels."""
+    vertices = ",".join(f'{{"bv":{bv_text(x)},"t":"{frac_str(t)}"}}'
+                        for x, t in zip(p.labels, p.heights))
+    return (f'{{"operad":{encode_basestring_ascii(p.operad_name)},'
+            f'"tree":{_tree_text(p.tree)},"vertices":[{vertices}]}}')
+
+
 # ---------------------------------------------------------------------------
 # Interval configurations
 # ---------------------------------------------------------------------------
@@ -267,9 +316,12 @@ def reedy_text(g: ContractionGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(obj: Any) -> str:
     """Byte-stable JSON text: sorted keys, no trailing whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _encode(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -132,24 +132,35 @@ def raw_wb(
 
 
 def _validate_raw(p: WBPoint) -> None:
-    shape = p.tree.shape
-    if len(p.labels) != shape.n_vertices or len(p.heights) != shape.n_vertices:
+    """Counts first, then each main vertex's label and height in preorder,
+    in one walk of the children with its own stack that notes each
+    vertex's parent, then the monotonicity of the heights: a point with
+    faults of both kinds is refused for its first per-vertex fault."""
+    shape, labels, heights = p.tree.shape, p.labels, p.heights
+    if len(labels) != shape.n_vertices or len(heights) != shape.n_vertices:
         raise ValueError("one label and one height per main vertex required")
-    for v, sub in enumerate(shape.subtrees):
-        if p.labels[v].operad_name != p.operad_name:
+    parents: list[int] = []
+    stack = [(shape.children, -1)]
+    while stack:
+        children, parent = stack.pop()
+        v = len(parents)
+        parents.append(parent)
+        label = labels[v]
+        if label.operad_name != p.operad_name:
             raise ValueError("operad mismatch")
-        if p.labels[v].arity != sub.arity:
+        if label.arity != len(children):
             raise ValueError(
-                f"label arity {p.labels[v].arity} != vertex arity {sub.arity}"
+                f"label arity {label.arity} != vertex arity {len(children)}"
                 f" at main vertex {v}"
             )
-        if not 0 <= p.heights[v] <= 1:
-            raise ValueError(f"height {p.heights[v]} outside [0,1]")
-    for v, (parent, _) in enumerate(shape.vertex_parents):
-        if parent >= 0 and p.heights[v] < p.heights[parent]:
+        if not 0 <= heights[v] <= 1:
+            raise ValueError(f"height {heights[v]} outside [0,1]")
+        stack += ((c.children, v) for c in reversed(children) if c is not None)
+    for v, parent in enumerate(parents):
+        if parent >= 0 and heights[v] < heights[parent]:
             raise ValueError(
-                f"height monotonicity violated: vertex {v} at {p.heights[v]} "
-                f"below parent {parent} at {p.heights[parent]}"
+                f"height monotonicity violated: vertex {v} at {heights[v]} "
+                f"below parent {parent} at {heights[parent]}"
             )
 
 

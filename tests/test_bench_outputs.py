@@ -2,9 +2,10 @@
 workload's catalog and one pass over the ``cells`` requests, checked
 against ``bench/data`` exactly as ``bench/run.py`` checks them, the
 ``laws`` slice stays within pinned counts of normalizations, working-form
-conversions, validations and canonicalization's actions and keys, and
-every name the benchmark's tracer rebinds still exists.  The ``bench``
-modules are imported, never changed."""
+conversions, validations and canonicalization's actions and keys, the
+``normalize`` slice within pinned counts of ``dumps`` calls and identity
+actions, and every name the benchmark's tracer rebinds still exists.  The
+``bench`` modules are imported, never changed."""
 
 import importlib
 import sys
@@ -22,13 +23,15 @@ finally:
 
 
 def _replay(w):
-    """Entries 0-249 at catalog starts 0, 25,000, 50,000 and 75,000."""
+    """Entries 0-249 at catalog starts 0, 25,000, 50,000 and 75,000, and
+    what the measuring loop saw of them."""
     tally = wl.Tally()
     for start in (0, 25000, 50000, 75000):
         wl.measure(w, start, [], 0, 250, limit=250, tally=tally)
     assert tally.attempted == 1000
     assert tally.wrong == []
     assert tally.failed == 0
+    return tally
 
 
 @pytest.mark.parametrize("name", ["normalize", "laws"])
@@ -174,6 +177,37 @@ def test_laws_slice_stays_within_its_canonicalize_bound(monkeypatch):
     for layer, bounds in LAWS_CANONICALIZE_WORK.items():
         for work, bound in bounds.items():
             assert 0 < counts[layer][work] <= bound, (layer, work)
+
+
+# Work on the ``normalize`` slice that a request does not keep: calls of
+# ``serialize.dumps``, and symmetric actions by the identity permutation.
+# 1,000 and 3,081 while every answer was built as a dict tree for
+# ``dumps`` and every label a point request decoded was acted on by the
+# identity; 52 and 217 since points are written by ``serialize.bv_text``
+# and ``wb_text`` and stored by ``Operad.canonical``.  The 52 ``dumps``
+# calls write the 52 refusal witnesses, and the identity actions left are
+# 185 on ``free`` labels (its ``canonical`` sorts hand-built trees) and 32
+# of ``BVPoint.image`` on a leaf word in order.  Tighten the bounds when a
+# change lowers the work.
+NORMALIZE_IDLE_WORK = {"dumps": 52, "identity act": 217}
+
+
+def test_normalize_slice_stays_within_its_idle_work_bound(monkeypatch):
+    w = wl.IN_PROCESS["normalize"]()
+    dumps = _count_calls(monkeypatch, sys.modules["operad_forge.serialize"].dumps)
+    operads = sys.modules["operad_forge.operads"]
+    identity = {"calls": 0}
+    for cls in list(vars(operads).values()):
+        if isinstance(cls, type) and issubclass(cls, operads.Operad) and "act" in vars(cls):
+
+            def counted(self, x, sigma, original=vars(cls)["act"]):
+                identity["calls"] += tuple(sigma) == tuple(range(1, len(sigma) + 1))
+                return original(self, x, sigma)
+
+            monkeypatch.setattr(cls, "act", counted)
+    tally = _replay(w)
+    assert 0 < dumps["calls"] <= min(NORMALIZE_IDLE_WORK["dumps"], len(tally.refusals))
+    assert 0 < identity["calls"] <= NORMALIZE_IDLE_WORK["identity act"]
 
 
 def test_cells_outputs_match_the_digests():

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from operad_forge.bv import bv_normalize, iota, raw_bv
+from operad_forge.bv import bv_compose, bv_normalize, iota, raw_bv
 from operad_forge.cells import UpsilonIndex, build_graph
 from operad_forge import cells, cli
 from operad_forge.cli import main
 from operad_forge.mapping import assoc_reversal_eta, window_loop, xi
 from operad_forge.operads import AssocOperad, EndOperad, identity_eta, operad_by_name
 from operad_forge.serialize import (
+    bv_from_json,
     bv_to_json,
     dumps,
     graph_to_json,
@@ -669,6 +670,39 @@ def test_compose_bv_command(capsys, monkeypatch):
         capsys, monkeypatch, ["compose-bv", "--slot", "9"], dumps(payload)
     )
     assert code == 1 and json.loads(out)["slot"] == 9
+
+
+def _com_comb(n: int):
+    """The normal form of the ``com`` comb with ``n`` vertices, each with a
+    leaf and then the next vertex, every edge of length 1/2."""
+    shape = PlanarTree((None, None))
+    for _ in range(n - 1):
+        shape = PlanarTree((None, shape))
+    return bv_normalize(raw_bv(operad_by_name("com"), shape, (2,) * n, (F(1, 2),) * (n - 1)))
+
+
+def test_compose_bv_writes_an_answer_deeper_than_its_input(capsys, monkeypatch):
+    # each input is 200 vertices deep, which the JSON decoder reads at the
+    # default recursion limit; the 400-vertex composite is written with
+    # its own stack, not refused as input nested too deeply
+    limit = sys.getrecursionlimit()
+    x = _com_comb(200)
+    payload = dumps({"x": bv_to_json(x), "y": bv_to_json(x)})
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(capsys, monkeypatch,
+                             ["--operad", "com", "compose-bv", "--slot", "201"], payload)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    sys.setrecursionlimit(10000)
+    try:
+        doc = json.loads(out)
+    finally:
+        sys.setrecursionlimit(limit)
+    z = bv_from_json(doc)
+    assert z.n_vertices == 400 and z.arity == 401
+    assert z == bv_compose(x, 201, x)
 
 
 def test_selftest_scale_comes_from_the_flag_only(capsys, monkeypatch):

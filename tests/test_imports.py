@@ -236,6 +236,20 @@ def test_one_rule_table_per_resolution():
     assert found == []
 
 
+def test_points_enter_without_an_identity_action():
+    # ``raw_bv`` and ``bv.iota`` store a label as ``Operad.canonical`` of
+    # it, which acts only where the operad needs it (``free``); neither
+    # acts on a label by the identity itself
+    tree = ast.parse((PACKAGE / "bv.py").read_text())
+    entries = [n for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name in {"raw_bv", "iota"}]
+    assert sorted(f.name for f in entries) == ["iota", "raw_bv"]
+    found = [f"bv.{f.name} line {n.lineno}" for f in entries for n in ast.walk(f)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "act"]
+    assert found == []
+
+
 # A nested function that calls itself holds itself in its closure, a
 # reference cycle that only the cyclic collector frees; the engine recurses
 # through module-level functions and methods instead.  The recursive
@@ -263,14 +277,15 @@ def test_no_nested_function_calls_itself():
 
 # Per module, the walks between a working form and a point, the cut of
 # both decompositions, the walks over a ``bv`` decomposition tree, the
-# ``repr`` that orders a bimodule point's labels, and the tree writers and
-# reader: each keeps its own stack, so the depth of a tree is not bounded
-# by the interpreter's recursion limit.
+# ``repr`` that orders a bimodule point's labels, the validators of raw
+# points, and the tree writers and reader: each keeps its own stack, so
+# the depth of a tree is not bounded by the interpreter's recursion limit.
 ITERATIVE_WALKS = {
     "trees": {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
               "_tie_break", "settle", "cut", "__repr__"},
-    "bv": {"_split", "all_components", "bv_reassemble"},
-    "serialize": {"shape_to_json", "shape_from_json", "_dot_walk"},
+    "bv": {"_validate_raw", "_split", "all_components", "bv_reassemble"},
+    "wb": {"_validate_raw"},
+    "serialize": {"shape_to_json", "shape_from_json", "_tree_text", "_dot_walk"},
 }
 
 

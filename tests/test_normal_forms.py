@@ -108,8 +108,9 @@ def test_iota_canonicalizes_a_free_element():
 
 
 def test_raw_bv_stores_a_free_label_in_canonical_form():
-    # caller data enters through ``raw_bv``, which acts on each label by the
-    # identity once, so every label the presentation sees is canonical
+    # caller data enters through ``raw_bv``, which stores each label as
+    # ``Operad.canonical`` of it (for ``free``, its identity action), so
+    # every label the presentation sees is canonical
     a = ("a", ("l", 3), ("a", ("l", 2), ("l", 1)))
     x = raw_bv(FREE, corolla(3), (a,), ())
     assert x.labels == (FREE.decode(FREE.encode(a)),) != (a,)

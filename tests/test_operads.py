@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from operad_forge.bv import raw_bv
 from operad_forge.operads import (
     AssocOperad,
     ComOperad,
@@ -28,6 +29,7 @@ from operad_forge.operads import (
     validate_eta,
     validate_operad,
 )
+from operad_forge.trees import corolla
 
 
 @pytest.mark.parametrize(
@@ -119,6 +121,32 @@ def test_every_returned_element_is_fixed_by_the_identity(name):
                     returned += (op.compose(x, i, y) for y in ys for i in range(1, n + 1))
     for y in returned:
         assert op.act(y, identity_perm(op.arity(y))) == y
+
+
+@pytest.mark.parametrize("name", ["com", "assoc", "end:2", "free:a=2,b=3:4"])
+def test_canonical_is_the_identity_action(name):
+    # ``Operad.canonical`` is how ``raw_bv`` and ``bv.iota`` store an
+    # element a caller hands in: ``com``, ``assoc`` and ``end:N`` return it
+    # with no action, ``free`` acts by the identity, which sorts its trees
+    op = operad_by_name(name)
+    for n in range(4):
+        for x in op.elements(n) or []:
+            given = [x]
+            if name.startswith("free") and x != op.UNIT:
+                given.append(_children_reversed(x))
+            for y in given:
+                assert op.canonical(y) == op.act(y, identity_perm(n))
+
+
+def test_canonical_stores_a_list_as_a_tuple():
+    assoc, end = AssocOperad(), EndOperad(2)
+    # as the identity action does, a list comes back as a tuple
+    assert assoc.canonical([2, 1]) == (2, 1) == assoc.act([2, 1], (1, 2))
+    assert end.canonical([1, [1, 0]]) == (1, (1, 0)) == end.act([1, [1, 0]], (1,))
+    x = raw_bv(assoc, corolla(2), ([2, 1],), ())
+    assert x.labels == ((2, 1),) and type(x.labels[0]) is tuple
+    y = raw_bv(end, corolla(1), ([1, [1, 0]],), ())
+    assert y.labels == ((1, (1, 0)),) and type(y.labels[0][1]) is tuple
 
 
 class _LeftActionAssoc(AssocOperad):

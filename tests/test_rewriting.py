@@ -3,8 +3,9 @@ the random order of ``trees.rewrite_fixpoint`` is its oracle.  Hand-built
 points where the rules meet each other in an order-sensitive way are
 checked against several random orders on every stock operad, the work of
 the pass on long chains is pinned by call counts, not timings, points
-5,000 vertices deep normalize at the default recursion limit, and points
-1,200 deep compare, decompose, write and read back there."""
+5,000 vertices deep normalize at the default recursion limit, points
+1,200 deep compare, decompose, write and read back there, and points 3,000
+deep are written there as text."""
 
 import json
 import re
@@ -28,7 +29,16 @@ from operad_forge.bv import (
 )
 from operad_forge.operads import operad_by_name
 from operad_forge.trees import PlanarTree
-from operad_forge.serialize import bv_to_json, dot_bv, shape_from_json, shape_to_json
+from operad_forge.serialize import (
+    bv_from_json,
+    bv_text,
+    bv_to_json,
+    dot_bv,
+    shape_from_json,
+    shape_to_json,
+    wb_from_json,
+    wb_text,
+)
 from operad_forge.wb import raw_wb, wb_normalize, wb_prime_components
 
 OPERADS = [operad_by_name(n) for n in ("assoc", "com", "end:2", "free:a=2,b=3:4")]
@@ -330,6 +340,23 @@ def test_a_deep_comb_writes_as_json(default_recursion_limit):
         node = next((c for c in kids if "node" in c), None)
         vertices += 1
     assert vertices == CUT and leaves == list(range(1, CUT + 2))
+
+
+TEXT_DEEP = 3000
+
+
+def test_a_deep_point_writes_as_text(default_recursion_limit):
+    # the text writers keep their own stacks, so points 3,000 deep are
+    # written at the default limit; ``json.loads`` recurses, so reading
+    # them back needs a raised one
+    op = operad_by_name("com")
+    x = bv_normalize(_deep_com_point(TEXT_DEEP))
+    heights = tuple(F(v, TEXT_DEEP) for v in range(TEXT_DEEP))
+    y = wb_normalize(raw_wb(op, _comb(TEXT_DEEP), (iota(op, 2),) * TEXT_DEEP, heights))
+    x_text, y_text = bv_text(x), wb_text(y)
+    sys.setrecursionlimit(4 * 3 * TEXT_DEEP)
+    assert bv_from_json(json.loads(x_text)) == x
+    assert wb_from_json(json.loads(y_text)) == y
 
 
 def test_a_deep_comb_writes_as_dot(default_recursion_limit):

@@ -1,11 +1,21 @@
-"""Serialization layer: JSON round-trips over several operads, graph and
-category exports with known counts, and DOT rendering."""
+"""Serialization layer: JSON round-trips over several operads, the point
+text writers against ``dumps`` of the dict documents, graph and category
+exports with known counts, and DOT rendering."""
 
+import io
 import json
+import sys
 from fractions import Fraction as F
 from random import Random
 
-from operad_forge.bv import bv_normalize, iota, raw_bv
+from operad_forge.bv import (
+    BVPoint,
+    bv_is_prime,
+    bv_normalize,
+    bv_prime_components,
+    iota,
+    raw_bv,
+)
 from operad_forge.cells import (
     ContractionGraph,
     build_graph,
@@ -14,9 +24,17 @@ from operad_forge.cells import (
     reedy_of,
 )
 from operad_forge.operads import AssocOperad, EndOperad, operad_by_name
-from operad_forge.sampling import random_bv, random_cubes, random_wb
+from operad_forge.cli import main
+from operad_forge.sampling import (
+    random_bv,
+    random_cubes,
+    random_element,
+    random_fraction,
+    random_wb,
+)
 from operad_forge.serialize import (
     bv_from_json,
+    bv_text,
     bv_to_json,
     cubes_from_json,
     cubes_to_json,
@@ -31,10 +49,11 @@ from operad_forge.serialize import (
     upsilon_from_json,
     upsilon_to_json,
     wb_from_json,
+    wb_text,
     wb_to_json,
 )
 from operad_forge.trees import PlanarTree, Tree
-from operad_forge.wb import raw_wb, wb_normalize
+from operad_forge.wb import raw_wb, wb_is_prime, wb_normalize, wb_prime_components
 
 
 def _roundtrip(d):
@@ -62,6 +81,79 @@ def test_point_roundtrips_over_operads():
             assert dot_bv(p).count("label=") >= p.n_vertices
             assert dot_wb(w).startswith("digraph")
             assert dot_tree(p.tree).startswith("digraph")
+
+
+WRITER_OPERADS = ("assoc", "com", "end:2", "free:a=2,b=3:4")
+
+
+def _chain_bv(rng, op):
+    """A raw point of 11 to 16 vertices on a chain: each vertex but the
+    last has one to three inputs, the next vertex at a random one of them,
+    so the edges numbered 10 and up exist."""
+    shape = PlanarTree((None, None))
+    for _ in range(rng.randint(10, 15)):
+        kids = [None] * rng.randint(1, 3)
+        kids[rng.randrange(len(kids))] = shape
+        shape = PlanarTree(tuple(kids))
+    labels = tuple(random_element(rng, op, sub.arity) for sub in shape.subtrees)
+    params = tuple(random_fraction(rng) for _ in range(shape.n_vertices - 1))
+    return raw_bv(op, shape, labels, params)
+
+
+def _sample_points(rng, op):
+    """Random raw points of both resolutions over ``op`` and chains of 11
+    or more vertices, each followed by its normal form where it has one (a
+    truncated free operad refuses some)."""
+    ma = 1 if op.name.startswith("free") else 0
+    for _ in range(40):
+        for p in (random_bv(rng, op, min_arity=ma), _chain_bv(rng, op),
+                  random_wb(rng, op, min_arity=ma)):
+            yield p
+            try:
+                yield (bv_normalize if isinstance(p, BVPoint) else wb_normalize)(p)
+            except ValueError:
+                pass
+
+
+def test_point_text_is_the_dumped_document():
+    # the writers give the bytes of ``dumps`` of the dict documents, with
+    # the ``edgeParams`` keys of points of 11 or more vertices in string
+    # order ("10" before "2")
+    rng, large = Random(31), 0
+    for name in WRITER_OPERADS:
+        op = operad_by_name(name)
+        for p in _sample_points(rng, op):
+            if isinstance(p, BVPoint):
+                assert bv_text(p) == dumps(bv_to_json(p)), p
+                large += p.n_vertices >= 11
+            else:
+                assert wb_text(p) == dumps(wb_to_json(p)), p
+    assert large >= 100
+
+
+def test_prime_output_is_the_dumped_document(capsys, monkeypatch):
+    rng, checked = Random(32), 0
+    for name in WRITER_OPERADS:
+        op = operad_by_name(name)
+        for _ in range(12):
+            ma = 1 if name.startswith("free") else 0
+            for kind, p, to_json, components, is_prime in (
+                ("bv", random_bv(rng, op, 6, min_arity=ma), bv_to_json,
+                 bv_prime_components, bv_is_prime),
+                ("wb", random_wb(rng, op, 4, min_arity=ma), wb_to_json,
+                 wb_prime_components, wb_is_prime),
+            ):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(dumps(to_json(p))))
+                code = main(["--operad", name, "prime", "--kind", kind])
+                out = capsys.readouterr().out
+                if code == 1:  # a truncated free operad refuses the point
+                    continue
+                x = (bv_normalize if kind == "bv" else wb_normalize)(p)
+                doc = {"components": [to_json(c) for c in components(x)],
+                       "prime": is_prime(x)}
+                assert (code, out) == (0, dumps(doc) + "\n")
+                checked += 1
+    assert checked >= 80
 
 
 def test_cube_roundtrip():
