@@ -12,6 +12,10 @@ canonical choice of planar presentation, so structural equality of normal
 forms decides equality of classes.  Given an ``rng``, it rewrites by the
 same rules in a random order instead, one redex at a time; the tests check
 the pass against that order.
+
+A point is the composite of its prime components along its length-1 edges:
+its decomposition is a planar tree decorated by them, which ``trees.fold``
+reassembles by ``bv_compose`` as it evaluates ``mu`` by the operad's.
 """
 
 from __future__ import annotations
@@ -109,11 +113,13 @@ class BVPoint(Value):
     @lazy
     def image(self) -> Any:
         """``mu`` of the point, computed once per point: every edge
-        contracted by the operad composition, then the leaf word acted on.
+        contracted by the operad composition, then the leaf word acted on,
+        unless it is in order (the identity fixes the composite, ``Operad``).
         Points are immutable and operad elements are ints or tuples, so the
         value is safe to share."""
-        operad, tree = self.operad, self.tree
-        return operad.act(fold(tree.shape, self.labels, operad.compose), tree.labels)
+        operad, word = self.operad, self.tree.labels
+        value = fold(self.tree.shape, self.labels, operad.compose)
+        return value if word == identity_perm(len(word)) else operad.act(value, word)
 
     def __repr__(self) -> str:
         return (
@@ -296,91 +302,60 @@ def bv_is_prime(x: BVPoint) -> bool:
 
 
 class BVDecomposition(Value):
-    """A cut tree: one prime component plus the grafting positions of the
-    sub-decompositions hanging below its cut leaves, and the leaf ``word``
-    of the original point (applied on reassembly)."""
+    """A prime decomposition: a planar tree decorated by points.
+    ``components[v]`` is the prime component at preorder vertex ``v`` of
+    the cut tree ``shape``, and the child at slot ``p`` of a vertex is
+    grafted at input ``p`` of that vertex's component; ``word`` is the leaf
+    word of the original point (acted by on reassembly)."""
 
-    __slots__ = ("component", "children", "word")
+    __slots__ = ("shape", "components", "word")
 
-    def __init__(
-        self, component: BVPoint, children: tuple[tuple[int, "BVDecomposition"], ...],
-        word: Perm,
-    ):
-        self.component = component
-        self.children = children
+    def __init__(self, shape: PlanarTree, components: tuple[BVPoint, ...], word: Perm):
+        self.shape = shape
+        self.components = components
         self.word = word
 
     def all_components(self) -> list[BVPoint]:
-        """The components in preorder (this one, then each child's in turn),
-        listed with their own stack."""
-        out, stack = [], [self]
-        while stack:
-            d = stack.pop()
-            out.append(d.component)
-            stack += (child for _, child in reversed(d.children))
-        return out
+        """The components in preorder."""
+        return list(self.components)
 
 
 def bv_decompose(x: BVPoint) -> BVDecomposition:
-    """Cut every length-1 edge of the canonical planar representative; the
-    non-planar case is handled by cutting the planar representative and
-    re-applying the leaf word on reassembly."""
+    """Cut every length-1 edge of the canonical planar representative, whose
+    leaf word is acted by on reassembly.  The pieces are cut and normalized
+    in preorder; a piece's leaves, in planar order, are its vertex's slots
+    in the cut tree, which is built as ``from_nodes`` builds a shape, each
+    piece waiting on a stack as ``(kids left, slots so far)``."""
     x = bv_normalize(x)
-    top = _split(x.operad, _nodes(x))
-    return BVDecomposition(top.component, top.children, x.tree.labels)
+    operad, components = x.operad, []
 
-
-def _split(operad: Operad, n: Node) -> BVDecomposition:
-    """Cut the component rooted at ``n`` below its length-1 edges and split
-    the pieces above them in turn, each normalized after the pieces above
-    it; components carry identity words.  The pieces wait on a stack, each
-    as ``(pos, component, pieces above, their decompositions)``."""
-
-    def piece(pos: int, top: Node) -> tuple:
+    def piece(top: Node) -> tuple:
         comp, dangling = cut(top, lambda c: c.t < 1)
         comp.t = None
-        above = ((p, c) for p, c in enumerate(dangling, start=1) if isinstance(c, Node))
-        return pos, comp, above, []
+        components.append(_normal(operad, comp))
+        return iter(dangling), []
 
-    stack = [piece(0, n)]
+    stack = [piece(_nodes(x))]
     while True:
-        pos, comp, above, children = stack[-1]
-        for p, c in above:
-            stack.append(piece(p, c))
-            break
+        dangling, slots = stack[-1]
+        for c in dangling:
+            if isinstance(c, Node):
+                stack.append(piece(c))
+                break
+            slots.append(None)
         else:
             stack.pop()
-            d = BVDecomposition(_normal(operad, comp), tuple(children), ())
+            shape = PlanarTree(tuple(slots))
             if not stack:
-                return d
-            stack[-1][3].append((pos, d))
+                return BVDecomposition(shape, tuple(components), x.tree.labels)
+            stack[-1][1].append(shape)
 
 
 def bv_reassemble(d: BVDecomposition) -> BVPoint:
-    """Graft the components back along the cut pattern (edges at length 1)
-    and re-apply the leaf word.  Each node's children are grafted from the
-    last position back, each reassembled first; the nodes wait on a stack,
-    each as ``[pos, point so far, children left]``."""
-
-    def frame(pos: int, node: BVDecomposition) -> list:
-        return [pos, node.component, iter(sorted(node.children, reverse=True))]
-
-    stack = [frame(0, d)]
-    while True:
-        top = stack[-1]
-        for pos, child in top[2]:
-            stack.append(frame(pos, child))
-            break
-        else:
-            stack.pop()
-            if not stack:
-                break
-            below = stack[-1]
-            below[1] = bv_compose(below[1], top[0], top[1])
-    planar = top[1]
-    if d.word:
-        planar = bv_act(planar, d.word)
-    return planar
+    """Graft the components back along the cut tree, each new edge at length
+    1 (the fold of ``d.shape`` by ``bv_compose``, which fills a vertex's
+    highest input first), then act by the leaf word."""
+    return bv_act(fold(d.shape, d.components, bv_compose), d.word)
 
 
 def bv_prime_components(x: BVPoint) -> list[BVPoint]:
@@ -406,7 +381,7 @@ def bv_filtration(x: BVPoint, k: int, l: Optional[int] = None) -> bool:
     """Membership in the k-th filtration stage (and its l-th substage when
     ``l`` is given, counting vertices), tested on prime components."""
     return in_stage(
-        ((c.geometric_inputs, c.n_vertices) for c in bv_prime_components(x)), k, l
+        ((c.geometric_inputs, c.n_vertices) for c in bv_decompose(x).components), k, l
     )
 
 

@@ -92,9 +92,8 @@ class Operad:
 
     def canonical(self, x: Any) -> Any:
         """The canonical representative of ``x``, an element a caller handed
-        in: its identity action, ``act(x, identity_perm(arity(x)))``.  An
-        operad whose elements have one presentation overrides it with no
-        action."""
+        in: its identity action, ``act(x, identity_perm(arity(x)))``.  The
+        stock operads override it with no action (``free`` only sorts)."""
         return self.act(x, identity_perm(self.arity(x)))
 
     def elements(self, n: int) -> Optional[list]:
@@ -320,11 +319,6 @@ class FreeTruncOperad(Operad):
             out.extend(self._leaves(c))
         return out
 
-    def _canon(self, x):
-        if x[0] == "l":
-            return x
-        return (x[0],) + tuple(sorted(self._canon(c) for c in x[1:]))
-
     def _relabel(self, x, mapping: dict[int, int]):
         if x[0] == "l":
             return ("l", mapping[x[1]])
@@ -347,7 +341,7 @@ class FreeTruncOperad(Operad):
         n, m, bound = self.arity(x), self.arity(y), self.max_supported_arity
         if n + m - 1 > bound:
             raise ValueError(f"composition arity {n + m - 1} exceeds bound {bound}")
-        return self._canon(self._subst(x, i, y, m))
+        return self.canonical(self._subst(x, i, y, m))
 
     def _subst(self, t, i, y, m):
         """``t`` with ``y``, of arity ``m``, put at leaf ``i``, all renumbered."""
@@ -365,7 +359,14 @@ class FreeTruncOperad(Operad):
     def act(self, x, sigma):
         if x == self.UNIT:
             return x
-        return self._canon(self._relabel(x, {j: sigma[j - 1] for j in range(1, len(sigma) + 1)}))
+        return self.canonical(self._relabel(x, dict(enumerate(sigma, 1))))
+
+    def canonical(self, x):
+        """Children sorted bottom-up, every node a tuple (a caller may hand
+        in lists); no relabeling, which the identity action would add."""
+        if x[0] == "l":
+            return ("l", x[1])
+        return (x[0],) + tuple(sorted(self.canonical(c) for c in x[1:]))
 
     def elements(self, n):
         if n > self.max_supported_arity or n < 2:
@@ -374,7 +375,7 @@ class FreeTruncOperad(Operad):
         for enc in self._all_shapes(n):
             for labels in itertools.permutations(range(1, n + 1)):
                 it = iter(labels)
-                out.add(self._canon(self._fill(enc, it)))
+                out.add(self.canonical(self._fill(enc, it)))
         return sorted(out)
 
     def _fill(self, enc, it):
@@ -405,8 +406,8 @@ class FreeTruncOperad(Operad):
         return [t[0]] + [self._enc(c) for c in t[1:]]
 
     def decode(self, data):
-        """A generator tree with leaves labeled 1..n, each once, and each
-        generator with as many children as its arity; or ``["unit"]``."""
+        """A generator tree with leaves labeled 1..n, each once, n at most the
+        bound, each generator with as many children as its arity; or ``["unit"]``."""
         if isinstance(data, (list, tuple)) and list(data) == ["unit"]:
             return self.UNIT
         leaves: list[int] = []
@@ -416,7 +417,10 @@ class FreeTruncOperad(Operad):
                 f"free element must label its leaves 1..n, each once, below "
                 f"a generator, got {data!r:.60}"
             )
-        return self._canon(x)
+        n, bound = len(leaves), self.max_supported_arity
+        if n > bound:
+            raise ValueError(f"free element arity {n} exceeds bound {bound}")
+        return self.canonical(x)
 
     def _dec(self, d, leaves: list[int]):
         """The tree of document ``d``; its leaf inputs go to ``leaves``."""

@@ -23,8 +23,8 @@ with equal encodings, an iterated product of symmetric groups (Polya 1937).
 glued tree of a cell index; neither lists the isomorphisms themselves.
 
 Evaluation folds the planar tree: ``fold`` composes per-vertex values
-along its edges, which is how ``bv`` computes ``mu``, ``wb`` computes
-``mu_tilde`` and ``mapping`` computes ``xi``.
+along its edges, which is how ``bv`` computes ``mu`` and reassembles a
+prime decomposition, ``wb`` computes ``mu_tilde`` and ``mapping`` ``xi``.
 
 ``Node`` is the one mutable working form, and it is only for rewriting.
 ``bv`` and ``wb`` rewrite their points on it (unit deletion, edge

@@ -638,8 +638,11 @@ def test_exit_code_1_with_witness_on_invalid_point(capsys, monkeypatch):
         ("end:2", [2, [0, 1, 1, 5]], [1, 2]),
         ("free:m=2:3", ["zz", ["l", 1], ["l", 2]], [1, 2]),
         ("free:m=2:3", ["m", ["l", 1], ["l", 1]], [1, 2]),
+        # no element of arity 4 under the bound 3
+        ("free:a=2:3", ["a", ["a", ["l", 1], ["l", 2]], ["a", ["l", 3], ["l", 4]]],
+         [1, 2, 3, 4]),
     ]:
-        bad = bv_to_json(iota(A, (2, 1)))
+        bad = bv_to_json(iota(A, tuple(range(len(sigma), 0, -1))))
         bad["labels"] = [label]
         bad["tree"]["sigma"] = sigma
         code, out, _ = run(

@@ -276,14 +276,14 @@ def test_no_nested_function_calls_itself():
 
 
 # Per module, the walks between a working form and a point, the cut of
-# both decompositions, the walks over a ``bv`` decomposition tree, the
-# ``repr`` that orders a bimodule point's labels, the validators of raw
-# points, and the tree writers and reader: each keeps its own stack, so
-# the depth of a tree is not bounded by the interpreter's recursion limit.
+# both decompositions, the walk that builds a ``bv`` decomposition's cut
+# tree, the ``repr`` that orders a bimodule point's labels, the validators
+# of raw points, and the tree writers and reader: each keeps its own stack,
+# so the depth of a tree is not bounded by the interpreter's recursion limit.
 ITERATIVE_WALKS = {
     "trees": {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
               "_tie_break", "settle", "cut", "__repr__"},
-    "bv": {"_validate_raw", "_split", "all_components", "bv_reassemble"},
+    "bv": {"_validate_raw", "bv_decompose"},
     "wb": {"_validate_raw"},
     "serialize": {"shape_to_json", "shape_from_json", "_tree_text", "_dot_walk"},
 }
@@ -308,6 +308,20 @@ def test_the_working_form_walks_do_not_recurse():
                                   for n in ast.walk(f) if _called(n) in own]
     assert found == ITERATIVE_WALKS
     assert recursive == []
+
+
+def test_a_bv_decomposition_is_a_decorated_planar_tree():
+    # its components sit on the vertices of a ``PlanarTree`` that
+    # ``trees.fold`` reassembles; no nested decomposition form and no split
+    # walk of its own is left in ``bv``
+    tree = ast.parse((PACKAGE / "bv.py").read_text())
+    names = {n.name for n in ast.walk(tree) if isinstance(n, DEFINITIONS)}
+    assert "_split" not in names
+    decomposition = next(n for n in tree.body
+                         if isinstance(n, ast.ClassDef) and n.name == "BVDecomposition")
+    slots = next(n.value for n in decomposition.body if isinstance(n, ast.Assign)
+                 and n.targets[0].id == "__slots__")
+    assert ast.literal_eval(slots) == ("shape", "components", "word")
 
 
 def test_one_reading_of_a_cell_index():

@@ -74,6 +74,7 @@ def test_stock_operads_satisfy_laws(op):
         ("free:m=2:3", ["m", ["l", 1], ["l", True]]),
         ("free:m=2:3", [["m"], ["l", 1], ["l", 2]]),
         ("free:m=2:3", []),
+        ("free:a=2:3", ["a", ["a", ["l", 1], ["l", 2]], ["a", ["l", 3], ["l", 4]]]),
     ],
 )
 def test_decoders_refuse_non_elements(name, data):

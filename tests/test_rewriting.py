@@ -398,11 +398,12 @@ def lowered_recursion_limit():
 
 def test_a_deep_comb_of_unit_lengths_decomposes_and_reassembles(lowered_recursion_limit):
     # every edge has length 1, so each vertex is a prime component of its
-    # own, nested one below the other in the decomposition tree
+    # own, and the cut tree is the comb itself
     n = LOW * 3 // 2
     op = operad_by_name("com")
     x = bv_normalize(raw_bv(op, _comb(n), (2,) * n, (F(1),) * (n - 1)))
     d = bv_decompose(x)
     comps = d.all_components()
     assert len(comps) == n and all(c == iota(op, 2) for c in comps)
+    assert d.shape == _comb(n) and d.word == x.tree.labels
     assert bv_reassemble(d) == x

@@ -113,7 +113,7 @@ def _masked(text: str) -> str:
 REPRS = {
     "Tree": "Tree(shape=(.(..)), labels=(3, 1, 2))",
     "BVPoint": "BVPoint(assoc, (.(..)), labels=((2, 1), (1, 2)), word=(3, 1, 2), params=('1',))",
-    "BVDecomposition": "BVDecomposition(component=BVPoint(assoc, (..), labels=((2, 1),), word=(1, 2), params=()), children=((2, BVDecomposition(component=BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()), children=(), word=())),), word=(3, 1, 2))",
+    "BVDecomposition": "BVDecomposition(shape=(.(..)), components=(BVPoint(assoc, (..), labels=((2, 1),), word=(1, 2), params=()), BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=())), word=(3, 1, 2))",
     "WBPoint": "WBPoint(assoc, (.(..)), heights=('0', '1/2'), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()), BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=())), word=(2, 1, 3))",
     "WBDecomposition": "WBDecomposition(gaps=[[WBPoint(assoc, (..), heights=('0',), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()),), word=(1, 2))], [WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,)), WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,)), WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,))]], cubes=[[WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,)), WBPoint(assoc, (..), heights=('1/2',), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()),), word=(1, 2))]], word=(2, 1, 3))",
     "UpsilonIndex": "UpsilonIndex(main=(..), aux=((..),))",
