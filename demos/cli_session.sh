@@ -26,7 +26,7 @@ operad-forge cells --k 3 --l 2 --nontrivial | python3 -c \
 
 echo
 echo "== contraction graph at stage (4,3), DOT header =="
-operad-forge --format dot graph --k 4 --l 3 | head -3
+operad-forge graph --k 4 --l 3 --format dot | head -3
 
 echo
 echo "== straightening deformation at u=1/4 =="

@@ -1,6 +1,9 @@
 """Command-line surface: JSON on stdin/stdout, DOT on demand, and the
 acceptance self-test.
 
+Each request has one spelling: the top level takes ``--operad`` and
+``--budget``, and every other option is on the commands that read it.
+
 Exit codes: 0 success, 1 validation failure (a JSON witness object is
 printed on standard output), 2 command-grammar or input-parse errors,
 including input nested too deeply to process and grading parameters
@@ -13,8 +16,8 @@ place that turns bad input into an exit-1 witness or an exit-2 message.
 The point commands read either resolution through ``_resolution`` and
 write their documents with its text writer (``serialize.bv_text`` or
 ``serialize.wb_text``), which keeps its own stack.  The grade commands
-(``cells``, ``graph``, ``reedy`` and ``export-dot --kind graph``) pass
-``_within_budget`` before anything is built.
+(``cells``, ``graph`` and ``reedy``) pass ``_within_budget`` before
+anything is built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from types import SimpleNamespace
 from typing import Any, Callable, Optional
@@ -110,18 +112,6 @@ def _refused(error: type, prefix: str, fn: Callable[[], Any], **witness: Any) ->
         raise error(f"{prefix}{exc}", **witness) from exc
 
 
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("OPERAD_FORGE_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliInputError(f"OPERAD_FORGE_BUDGET not an integer: {env!r}") from exc
-    return DEFAULT_BUDGET
-
-
 def _within_budget(args, k: int, l: int, noun: str, bound: Callable[[], int],
                    count: Callable[[], int]) -> int:
     """The count of grade ``(k, l)``, refused over the budget before
@@ -132,7 +122,7 @@ def _within_budget(args, k: int, l: int, noun: str, bound: Callable[[], int],
     ``l >= (budget + 2).bit_length()``.  Then ``bound()``, a closed-form
     lower bound on the count, exact at ``l = 2`` and worded "at least"
     otherwise.  Last ``count()``, the exact count."""
-    budget = _budget(args)
+    budget = args.budget
     if k < 1 or l < 1:
         raise CliInputError(f"--k and --l must be >= 1, got --k {k} --l {l}")
     if k > budget:
@@ -166,9 +156,9 @@ def _operad(args) -> Operad:
     budget is refused before anything is built: its unit alone lists ``N``
     values, and every cut of a bimodule point by height builds the unit."""
     op = _refused(CliInputError, "", lambda: operad_by_name(args.operad))
-    if isinstance(op, EndOperad) and op.size > (budget := _budget(args)):
+    if isinstance(op, EndOperad) and op.size > args.budget:
         raise CliValidationError(
-            f"operad size {op.size} exceeds budget {budget}", operad=op.name,
+            f"operad size {op.size} exceeds budget {args.budget}", operad=op.name,
         )
     return op
 
@@ -409,16 +399,17 @@ def _cmd_deloop(args) -> int:
     return 0
 
 
-def _graph(args, k: int, l: int):
+def _graph(args):
     """The contraction graph of grade ``(k, l)``, refused over the budget on
     its class count before any class is generated."""
+    k, l = args.k, args.l
     _within_budget(args, k, l, "class count", lambda: class_lower_bound(k, l),
                    lambda: class_count(k, l, require_nontrivial_main=True))
     return build_graph(k, l, graph_classes(k, l))
 
 
 def _cmd_graph(args) -> int:
-    g = _graph(args, args.k, args.l)
+    g = _graph(args)
     if args.level is not None:
         g = _refused(CliValidationError, "", lambda: subgraph_i(g, args.level),
                      level=args.level)
@@ -430,7 +421,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_reedy(args) -> int:
-    _write(reedy_text(_graph(args, args.k, args.l)) + "\n")
+    _write(reedy_text(_graph(args)) + "\n")
     return 0
 
 
@@ -459,21 +450,9 @@ def _cmd_homotopy_h(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    op, kind = _operad(args), args.kind
     data = _read_json(sys.stdin)
-
-    def render() -> str:
-        if kind == "tree":
-            return dot_tree(tree_from_json(data))
-        if kind == "graph":  # rebuild from the (k,l) recorded in the payload
-            k, l = data["k"], data["l"]
-            if type(k) is not int or type(l) is not int:
-                raise ValueError(f"k and l must be integers, got {k!r:.40}, {l!r:.40}")
-            return dot_graph(_graph(args, k, l))
-        r = _resolution(kind)
-        return r.dot(_point(r, op, data))
-
-    _write(_refused(CliValidationError, f"invalid payload for kind {kind!r}: ", render))
+    _write(_refused(CliValidationError, "invalid tree: ",
+                    lambda: dot_tree(tree_from_json(data))))
     return 0
 
 
@@ -523,10 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--operad", default="assoc",
                      help="assoc | com | end:<size> | free:g1=a1,...:<maxarity>")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--budget", type=int, default=None,
-                     help="enumeration cap (default from OPERAD_FORGE_BUDGET)")
-    top.add_argument("--format", choices=("json", "dot"), default="json")
+    top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="enumeration cap (default: %(default)s)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text, **defaults):
@@ -572,12 +549,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p = add("homotopy-h", _cmd_homotopy_h, "straightening homotopy at time u")
     p.add_argument("--u", required=True, help="rational time in [0,1], e.g. 1/3")
-    p = add("export-dot", _cmd_export_dot, "DOT rendering of a payload")
-    p.add_argument("--kind", choices=("tree", "bv", "wb", "graph"),
-                   default="tree")
+    add("export-dot", _cmd_export_dot, "DOT rendering of a tree (stdin JSON)")
     p = add("selftest", _cmd_selftest, "run the full acceptance suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=_finite_float, default=1.0,
                    help="shrink randomized sample counts (default: 1.0, full)")
+    for name in ("normalize-bv", "normalize-wb", "graph"):  # the commands that write DOT
+        sub.choices[name].add_argument("--format", choices=("json", "dot"), default="json")
     return top
 
 

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from .bv import BVPoint, raw_bv
 from .cells import ContractionGraph, ReedyData, TreeClass, UpsilonIndex
-from .operads import CubeConfig, Operad, operad_by_name
+from .operads import CubeConfig, Operad, identity_perm, operad_by_name
 from .trees import PlanarTree, Tree
 from .wb import WBPoint, raw_wb
 
@@ -110,14 +110,20 @@ def tree_to_json(t: Tree) -> dict:
     return out
 
 
-def tree_from_json(data: dict) -> Tree:
-    shape = shape_from_json(data)
-    sigma = data.get("sigma")
+def _tree_parts(data: dict) -> tuple[PlanarTree, tuple[int, ...]]:
+    """The shape and the leaf word of a tree document, the identity for no
+    ``sigma``.  The word is checked to hold integers only: the ``Tree``
+    built from it checks, once, that it is a permutation."""
+    shape, sigma = shape_from_json(data), data.get("sigma")
     if sigma is None:
-        sigma = list(range(1, shape.n_leaves + 1))
+        return shape, identity_perm(shape.n_leaves)
     if not isinstance(sigma, list) or any(type(v) is not int for v in sigma):
         raise ValueError(f"sigma must be a list of integers, got {sigma!r:.40}")
-    return Tree(shape, tuple(sigma))
+    return shape, tuple(sigma)
+
+
+def tree_from_json(data: dict) -> Tree:
+    return Tree(*_tree_parts(data))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +146,12 @@ def bv_to_json(p: BVPoint) -> dict:
 def bv_from_json(data: dict, operad: Optional[Operad] = None) -> BVPoint:
     if operad is None:
         operad = operad_by_name(data["operad"])
-    tree = tree_from_json(data["tree"])
+    shape, word = _tree_parts(data["tree"])
     labels = tuple(operad.decode(x) for x in data["labels"])
-    n_v = tree.shape.n_vertices
     params = tuple(
-        parse_frac(data["edgeParams"][str(v)]) for v in range(1, n_v)
+        parse_frac(data["edgeParams"][str(v)]) for v in range(1, shape.n_vertices)
     )
-    return raw_bv(operad, tree.shape, labels, params, tree.labels)
+    return raw_bv(operad, shape, labels, params, word)
 
 
 def wb_to_json(p: WBPoint) -> dict:
@@ -163,10 +168,10 @@ def wb_to_json(p: WBPoint) -> dict:
 def wb_from_json(data: dict, operad: Optional[Operad] = None) -> WBPoint:
     if operad is None:
         operad = operad_by_name(data["operad"])
-    tree = tree_from_json(data["tree"])
+    shape, word = _tree_parts(data["tree"])
     heights = tuple(parse_frac(v["t"]) for v in data["vertices"])
     labels = tuple(bv_from_json(v["bv"], operad) for v in data["vertices"])
-    return raw_wb(operad, tree.shape, labels, heights, tree.labels)
+    return raw_wb(operad, shape, labels, heights, word)
 
 
 def _tree_text(t: Tree) -> str:

@@ -596,9 +596,9 @@ def canonicalize(root: Node, act, key) -> tuple:
     - A vertex whose child encodings already increase strictly keeps its
       kids and its label, with no action.  The identity fixes every label
       the pass sees: an operad label is its operad's canonical
-      representative (the ``Operad`` contract; ``raw_bv`` acts on caller
-      data by the identity once), and a bimodule label is a normal form,
-      which ``bv_act`` returns unchanged under the identity.
+      representative (the ``Operad`` contract; ``raw_bv`` stores caller
+      data as ``Operad.canonical`` of it), and a bimodule label is a
+      normal form, which ``bv_act`` returns unchanged under the identity.
     - Only a leafless subtree's label is keyed; a subtree that holds a leaf
       has ``label_key`` ``None``.  Leaf inputs are distinct, so such a
       subtree differs from each of its siblings in its child encodings

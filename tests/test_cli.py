@@ -54,7 +54,7 @@ def test_normalize_bv_dot_format(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         monkeypatch,
-        ["--format", "dot", "normalize-bv"],
+        ["normalize-bv", "--format", "dot"],
         dumps(bv_to_json(p)),
     )
     assert code == 0 and out.startswith("digraph")
@@ -123,24 +123,42 @@ def test_graph_counts_and_dot(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         monkeypatch,
-        ["--format", "dot", "graph", "--k", "4", "--l", "3"],
+        ["graph", "--k", "4", "--l", "3", "--format", "dot"],
     )
     assert code == 0 and out.count("->") == 41
 
 
-def test_budget_flag_and_env(capsys, monkeypatch):
+def test_budget_flag(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         monkeypatch,
         ["--budget", "5", "graph", "--k", "4", "--l", "3"],
     )
     assert code == 1 and "exceeds budget" in json.loads(out)["error"]
+
+
+def test_each_option_is_on_the_commands_that_read_it(capsys, monkeypatch):
+    # the top level takes --operad and --budget only; --format is an option
+    # of normalize-bv, normalize-wb and graph, export-dot renders a tree,
+    # and no environment variable sets the budget
+    def options(parser):
+        return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+    top = cli._build_parser()
+    assert options(top) == {"--operad", "--budget"}
+    commands = next(a for a in top._actions if a.dest == "command").choices
+    for option, readers in (("--format", {"normalize-bv", "normalize-wb", "graph"}),
+                            ("--seed", {"selftest"}), ("--kind", {"prime", "filtration"})):
+        assert {name for name, p in commands.items() if option in options(p)} == readers
+    for argv in (["cells", "--k", "3", "--l", "2", "--format", "dot"],
+                 ["--format", "dot", "graph", "--k", "3", "--l", "2"],
+                 ["--seed", "7", "cells", "--k", "3", "--l", "2"],
+                 ["export-dot", "--kind", "graph"]):
+        code, out, err = run(capsys, monkeypatch, argv, '{"k":3,"l":2}')
+        assert (code, out) == (2, "") and "\noperad-forge: error: " in err
     monkeypatch.setenv("OPERAD_FORGE_BUDGET", "5")
-    code, out, _ = run(capsys, monkeypatch, ["graph", "--k", "4", "--l", "3"])
-    assert code == 1
-    monkeypatch.setenv("OPERAD_FORGE_BUDGET", "bogus")
-    code, _, err = run(capsys, monkeypatch, ["graph", "--k", "4", "--l", "3"])
-    assert code == 2 and "OPERAD_FORGE_BUDGET" in err
+    code, out, err = run(capsys, monkeypatch, ["graph", "--k", "4", "--l", "3"])
+    assert (code, err) == (0, "") and len(json.loads(out)["classes"]) == 63
 
 
 def _refuse_to_run(*args, **kwargs):
@@ -154,13 +172,11 @@ GRADE_WORK = {
     "cells": {"census_size", "generate_classes"},
     "graph": {"class_count", "graph_classes", "build_graph"},
     "reedy": {"class_count", "graph_classes", "build_graph"},
-    "export-dot": {"class_count", "graph_classes", "build_graph"},
 }
 UNDER_BUDGET = {
     "cells": (["cells", "--k", "3", "--l", "2"], ""),
     "graph": (["graph", "--k", "3", "--l", "3"], ""),
     "reedy": (["reedy", "--k", "3", "--l", "3"], ""),
-    "export-dot": (["export-dot", "--kind", "graph"], '{"k":3,"l":3}'),
 }
 
 
@@ -186,7 +202,6 @@ def _refuse_to_run_in(capsys, monkeypatch, argv, names):
 
 
 def test_cells_budget_is_checked_before_enumerating(capsys, monkeypatch):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     argv = ["cells", "--k", "8", "--l", "8"]
     _refuse_to_run_in(capsys, monkeypatch, argv, ["generate_classes"])
     code, out, _ = run(capsys, monkeypatch, argv)
@@ -208,23 +223,6 @@ def test_graph_budget_is_checked_before_contracting(
     assert out == '{"error":"class count at least 28 exceeds budget 10","k":4,"l":3}\n'
 
 
-def test_export_dot_graph_is_under_the_budget(capsys, monkeypatch):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
-    argv = ["export-dot", "--kind", "graph"]
-    _refuse_to_run_in(capsys, monkeypatch, argv, ["build_graph", "graph_classes"])
-    code, out, _ = run(capsys, monkeypatch, ["--budget", "10", *argv], '{"k":4,"l":3}')
-    assert code == 1
-    assert out == '{"error":"class count at least 28 exceeds budget 10","k":4,"l":3}\n'
-    code, out, err = run(capsys, monkeypatch, argv, '{"k":0,"l":3}')
-    assert code == 2 and out == ""
-    assert err.startswith("operad-forge: --k and --l must be >= 1")
-    for payload in ('{"k":"x","l":3}', '{"k":1e400,"l":2}', '{"k":Infinity,"l":2}',
-                    '{"k":2.7,"l":true}', '{"k":4,"l":3.0}', '{"k":"4","l":3}'):
-        code, out, _ = run(capsys, monkeypatch, argv, payload)
-        assert code == 1
-        assert json.loads(out)["error"].startswith("invalid payload for kind 'graph'")
-
-
 HUGE = 10**15
 
 
@@ -235,13 +233,11 @@ HUGE = 10**15
         (["cells", "--k", str(HUGE), "--l", "1"], "", 1),
         (["graph", "--k", str(HUGE), "--l", "1"], "", 1),
         (["reedy", "--k", str(HUGE), "--l", "2"], "", 2),
-        (["export-dot", "--kind", "graph"], f'{{"k":{HUGE},"l":2}}', 2),
     ],
 )
 def test_huge_grades_are_refused_before_counting(
     capsys, monkeypatch, argv, stdin, l
 ):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     _refuse_to_run_in(capsys, monkeypatch, argv,
                       ["census_size", "class_count", "generate_classes", "graph_classes"])
     start = time.perf_counter()
@@ -265,7 +261,6 @@ def test_huge_grades_are_refused_before_counting(
 )
 def test_huge_census_is_refused_before_counting(capsys, monkeypatch, argv, witness):
     # k passes its own check, and the closed-form census bound refuses
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     _refuse_to_run_in(capsys, monkeypatch, argv, ["census_size", "generate_classes"])
     start = time.perf_counter()
     code, out, err = run(capsys, monkeypatch, argv)
@@ -280,12 +275,10 @@ def test_huge_census_is_refused_before_counting(capsys, monkeypatch, argv, witne
     [
         (["graph", "--k", "200000", "--l", "2"], ""),
         (["reedy", "--k", "200000", "--l", "2"], ""),
-        (["export-dot", "--kind", "graph"], '{"k":200000,"l":2}'),
     ],
 )
 def test_huge_class_count_is_refused_before_counting(capsys, monkeypatch, argv, stdin):
     # k passes its own check, and at l = 2 the closed form k + 1 refuses
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     _refuse_to_run_in(capsys, monkeypatch, argv, ["class_count", "graph_classes", "build_graph"])
     start = time.perf_counter()
     code, out, err = run(capsys, monkeypatch, argv, stdin)
@@ -302,14 +295,12 @@ def test_huge_class_count_is_refused_before_counting(capsys, monkeypatch, argv, 
     [
         (["graph"], ""),
         (["reedy"], ""),
-        (["export-dot", "--kind", "graph"], '{{"k":{k},"l":{l}}}'),
     ],
 )
 def test_class_bound_refuses_before_counting_at_l_3_and_above(
     capsys, monkeypatch, argv, stdin, k, l, bound
 ):
     # the exact count at (4000, 3) took seconds; the path bound refuses first
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     _refuse_to_run_in(capsys, monkeypatch, argv, ["class_count", "graph_classes", "build_graph"])
     if not stdin:
         argv = [*argv, "--k", str(k), "--l", str(l)]
@@ -329,11 +320,9 @@ def test_class_bound_refuses_before_counting_at_l_3_and_above(
         (["cells", "--k", "3", "--l", "1000000000"], ""),
         (["graph", "--k", "3", "--l", "1000000000"], ""),
         (["reedy", "--k", "3", "--l", "1000000000"], ""),
-        (["export-dot", "--kind", "graph"], '{"k":3,"l":1000000000}'),
     ],
 )
 def test_huge_l_is_refused_before_counting(capsys, monkeypatch, argv, stdin):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     _refuse_to_run_in(capsys, monkeypatch, argv,
                       ["census_size", "class_count", "generate_classes", "graph_classes"])
     code, out, err = run(capsys, monkeypatch, argv, stdin)
@@ -370,7 +359,7 @@ def _no_census(*args, **kwargs):
         (["cells", "--k", "3", "--l", "2", "--nontrivial"], "", 4),
         (["graph", "--k", "4", "--l", "3"], "", 63),
         (["reedy", "--k", "4", "--l", "3"], "", None),
-        (["export-dot", "--kind", "graph"], '{"k":4,"l":3}', None),
+        (["graph", "--k", "4", "--l", "3", "--format", "dot"], "", None),
         (["graph", "--k", "300", "--l", "2"], "", 301),
         (["cells", "--k", "400", "--l", "2"], "", 802),
         (["cells", "--k", "900", "--l", "1"], "", 1),
@@ -378,13 +367,11 @@ def _no_census(*args, **kwargs):
         (["--budget", "10", "reedy", "--k", "4", "--l", "3"], "", None),
         (["graph", "--k", "4", "--l", "3", "--level", "5"], "", None),
         (["reedy", "--k", "0", "--l", "3"], "", None),
-        (["export-dot", "--kind", "graph"], '{"k":4}', None),
     ],
 )
 def test_cell_complex_commands_build_no_census(
     capsys, monkeypatch, argv, stdin, classes
 ):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     census_api = (cells.enumerate_upsilon, cells.classify)
     for name, module in list(sys.modules.items()):
         if module is not None and name.split(".")[0] == "operad_forge":
@@ -787,7 +774,6 @@ def test_end_operad_over_the_budget_is_refused_before_it_is_built(
     capsys, monkeypatch, argv, payload
 ):
     # end:N's unit lists N values; N is compared with the budget first
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     monkeypatch.setattr(EndOperad, "unit", _refuse_to_run)
     name = "end:1000000000000"
     start = time.perf_counter()
@@ -800,15 +786,11 @@ def test_end_operad_over_the_budget_is_refused_before_it_is_built(
         '{"error":"operad size 1000000000000 exceeds budget 200000",'
         f'"operad":"{name}"}}\n'
     )
-    monkeypatch.setenv("OPERAD_FORGE_BUDGET", "bogus")
-    code, out, err = run(capsys, monkeypatch, ["--operad", "end:2", *argv], "{}")
-    assert (code, out) == (2, "") and "OPERAD_FORGE_BUDGET" in err
 
 
 @pytest.mark.parametrize("argv, payload", END_COMMANDS)
 @pytest.mark.parametrize("size", [2, 200000])
 def test_end_operad_within_the_budget_runs(capsys, monkeypatch, argv, payload, size):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     code, out, err = run(
         capsys, monkeypatch, ["--operad", f"end:{size}", *argv],
         dumps(payload(_end_point(size))),

@@ -1,4 +1,4 @@
-"""The command line's bytes over a fixed corpus of about 340 requests through
+"""The command line's bytes over a fixed corpus of about 330 requests through
 ``cli.main``: every point command on both resolutions, fed valid, malformed
 and invalid payloads, with kernel files, cubes, ``homotopy-h`` and a few
 small grades.  The exit codes, stdout and stderr of each command's requests
@@ -125,7 +125,7 @@ def _grade_requests() -> list[tuple[str, list[str], str]]:
         ["cells", "--k", "3", "--l", "2", "--nontrivial"],
         ["--budget", "10", "cells", "--k", "4", "--l", "3"],
         ["graph", "--k", "3", "--l", "2"],
-        ["--format", "dot", "graph", "--k", "3", "--l", "2"],
+        ["graph", "--k", "3", "--l", "2", "--format", "dot"],
         ["graph", "--k", "3", "--l", "2", "--level", "1"],
         ["graph", "--k", "3", "--l", "2", "--level", "9"],
         ["reedy", "--k", "3", "--l", "2"],
@@ -133,12 +133,7 @@ def _grade_requests() -> list[tuple[str, list[str], str]]:
         ["--budget", "3", "reedy", "--k", "4", "--l", "2"],
         ["graph", "--k", "0", "--l", "2"],
     ]
-    out = [("grade", argv, "") for argv in argvs]
-    for payload in ('{"k":3,"l":2}', '{"k":3}', '{"k":4,"l":2.0}', "[3, 2]"):
-        out.append(("grade", ["export-dot", "--kind", "graph"], payload))
-    out.append(("grade", ["--budget", "3", "export-dot", "--kind", "graph"],
-                '{"k":4,"l":2}'))
-    return out
+    return [("grade", argv, "") for argv in argvs]
 
 
 def _points(rng, op, draw, low) -> list:
@@ -173,7 +168,8 @@ def _point_requests(i: int, name: str) -> list[tuple[str, list[str], str]]:
         image = "mu" if side == "bv" else "mu-tilde"
         for p in pts + broken:
             add(f"normalize-{side}", [f"normalize-{side}"], p)
-        add(f"normalize-{side}", ["--format", "dot", f"normalize-{side}"], pts[1])
+        for p in (pts[1], broken[-2]):
+            add(f"normalize-{side}", [f"normalize-{side}", "--format", "dot"], p)
         for p in pts + broken[-2:]:
             add(image, [image], p)
         for p in pts + broken[1::5]:
@@ -182,10 +178,8 @@ def _point_requests(i: int, name: str) -> list[tuple[str, list[str], str]]:
             opts = ["--k", str(k)] + ([] if l is None else ["--l", str(l)])
             add(f"filtration {side}", ["filtration", "--kind", side, *opts], pts[i % 2])
         add(f"filtration {side}", ["filtration", "--kind", side, "--k", "2"], broken[-1])
-        for p in (pts[1], broken[-2]):
-            add(f"export-dot {side}", ["export-dot", "--kind", side], p)
-    add("export-dot tree", ["export-dot", "--kind", "tree"], bv[0]["tree"])
-    add("export-dot tree", ["export-dot", "--kind", "tree"], {"node": 3})
+    add("export-dot", ["export-dot"], bv[0]["tree"])
+    add("export-dot", ["export-dot"], {"node": 3})
 
     for slot in ("1", "0", "9"):
         add("compose-bv", ["compose-bv", "--slot", slot], {"x": bv[0], "y": bv[1]})
@@ -244,25 +238,27 @@ def _digests(requests) -> dict[str, str]:
     return {group: h.hexdigest() for group, h in hashes.items()}
 
 
-# Recorded before the CLI was routed through one request path.
+# Recorded before the CLI was routed through one request path.  The
+# ``export-dot``, ``grade``, ``normalize-bv`` and ``normalize-wb`` digests
+# were recorded again when each request got one spelling (a record holds
+# the argv): each request gave the bytes of its old spelling, but for a
+# refusal that ``export-dot`` prefixed ``invalid payload for kind ...: ``.
 RECORDED = {
     "act": "94b3c8086a31bfcc59cfc7caeae77abd26a56779912a628e053caa889d0e030b",
     "bimod-left": "42b89d8bb0a1508b50ae6c52c8307b2017add6b71279bd06c5edec7d1572d0e2",
     "bimod-right": "4fa5c0781dd4beb154d5d800ea11e734ac60767a61c9fcdb85bf9d5160e0740b",
     "compose-bv": "4f4ae4026c07d8f957052a194f970aa376eedbc49972c6277199550c6e6b6da4",
     "deloop": "9cfa59a009b54c17d8241516dc98aab4f601851699f1077d4fc0ca506d888eb6",
-    "export-dot bv": "c874e116e5d5705972ea24c6af5675f816590782b6a3f9c84e0c6bc18375e14f",
-    "export-dot tree": "b2b6b491c815f0f61fa3ae177d0923e86f5d200289183d591a79fa5b396d63f1",
-    "export-dot wb": "7cfc49b12a37d6eacd8a84b19b3b133e0cccbb6bf35e94b0e303357e65df92f7",
+    "export-dot": "59bb66c0efd899dbdcca6b485e49c85582897b2d93eb5a5348e776314c806bfa",
     "filtration bv": "00f654560afaabafda5f67568551af9b02afaeae86fba9d21070d6d63232062b",
     "filtration wb": "b1b26c80d81b7ea0eb6d40fc851cc07b7e512e19cc3b476ced68fadfe3108289",
-    "grade": "16f817180ce77baa531f1b6955803d497ffebefdef1481aea34a5d42a9ea8af1",
+    "grade": "23d55374bc9435556d9bf4203dd5ea9d4c79ab259d22da784b1823543f6a434e",
     "homotopy-h": "3a14b2cbfdfdab247db88cf5acbfd2de8b8b950c003b3dc698a0fa1c618aec17",
     "kernel": "fad86824892e78667f8a24e4d5e3274144b93caf80dc3d82fc7165c32ed20e74",
     "mu": "0e592ba59ab109c64436264c3d4e5075978e31e3b9aa89a6bdf18d573cf1996c",
     "mu-tilde": "e2385faf020ec2536362809056b53851eb2d3ae1ee0bb350d4b8a44f7e9f513b",
-    "normalize-bv": "8e233a6685ba78559e17ce560306cf79cdfe83d838ef6902460ac1d936f8f660",
-    "normalize-wb": "15048f8c71954e3a3a4c7c08af38ddd04b3272b8886ae00839c92a26d1ecbd22",
+    "normalize-bv": "2d87a347ff6f183c9d2901cd20629d7ae3d2626b04a1e1aca9f38e1615ae0aed",
+    "normalize-wb": "b5d79ce4d0cbe063943b27a9823053ae20c68e3350cd9364aeccaf19f24d2aca",
     "operad": "71652b32e07e422ee497aaa2ae0415b0e4209d1683be909ff6453e2dbd8a6478",
     "prime bv": "e4369ddeae96b890ca15d569805c1ca51d20b41c2960e3c38723c4b56e0d09e2",
     "prime wb": "9a367b4a6e7ec5238f4361a6921472f7a944b4ef84e1477f0167088858663994",
@@ -270,7 +266,6 @@ RECORDED = {
 
 
 def test_cli_bytes_match_the_recorded_digests(monkeypatch, tmp_path):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     _kernel_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     requests = corpus()
@@ -304,7 +299,6 @@ GRADE_PINS = {
 
 @pytest.mark.parametrize("command", sorted(GRADE_PINS))
 def test_grade_outputs_keep_their_bytes(monkeypatch, command):
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     got = hashlib.sha256(_stdout(command.split()).encode()).hexdigest()
     assert got == GRADE_PINS[command]
 
@@ -312,7 +306,6 @@ def test_grade_outputs_keep_their_bytes(monkeypatch, command):
 def test_reedy_decodes_and_contracts_no_index(monkeypatch):
     # the graph is built on the class keys, and reedy writes no
     # representative; cells, which writes every one, is the control
-    monkeypatch.delenv("OPERAD_FORGE_BUDGET", raising=False)
     calls = {"_decode": 0, "contract_main_edge": 0}
     for name in calls:
         original = getattr(cells, name)

@@ -4,9 +4,8 @@ exits 0, or 1 with a JSON object on stdout, or 2 with an ``operad-forge:``
 message on stderr and nothing on stdout; ``main`` never raises.
 
 The inputs are bounded so that every example is quick: points come from
-small seeded samples (vertex widths at most 6), replaced integers are small
-or far over the budget, and a graph payload keeps its grade at most
-(5, 4) unless its ``k`` is over the budget."""
+small seeded samples (vertex widths at most 6), and replaced integers are
+small or far over the budget."""
 
 import io
 import json
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from operad_forge.bv import bv_normalize
 from operad_forge.cells import UpsilonIndex
-from operad_forge.cli import DEFAULT_BUDGET, main
+from operad_forge.cli import main
 from operad_forge.operads import operad_by_name
 from operad_forge.sampling import random_bv, random_wb
 from operad_forge.serialize import bv_to_json, upsilon_to_json, wb_to_json
@@ -60,10 +59,9 @@ def _bases(name: str, seed: int) -> list[tuple[list[str], object]]:
         (["homotopy-h", "--u", "1/4"],
          {"index": upsilon_to_json(_PATH2), "heights": ["0", "1/2"],
           "auxParams": [[], []]}),
-        (["export-dot", "--kind", "tree"], bv[0]["tree"]),
-        (["export-dot", "--kind", "bv"], bv[1]),
-        (["export-dot", "--kind", "wb"], wb[1]),
-        (["export-dot", "--kind", "graph"], {"k": 4, "l": 3}),
+        (["export-dot"], bv[0]["tree"]),
+        (["normalize-bv", "--format", "dot"], bv[1]),
+        (["normalize-wb", "--format", "dot"], wb[1]),
     ]
 
 
@@ -83,7 +81,7 @@ values = st.recursive(
     scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["node", "children", "leaf", "sigma", "t",
-                                       "bv", "x", "k", "l"]) | st.text(max_size=3),
+                                       "bv", "x"]) | st.text(max_size=3),
                       inner, max_size=3),
     max_leaves=8,
 )
@@ -128,17 +126,6 @@ def _get(doc, path):
     return doc
 
 
-def _grade_is_bounded(doc) -> bool:
-    """A graph payload's grade is at most (5, 4), or its ``k`` is over the
-    budget (and refused before anything is counted)."""
-    if not isinstance(doc, dict):
-        return True
-    k, l = doc.get("k"), doc.get("l")
-    if type(k) is not int or type(l) is not int:
-        return True
-    return k > DEFAULT_BUDGET or (k <= 5 and l <= 4)
-
-
 def _run(argv, stdin: str):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -160,10 +147,7 @@ def test_mutated_payloads_keep_the_contract(name, argv, payload, data):
     doc = json.loads(json.dumps(payload))
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(data, doc)
-    if argv[-1] == "graph" and not _grade_is_bounded(doc):
-        doc["k"], doc["l"] = min(doc["k"], 5), min(doc["l"], 4)
-    budget = ["--budget", str(DEFAULT_BUDGET)]
-    code, out, err = _run([*budget, "--operad", name, *argv], json.dumps(doc))
+    code, out, err = _run(["--operad", name, *argv], json.dumps(doc))
     if code == 0:
         assert out and err == ""
     elif code == 1:
