@@ -14,8 +14,10 @@ same rules in a random order instead, one redex at a time; the tests check
 the pass against that order.
 
 A point is the composite of its prime components along its length-1 edges:
-its decomposition is a planar tree decorated by them, which ``trees.fold``
-reassembles by ``bv_compose`` as it evaluates ``mu`` by the operad's.
+its decomposition is a planar tree decorated by them (``trees.Decomposition``,
+cut by ``trees.decompose`` as the bimodule resolution's is), which
+``trees.fold`` reassembles by ``bv_compose`` as it evaluates ``mu`` by the
+operad's.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Any, Optional
 
 from .operads import Operad, Perm, identity_perm
 from .trees import (
+    Decomposition,
     Node,
     PlanarTree,
     Tree,
@@ -35,6 +38,7 @@ from .trees import (
     canonicalize,
     corolla,
     cut,
+    decompose,
     fold,
     from_nodes,
     graft_input,
@@ -301,57 +305,21 @@ def bv_is_prime(x: BVPoint) -> bool:
     return all(t < 1 for t in x.params)
 
 
-class BVDecomposition(Value):
-    """A prime decomposition: a planar tree decorated by points.
-    ``components[v]`` is the prime component at preorder vertex ``v`` of
-    the cut tree ``shape``, and the child at slot ``p`` of a vertex is
-    grafted at input ``p`` of that vertex's component; ``word`` is the leaf
-    word of the original point (acted by on reassembly)."""
-
-    __slots__ = ("shape", "components", "word")
-
-    def __init__(self, shape: PlanarTree, components: tuple[BVPoint, ...], word: Perm):
-        self.shape = shape
-        self.components = components
-        self.word = word
-
-    def all_components(self) -> list[BVPoint]:
-        """The components in preorder."""
-        return list(self.components)
-
-
-def bv_decompose(x: BVPoint) -> BVDecomposition:
+def bv_decompose(x: BVPoint) -> Decomposition:
     """Cut every length-1 edge of the canonical planar representative, whose
-    leaf word is acted by on reassembly.  The pieces are cut and normalized
-    in preorder; a piece's leaves, in planar order, are its vertex's slots
-    in the cut tree, which is built as ``from_nodes`` builds a shape, each
-    piece waiting on a stack as ``(kids left, slots so far)``."""
+    leaf word is acted by on reassembly.  ``trees.decompose`` cuts the
+    pieces in preorder, and each is normalized."""
     x = bv_normalize(x)
-    operad, components = x.operad, []
 
     def piece(top: Node) -> tuple:
         comp, dangling = cut(top, lambda c: c.t < 1)
         comp.t = None
-        components.append(_normal(operad, comp))
-        return iter(dangling), []
+        return _normal(x.operad, comp), dangling
 
-    stack = [piece(_nodes(x))]
-    while True:
-        dangling, slots = stack[-1]
-        for c in dangling:
-            if isinstance(c, Node):
-                stack.append(piece(c))
-                break
-            slots.append(None)
-        else:
-            stack.pop()
-            shape = PlanarTree(tuple(slots))
-            if not stack:
-                return BVDecomposition(shape, tuple(components), x.tree.labels)
-            stack[-1][1].append(shape)
+    return Decomposition(*decompose(_nodes(x), piece), x.tree.labels)
 
 
-def bv_reassemble(d: BVDecomposition) -> BVPoint:
+def bv_reassemble(d: Decomposition) -> BVPoint:
     """Graft the components back along the cut tree, each new edge at length
     1 (the fold of ``d.shape`` by ``bv_compose``, which fills a vertex's
     highest input first), then act by the leaf word."""

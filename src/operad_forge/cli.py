@@ -6,8 +6,8 @@ Each request has one spelling: the top level takes ``--operad`` and
 
 Exit codes: 0 success, 1 validation failure (a JSON witness object is
 printed on standard output), 2 command-grammar or input-parse errors,
-including input nested too deeply to process and grading parameters
-below 1.
+including input nested too deeply to process and a ``--k`` or ``--l``
+below 1 for ``cells``, ``graph`` or ``reedy``.
 
 Every command takes one request path.  ``_operad`` resolves ``--operad``
 first (an ``end:N`` with ``N`` over the budget is refused there), then the

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -438,9 +439,14 @@ class FreeTruncOperad(Operad):
         return (d[0],) + tuple(self._dec(c, leaves) for c in d[1:])
 
 
+_FREE_NAME = re.compile(r"free:((?:[^:,=]+=-?[0-9]+,)*[^:,=]+=-?[0-9]+):([0-9]+)")
+
+
 def operad_by_name(name: str) -> Operad:
     """Resolve the CLI operad grammar: ``assoc`` | ``com`` | ``end:<size>``
-    | ``free:g1=a1,g2=a2:<maxarity>``."""
+    | ``free:g1=a1,g2=a2:<maxarity>``.  A ``free`` name off that grammar,
+    or with a bound below the unit's arity 1, is refused with one message
+    that names it."""
     if name == "assoc":
         return AssocOperad()
     if name == "com":
@@ -448,7 +454,13 @@ def operad_by_name(name: str) -> Operad:
     if name.startswith("end:"):
         return EndOperad(int(name.split(":", 1)[1]))
     if name.startswith("free:"):
-        _, gens, bound = name.split(":")
+        match = _FREE_NAME.fullmatch(name)
+        if match is None or int(match[2]) < 1:
+            raise ValueError(
+                f"operad {name!r} is not free:<name>=<arity>,...:<max arity> with "
+                "non-empty names, integer arities and max arity >= 1"
+            )
+        gens, bound = match.groups()
         generators = {}
         for part in gens.split(","):
             g, a = part.split("=")

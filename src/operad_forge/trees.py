@@ -23,8 +23,10 @@ with equal encodings, an iterated product of symmetric groups (Polya 1937).
 glued tree of a cell index; neither lists the isomorphisms themselves.
 
 Evaluation folds the planar tree: ``fold`` composes per-vertex values
-along its edges, which is how ``bv`` computes ``mu`` and reassembles a
-prime decomposition, ``wb`` computes ``mu_tilde`` and ``mapping`` ``xi``.
+along its edges, which is how ``bv`` computes ``mu``, ``wb`` ``mu_tilde``
+and ``mapping`` ``xi``.  A prime decomposition of either resolution is such
+a tree too (``Decomposition``): ``decompose`` cuts a point into pieces in
+one walk, and the fold of the pieces by a graft reassembles it.
 
 ``Node`` is the one mutable working form, and it is only for rewriting.
 ``bv`` and ``wb`` rewrite their points on it (unit deletion, edge
@@ -220,6 +222,25 @@ def fold(shape: PlanarTree, values, compose):
         parent, slot = parents[v]
         values[parent] = compose(values[parent], slot, values[v])
     return values[0]
+
+
+class Decomposition(Value):
+    """A prime decomposition of a point of either resolution: the piece
+    ``components[v]`` at preorder vertex ``v`` of the cut tree ``shape``,
+    whose slot ``p`` is grafted at input ``p`` of that piece, and the leaf
+    ``word`` acted by on reassembly.  The constructor checks nothing, like
+    the point constructors."""
+
+    __slots__ = ("shape", "components", "word")
+
+    def __init__(self, shape: PlanarTree, components: tuple, word: tuple[int, ...]):
+        self.shape = shape
+        self.components = components
+        self.word = word
+
+    def all_components(self) -> list:
+        """The components in preorder."""
+        return list(self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +451,11 @@ def leaf_slots(root: Node) -> list[tuple[Node, int]]:
     return out
 
 
-def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> None:
+def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> Node:
     """Put ``scion`` at the leaf of ``root`` that carries input ``i`` of its
     leaf ``word``, and write along the leaves ``scion_word`` substituted
-    into ``word`` at ``i`` (composition in the symmetric-groups operad)."""
+    into ``word`` at ``i`` (composition in the symmetric-groups operad).
+    Returns the vertex that ``scion`` is grafted onto."""
     if not 1 <= i <= len(word):
         raise IndexError(f"input {i} out of range 1..{len(word)}")
     slots = leaf_slots(root)
@@ -443,6 +465,7 @@ def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> None:
     slots[k : k + 1] = leaf_slots(scion)  # the leaves after the graft
     for (n, s), w in zip(slots, AssocOperad().compose(word, i, scion_word)):
         n.kids[s - 1] = w
+    return node
 
 
 def contract(parent: Node, slot: int, compose) -> None:
@@ -529,6 +552,35 @@ def cut(node: Node, keep) -> tuple[Node, list]:
         else:
             stack.pop()
     return root, dangling
+
+
+def decompose(root: Node, piece) -> tuple[PlanarTree, tuple]:
+    """The cut tree of the working form at ``root`` and its components, cut
+    in preorder.  ``piece(top)`` cuts the piece topped by ``top`` into its
+    component and the kids dangling at its leaves, in planar order: a
+    dangling vertex tops the piece in that slot, a leaf leaves it empty.
+    The tree is built as ``from_nodes`` builds a shape."""
+    components = []
+
+    def cut_piece(top: Node) -> tuple:
+        component, dangling = piece(top)
+        components.append(component)
+        return iter(dangling), []
+
+    stack = [cut_piece(root)]
+    while True:
+        dangling, slots = stack[-1]
+        for c in dangling:
+            if isinstance(c, Node):
+                stack.append(cut_piece(c))
+                break
+            slots.append(None)
+        else:
+            stack.pop()
+            shape = PlanarTree(tuple(slots))
+            if not stack:
+                return shape, tuple(components)
+            stack[-1][1].append(shape)
 
 
 def act_on_word(x, sigma, nodes, rewrite, present):

@@ -12,9 +12,13 @@ in one bottom-up pass, settling each child and then resolving it against
 its parent; ``rng`` picks a random order of single redexes under the same
 rules instead, which the tests check the pass against.
 
-Points are cut by height in one way, ``subdivide``: along the gap and cube
-bands of an interval configuration, with ``reassemble_bands`` as its
-inverse.  Prime decomposition is that cut along the unit cube.
+A point is the composite of its maximal pieces of one height band, {0},
+]0,1[ or {1}; the pieces inside ]0,1[ are its prime components.  Its
+decomposition is a planar tree decorated by the pieces, as in ``bv``
+(``trees.Decomposition``, cut by ``trees.decompose``), which ``trees.fold``
+reassembles by the graft of ``bv_compose`` with no new edge length.
+``subdivide`` cuts a point along the gap and cube bands of an interval
+configuration instead, for ``mapping.alpha``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 from random import Random
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .bv import (
     BVPoint,
@@ -35,8 +39,9 @@ from .bv import (
     iota,
     mu,
 )
-from .operads import CubeConfig, Operad, Perm, gaps, identity_perm, unit_cube
+from .operads import CubeConfig, Operad, Perm, gaps, identity_perm
 from .trees import (
+    Decomposition,
     Node,
     PlanarTree,
     Tree,
@@ -45,10 +50,10 @@ from .trees import (
     canonicalize,
     corolla,
     cut,
+    decompose,
     fold,
     from_nodes,
     graft_input,
-    leaf_slots,
     rewrite_fixpoint,
     settle,
     to_nodes,
@@ -64,9 +69,8 @@ class WBPoint(Value):
     decorate preorder main-tree vertex ``v``; ``tree.labels`` is the leaf
     word of the main tree.
 
-    The constructor checks nothing: caller data enters through ``raw_wb``
-    (or ``reassemble_bands``), which validates it once, and the engine
-    builds only valid points.
+    The constructor checks nothing: caller data enters through ``raw_wb``,
+    which validates it once, and the engine builds only valid points.
 
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``wb_normalize`` and ``wb_act`` by the identity return it as
@@ -324,9 +328,6 @@ def mu_tilde(x: WBPoint) -> Any:
 # Height cuts: band subdivision and prime decomposition
 # ---------------------------------------------------------------------------
 
-_UNIT_CUBE = unit_cube()
-
-
 def wb_trivial(operad: Operad) -> WBPoint:
     """The degenerate unit point, built directly as the canonical point
     that normalization gives: the unit corolla at height 0, whose main tree
@@ -345,15 +346,19 @@ def subdivide(
 ) -> tuple[list[list[WBPoint]], list[list[WBPoint]]]:
     """Split the main tree of ``y`` into the sub-points lying in the n+1
     closed gap bands and the n open cube bands of the sorted configuration
-    ``c``.  Each band list is ordered by the planar structure; edges crossing
-    a band contribute trivial sub-points.  A height exactly on a cube
-    endpoint belongs to the adjacent closed gap band.
+    ``c``, for ``mapping.alpha``.  Each band list is ordered by the planar
+    structure; edges crossing a band contribute trivial sub-points.  A
+    height exactly on a cube endpoint belongs to the adjacent closed gap
+    band.
 
     Returns ``(gap_lists, cube_lists)`` of raw planar sub-points (identity
     leaf words); together they partition the main vertices of ``y``.
     """
     y = wb_normalize(y)
-    bands = _interleave(gaps(c), c.intervals)  # gaps refuses an unsorted c
+    gap_bands = gaps(c)  # refuses an unsorted c
+    bands = [gap_bands[0]]  # from the bottom up: gap 0, cube 1, gap 1, ...
+    for cube, gap in zip(c.intervals, gap_bands[1:]):
+        bands += (cube, gap)
     operad = y.operad
     trivial = wb_trivial(operad)
 
@@ -385,102 +390,57 @@ def subdivide(
     return band_lists[0::2], band_lists[1::2]
 
 
-def _interleave(gap_items: Sequence, cube_items: Sequence) -> list:
-    """The bands from the bottom up: gap 0, cube 1, gap 1, ..., cube n,
-    gap n."""
-    out = [gap_items[0]]
-    for cube, gap in zip(cube_items, gap_items[1:]):
-        out += (cube, gap)
-    return out
-
-
-def reassemble_bands(
-    operad: Operad,
-    gap_lists: Sequence[Sequence[WBPoint]],
-    cube_lists: Sequence[Sequence[WBPoint]],
-    word: Optional[Perm] = None,
-) -> WBPoint:
-    """Stack the band sub-point lists back into a single point: each
-    sub-point's dangling edges are filled, in planar order, by the
-    sub-points of the band above.  Inverse of ``subdivide`` up to
-    normalization.  The stack is built with ``raw_wb``, which checks the
-    caller's ``word`` (``None`` is the identity) and that heights do not
-    drop from one band to the next."""
-    if len(gap_lists) != len(cube_lists) + 1:
-        raise ValueError("need one more gap list than cube lists")
-    bands = _interleave(gap_lists, cube_lists)
-
-    items: list[Any] = [0] * sum(p.arity for p in bands[-1])
-    for band in reversed(bands):
-        it = iter(items)
-        new_items: list[Any] = []
-        for sp in band:
-            if is_trivial_subpoint(sp):
-                new_items.append(next(it))
-                continue
-            root = _nodes(sp)
-            for node, slot in leaf_slots(root):
-                node.kids[slot - 1] = next(it)
-            new_items.append(root)
-        leftovers = list(it)
-        if leftovers:
-            raise AssertionError("band arities do not match the items above")
-        items = new_items
-    if len(items) != 1:
-        raise AssertionError("bottom band must produce a single rooted point")
-    root = items[0]
-    if not isinstance(root, Node):
-        # Every band was trivial: the stack is the degenerate unit point.
-        root = Node(bv_unit(operad), ZERO, [root])
-    shape, labels, heights, _ = from_nodes(root)
-    return wb_normalize(raw_wb(operad, shape, labels, heights, word))
-
-
 def wb_is_prime(x: WBPoint) -> bool:
     """All main heights strictly inside ]0,1[."""
     return all(0 < t < 1 for t in x.heights)
 
 
-class WBDecomposition(Value):
-    """A point cut along the unit cube: ``gaps`` and ``cubes`` are the band
-    lists of ``subdivide``, and ``word`` is the leaf word of the point.
-
-    In normal form heights are monotone and adjacent equal heights are
-    merged, so a point is an optional root at height 0, interior subtrees,
-    and caps at height 1 with only leaves above them: the bands ``[0,0]``,
-    ``]0,1[`` and ``[1,1]``.  The non-trivial sub-points of ``cubes[0]``
-    are the prime components.  Equality reads all but ``operad``; the band
-    lists make a decomposition unhashable.
-    """
-
-    __slots__ = ("operad", "gaps", "cubes", "word")
-    _repr = ("gaps", "cubes", "word")
-
-    def __init__(
-        self, operad: Operad, gaps: Sequence = (), cubes: Sequence = (), word: Perm = ()
-    ):
-        self.operad = operad
-        self.gaps = gaps
-        self.cubes = cubes
-        self.word = word
+def _band(n: Node) -> int:
+    """The band of ``n``'s height: 0 for {0}, 1 for ]0,1[, 2 for {1}."""
+    return (n.t > 0) + (n.t == 1)
 
 
-def wb_decompose(x: WBPoint) -> WBDecomposition:
+def wb_decompose(x: WBPoint) -> Decomposition:
+    """Cut the normal form into maximal pieces of one height band, {0},
+    ]0,1[ or {1} (``trees.decompose``), kept as cut, not normalized.  In
+    normal form heights are monotone and adjacent equal heights are merged,
+    so a piece at 0 (the root) or at 1 (a cap with only leaves above it) is
+    one main vertex, and the pieces inside ]0,1[ are the prime components."""
     x = wb_normalize(x)
-    gap_lists, cube_lists = subdivide(x, _UNIT_CUBE)
-    return WBDecomposition(x.operad, gap_lists, cube_lists, x.tree.labels)
+
+    def piece(top: Node) -> tuple:
+        band = _band(top)
+        comp, dangling = cut(top, lambda n: _band(n) == band)
+        return _point(x.operad, comp, False), dangling
+
+    return Decomposition(*decompose(_nodes(x), piece), x.tree.labels)
 
 
-def wb_reassemble(d: WBDecomposition) -> WBPoint:
-    """Stack the bands back up under the leaf word, then normalize."""
-    return reassemble_bands(d.operad, d.gaps, d.cubes, d.word)
+def _graft(x: WBPoint, i: int, y: WBPoint) -> WBPoint:
+    """The graft of ``bv_compose`` with no new edge length: ``y`` at input
+    ``i`` of ``x``, keeping its heights, not normalized.  It refuses ``y``
+    over another operad, or with its root below the vertex it is grafted
+    onto."""
+    if x.operad_name != y.operad_name:
+        raise ValueError("operad mismatch")
+    root, scion = _nodes(x), _nodes(y)
+    parent = graft_input(root, x.tree.labels, i, scion, y.tree.labels)
+    if scion.t < parent.t:
+        raise ValueError(
+            f"height monotonicity violated: a piece at {scion.t} grafted "
+            f"onto a vertex at {parent.t}"
+        )
+    return _point(x.operad, root, False)
+
+
+def wb_reassemble(d: Decomposition) -> WBPoint:
+    """Graft the pieces back along the cut tree (the fold of ``d.shape`` by
+    ``_graft``), then act by the leaf word, which normalizes."""
+    return wb_act(fold(d.shape, d.components, _graft), d.word)
 
 
 def wb_prime_components(x: WBPoint) -> list[WBPoint]:
-    return [
-        wb_normalize(p) for p in wb_decompose(x).cubes[0]
-        if not is_trivial_subpoint(p)
-    ]
+    return [wb_normalize(c) for c in wb_decompose(x).components if wb_is_prime(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +451,9 @@ def wb_prime_components(x: WBPoint) -> list[WBPoint]:
 def wb_filtration(x: WBPoint, k: int, l: Optional[int] = None) -> bool:
     """Membership in the k-th filtration stage (substage ``l`` counts the
     total auxiliary-tree vertices), tested on prime components.  They are
-    read off the unit-cube cut unnormalized: normalizing a component only
-    re-presents it, which changes neither count.  A trivial sub-point is an
-    edge crossing the band, not a component."""
-    comps = [c for c in wb_decompose(x).cubes[0] if not is_trivial_subpoint(c)]
+    read off the cut unnormalized: normalizing a component only re-presents
+    it, which changes neither count."""
+    comps = [c for c in wb_decompose(x).components if wb_is_prime(c)]
     return in_stage(((c.geometric_inputs, c.aux_vertex_count) for c in comps), k, l)
 
 

@@ -523,6 +523,17 @@ def test_exit_code_2_on_bad_input(capsys, monkeypatch, tmp_path):
             capsys, monkeypatch, ["--operad", name, "normalize-bv"], "{}"
         )
         assert code == 2 and out == "" and err.startswith("operad-forge: ")
+    # free names off the grammar: an empty generator name, a bound below the
+    # unit's arity, a part too many or too few, a generator with no arity
+    for name in ("free:a=2,=3:4", "free:a=2:0", "free:a=2:-1", "free:a=2:4:5",
+                 "free:", "free:a:4"):
+        code, out, err = run(
+            capsys, monkeypatch, ["--operad", name, "normalize-bv"], "{}"
+        )
+        assert code == 2 and out == ""
+        assert err == (f"operad-forge: operad {name!r} is not free:<name>=<arity>,"
+                       "...:<max arity> with non-empty names, integer arities and "
+                       "max arity >= 1\n")
     w = raw_wb(A, corolla(2), (iota(A, (2, 1)),), (F(1, 2),))
     code, _, err = run(
         capsys,

@@ -196,7 +196,7 @@ def test_cli_starts_without_dataclasses_or_inspect():
 # resolutions rewrite, and ``selftest``'s ``xi_by_splitting`` oracle splits
 # trees on it.  Evaluation folds the immutable ``PlanarTree`` instead.
 WORKING_FORM = {"Node", "to_nodes", "from_nodes", "preorder", "leaf_slots",
-                "cut", "contract", "graft_input", "deletable", "settle"}
+                "cut", "decompose", "contract", "graft_input", "deletable", "settle"}
 WORKING_FORM_USERS = {"trees", "bv", "wb", "selftest"}
 
 
@@ -275,15 +275,15 @@ def test_no_nested_function_calls_itself():
     assert sorted(found) == []
 
 
-# Per module, the walks between a working form and a point, the cut of
-# both decompositions, the walk that builds a ``bv`` decomposition's cut
-# tree, the ``repr`` that orders a bimodule point's labels, the validators
-# of raw points, and the tree writers and reader: each keeps its own stack,
-# so the depth of a tree is not bounded by the interpreter's recursion limit.
+# Per module, the walks between a working form and a point, the cut and the
+# walk that builds the cut tree of either resolution's decomposition, the
+# ``repr`` that orders a bimodule point's labels, the validators of raw
+# points, and the tree writers and reader: each keeps its own stack, so the
+# depth of a tree is not bounded by the interpreter's recursion limit.
 ITERATIVE_WALKS = {
     "trees": {"to_nodes", "from_nodes", "leaf_slots", "canonicalize",
-              "_tie_break", "settle", "cut", "__repr__"},
-    "bv": {"_validate_raw", "bv_decompose"},
+              "_tie_break", "settle", "cut", "decompose", "__repr__"},
+    "bv": {"_validate_raw"},
     "wb": {"_validate_raw"},
     "serialize": {"shape_to_json", "shape_from_json", "_tree_text", "_dot_walk"},
 }
@@ -311,15 +311,22 @@ def test_the_working_form_walks_do_not_recurse():
 
 
 def test_a_bv_decomposition_is_a_decorated_planar_tree():
-    # its components sit on the vertices of a ``PlanarTree`` that
-    # ``trees.fold`` reassembles; no nested decomposition form and no split
-    # walk of its own is left in ``bv``
-    tree = ast.parse((PACKAGE / "bv.py").read_text())
-    names = {n.name for n in ast.walk(tree) if isinstance(n, DEFINITIONS)}
-    assert "_split" not in names
-    decomposition = next(n for n in tree.body
-                         if isinstance(n, ast.ClassDef) and n.name == "BVDecomposition")
-    slots = next(n.value for n in decomposition.body if isinstance(n, ast.Assign)
+    # both resolutions decompose into one value, ``trees.Decomposition``: the
+    # components sit on the vertices of a ``PlanarTree`` that ``trees.fold``
+    # reassembles; no other decomposition class, nested form, split walk or
+    # band stacking of its own is left
+    classes, gone = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Decomposition"):
+                classes.append((path.stem, node))
+            if isinstance(node, DEFINITIONS) and node.name in {
+                "_split", "reassemble_bands", "_interleave",
+            }:
+                gone.append(f"{path.name}:{node.lineno} {node.name}")
+    assert [(stem, node.name) for stem, node in classes] == [("trees", "Decomposition")]
+    assert gone == []
+    slots = next(n.value for n in classes[0][1].body if isinstance(n, ast.Assign)
                  and n.targets[0].id == "__slots__")
     assert ast.literal_eval(slots) == ("shape", "components", "word")
 

@@ -3,6 +3,7 @@ algebra action, subdivision, truncation, and the validators (including the
 deliberately broken kernels).  Worked closed-form evaluations are asserted
 against hand-assembled right-hand sides."""
 
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -55,7 +56,6 @@ from operad_forge.wb import (
     is_trivial_subpoint,
     mu_tilde,
     raw_wb,
-    reassemble_bands,
     subdivide,
     wb_filtration,
     wb_normalize,
@@ -159,7 +159,24 @@ def test_subdivide_partitions_and_reassembles():
         )
         expect = 0 if is_trivial_subpoint(y) else y.n_main_vertices
         assert total == expect
-        assert reassemble_bands(A, gap_bands, cube_bands, word=y.tree.labels) == y
+        # the non-trivial sub-points carry exactly the (height, label) pairs
+        # of ``y``, and each band fills the inputs of the band below
+        pairs = Counter(
+            (t, a)
+            for band in gap_bands + cube_bands
+            for p in band
+            if not is_trivial_subpoint(p)
+            for t, a in zip(p.heights, p.labels)
+        )
+        assert pairs == (Counter() if is_trivial_subpoint(y)
+                         else Counter(zip(y.heights, y.labels)))
+        bands = [gap_bands[0]]
+        for cube, gap in zip(cube_bands, gap_bands[1:]):
+            bands += (cube, gap)
+        assert len(bands[0]) == 1
+        for below, above in zip(bands, bands[1:]):
+            assert len(above) == sum(p.arity for p in below)
+        assert sum(p.arity for p in bands[-1]) == y.arity
 
 
 def test_alpha_unit_law(samples):

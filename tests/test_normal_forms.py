@@ -21,14 +21,14 @@ from operad_forge.operads import (
     operad_by_name,
 )
 from operad_forge.sampling import random_bv, random_wb
-from operad_forge.trees import corolla, from_nodes, graft
+from operad_forge.trees import Decomposition, PlanarTree, corolla, from_nodes, graft
 from operad_forge.wb import (
     WBPoint,
     raw_wb,
-    reassemble_bands,
     wb_act,
     wb_decompose,
     wb_normalize,
+    wb_reassemble,
     wb_trivial,
 )
 from operad_forge.wb import _normal as wb_normal
@@ -117,11 +117,11 @@ def test_raw_bv_stores_a_free_label_in_canonical_form():
     assert not x.canonical and bv_normalize(x).labels == x.labels
 
 
-def test_reassemble_bands_checks_a_given_word():
+def test_wb_reassemble_checks_a_given_word():
     _, wbs = _normal_forms(AssocOperad(), 83)
     y = next(y for y in wbs if y.arity >= 2 and y.n_main_vertices >= 2)
     d = wb_decompose(y)
-    assert reassemble_bands(y.operad, d.gaps, d.cubes, y.tree.labels) == y
+    assert wb_reassemble(d) == y
     for word in (
         (1,) * y.arity,
         tuple(range(1, y.arity)),
@@ -129,28 +129,30 @@ def test_reassemble_bands_checks_a_given_word():
         tuple(range(2, y.arity + 2)),
     ):
         with pytest.raises(ValueError):
-            reassemble_bands(y.operad, d.gaps, d.cubes, word)
+            wb_reassemble(Decomposition(d.shape, d.components, word))
 
 
-def test_reassemble_bands_checks_the_word_of_an_all_trivial_stack():
+def test_wb_reassemble_checks_the_word_of_the_trivial_point():
     op = AssocOperad()
     t = wb_trivial(op)
-    assert reassemble_bands(op, [[t], [t]], [[t]], (1,)) == t
+    assert wb_decompose(t) == Decomposition(corolla(1), (t,), (1,))
+    assert wb_reassemble(Decomposition(corolla(1), (t,), (1,))) == t
     with pytest.raises(ValueError):
-        reassemble_bands(op, [[t], [t]], [[t]], (1, 2))
+        wb_reassemble(Decomposition(corolla(1), (t,), (1, 2)))
 
 
-def _stack(op, low, high):
-    """Unit-cube bands: an arity-2 corolla at height ``low``, an arity-2
-    corolla at height ``high`` on its first input, and leaves above."""
-    a = iota(op, (1, 2))
-    bottom = raw_wb(op, corolla(2), (a,), (low,))
-    middle = raw_wb(op, corolla(2), (a,), (high,))
-    t = wb_trivial(op)
-    return reassemble_bands(op, [[bottom], [t, t, t]], [[middle, t]])
+def _stack(op, low, high, top_op=None):
+    """An arity-2 corolla at height ``low`` with an arity-2 corolla at
+    height ``high`` (over ``top_op``, by default ``op``) grafted on its
+    first input, reassembled from these two pieces."""
+    top_op = top_op or op
+    bottom = raw_wb(op, corolla(2), (iota(op, op.elements(2)[0]),), (low,))
+    top = raw_wb(top_op, corolla(2), (iota(top_op, top_op.elements(2)[0]),), (high,))
+    shape = PlanarTree((corolla(2), None))
+    return wb_reassemble(Decomposition(shape, (bottom, top), (1, 2, 3)))
 
 
-def test_reassemble_bands_refuses_bands_out_of_height_order():
+def test_wb_reassemble_refuses_pieces_out_of_height_order():
     op = AssocOperad()
     want = wb_normalize(raw_wb(
         op, graft(corolla(2), 1, corolla(2)), (iota(op, (1, 2)),) * 2,
@@ -159,6 +161,8 @@ def test_reassemble_bands_refuses_bands_out_of_height_order():
     assert _stack(op, F(0), F(1, 2)) == want
     with pytest.raises(ValueError, match="monotonicity"):
         _stack(op, F(1), F(1, 2))
+    with pytest.raises(ValueError, match="operad mismatch"):
+        _stack(op, F(0), F(1, 2), ComOperad())
 
 
 def _revalidating(monkeypatch):
@@ -222,8 +226,8 @@ def _revalidating(monkeypatch):
 ], ids=lambda c: c.__name__)
 def test_engine_built_points_revalidate(monkeypatch, criterion):
     """The points and working forms that ``bv_compose``, ``bv_act``, the
-    cuts of ``bv_decompose``, ``wb_left``, ``wb_right``, ``wb_act``, the
-    band cuts and ``reassemble_bands`` build pass the raw constructors'
+    cuts of ``bv_decompose``, ``wb_left``, ``wb_right``, ``wb_act`` and the
+    band cuts build pass the raw constructors'
     checks; under ``criterion_laws`` the grafts hand their working forms to
     both normalizers."""
     seen = _revalidating(monkeypatch)

@@ -41,9 +41,8 @@ from operad_forge.operads import (
     identity_eta,
 )
 from operad_forge.selftest import CriterionResult
-from operad_forge.trees import PlanarTree, Tree, corolla
+from operad_forge.trees import Decomposition, PlanarTree, Tree, corolla
 from operad_forge.wb import (
-    WBDecomposition,
     WBPoint,
     raw_wb,
     wb_decompose,
@@ -69,7 +68,8 @@ def _reverse(x):
 
 
 def _instances() -> dict:
-    """One instance of each value class, built the same way every time."""
+    """One instance of each value class, built the same way every time; a
+    ``Decomposition`` has one of each resolution."""
     graph = build_graph(3, 2)
     eta = identity_eta(A)
     report = ValidationReport("demo", 2)
@@ -109,13 +109,15 @@ def _masked(text: str) -> str:
     return re.sub(r" at 0x[0-9a-f]+", " at 0x", text)
 
 
-# Recorded from the dataclass-based classes these replace.
+# Recorded from the dataclass-based classes these replace; the two
+# decompositions from ``trees.Decomposition``, which holds either
+# resolution's.
 REPRS = {
     "Tree": "Tree(shape=(.(..)), labels=(3, 1, 2))",
     "BVPoint": "BVPoint(assoc, (.(..)), labels=((2, 1), (1, 2)), word=(3, 1, 2), params=('1',))",
-    "BVDecomposition": "BVDecomposition(shape=(.(..)), components=(BVPoint(assoc, (..), labels=((2, 1),), word=(1, 2), params=()), BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=())), word=(3, 1, 2))",
+    "BVDecomposition": "Decomposition(shape=(.(..)), components=(BVPoint(assoc, (..), labels=((2, 1),), word=(1, 2), params=()), BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=())), word=(3, 1, 2))",
     "WBPoint": "WBPoint(assoc, (.(..)), heights=('0', '1/2'), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()), BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=())), word=(2, 1, 3))",
-    "WBDecomposition": "WBDecomposition(gaps=[[WBPoint(assoc, (..), heights=('0',), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()),), word=(1, 2))], [WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,)), WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,)), WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,))]], cubes=[[WBPoint(assoc, (.), heights=('0',), labels=(BVPoint(assoc, (.), labels=((1,),), word=(1,), params=()),), word=(1,)), WBPoint(assoc, (..), heights=('1/2',), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()),), word=(1, 2))]], word=(2, 1, 3))",
+    "WBDecomposition": "Decomposition(shape=(.(..)), components=(WBPoint(assoc, (..), heights=('0',), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()),), word=(1, 2)), WBPoint(assoc, (..), heights=('1/2',), labels=(BVPoint(assoc, (..), labels=((1, 2),), word=(1, 2), params=()),), word=(1, 2))), word=(2, 1, 3))",
     "UpsilonIndex": "UpsilonIndex(main=(..), aux=((..),))",
     "TreeClass": "TreeClass(representative=UpsilonIndex(main=(..), aux=((..),)))",
     "_KeyVertex": "_KeyVertex(key=(1, ()), kids=(), leaves=0, aux=1, mains=0, main_leaves=0, e=(), b=(), o=(), x=())",
@@ -192,13 +194,11 @@ def test_equality_reads_only_the_compared_fields():
     assert bv != BVPoint(bv.operad, "com", bv.tree, bv.labels, bv.params, True)
     assert wb == WBPoint(C, "assoc", wb.tree, wb.heights, wb.labels, False)
     assert wb != WBPoint(wb.operad, "assoc", wb.tree, wb.heights[::-1], wb.labels, True)
-    # a decomposition's ``operad`` is not compared; its band lists make it
-    # unhashable
+    # a decomposition compares its cut tree, components and word
     d = wb_decompose(wb)
-    assert d == WBDecomposition(C, d.gaps, d.cubes, d.word)
-    assert d == wb_decompose(_wb())
-    with pytest.raises(TypeError):
-        hash(d)
+    assert d == Decomposition(d.shape, d.components, d.word)
+    assert d == wb_decompose(_wb()) and hash(d) == hash(wb_decompose(_wb()))
+    assert d != Decomposition(d.shape, d.components[::-1], d.word)
     # the loop's ``kernel`` is not compared; its ``name`` and ``truncation`` are
     eta = identity_eta(A)
     g = LoopElement(eta, max, "g")

@@ -23,6 +23,7 @@ from operad_forge.operads import (
     identity_perm,
     operad_by_name,
     perm_compose,
+    unit_cube,
 )
 from operad_forge.sampling import random_perm, random_wb
 from operad_forge.trees import (
@@ -39,8 +40,10 @@ from operad_forge.wb import (
     ONE,
     ZERO,
     WBPoint,
+    is_trivial_subpoint,
     mu_tilde,
     raw_wb,
+    subdivide,
     wb_act,
     wb_decompose,
     wb_filtration,
@@ -229,6 +232,26 @@ def test_band_cut_matches_the_frame_walker(op):
         want = [wb_normalize(raw) for raw, _ in components]
         assert [repr(c) for c in wb_prime_components(y)] == [repr(c) for c in want]
         assert wb_reassemble(wb_decompose(y)) == y
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_the_pieces_are_the_prime_components_between_single_vertices(op):
+    # every piece of ``wb_decompose`` that is not prime is one main vertex
+    # at height 0 or 1, and the prime ones come in the order in which the
+    # unit cube's band cut lists them; each piece, and the stack that the
+    # fold of the pieces builds before the word acts, is a valid point
+    for y in _normal_points(op, 300, 67):
+        d = wb_decompose(y)
+        for c in d.components:
+            raw_wb(op, c.tree.shape, c.labels, c.heights, c.tree.labels)
+            if not wb_is_prime(c):
+                assert c.n_main_vertices == 1 and c.heights[0] in (ZERO, ONE)
+        band = subdivide(y, unit_cube())[1][0]
+        primes = [c for c in d.components if wb_is_prime(c)]
+        assert primes == [c for c in band if not is_trivial_subpoint(c)]
+        stack = fold(d.shape, d.components, wb._graft)
+        raw_wb(op, stack.tree.shape, stack.labels, stack.heights, stack.tree.labels)
+        assert wb_act(stack, d.word) == y
 
 
 @pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
