@@ -9,9 +9,11 @@ operad's composition.  ``bv_normalize`` orients these relations into a
 terminating, confluent rewriting system, rewrites in one bottom-up pass
 (each child settled, then resolved against its parent), and finishes with a
 canonical choice of planar presentation, so structural equality of normal
-forms decides equality of classes.  Given an ``rng``, it rewrites by the
-same rules in a random order instead, one redex at a time; the tests check
-the pass against that order.
+forms decides equality of classes.  A normal form with one vertex is its
+label over the identity word, so the symmetric action on it acts on that
+label alone (``bv_act``, through ``trees.act_on_word``).  Given an ``rng``,
+``bv_normalize`` rewrites by the same rules in a random order instead, one
+redex at a time; the tests check the pass against that order.
 
 A point is the composite of its prime components along its length-1 edges:
 its decomposition is a planar tree decorated by them (``trees.Decomposition``,
@@ -278,10 +280,18 @@ def mu(x: BVPoint) -> Any:
     return x.image
 
 
+def _act_on_label(x: BVPoint, sigma: Perm) -> BVPoint:
+    """A one-vertex normal form acted on by ``sigma``: its label acted on."""
+    label = x.operad.act(x.labels[0], sigma)
+    return BVPoint(x.operad, x.operad_name, x.tree, (label,), x.params, True)
+
+
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
-    """The symmetric action: relabel the leaves, then re-canonicalize.
-    ``sigma`` must be a permutation of ``1..arity``."""
-    return act_on_word(x, sigma, _nodes, _rewrite, _present)
+    """The symmetric action: relabel the leaves, then re-canonicalize; a
+    normal form with one vertex only has its label acted on
+    (``trees.act_on_word``).  ``sigma`` must be a permutation of
+    ``1..arity``."""
+    return act_on_word(x, sigma, _nodes, _rewrite, _present, _act_on_label)
 
 
 def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:

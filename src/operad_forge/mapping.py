@@ -101,8 +101,9 @@ class LoopElement(_MapElement):
     __slots__ = ()
 
     def __call__(self, x: BVPoint, t) -> Any:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        if not 0 <= t.numerator <= t.denominator:  # a denominator is positive
             raise ValueError(f"time {t} outside [0,1]")
         return self.kernel(self._in_stage(x, bv_normalize, bv_filtration), t)
 

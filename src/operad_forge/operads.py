@@ -439,20 +439,24 @@ class FreeTruncOperad(Operad):
         return (d[0],) + tuple(self._dec(c, leaves) for c in d[1:])
 
 
+_END_NAME = re.compile(r"end:([0-9]+)")
 _FREE_NAME = re.compile(r"free:((?:[^:,=]+=-?[0-9]+,)*[^:,=]+=-?[0-9]+):([0-9]+)")
 
 
 def operad_by_name(name: str) -> Operad:
     """Resolve the CLI operad grammar: ``assoc`` | ``com`` | ``end:<size>``
-    | ``free:g1=a1,g2=a2:<maxarity>``.  A ``free`` name off that grammar,
-    or with a bound below the unit's arity 1, is refused with one message
-    that names it."""
+    | ``free:g1=a1,g2=a2:<maxarity>``.  An ``end`` or ``free`` name off that
+    grammar is refused with one message that names it, and so is a ``free``
+    bound below the unit's arity 1 (``EndOperad`` refuses a size below 1)."""
     if name == "assoc":
         return AssocOperad()
     if name == "com":
         return ComOperad()
     if name.startswith("end:"):
-        return EndOperad(int(name.split(":", 1)[1]))
+        match = _END_NAME.fullmatch(name)
+        if match is None:
+            raise ValueError(f"operad {name!r} is not end:<size> with an integer size")
+        return EndOperad(int(match[1]))
     if name.startswith("free:"):
         match = _FREE_NAME.fullmatch(name)
         if match is None or int(match[2]) < 1:

@@ -583,18 +583,30 @@ def decompose(root: Node, piece) -> tuple[PlanarTree, tuple]:
             stack[-1][1].append(shape)
 
 
-def act_on_word(x, sigma, nodes, rewrite, present):
+def act_on_word(x, sigma, nodes, rewrite, present, act_on_label):
     """The symmetric action on a point of either resolution (``bv_act``,
     ``wb_act``): relabel the leaves by ``sigma``, then normalize, which is
     ``present(operad, rewrite(operad, root))`` on the working form that
     ``nodes(x, word)`` builds.  On a normal form only the presentation can
     change: relabeling leaves makes no redex and the labels are already
-    canonical, so ``rewrite`` is skipped, and the identity fixes it."""
+    canonical, so ``rewrite`` is skipped, and the identity fixes it.
+
+    A normal form with one vertex skips the working form: the result is
+    ``act_on_label(x, sigma)``, the same point with ``sigma`` acting on its
+    one label (relation (ii) for one vertex).  Its leaf word is the
+    identity, because ``canonicalize`` sorts its distinct leaves.  So the
+    leaves relabeled by ``sigma`` sort back in the order
+    ``first = sigma^-1``, and the label is acted on by
+    ``perm_inverse(first) = sigma``; the shape, the word and the edge
+    lengths or height stay as they are."""
     ident = identity_perm(x.arity)
     if tuple(sorted(sigma)) != ident:
         raise ValueError(f"sigma {tuple(sigma)} is not a permutation of 1..{x.arity}")
-    if x.canonical and sigma == ident:
-        return x
+    if x.canonical:
+        if sigma == ident:
+            return x
+        if len(x.labels) == 1:
+            return act_on_label(x, sigma)
     root = nodes(x, perm_compose(x.tree.labels, sigma))
     if not x.canonical:
         root = rewrite(x.operad, root)

@@ -4,13 +4,14 @@ monotone rational heights in [0,1] and labels from the operad resolution of
 
 Relations oriented into a rewriting system by ``wb_normalize``:
 (i) a main vertex labeled by the unit point is deleted; (ii) the symmetric
-action is pushed into child reorderings (canonical presentation); (iii)
-adjacent main vertices with equal heights are merged by composing their
-labels; (iv) a label at height 0 or 1 is collapsed to the corolla on its
-operad image.  The relations are confluent, and the default order rewrites
-in one bottom-up pass, settling each child and then resolving it against
-its parent; ``rng`` picks a random order of single redexes under the same
-rules instead, which the tests check the pass against.
+action is pushed into child reorderings (canonical presentation), and on a
+normal form with one main vertex into its label alone, by ``bv_act`` at the
+same height; (iii) adjacent main vertices with equal heights are merged by
+composing their labels; (iv) a label at height 0 or 1 is collapsed to the
+corolla on its operad image.  The relations are confluent, and the default
+order rewrites in one bottom-up pass, settling each child and then resolving
+it against its parent; ``rng`` picks a random order of single redexes under
+the same rules instead, which the tests check the pass against.
 
 A point is the composite of its maximal pieces of one height band, {0},
 ]0,1[ or {1}; the pieces inside ]0,1[ are its prime components.  Its
@@ -157,6 +158,8 @@ def _validate_raw(p: WBPoint) -> None:
                 f"label arity {label.arity} != vertex arity {len(children)}"
                 f" at main vertex {v}"
             )
+        if not isinstance(heights[v], (int, Fraction)):
+            raise ValueError(f"height {heights[v]!r} is not an int or a Fraction")
         if not 0 <= heights[v] <= 1:
             raise ValueError(f"height {heights[v]} outside [0,1]")
         stack += ((c.children, v) for c in reversed(children) if c is not None)
@@ -214,7 +217,8 @@ def _equal_heights(parent: Node, child: Node) -> bool:
 
 
 def _collapses(n: Node) -> bool:
-    return n.t in (ZERO, ONE) and n.label.n_vertices > 1
+    # ``raw_wb`` keeps heights exact and in [0,1]: an integer one is 0 or 1
+    return n.t.denominator == 1 and n.label.n_vertices > 1
 
 
 def _collapse(operad: Operad, n: Node) -> None:
@@ -301,10 +305,19 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
     return _normal(operad, Node(iota(operad, a), ZERO, kids))
 
 
+def _act_on_label(x: WBPoint, sigma: Perm) -> WBPoint:
+    """A one-vertex normal form acted on by ``sigma``: its label acted on
+    by ``bv_act``, at the same height."""
+    label = bv_act(x.labels[0], sigma)
+    return WBPoint(x.operad, x.operad_name, x.tree, x.heights, (label,), True)
+
+
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
-    """Symmetric action on the main-tree leaf word, then re-canonicalize.
-    ``sigma`` must be a permutation of ``1..arity``."""
-    return act_on_word(x, sigma, _nodes, _rewrite, _present)
+    """Symmetric action on the main-tree leaf word, then re-canonicalize; a
+    normal form with one main vertex only has its label acted on
+    (``trees.act_on_word``).  ``sigma`` must be a permutation of
+    ``1..arity``."""
+    return act_on_word(x, sigma, _nodes, _rewrite, _present, _act_on_label)
 
 
 def mu_tilde(x: WBPoint) -> Any:

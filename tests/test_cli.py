@@ -534,6 +534,15 @@ def test_exit_code_2_on_bad_input(capsys, monkeypatch, tmp_path):
         assert err == (f"operad-forge: operad {name!r} is not free:<name>=<arity>,"
                        "...:<max arity> with non-empty names, integer arities and "
                        "max arity >= 1\n")
+    # end names off the grammar: no size, a size that is not a decimal
+    # integer, a signed one, and one with a part too many
+    for name in ("end:", "end:x", "end:2.5", "end:-1", "end:+2", "end: 2", "end:2_0",
+                 "end:2:3"):
+        code, out, err = run(
+            capsys, monkeypatch, ["--operad", name, "normalize-bv"], "{}"
+        )
+        assert code == 2 and out == ""
+        assert err == f"operad-forge: operad {name!r} is not end:<size> with an integer size\n"
     w = raw_wb(A, corolla(2), (iota(A, (2, 1)),), (F(1, 2),))
     code, _, err = run(
         capsys,

@@ -91,6 +91,29 @@ def test_constant_loop_and_basepoint_map(samples):
     assert validate_bimodule_map(eta_mu_tilde(ETA_A), samples["wb"]).ok
 
 
+class _Shown(F):
+    """A ``Fraction`` subclass with its own text, which a loop reads as the
+    plain ``Fraction`` it equals."""
+
+    def __str__(self):
+        return "shown"
+
+
+def test_loop_times_are_read_as_plain_fractions():
+    seen = []
+    g = mapping.LoopElement(ETA_A, lambda x, t: seen.append(t) or mu(x), "probe")
+    x = iota(A, (2, 1))
+    for t, want in ((0, F(0)), (1, F(1)), (F(2, 2), F(1)), (_Shown(1, 3), F(1, 3)),
+                    (0.5, F(1, 2)), ("1/4", F(1, 4))):
+        assert g(x, t) == (2, 1)
+        assert seen[-1] == want and type(seen[-1]) is F
+    for t, text in ((-1, "-1"), (2, "2"), (F(-1, 3), "-1/3"), (F(4, 3), "4/3"),
+                    (_Shown(4, 3), "4/3"), (_Shown(-1, 3), "-1/3")):
+        with pytest.raises(ValueError, match=f"^time {text} outside \\[0,1\\]$"):
+            g(x, t)
+    assert len(seen) == 6
+
+
 def test_window_loops_satisfy_loop_laws(samples):
     gw = window_loop(ETA_A, assoc_reversal_eta())
     assert validate_loop(gw, samples["bv"]).ok

@@ -20,7 +20,14 @@ from operad_forge.operads import (
     identity_perm,
     operad_by_name,
 )
-from operad_forge.sampling import random_bv, random_wb
+from operad_forge.sampling import (
+    random_bv,
+    random_bv_of_arity,
+    random_element,
+    random_fraction,
+    random_perm,
+    random_wb,
+)
 from operad_forge.trees import Decomposition, PlanarTree, corolla, from_nodes, graft
 from operad_forge.wb import (
     WBPoint,
@@ -71,21 +78,85 @@ def test_normal_forms_revalidate_through_the_raw_constructors(op):
         raw_bv(op, x.tree.shape, x.labels, x.params, x.tree.labels)
 
 
+def _untrusted(x):
+    """``x`` flagged not canonical, so that acting on it takes the
+    working-form path: rewrite, then present."""
+    if isinstance(x, BVPoint):
+        return BVPoint(x.operad, x.operad_name, x.tree, x.labels, x.params, False)
+    return WBPoint(x.operad, x.operad_name, x.tree, x.heights, x.labels, False)
+
+
 @pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
 def test_identity_action_returns_the_normal_form(op):
     bvs, wbs = _normal_forms(op, 82)
     for x in bvs:
         ident = identity_perm(x.arity)
         assert bv_act(x, ident) is x
-        raw = BVPoint(x.operad, x.operad_name, x.tree, x.labels, x.params, False)
+        raw = _untrusted(x)
         for slow in (bv_normalize(raw), bv_act(raw, ident)):
             assert slow == x and repr(slow) == repr(x)
     for y in wbs:
         ident = identity_perm(y.arity)
         assert wb_act(y, ident) is y
-        raw = WBPoint(y.operad, y.operad_name, y.tree, y.heights, y.labels, False)
+        raw = _untrusted(y)
         for slow in (wb_normalize(raw), wb_act(raw, ident)):
             assert slow == y and repr(slow) == repr(y)
+
+
+def _one_vertex_normal_forms(op, rng, per_arity=40):
+    """Random one-vertex normal forms of each resolution at arities 0-4: an
+    operad label or a normalized ``bv`` label with a random leaf word, and a
+    ``wb`` label at a random height and at one inside ]0,1[ (0 and 1
+    collapse it).  Arities the operad has no element of are skipped."""
+    min_arity = 0 if op.elements(0) else 1
+    bvs, wbs = [], []
+    for n in range(5):
+        for _ in range(per_arity):
+            word = random_perm(rng, n)
+            try:
+                a = random_element(rng, op, n)
+                label = bv_normalize(random_bv_of_arity(rng, op, n, 3, min_arity))
+            except ValueError:
+                continue
+            bvs += [iota(op, a), bv_normalize(raw_bv(op, corolla(n), (a,), (), word))]
+            for h in (random_fraction(rng), random_fraction(rng, endpoints=False)):
+                wbs.append(wb_normalize(raw_wb(op, corolla(n), (label,), (h,), word)))
+    assert all(len(x.labels) == 1 and x.canonical for x in bvs + wbs)
+    return bvs, wbs
+
+
+@pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)
+def test_one_vertex_action_matches_the_working_form(op, monkeypatch):
+    """A one-vertex normal form is acted on through its label alone; the
+    same point flagged not canonical is acted on through the working form,
+    its ``bv`` labels too, and both agree in ``==`` and ``repr``, by the
+    identity, by a random permutation, and in refusing a non-permutation
+    with the same text."""
+    bvs, wbs = _one_vertex_normal_forms(op, Random(83))
+    assert sum(x.arity == 4 for x in bvs) >= 40 and sum(y.arity == 4 for y in wbs) >= 40
+    assert sum(y.labels[0].n_vertices > 1 for y in wbs) >= 80
+    rng = Random(84)
+    cases = [(act, x, sigma)
+             for act, points in ((bv_act, bvs), (wb_act, wbs)) for x in points
+             for sigma in (identity_perm(x.arity), random_perm(rng, x.arity),
+                           (1,) * (x.arity + 1), tuple(range(2, x.arity + 2)))]
+    fast = []
+    for act, x, sigma in cases:
+        try:
+            fast.append(act(x, sigma))
+        except ValueError as e:
+            fast.append(str(e))
+    wb_module = sys.modules["operad_forge.wb"]
+    monkeypatch.setattr(wb_module, "bv_act", lambda x, sigma: bv_act(_untrusted(x), sigma))
+    for (act, x, sigma), got in zip(cases, fast):
+        try:
+            want = act(_untrusted(x), sigma)
+        except ValueError as e:
+            assert got == str(e) and "is not a permutation" in got
+            continue
+        assert got.canonical and got == want and repr(got) == repr(want)
+        if sigma == identity_perm(x.arity):
+            assert got is x
 
 
 @pytest.mark.parametrize("op", OPERADS, ids=lambda o: o.name)

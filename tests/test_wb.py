@@ -397,6 +397,31 @@ def test_y_cell_membership_flags():
     assert "Y2" in flags and "dYprime" in flags
 
 
+@pytest.mark.parametrize("h, collapses", [
+    (0, True), (1, True), (ZERO, True), (ONE, True), (F(2, 2), True),
+    (F(1, 2), False), (F(1, 8), False), (F(7, 8), False),
+])
+def test_a_label_collapses_exactly_at_heights_0_and_1(h, collapses):
+    # relation (iv), read off the height's denominator: in the rule, in the
+    # one settle pass, in the random-order oracle and through ``raw_wb``
+    label = bv_normalize(raw_bv(A, PlanarTree((corolla(2), None)), ((1, 2), (2, 1)),
+                                (F(1, 2),)))
+    assert label.n_vertices == 2
+    want = iota(A, mu(label)) if collapses else label
+    assert wb._collapses(Node(label, h, [1, 2, 3])) is collapses
+    for rng in (None, Random(5)):
+        root = wb._rewrite(A, Node(label, h, [1, 2, 3]), rng)
+        assert root.label == want and root.t == h
+    y = wb_normalize(raw_wb(A, corolla(3), (label,), (h,)))
+    assert y.labels == (want,)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, "1/2", None])
+def test_a_height_must_be_an_exact_rational(h):
+    with pytest.raises(ValueError, match=f"^height {h!r} is not an int or a Fraction$"):
+        raw_wb(A, corolla(2), (iota(A, (1, 2)),), (h,))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         raw_wb(A, corolla(2), (iota(A, (1, 2, 3)),), (F(1, 2),))
