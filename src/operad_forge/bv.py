@@ -37,17 +37,16 @@ from .trees import (
     Tree,
     _trusted_tree,
     act_on_word,
-    canonicalize,
     corolla,
     cut,
     decompose,
     fold,
-    from_nodes,
-    graft_input,
+    graft_points,
     lazy,
+    nodes_of,
+    normal,
     rewrite_fixpoint,
     settle,
-    to_nodes,
 )
 from .values import Value
 
@@ -64,10 +63,14 @@ class BVPoint(Value):
 
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``bv_normalize`` and ``bv_act`` by the identity return it as
-    it is.  Only the canonical presentation ``_present``, where every
+    it is.  Only the canonical presentation ``trees.present``, where every
     normalization and every action ends, and the direct builders of normal
     forms (``bv_unit``, ``iota``) set it.  Equality reads neither
     ``operad`` nor ``canonical``.
+
+    The class gives the engine of ``trees`` its hooks: the edge lengths as
+    decorations (``None`` at the root), labels acted on and ordered in the
+    operad, and relations (i) and (iii) as ``_rewrite``.
     """
 
     __slots__ = (
@@ -103,6 +106,11 @@ class BVPoint(Value):
     def is_corolla(self) -> bool:
         return self.n_vertices == 1
 
+    @property
+    def is_unit(self) -> bool:
+        """Whether the point is one vertex labeled by the operad unit."""
+        return self.n_vertices == 1 and self.operad.is_unit(self.labels[0])
+
     @lazy
     def order_key(self) -> str:
         """The string that orders labels in the canonical presentation of a
@@ -133,6 +141,30 @@ class BVPoint(Value):
             f"labels={self.labels}, word={self.tree.labels}, "
             f"params={tuple(str(p) for p in self.params)})"
         )
+
+    @property
+    def _decorations(self) -> tuple:
+        return (None,) + self.params
+
+    @classmethod
+    def _build(cls, operad, tree, labels, decorations, canonical) -> BVPoint:
+        return cls(operad, operad.name, tree, labels, decorations[1:], canonical)
+
+    @staticmethod
+    def _label_order(operad: Operad) -> tuple:
+        return operad.act, operad.key
+
+    @staticmethod
+    def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
+        """Relations (i) and (iii), rewritten to the normal form by
+        ``settle``, or by the same rules in a random order that ``rng``
+        draws (the oracle; the system is confluent, so both end at the same
+        form)."""
+        rules = (None, operad.is_unit, _delete_unit_vertex, _zero_length,
+                 operad.compose, None, None)
+        if rng is None:
+            return settle(operad, root, rules)
+        return rewrite_fixpoint(operad, root, rules, rng)
 
 
 def raw_bv(
@@ -173,22 +205,15 @@ def _validate_raw(p: BVPoint) -> None:
         v += 1
         stack += (c.children for c in reversed(children) if c is not None)
     for t in p.params:
+        if not isinstance(t, (int, Fraction)):
+            raise ValueError(f"edge parameter {t!r} is not an int or a Fraction")
         if not 0 <= t <= 1:
             raise ValueError(f"edge parameter {t} outside [0,1]")
 
 
 # ---------------------------------------------------------------------------
-# Rewriting (on the shared working form of ``trees``)
+# Rewriting: the rules of ``BVPoint._rewrite``, on the working form of ``trees``
 # ---------------------------------------------------------------------------
-
-
-def _nodes(p: BVPoint, word: Optional[tuple[int, ...]] = None) -> Node:
-    """The working form of ``p``, with ``word`` (by default its own) read
-    along the leaves."""
-    return to_nodes(
-        p.tree.shape, p.labels, (None,) + p.params,
-        p.tree.labels if word is None else word,
-    )
 
 
 def _delete_unit_vertex(node: Node):
@@ -208,45 +233,12 @@ def _zero_length(parent: Node, child: Node) -> bool:
     return child.t == 0
 
 
-def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
-    """Relations (i) and (iii), rewritten to the normal form by ``settle``,
-    or by the same rules in a random order that ``rng`` draws (the oracle;
-    the system is confluent, so both end at the same form)."""
-    rules = (None, type(operad).is_unit, _delete_unit_vertex, _zero_length,
-             operad.compose, None, None)
-    if rng is None:
-        return settle(operad, root, rules)
-    return rewrite_fixpoint(operad, root, rules, rng)
-
-
-# ---------------------------------------------------------------------------
-# Canonical planar presentation (relation (ii))
-# ---------------------------------------------------------------------------
-
-
-def _present(operad: Operad, root: Node) -> BVPoint:
-    """The normal form of a rewritten working form: its minimal planar
-    presentation, the compensating action pushed into the labels."""
-    canonicalize(root, operad.act, operad.key)
-    shape, labels, ts, word = from_nodes(root)
-    return BVPoint(operad, operad.name, _trusted_tree(shape, word), labels, ts[1:], True)
-
-
-def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> BVPoint:
-    """The normal form of the working form ``root`` (its root edge has no
-    length, ``t`` is ``None``), which is rewritten in place: a graft or a
-    cut normalizes the fresh copy it just built."""
-    return _present(operad, _rewrite(operad, root, rng))
-
-
 def bv_normalize(raw: BVPoint, rng: Optional[Random] = None) -> BVPoint:
     """Canonical form of raw point data: rewrite (``_rewrite``: one
     bottom-up pass, or a random order when ``rng`` is given), then present;
     a normal form is returned as it is.  The input is trusted: it comes
     from ``raw_bv`` or from the engine."""
-    if raw.canonical:
-        return raw
-    return _normal(raw.operad, _nodes(raw), rng)
+    return raw if raw.canonical else normal(BVPoint, raw.operad, nodes_of(raw), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +272,20 @@ def mu(x: BVPoint) -> Any:
     return x.image
 
 
-def _act_on_label(x: BVPoint, sigma: Perm) -> BVPoint:
-    """A one-vertex normal form acted on by ``sigma``: its label acted on."""
-    label = x.operad.act(x.labels[0], sigma)
-    return BVPoint(x.operad, x.operad_name, x.tree, (label,), x.params, True)
-
-
 def bv_act(x: BVPoint, sigma: Perm) -> BVPoint:
     """The symmetric action: relabel the leaves, then re-canonicalize; a
     normal form with one vertex only has its label acted on
     (``trees.act_on_word``).  ``sigma`` must be a permutation of
     ``1..arity``."""
-    return act_on_word(x, sigma, _nodes, _rewrite, _present, _act_on_label)
+    return act_on_word(x, sigma)
 
 
 def bv_compose(x: BVPoint, i: int, y: BVPoint) -> BVPoint:
     """Operadic composition: graft at the leaf carrying input ``i`` and give
     the new inner edge length 1, then normalize."""
-    if x.operad_name != y.operad_name:
-        raise ValueError("operad mismatch")
-    nx, ny = _nodes(x), _nodes(y)
-    ny.t = Fraction(1)
-    graft_input(nx, x.tree.labels, i, ny, y.tree.labels)
-    return _normal(x.operad, nx)
+    root, scion, _ = graft_points(x, i, y)
+    scion.t = Fraction(1)
+    return normal(BVPoint, x.operad, root)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +307,9 @@ def bv_decompose(x: BVPoint) -> Decomposition:
     def piece(top: Node) -> tuple:
         comp, dangling = cut(top, lambda c: c.t < 1)
         comp.t = None
-        return _normal(x.operad, comp), dangling
+        return normal(BVPoint, x.operad, comp), dangling
 
-    return Decomposition(*decompose(_nodes(x), piece), x.tree.labels)
+    return decompose(x, piece)
 
 
 def bv_reassemble(d: Decomposition) -> BVPoint:

@@ -181,7 +181,7 @@ def _resolution(kind: str) -> SimpleNamespace:
     )
 
 
-def _point(r: SimpleNamespace, op: Operad, data: Any) -> Any:
+def _read_point(r: SimpleNamespace, op: Operad, data: Any) -> Any:
     """The normal form of the point of resolution ``r`` that ``data`` spells."""
     return r.normalize(r.decode(data, op))
 
@@ -282,7 +282,7 @@ def _bimod_kernel(name: str, operad: Operad) -> BimodMapElement:
 def _cmd_normalize(args) -> int:
     op, r = _operad(args), _resolution(args.kind)
     p = _refused(CliValidationError, f"invalid {r.noun}: ",
-                 lambda: _point(r, op, _read_json(sys.stdin)))
+                 lambda: _read_point(r, op, _read_json(sys.stdin)))
     if args.format == "dot":
         _write(r.dot(p))
     else:
@@ -330,7 +330,7 @@ def _cmd_bimod_right(args) -> int:
 def _cmd_image(args) -> int:
     op, r = _operad(args), _resolution(args.kind)
     x = _refused(CliValidationError, f"invalid {r.noun}: ",
-                 lambda: _point(r, op, _read_json(sys.stdin)))
+                 lambda: _read_point(r, op, _read_json(sys.stdin)))
     _emit({"value": op.encode(_refused(CliValidationError, "", lambda: r.image(x)))})
     return 0
 
@@ -340,7 +340,7 @@ def _cmd_prime(args) -> int:
     data = _read_json(sys.stdin)
 
     def answer() -> str:
-        x = _point(r, op, data)
+        x = _read_point(r, op, data)
         components = ",".join(r.text(c) for c in r.components(x))
         prime = "true" if r.is_prime(x) else "false"
         return f'{{"components":[{components}],"prime":{prime}}}'

@@ -45,7 +45,6 @@ from .wb import (
     ONE,
     ZERO,
     WBPoint,
-    _is_unit_bv,
     is_trivial_subpoint,
     mu_tilde,
     subdivide,
@@ -231,10 +230,9 @@ def mutant_unit_loop(eta: OperadMapEta) -> LoopElement:
     )
     if bad is None:
         raise ValueError("target operad has no non-unit arity-1 element")
-    op = eta.source
 
     def kernel(x: BVPoint, t: Fraction):
-        if 0 < t < 1 and _is_unit_bv(op, x):
+        if 0 < t < 1 and x.is_unit:
             return bad
         return eta(mu(x))
 
@@ -249,11 +247,10 @@ def mutant_multiplicative_loop(
     """Deliberately broken loop: the endomorphism twist is applied only to
     single-vertex points, so it fails to distribute over composition."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    op = eta.source
 
     def kernel(x: BVPoint, t: Fraction):
         v = eta(mu(x))
-        if lo < t < hi and x.n_vertices == 1 and not op.is_unit(x.labels[0]):
+        if lo < t < hi and x.is_corolla and not x.is_unit:
             return endo(v)
         return v
 

@@ -86,9 +86,9 @@ from .trees import (
     corolla,
     enumerate_trees,
     leaf_slots,
+    nodes_of,
     planar_trees,
     preorder,
-    to_nodes,
 )
 from .values import Value
 from .wb import (
@@ -680,8 +680,7 @@ def xi_by_splitting(g, y: WBPoint, choose) -> Any:
             parent.kids[slot - 1] = sub
         return target.compose(lower, i, value(sub))
 
-    root = to_nodes(y.tree.shape, y.labels, y.heights, y.tree.labels)
-    return target.act(value(root), y.tree.labels)
+    return target.act(value(nodes_of(y)), y.tree.labels)
 
 
 def _all_split_values(g, y: WBPoint, max_edges: int) -> set:

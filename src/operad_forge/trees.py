@@ -29,15 +29,14 @@ a tree too (``Decomposition``): ``decompose`` cuts a point into pieces in
 one walk, and the fold of the pieces by a graft reassembles it.
 
 ``Node`` is the one mutable working form, and it is only for rewriting.
-``bv`` and ``wb`` rewrite their points on it (unit deletion, edge
-contraction, grafting, canonical reordering through the symmetric action,
-and the cuts of prime decomposition and band subdivision), all through the
-shared helpers at the end of this module.  Both resolutions rewrite in one
-bottom-up pass, ``settle``, each under its one table of rules;
-``rewrite_fixpoint``, the oracle the pass is tested against, rewrites by the
-same table in a random order.  No walk between a working form and a point
-recurses: each keeps its own stack, so a tree may be as deep as memory
-allows.
+One engine at the end of this module normalizes, acts on, grafts and cuts
+the points of both resolutions on it (``normal``, ``act_on_word``,
+``graft_points``, ``decompose``), reading what differs off the point class
+(``bv.BVPoint``, ``wb.WBPoint``).  Each rewrites in one bottom-up pass,
+``settle``, under its one table of rules; ``rewrite_fixpoint``, the oracle
+the pass is tested against, rewrites by the same table in a random order.
+No walk between a working form and a point recurses: each keeps its own
+stack, so a tree may be as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -359,9 +358,12 @@ def canonical_form(a: Tree) -> Tree:
 # ---------------------------------------------------------------------------
 #
 # Both resolutions (``bv``, ``wb``) rewrite decorated trees in place on the
-# ``Node`` form through the helpers below, each supplying only its own rules
-# table, action and label key.  Nothing that only evaluates a tree needs
-# this form: it folds the ``PlanarTree``.
+# ``Node`` form through the engine below, which reads four hooks off the
+# point class: ``_decorations``, the ``Node.t`` of each preorder vertex;
+# ``_build(operad, tree, labels, decorations, canonical)``, the point they
+# make; ``_label_order(operad)``, the ``(act, key)`` of ``canonicalize``;
+# and ``_rewrite(operad, root, rng=None)``, the rules.  Nothing that only
+# evaluates a tree needs this form: it folds the ``PlanarTree``.
 
 
 class Node:
@@ -421,6 +423,22 @@ def from_nodes(root: Node) -> tuple[PlanarTree, tuple, tuple, tuple[int, ...]]:
             stack[-1][1].append(shape)
 
 
+def nodes_of(x, word: Optional[tuple[int, ...]] = None) -> Node:
+    """The working form of the point ``x`` of either resolution, with
+    ``word`` (by default its own) read along the leaves."""
+    return to_nodes(
+        x.tree.shape, x.labels, x._decorations, x.tree.labels if word is None else word
+    )
+
+
+def point_of(cls, operad, root: Node, canonical: bool):
+    """Inverse of ``nodes_of``: the point of class ``cls`` over ``operad``
+    that the working form ``root`` makes up."""
+    shape, labels, decorations, word = from_nodes(root)
+    tree = _trusted_tree(shape, word)
+    return cls._build(operad, tree, labels, decorations, canonical)
+
+
 def preorder(root: Node) -> list[tuple[Node, Optional[Node], int]]:
     """Every vertex as ``(node, parent, slot)`` in preorder; ``slot`` is the
     1-based position of ``node`` in ``parent.kids`` (the root gives
@@ -468,6 +486,16 @@ def graft_input(root: Node, word, i: int, scion: Node, scion_word) -> Node:
     return node
 
 
+def graft_points(x, i: int, y) -> tuple[Node, Node, Node]:
+    """The working forms of the points ``x`` and ``y``, over one operad, with
+    ``y`` grafted at input ``i`` of ``x``: ``(root, scion, parent)``, the
+    vertex ``parent`` as ``graft_input`` returns it."""
+    if x.operad_name != y.operad_name:
+        raise ValueError("operad mismatch")
+    root, scion = nodes_of(x), nodes_of(y)
+    return root, scion, graft_input(root, x.tree.labels, i, scion, y.tree.labels)
+
+
 def contract(parent: Node, slot: int, compose) -> None:
     """Contract the edge to the child vertex at ``parent``'s ``slot``: the
     labels are composed there and the child's kids replace the slot."""
@@ -476,9 +504,9 @@ def contract(parent: Node, slot: int, compose) -> None:
     parent.kids[slot - 1 : slot] = child.kids
 
 
-def deletable(is_unit, ctx, n: Node, root: bool) -> bool:
+def deletable(is_unit, n: Node, root: bool) -> bool:
     """Whether relation (i) deletes ``n``: a unit label, unless the root over a leaf."""
-    return is_unit(ctx, n.label) and (not root or isinstance(n.kids[0], Node))
+    return is_unit(n.label) and (not root or isinstance(n.kids[0], Node))
 
 
 def settle(ctx, root: Node, rules):
@@ -486,7 +514,7 @@ def settle(ctx, root: Node, rules):
     under a resolution's ``rules``; returns what takes the place of
     ``root``.  The rules are seven slots, which ``rewrite_fixpoint`` reads
     too: ``prepare(ctx, n)`` readies a label before a rule reads it;
-    relation (i) is ``is_unit(ctx, label)`` (``deletable``) and
+    relation (i) is ``is_unit(label)`` (``deletable``) and
     ``delete(n)``, the kid put in the vertex's place; (iii) is
     ``merges(parent, kid)`` and ``compose(label, slot, label)``, which
     contracts the edge; (iv) is ``collapses(n)`` and ``collapse(ctx, n)``,
@@ -503,7 +531,7 @@ def settle(ctx, root: Node, rules):
         while True:
             if prepare is not None:
                 prepare(ctx, n)
-            if not deletable(is_unit, ctx, n, not stack):
+            if not deletable(is_unit, n, not stack):
                 break
             n = delete(n)
             if not isinstance(n, Node):
@@ -519,7 +547,7 @@ def settle(ctx, root: Node, rules):
                     break
                 if collapses is not None and collapses(n):
                     collapse(ctx, n)
-                if deletable(is_unit, ctx, n, not stack):
+                if deletable(is_unit, n, not stack):
                     n = delete(n)
             if not stack:
                 return n
@@ -554,12 +582,12 @@ def cut(node: Node, keep) -> tuple[Node, list]:
     return root, dangling
 
 
-def decompose(root: Node, piece) -> tuple[PlanarTree, tuple]:
-    """The cut tree of the working form at ``root`` and its components, cut
-    in preorder.  ``piece(top)`` cuts the piece topped by ``top`` into its
-    component and the kids dangling at its leaves, in planar order: a
-    dangling vertex tops the piece in that slot, a leaf leaves it empty.
-    The tree is built as ``from_nodes`` builds a shape."""
+def decompose(x, piece) -> Decomposition:
+    """The prime decomposition of the normal form ``x``, cut in preorder
+    from its working form.  ``piece(top)`` cuts the piece topped by ``top``
+    into its component and the kids dangling at its leaves, in planar
+    order: a dangling vertex tops the piece in that slot, a leaf leaves it
+    empty.  The tree is built as ``from_nodes`` builds a shape."""
     components = []
 
     def cut_piece(top: Node) -> tuple:
@@ -567,7 +595,7 @@ def decompose(root: Node, piece) -> tuple[PlanarTree, tuple]:
         components.append(component)
         return iter(dangling), []
 
-    stack = [cut_piece(root)]
+    stack = [cut_piece(nodes_of(x))]
     while True:
         dangling, slots = stack[-1]
         for c in dangling:
@@ -579,38 +607,53 @@ def decompose(root: Node, piece) -> tuple[PlanarTree, tuple]:
             stack.pop()
             shape = PlanarTree(tuple(slots))
             if not stack:
-                return shape, tuple(components)
+                return Decomposition(shape, tuple(components), x.tree.labels)
             stack[-1][1].append(shape)
 
 
-def act_on_word(x, sigma, nodes, rewrite, present, act_on_label):
-    """The symmetric action on a point of either resolution (``bv_act``,
-    ``wb_act``): relabel the leaves by ``sigma``, then normalize, which is
-    ``present(operad, rewrite(operad, root))`` on the working form that
-    ``nodes(x, word)`` builds.  On a normal form only the presentation can
-    change: relabeling leaves makes no redex and the labels are already
-    canonical, so ``rewrite`` is skipped, and the identity fixes it.
+def present(cls, operad, root: Node):
+    """The normal form of a rewritten working form (relation (ii)): its
+    minimal planar presentation, the compensating action pushed into the
+    labels, as a point of class ``cls``."""
+    canonicalize(root, *cls._label_order(operad))
+    return point_of(cls, operad, root, True)
 
-    A normal form with one vertex skips the working form: the result is
-    ``act_on_label(x, sigma)``, the same point with ``sigma`` acting on its
-    one label (relation (ii) for one vertex).  Its leaf word is the
-    identity, because ``canonicalize`` sorts its distinct leaves.  So the
-    leaves relabeled by ``sigma`` sort back in the order
-    ``first = sigma^-1``, and the label is acted on by
+
+def normal(cls, operad, root: Node, rng=None):
+    """The normal form of the working form ``root``, rewritten in place by
+    ``cls._rewrite`` (one bottom-up pass, or a random order when ``rng`` is
+    given): a graft or a cut normalizes the working form in hand."""
+    return present(cls, operad, cls._rewrite(operad, root, rng))
+
+
+def act_on_word(x, sigma):
+    """The symmetric action on a point of either resolution (``bv_act``,
+    ``wb_act``): relabel the leaves by ``sigma``, then normalize.  On a
+    normal form only the presentation can change: relabeling leaves makes
+    no redex and the labels are already canonical, so the rewriting is
+    skipped, and the identity fixes it.
+
+    A normal form with one vertex skips the working form: the result is the
+    same point with ``sigma`` acting on its one label (relation (ii) for
+    one vertex).  Its leaf word is the identity, because ``canonicalize``
+    sorts its distinct leaves.  So the leaves relabeled by ``sigma`` sort
+    back in the order ``first = sigma^-1``, and the label is acted on by
     ``perm_inverse(first) = sigma``; the shape, the word and the edge
     lengths or height stay as they are."""
     ident = identity_perm(x.arity)
     if tuple(sorted(sigma)) != ident:
         raise ValueError(f"sigma {tuple(sigma)} is not a permutation of 1..{x.arity}")
+    cls, operad = type(x), x.operad
     if x.canonical:
         if sigma == ident:
             return x
         if len(x.labels) == 1:
-            return act_on_label(x, sigma)
-    root = nodes(x, perm_compose(x.tree.labels, sigma))
+            label = cls._label_order(operad)[0](x.labels[0], sigma)
+            return cls._build(operad, x.tree, (label,), x._decorations, True)
+    root = nodes_of(x, perm_compose(x.tree.labels, sigma))
     if not x.canonical:
-        root = rewrite(x.operad, root)
-    return present(x.operad, root)
+        root = cls._rewrite(operad, root)
+    return present(cls, operad, root)
 
 
 def rewrite_fixpoint(ctx, root: Node, rules, rng) -> Node:
@@ -626,7 +669,7 @@ def rewrite_fixpoint(ctx, root: Node, rules, rng) -> Node:
     while True:
         found = []
         for n, parent, slot in preorder(root):
-            if deletable(is_unit, ctx, n, parent is None):
+            if deletable(is_unit, n, parent is None):
                 found.append(("unit", n, parent, slot))
             if parent is not None and merges(parent, n):
                 found.append(("merge", n, parent, slot))

@@ -46,18 +46,18 @@ from .trees import (
     Node,
     PlanarTree,
     Tree,
-    _trusted_tree,
     act_on_word,
-    canonicalize,
     corolla,
     cut,
     decompose,
     fold,
-    from_nodes,
     graft_input,
+    graft_points,
+    nodes_of,
+    normal,
+    point_of,
     rewrite_fixpoint,
     settle,
-    to_nodes,
 )
 from .values import Value
 
@@ -75,10 +75,14 @@ class WBPoint(Value):
 
     ``canonical=True`` means the point is a normal form, and the engine
     trusts it: ``wb_normalize`` and ``wb_act`` by the identity return it as
-    it is.  Only the canonical presentation ``_present``, where every
+    it is.  Only the canonical presentation ``trees.present``, where every
     normalization and every action ends, and the direct builder
     ``wb_trivial`` set it.  Equality reads neither ``operad`` nor
     ``canonical``.
+
+    The class gives the engine of ``trees`` its hooks: the heights as
+    decorations, labels acted on by ``bv_act`` and ordered by their
+    ``order_key``, and relations (i), (iii) and (iv) as ``_rewrite``.
     """
 
     __slots__ = ("operad", "operad_name", "tree", "heights", "labels", "canonical")
@@ -121,6 +125,36 @@ class WBPoint(Value):
             f"heights={tuple(str(t) for t in self.heights)}, "
             f"labels={self.labels}, word={self.tree.labels})"
         )
+
+    @property
+    def _decorations(self) -> tuple:
+        return self.heights
+
+    @classmethod
+    def _build(cls, operad, tree, labels, heights, canonical) -> WBPoint:
+        return cls(operad, operad.name, tree, heights, labels, canonical)
+
+    @staticmethod
+    def _label_order(operad: Operad) -> tuple:
+        return bv_act, attrgetter("order_key")
+
+    @staticmethod
+    def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
+        """Relations (i), (iii) and (iv), rewritten to the normal form by
+        ``settle``, or by the same rules in a random order that ``rng``
+        draws (the oracle; the system is confluent, so both end at the same
+        form)."""
+        rules = (_normalize_label, attrgetter("is_unit"), _unit_kid, _equal_heights,
+                 bv_compose, _collapses, _collapse)
+        if rng is None:
+            root = settle(operad, root, rules)
+        else:
+            root = rewrite_fixpoint(operad, root, rules, rng)
+        # The fully degenerate point: a single unit-labeled vertex.  Fix its
+        # height at 0 as the canonical representative.
+        if root.label.is_unit and not isinstance(root.kids[0], Node):
+            root.t = ZERO
+        return root
 
 
 def raw_wb(
@@ -172,38 +206,13 @@ def _validate_raw(p: WBPoint) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Working form (shared with ``bv``, see ``trees``)
-# ---------------------------------------------------------------------------
-
-
-def _nodes(p: WBPoint, word: Optional[tuple[int, ...]] = None) -> Node:
-    """The working form of ``p``, with ``word`` (by default its own) read
-    along the leaves."""
-    return to_nodes(
-        p.tree.shape, p.labels, p.heights, p.tree.labels if word is None else word
-    )
-
-
-def _point(operad: Operad, root: Node, canonical: bool) -> WBPoint:
-    shape, labels, heights, word = from_nodes(root)
-    return WBPoint(
-        operad, operad.name, _trusted_tree(shape, word), heights, labels, canonical
-    )
-
-
-# ---------------------------------------------------------------------------
 # Rewriting
 # ---------------------------------------------------------------------------
 
 
-def _is_unit_bv(operad: Operad, x: BVPoint) -> bool:
-    return x.is_corolla and operad.is_unit(x.labels[0])
-
-
-# The rules of ``trees.settle`` and ``trees.rewrite_fixpoint``: a label is
-# normalized before the rules read it; (i) deletes a vertex with its height;
-# (iii) merges equal heights; (iv) keeps only a label's operad image at
-# heights 0 and 1.
+# The rules of ``WBPoint._rewrite``: a label is normalized before the rules
+# read it; (i) deletes a vertex with its height; (iii) merges equal heights;
+# (iv) keeps only a label's operad image at heights 0 and 1.
 def _normalize_label(operad: Operad, n: Node) -> None:
     n.label = bv_normalize(n.label)
 
@@ -225,45 +234,12 @@ def _collapse(operad: Operad, n: Node) -> None:
     n.label = iota(operad, mu(n.label))
 
 
-def _rewrite(operad: Operad, root: Node, rng: Optional[Random] = None) -> Node:
-    """Relations (i), (iii) and (iv), rewritten to the normal form by
-    ``settle``, or by the same rules in a random order that ``rng`` draws
-    (the oracle; the system is confluent, so both end at the same form)."""
-    rules = (_normalize_label, _is_unit_bv, _unit_kid, _equal_heights,
-             bv_compose, _collapses, _collapse)
-    if rng is None:
-        root = settle(operad, root, rules)
-    else:
-        root = rewrite_fixpoint(operad, root, rules, rng)
-    # The fully degenerate point: a single unit-labeled vertex.  Fix its
-    # height at 0 as the canonical representative.
-    if _is_unit_bv(operad, root.label) and not isinstance(root.kids[0], Node):
-        root.t = ZERO
-    return root
-
-
-def _present(operad: Operad, root: Node) -> WBPoint:
-    """Relation (ii): the minimal planar presentation, chosen bottom-up, the
-    compensating child reorderings pushed into the labels' symmetric
-    action."""
-    canonicalize(root, bv_act, attrgetter("order_key"))
-    return _point(operad, root, True)
-
-
-def _normal(operad: Operad, root: Node, rng: Optional[Random] = None) -> WBPoint:
-    """The normal form of the working form ``root``, which is rewritten in
-    place: a graft normalizes the fresh copy it just built."""
-    return _present(operad, _rewrite(operad, root, rng))
-
-
 def wb_normalize(raw: WBPoint, rng: Optional[Random] = None) -> WBPoint:
     """Canonical form: rewrite (``_rewrite``: one bottom-up pass, or a
     random order when ``rng`` is given), then present; a normal form is
     returned as it is.  The input is trusted: it comes from ``raw_wb`` or
     from the engine."""
-    if raw.canonical:
-        return raw
-    return _normal(raw.operad, _nodes(raw), rng)
+    return raw if raw.canonical else normal(WBPoint, raw.operad, nodes_of(raw), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +258,10 @@ def wb_right(x: WBPoint, i: int, a) -> WBPoint:
     """Right action: graft the corolla (iota(a); 1) above input ``i``."""
     operad = x.operad
     m = operad.arity(a)
-    root = _nodes(x)
+    root = nodes_of(x)
     scion = Node(iota(operad, a), ONE, [0] * m)
     graft_input(root, x.tree.labels, i, scion, identity_perm(m))
-    return _normal(operad, root)
+    return normal(WBPoint, operad, root)
 
 
 def wb_left(a, xs: list[WBPoint]) -> WBPoint:
@@ -300,16 +276,9 @@ def wb_left(a, xs: list[WBPoint]) -> WBPoint:
         raise ValueError("operad mismatch")
     kids, offset = [], 0
     for x in xs:  # each word shifted past the inputs of the points before it
-        kids.append(_nodes(x, tuple(w + offset for w in x.tree.labels)))
+        kids.append(nodes_of(x, tuple(w + offset for w in x.tree.labels)))
         offset += x.arity
-    return _normal(operad, Node(iota(operad, a), ZERO, kids))
-
-
-def _act_on_label(x: WBPoint, sigma: Perm) -> WBPoint:
-    """A one-vertex normal form acted on by ``sigma``: its label acted on
-    by ``bv_act``, at the same height."""
-    label = bv_act(x.labels[0], sigma)
-    return WBPoint(x.operad, x.operad_name, x.tree, x.heights, (label,), True)
+    return normal(WBPoint, operad, Node(iota(operad, a), ZERO, kids))
 
 
 def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
@@ -317,7 +286,7 @@ def wb_act(x: WBPoint, sigma: Perm) -> WBPoint:
     normal form with one main vertex only has its label acted on
     (``trees.act_on_word``).  ``sigma`` must be a permutation of
     ``1..arity``."""
-    return act_on_word(x, sigma, _nodes, _rewrite, _present, _act_on_label)
+    return act_on_word(x, sigma)
 
 
 def mu_tilde(x: WBPoint) -> Any:
@@ -351,7 +320,7 @@ def wb_trivial(operad: Operad) -> WBPoint:
 
 
 def is_trivial_subpoint(p: WBPoint) -> bool:
-    return p.n_main_vertices == 1 and _is_unit_bv(p.operad, p.labels[0])
+    return p.n_main_vertices == 1 and p.labels[0].is_unit
 
 
 def subdivide(
@@ -375,7 +344,7 @@ def subdivide(
     operad = y.operad
     trivial = wb_trivial(operad)
 
-    frontier: list[Any] = [_nodes(y)]
+    frontier: list[Any] = [nodes_of(y)]
     band_lists: list[list[WBPoint]] = []
     for b, (lo, hi) in enumerate(bands):
         if b % 2 == 0:  # a closed gap band
@@ -390,7 +359,7 @@ def subdivide(
                 # leaves and, in planar order, the items entering the next
                 # band.  Cut from a canonical point, it is a valid point.
                 comp, dangling = cut(item, inband)
-                subpoints.append(_point(operad, comp, False))
+                subpoints.append(point_of(WBPoint, operad, comp, False))
                 new_frontier.extend(dangling)
             else:
                 # A leaf half-edge or an edge to a vertex above the band.
@@ -424,9 +393,9 @@ def wb_decompose(x: WBPoint) -> Decomposition:
     def piece(top: Node) -> tuple:
         band = _band(top)
         comp, dangling = cut(top, lambda n: _band(n) == band)
-        return _point(x.operad, comp, False), dangling
+        return point_of(WBPoint, x.operad, comp, False), dangling
 
-    return Decomposition(*decompose(_nodes(x), piece), x.tree.labels)
+    return decompose(x, piece)
 
 
 def _graft(x: WBPoint, i: int, y: WBPoint) -> WBPoint:
@@ -434,16 +403,13 @@ def _graft(x: WBPoint, i: int, y: WBPoint) -> WBPoint:
     ``i`` of ``x``, keeping its heights, not normalized.  It refuses ``y``
     over another operad, or with its root below the vertex it is grafted
     onto."""
-    if x.operad_name != y.operad_name:
-        raise ValueError("operad mismatch")
-    root, scion = _nodes(x), _nodes(y)
-    parent = graft_input(root, x.tree.labels, i, scion, y.tree.labels)
+    root, scion, parent = graft_points(x, i, y)
     if scion.t < parent.t:
         raise ValueError(
             f"height monotonicity violated: a piece at {scion.t} grafted "
             f"onto a vertex at {parent.t}"
         )
-    return _point(x.operad, root, False)
+    return point_of(WBPoint, x.operad, root, False)
 
 
 def wb_reassemble(d: Decomposition) -> WBPoint:

@@ -39,13 +39,20 @@ def test_in_process_outputs_match_the_digests(name):
     _replay(wl.IN_PROCESS[name]())
 
 
-def _count_calls(monkeypatch, original) -> dict:
+def _layer(cls) -> str:
+    """The resolution, ``"bv"`` or ``"wb"``, of a point class."""
+    return cls.__module__.rsplit(".", 1)[-1]
+
+
+def _count_calls(monkeypatch, original, per_resolution=False) -> dict:
     """Rebind ``original`` wherever a module of the package binds it to a
-    wrapper that counts its calls in the returned ``{"calls": n}``."""
-    counter = {"calls": 0}
+    wrapper that counts its calls in the returned dict: under ``"calls"``,
+    or per resolution (``_layer``) when its first argument is the point
+    class the engine of ``trees`` is run for."""
+    counter = dict.fromkeys(("bv", "wb") if per_resolution else ("calls",), 0)
 
     def counted(*args, **kwargs):
-        counter["calls"] += 1
+        counter[_layer(args[0]) if per_resolution else "calls"] += 1
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -57,22 +64,23 @@ def _count_calls(monkeypatch, original) -> dict:
 
 
 # Normalizations in ``bv`` over that ``laws`` slice, counted where every one
-# of them enters, ``bv._normal`` (``bv_normalize`` and the grafts and cuts
-# that normalize the working form they built): 4,310 while every identity
-# action and every ``iota`` re-normalized, 1,485 since normal forms are
-# trusted, 853 since ``mu_tilde`` folds its labels' images in the operad
-# instead of composing (and normalizing) the labels in the resolution, 367
-# since acting on a normal form only presents the new word.  Work counts do
-# not depend on the host, so losing a shortcut fails here anywhere.
-# Tighten the bound when a change lowers the work.
+# of them enters, ``trees.normal`` run for ``BVPoint`` (``bv_normalize`` and
+# the grafts and cuts that normalize the working form they built; it was
+# ``bv._normal`` until both resolutions shared one engine): 4,310 while
+# every identity action and every ``iota`` re-normalized, 1,485 since
+# normal forms are trusted, 853 since ``mu_tilde`` folds its labels' images
+# in the operad instead of composing (and normalizing) the labels in the
+# resolution, 367 since acting on a normal form only presents the new word.
+# Work counts do not depend on the host, so losing a shortcut fails here
+# anywhere.  Tighten the bound when a change lowers the work.
 LAWS_BV_NORMALIZE_CALLS = 367
 
 
 def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
     w = wl.IN_PROCESS["laws"]()
-    normal = _count_calls(monkeypatch, sys.modules["operad_forge.bv"]._normal)
+    normal = _count_calls(monkeypatch, sys.modules["operad_forge.trees"].normal, True)
     _replay(w)
-    assert 0 < normal["calls"] <= LAWS_BV_NORMALIZE_CALLS
+    assert 0 < normal["bv"] <= LAWS_BV_NORMALIZE_CALLS
 
 
 # Conversions between the immutable points and the mutable ``Node`` working
@@ -80,8 +88,9 @@ def test_laws_slice_stays_within_its_normalization_bound(monkeypatch):
 # calls while a graft or a cut packed its working form into a point for
 # the normalizer to unpack again, 2,404 and 1,846 since it normalizes the
 # working form in hand, 1,911 and 1,353 since acting on a one-vertex normal
-# form only acts on its label.  Tighten the bounds when a change lowers the
-# work.
+# form only acts on its label.  Both resolutions reach them through the
+# engine's ``trees.nodes_of`` and ``trees.point_of``, and ``canonical_form``
+# through its own calls.  Tighten the bounds when a change lowers the work.
 LAWS_WORKING_FORM_CALLS = {"to_nodes": 1911, "from_nodes": 1353}
 
 
@@ -98,8 +107,9 @@ def test_laws_slice_stays_within_its_working_form_bound(monkeypatch):
 
 
 # Acts on normal forms over the same slice that present the new word with
-# no rewriting, per layer: a presentation (``_present``) with no rewriting
-# (``_rewrite``) before it.  In ``bv`` they are the 486 of the 853
+# no rewriting, per layer: a presentation (``trees.present``, counted by the
+# point class it is run for) with no rewriting (the class's ``_rewrite``)
+# before it.  In ``bv`` they are the 486 of the 853
 # normalizations above that became presentations; the bound keeps the work
 # moved out of ``bv_normalize`` from growing.  486 in ``bv`` and 152 in
 # ``wb``, then 73 and 72 since a one-vertex normal form is not presented
@@ -109,19 +119,19 @@ LAWS_PRESENT_ONLY_ACTS = {"bv": 73, "wb": 72}
 
 def test_laws_slice_stays_within_its_present_only_bound(monkeypatch):
     w = wl.IN_PROCESS["laws"]()
-    counts = dict.fromkeys(LAWS_PRESENT_ONLY_ACTS, 0)
-    for layer in LAWS_PRESENT_ONLY_ACTS:
-        module = sys.modules[f"operad_forge.{layer}"]
-        for step, sign in (("_present", 1), ("_rewrite", -1)):
+    presents = _count_calls(monkeypatch, sys.modules["operad_forge.trees"].present, True)
+    rewrites = dict.fromkeys(LAWS_PRESENT_ONLY_ACTS, 0)
+    for layer, name in (("bv", "BVPoint"), ("wb", "WBPoint")):
+        cls = getattr(sys.modules[f"operad_forge.{layer}"], name)
 
-            def counted(*args, original=getattr(module, step), layer=layer, sign=sign):
-                counts[layer] += sign
-                return original(*args)
+        def counted(*args, original=cls._rewrite, layer=layer):
+            rewrites[layer] += 1
+            return original(*args)
 
-            monkeypatch.setattr(module, step, counted)
+        monkeypatch.setattr(cls, "_rewrite", staticmethod(counted))
     _replay(w)
     for layer, bound in LAWS_PRESENT_ONLY_ACTS.items():
-        assert 0 < counts[layer] <= bound, layer
+        assert 0 < presents[layer] - rewrites[layer] <= bound, layer
 
 
 # ``_validate_raw`` calls (``bv`` and ``wb`` together) over the same slice:
@@ -156,28 +166,41 @@ def test_laws_slice_stays_within_its_validation_bound(monkeypatch):
 # action and only leafless subtrees are keyed; 617 and 377 actions since a
 # tied block already in slot order is not acted on by the identity; 204 and
 # 297 since a one-vertex normal form is acted on outside ``canonicalize``.
-# Tighten the bounds when a change lowers the work.
+# Each ``canonicalize`` is counted for the innermost ``trees.present`` in
+# progress, by the point class it is run for (a ``wb`` presentation acts on
+# its labels by ``bv_act``, which presents them in ``bv``).  Tighten the
+# bounds when a change lowers the work.
 LAWS_CANONICALIZE_WORK = {"bv": {"act": 204, "key": 322}, "wb": {"act": 297, "key": 386}}
 
 
 def test_laws_slice_stays_within_its_canonicalize_bound(monkeypatch):
     w = wl.IN_PROCESS["laws"]()
+    trees = sys.modules["operad_forge.trees"]
     counts = {layer: {"act": 0, "key": 0} for layer in LAWS_CANONICALIZE_WORK}
-    for layer, count in counts.items():
+    presenting = []  # the counts of the presentations in progress, innermost last
 
-        def counted(root, act, key, count=count,
-                    original=sys.modules["operad_forge.trees"].canonicalize):
-            def counted_act(label, sigma):
-                count["act"] += 1
-                return act(label, sigma)
+    def counted_present(cls, *args, original=trees.present):
+        presenting.append(counts[_layer(cls)])
+        try:
+            return original(cls, *args)
+        finally:
+            presenting.pop()
 
-            def counted_key(label):
-                count["key"] += 1
-                return key(label)
+    def counted(root, act, key, original=trees.canonicalize):
+        count = presenting[-1]
 
-            return original(root, counted_act, counted_key)
+        def counted_act(label, sigma):
+            count["act"] += 1
+            return act(label, sigma)
 
-        monkeypatch.setattr(sys.modules[f"operad_forge.{layer}"], "canonicalize", counted)
+        def counted_key(label):
+            count["key"] += 1
+            return key(label)
+
+        return original(root, counted_act, counted_key)
+
+    monkeypatch.setattr(trees, "present", counted_present)
+    monkeypatch.setattr(trees, "canonicalize", counted)
     _replay(w)
     for layer, bounds in LAWS_CANONICALIZE_WORK.items():
         for work, bound in bounds.items():

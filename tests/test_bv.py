@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-from operad_forge import bv
 from operad_forge.bv import (
     BVPoint,
     bv_act,
@@ -48,6 +47,20 @@ def test_relation_unit_vertex_deleted():
     shape = PlanarTree((PlanarTree((None, None)),))
     raw = raw_bv(A, shape, (A.unit(), (2, 1)), (F(1, 3),))
     assert bv_normalize(raw) == iota(A, (2, 1))
+
+
+@pytest.mark.parametrize("t", [0.5, "1/2"])
+def test_an_edge_length_must_be_an_exact_rational(t):
+    # as ``raw_wb`` refuses a height: a float would be kept and written as
+    # ``0.5``, and a string would escape the range check as a ``TypeError``
+    shape = PlanarTree((PlanarTree((None, None)), None))
+    with pytest.raises(
+        ValueError, match=f"^edge parameter {t!r} is not an int or a Fraction$"
+    ):
+        raw_bv(A, shape, ((1, 2), (2, 1)), (t,))
+    for exact in (1, F(1)), (0, F(0)), (F(1, 2), F(1, 2)):
+        got, want = (bv_normalize(raw_bv(A, shape, ((1, 2), (2, 1)), (e,))) for e in exact)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_relation_unit_vertex_merges_lengths_to_max():
@@ -275,7 +288,7 @@ def test_act_on_a_normal_form_only_re_presents(name, monkeypatch):
     def no_rewriting(*args):
         raise AssertionError("a normal form was rewritten")
 
-    monkeypatch.setattr(bv, "_rewrite", no_rewriting)
+    monkeypatch.setattr(BVPoint, "_rewrite", staticmethod(no_rewriting))
     for x, sigma, want in cases:
         got = bv_act(x, sigma)
         assert got.canonical

@@ -196,7 +196,8 @@ def test_cli_starts_without_dataclasses_or_inspect():
 # resolutions rewrite, and ``selftest``'s ``xi_by_splitting`` oracle splits
 # trees on it.  Evaluation folds the immutable ``PlanarTree`` instead.
 WORKING_FORM = {"Node", "to_nodes", "from_nodes", "preorder", "leaf_slots",
-                "cut", "decompose", "contract", "graft_input", "deletable", "settle"}
+                "cut", "decompose", "contract", "graft_input", "deletable", "settle",
+                "nodes_of", "point_of", "graft_points", "normal", "present"}
 WORKING_FORM_USERS = {"trees", "bv", "wb", "selftest"}
 
 
@@ -221,6 +222,28 @@ def test_one_settle_body_for_both_resolutions():
         if isinstance(node, ast.FunctionDef) and node.name.endswith("settle")
     )
     assert settles == ["trees.settle"]
+
+
+# The working-form plumbing of both resolutions (build the working form,
+# rebuild a point, present, normalize, act on one vertex's label) is written
+# once, in the engine of ``trees``, which reads what differs off the point
+# class; the action takes no per-resolution callables.
+ENGINE_PLUMBING = {"_nodes", "_point", "_present", "_normal", "_act_on_label"}
+
+
+def test_one_resolution_engine():
+    found = sorted(
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "trees"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, DEFINITIONS) and node.name in ENGINE_PLUMBING
+    )
+    assert found == []
+    act = next(n for n in ast.parse((PACKAGE / "trees.py").read_text()).body
+               if isinstance(n, ast.FunctionDef) and n.name == "act_on_word")
+    args = act.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["x", "sigma"]
+    assert args.vararg is None and args.kwonlyargs == [] and args.kwarg is None
 
 
 def test_one_rule_table_per_resolution():
@@ -353,15 +376,15 @@ def _called(node: ast.AST) -> str:
 
 
 def test_normalizers_take_the_working_form_in_hand():
-    # a graft or a cut normalizes the working form it built with its
-    # layer's ``_normal``; packing it into a point (``_point``) only for
+    # a graft or a cut normalizes the working form it built with
+    # ``trees.normal``; packing it into a point (``trees.point_of``) only for
     # ``bv_normalize`` or ``wb_normalize`` to unpack it again is a round trip
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if _called(node) in {"bv_normalize", "wb_normalize"}
-        and any(_called(arg) == "_point" for arg in node.args)
+        and any(_called(arg) == "point_of" for arg in node.args)
     ]
     assert found == []
 

@@ -12,7 +12,6 @@ import pytest
 
 from operad_forge import selftest
 from operad_forge.bv import BVPoint, bv_act, bv_normalize, iota, raw_bv
-from operad_forge.bv import _normal as bv_normal
 from operad_forge.operads import (
     AssocOperad,
     ComOperad,
@@ -28,7 +27,14 @@ from operad_forge.sampling import (
     random_perm,
     random_wb,
 )
-from operad_forge.trees import Decomposition, PlanarTree, corolla, from_nodes, graft
+from operad_forge.trees import (
+    Decomposition,
+    PlanarTree,
+    corolla,
+    from_nodes,
+    graft,
+    normal,
+)
 from operad_forge.wb import (
     WBPoint,
     raw_wb,
@@ -38,7 +44,6 @@ from operad_forge.wb import (
     wb_reassemble,
     wb_trivial,
 )
-from operad_forge.wb import _normal as wb_normal
 
 FREE = operad_by_name("free:a=2,b=3:4")
 OPERADS = [AssocOperad(), ComOperad(), EndOperad(2), FREE]
@@ -238,11 +243,11 @@ def test_wb_reassemble_refuses_pieces_out_of_height_order():
 
 def _revalidating(monkeypatch):
     """Wrap ``bv_normalize`` and ``wb_normalize``, and the working-form
-    normalizers ``bv._normal`` and ``wb._normal`` that the grafts and cuts
-    call, wherever a module of the package binds them, so that each input
-    (and, for a bimodule point, each of its labels) is rebuilt through the
-    raw constructors first; a working form is read back with
-    ``from_nodes``."""
+    normalizer ``trees.normal`` that the grafts and cuts call, wherever a
+    module of the package binds them, so that each input (and, for a
+    bimodule point, each of its labels) is rebuilt through the raw
+    constructors first; a working form is read back with ``from_nodes`` and
+    checked as a point of the class ``normal`` is run for."""
     seen = {"bv": 0, "wb": 0, "bv root": 0, "wb root": 0}
 
     def bv_check(x):
@@ -263,22 +268,20 @@ def _revalidating(monkeypatch):
         wb_check(y.operad, y.tree.shape, y.labels, y.heights, y.tree.labels)
         return wb_normalize(y, *args, **kwargs)
 
-    def bv_root_checked(op, root, *args, **kwargs):
-        seen["bv root"] += 1
+    def root_checked(cls, op, root, *args, **kwargs):
         shape, labels, ts, word = from_nodes(root)
-        assert ts[0] is None
-        raw_bv(op, shape, labels, ts[1:], word)
-        return bv_normal(op, root, *args, **kwargs)
-
-    def wb_root_checked(op, root, *args, **kwargs):
-        seen["wb root"] += 1
-        shape, labels, heights, word = from_nodes(root)
-        wb_check(op, shape, labels, heights, word)
-        return wb_normal(op, root, *args, **kwargs)
+        if cls is BVPoint:
+            seen["bv root"] += 1
+            assert ts[0] is None
+            raw_bv(op, shape, labels, ts[1:], word)
+        else:
+            assert cls is WBPoint
+            seen["wb root"] += 1
+            wb_check(op, shape, labels, ts, word)
+        return normal(cls, op, root, *args, **kwargs)
 
     wrappers = (
-        (bv_normalize, bv_checked), (wb_normalize, wb_checked),
-        (bv_normal, bv_root_checked), (wb_normal, wb_root_checked),
+        (bv_normalize, bv_checked), (wb_normalize, wb_checked), (normal, root_checked),
     )
     for name, module in list(sys.modules.items()):
         if module is not None and name.split(".")[0] == "operad_forge":

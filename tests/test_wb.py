@@ -6,8 +6,9 @@ from random import Random
 
 import pytest
 
-from operad_forge import bv, wb
+from operad_forge import wb
 from operad_forge.bv import (
+    BVPoint,
     bv_compose,
     bv_normalize,
     bv_unit,
@@ -290,8 +291,8 @@ def test_act_on_a_normal_form_only_re_presents(op, monkeypatch):
     def no_rewriting(*args):
         raise AssertionError("a normal form was rewritten")
 
-    monkeypatch.setattr(bv, "_rewrite", no_rewriting)
-    monkeypatch.setattr(wb, "_rewrite", no_rewriting)
+    monkeypatch.setattr(BVPoint, "_rewrite", staticmethod(no_rewriting))
+    monkeypatch.setattr(WBPoint, "_rewrite", staticmethod(no_rewriting))
     for y, sigma, want in cases:
         got = wb_act(y, sigma)
         assert got.canonical
@@ -410,7 +411,7 @@ def test_a_label_collapses_exactly_at_heights_0_and_1(h, collapses):
     want = iota(A, mu(label)) if collapses else label
     assert wb._collapses(Node(label, h, [1, 2, 3])) is collapses
     for rng in (None, Random(5)):
-        root = wb._rewrite(A, Node(label, h, [1, 2, 3]), rng)
+        root = WBPoint._rewrite(A, Node(label, h, [1, 2, 3]), rng)
         assert root.label == want and root.t == h
     y = wb_normalize(raw_wb(A, corolla(3), (label,), (h,)))
     assert y.labels == (want,)
